@@ -1,0 +1,132 @@
+"""Robust total-least-squares adaptive filtering under noisy regressors.
+
+A stochastic-gradient filter family built on a bounded robust cost over
+the normalized error, with online censoring of uninformative samples,
+historical data reuse, closed-form steady-state predictors, and a
+Monte-Carlo experiment harness.
+"""
+
+from .censoring import CensorConfig, ScaleState, censor_decision, censor_threshold, update_scale
+from .config import (
+    AlgorithmConfig,
+    ConfigError,
+    ExperimentConfig,
+    build_config,
+    read_config_file,
+)
+from .dataio import (
+    AecAssets,
+    AudioClip,
+    load_echo_path,
+    load_wav,
+    save_echo_path,
+    save_wav,
+    synth_echo_path,
+    synth_far_end,
+    write_csv,
+)
+from .filters import (
+    FilterState,
+    RtgaParams,
+    gradient,
+    limit_cost,
+    limit_gradient,
+    rtga_cost,
+    rtga_gradient,
+    update_step,
+)
+from .metrics import (
+    LearningCurve,
+    erle_db,
+    iterations_to_level,
+    nmsd_db,
+    predicted_op_counts,
+    tail_mean_db,
+    to_db,
+)
+from .noise import NoiseSpec, case_spec, noise_ratio, sample_ggd, sample_mixture
+from .reuse import ReuseConfig, SampleHistory, idr_indices, reuse_pass, schedule
+from .runner import (
+    ExperimentResult,
+    run_aec,
+    run_sweep,
+    run_sysid,
+    run_theory_compare,
+    run_tracking,
+)
+from .signal_model import EivSample, TrueSystem, delay_line_matrix, synthesize_eiv
+from .theory import (
+    TheoryInputs,
+    empirical_gradient_at_optimum,
+    ggd_abs_moment,
+    gradient_noise_covariance,
+    hessian_at_optimum,
+    max_step_size,
+    steady_state_msd,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "AecAssets",
+    "AlgorithmConfig",
+    "AudioClip",
+    "CensorConfig",
+    "ConfigError",
+    "EivSample",
+    "ExperimentConfig",
+    "ExperimentResult",
+    "FilterState",
+    "LearningCurve",
+    "NoiseSpec",
+    "ReuseConfig",
+    "RtgaParams",
+    "SampleHistory",
+    "ScaleState",
+    "TheoryInputs",
+    "TrueSystem",
+    "build_config",
+    "case_spec",
+    "censor_decision",
+    "censor_threshold",
+    "delay_line_matrix",
+    "empirical_gradient_at_optimum",
+    "erle_db",
+    "ggd_abs_moment",
+    "gradient",
+    "gradient_noise_covariance",
+    "hessian_at_optimum",
+    "idr_indices",
+    "iterations_to_level",
+    "limit_cost",
+    "limit_gradient",
+    "load_echo_path",
+    "load_wav",
+    "max_step_size",
+    "nmsd_db",
+    "noise_ratio",
+    "predicted_op_counts",
+    "read_config_file",
+    "reuse_pass",
+    "rtga_cost",
+    "rtga_gradient",
+    "run_aec",
+    "run_sweep",
+    "run_sysid",
+    "run_theory_compare",
+    "run_tracking",
+    "sample_ggd",
+    "sample_mixture",
+    "save_echo_path",
+    "save_wav",
+    "schedule",
+    "steady_state_msd",
+    "synth_echo_path",
+    "synth_far_end",
+    "synthesize_eiv",
+    "tail_mean_db",
+    "to_db",
+    "update_scale",
+    "update_step",
+    "write_csv",
+]

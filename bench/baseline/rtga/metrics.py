@@ -1,0 +1,135 @@
+"""Learning-curve metrics and operation-count predictions.
+
+Averaging always happens in the linear domain before any dB transform, and
+dB values are clamped to +/-300 so serialized output stays finite.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+DB_CLAMP = 300.0
+
+
+@dataclass(frozen=True)
+class LearningCurve:
+    """Per-iteration dB values averaged over `runs` Monte-Carlo trials."""
+
+    values_db: np.ndarray
+    runs: int
+
+    def __len__(self) -> int:
+        return self.values_db.size
+
+
+def to_db(linear) -> np.ndarray:
+    """10*log10 with +/-300 dB clamping; zeros map to the lower clamp."""
+    linear = np.asarray(linear, dtype=float)
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(linear)
+    return np.clip(db, -DB_CLAMP, DB_CLAMP)
+
+
+def nmsd_db(weight_trajectories, w_o_trajectory) -> LearningCurve:
+    """Normalized mean-square weight deviation in dB.
+
+    weight_trajectories: (runs, n, L) per-run weight sequences (a single
+    (n, L) trajectory is promoted to one run). w_o_trajectory: (L,) for a
+    fixed system or (n, L) when the truth moves (tracking). The ratio is
+    averaged across runs before the dB transform.
+    """
+    w = np.asarray(weight_trajectories, dtype=float)
+    if w.ndim == 2:
+        w = w[None]
+    wo = np.asarray(w_o_trajectory, dtype=float)
+    if wo.ndim == 1:
+        wo = wo[None, :]
+    denom = np.sum(wo * wo, axis=-1)
+    if np.any(denom == 0):
+        raise ValueError("w_o norm is zero; the normalized deviation is undefined")
+    dev = w - wo[None, :, :]
+    ratio = np.sum(dev * dev, axis=-1) / denom[None, :]
+    return LearningCurve(to_db(ratio.mean(axis=0)), runs=w.shape[0])
+
+
+def nmsd_from_ratios(ratio_matrix: np.ndarray) -> LearningCurve:
+    """Curve from an already-computed (runs, n) matrix of deviation ratios."""
+    ratio_matrix = np.atleast_2d(np.asarray(ratio_matrix, dtype=float))
+    return LearningCurve(to_db(ratio_matrix.mean(axis=0)), runs=ratio_matrix.shape[0])
+
+
+def tail_mean_db(linear_mean_curve: np.ndarray, fraction: float = 0.1) -> float:
+    """dB of the linear average over the trailing fraction of a curve."""
+    curve = np.asarray(linear_mean_curve, dtype=float)
+    k = max(1, int(round(curve.size * fraction)))
+    return float(to_db(curve[-k:].mean()))
+
+
+def smoothed_power(x: np.ndarray, rho: float = 0.999) -> np.ndarray:
+    """Recursive power estimate P(i) = rho P(i-1) + (1-rho) x^2(i).
+
+    Accepts (n,) or (runs, n); multi-run input averages the instantaneous
+    powers across runs first. Initialized from the first sample.
+    """
+    x = np.asarray(x, dtype=float)
+    p_inst = x * x
+    if p_inst.ndim == 2:
+        p_inst = p_inst.mean(axis=0)
+    out = np.empty_like(p_inst)
+    acc = p_inst[0]
+    out[0] = acc
+    for i in range(1, p_inst.size):
+        acc = rho * acc + (1.0 - rho) * p_inst[i]
+        out[i] = acc
+    return out
+
+
+def erle_db(d_seq, e_seq, rho: float = 0.999) -> LearningCurve:
+    """Echo-return-loss enhancement with recursive power smoothing."""
+    d = np.asarray(d_seq, dtype=float)
+    e = np.asarray(e_seq, dtype=float)
+    if d.shape[-1] != e.shape[-1]:
+        raise ValueError("echo and error sequences must share their length")
+    runs = e.shape[0] if e.ndim == 2 else 1
+    pd = smoothed_power(d, rho)
+    pe = smoothed_power(e, rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(pe > 0, pd / np.where(pe > 0, pe, 1.0), np.inf)
+    return LearningCurve(to_db(ratio), runs=runs)
+
+
+def censoring_ratio(decisions) -> float:
+    """Fraction of censored (True) decisions."""
+    decisions = np.asarray(decisions)
+    if decisions.size == 0:
+        raise ValueError("no censoring decisions recorded")
+    return float(np.count_nonzero(decisions) / decisions.size)
+
+
+def predicted_op_counts(L: int, params, p_ce: float = 0.0, l_reused: int = 0) -> dict:
+    """Per-iteration operation counts predicted by the complexity table.
+
+    The base row is (4L+4) additions, (5L+5+2b+|a|/b) multiplications, and
+    3 nonlinear evaluations. Censoring plus reuse scales the first two by
+    (1-p_ce)(l_reused + p_ce*l_reused + 1), the table's printed factor, and
+    leaves the nonlinear count at 3. The factor is reported as printed; the
+    harness's measured update counts are the ground truth for actual work.
+    """
+    adds = 4 * L + 4
+    mults = 5 * L + 5 + 2 * params.b + abs(params.a) / params.b
+    factor = (1.0 - p_ce) * (l_reused + p_ce * l_reused + 1.0)
+    return {
+        "additions": adds * factor,
+        "multiplications": mults * factor,
+        "nonlinear": 3.0,
+        "reuse_censor_factor": factor,
+    }
+
+
+def iterations_to_level(curve: LearningCurve, level_db: float) -> int:
+    """First iteration at which the curve reaches level_db, or -1."""
+    hits = np.nonzero(curve.values_db <= level_db)[0]
+    return int(hits[0]) if hits.size else -1
