@@ -121,7 +121,8 @@ def update_scale(state: ScaleState, e: float, cfg: CensorConfig) -> ScaleState:
         med = float(np.median(state.error_window))
         state.sigma_e = cfg.tau * state.sigma_e + MAD_FACTOR * (1.0 - cfg.tau) * med
     else:
-        var = cfg.tau * state.sigma_e**2 + (1.0 - cfg.tau) * e * e
+        # squared by multiplication, as the vectorized tracker does
+        var = cfg.tau * (state.sigma_e * state.sigma_e) + (1.0 - cfg.tau) * e * e
         state.sigma_e = math.sqrt(var)
     return state
 

@@ -103,22 +103,18 @@ def limit_cost(e, w, family: str, p: RtgaParams):
     return out if np.ndim(out) else float(out)
 
 
-def suppression_factor(et_abs, p: RtgaParams):
-    """The bounded coefficient (c|e~|^b/|a-b| + 1)^((a-b)/b).
+def _suppression(eb, p: RtgaParams, family: str | None):
+    """Suppression coefficient as a function of eb = |e~|^b.
 
-    For a < b this lies in (0, 1] and decays for large errors, which is
-    what rejects impulsive samples. Computed through log1p so extreme
-    shapes (a = -1000) underflow to 0 instead of overflowing.
+    family None is the full shape (c eb/|a-b| + 1)^((a-b)/b); otherwise
+    the analytic limit of that family (tlmp gives the scalar 1).
     """
-    z = p.c * np.asarray(et_abs) ** p.b / abs(p.a - p.b)
-    return np.exp(((p.a - p.b) / p.b) * np.log1p(z))
-
-
-def limit_suppression_factor(et_abs, family: str, p: RtgaParams):
-    """Analytic limits of the suppression coefficient."""
+    if family is None:
+        z = eb * (p.c / abs(p.a - p.b))
+        return np.exp(((p.a - p.b) / p.b) * np.log1p(z))
     if family == "tlmp":
-        return np.ones_like(np.asarray(et_abs, dtype=float))
-    z = (p.c / p.b) * np.asarray(et_abs) ** p.b
+        return 1.0
+    z = eb * (p.c / p.b)
     if family == "ltls":
         return 1.0 / (1.0 + z)
     if family == "exp":
@@ -126,22 +122,55 @@ def limit_suppression_factor(et_abs, family: str, p: RtgaParams):
     raise ValueError(f"unknown limit family {family!r}")
 
 
-def _gradient_core(e, x_tilde, w, p: RtgaParams, factor):
+def suppression_factor(et_abs, p: RtgaParams):
+    """The bounded coefficient (c|e~|^b/|a-b| + 1)^((a-b)/b).
+
+    For a < b this lies in (0, 1] and decays for large errors, which is
+    what rejects impulsive samples. Computed through log1p so extreme
+    shapes (a = -1000) underflow to 0 instead of overflowing.
+    """
+    return _suppression(np.asarray(et_abs) ** p.b, p, None)
+
+
+def limit_suppression_factor(et_abs, family: str, p: RtgaParams):
+    """Analytic limits of the suppression coefficient."""
+    if family == "tlmp":
+        return np.ones_like(np.asarray(et_abs, dtype=float))
+    return _suppression(np.asarray(et_abs) ** p.b, p, family)
+
+
+def gradient_coefficient(e, n2, p: RtgaParams, family: str | None = None):
+    """Per-run scalar k of the gradient -k (x~ e + (e^2 / n2) w).
+
+    k = c f(|e~|) |e~|^(b-2) / n2, with e~ = e / sqrt(n2), n2 = phi + ||w||^2
+    and f the suppression coefficient of the full shape (family None) or
+    of an analytic limit. Both vectors of the gradient enter linearly, so
+    a batched update needs only this coefficient per run. Broadcasts e
+    against n2.
+    """
+    if family is None:
+        _check_a(p)
+    e = np.asarray(e, dtype=float)
+    q = e * e / n2  # |e~|^2
+    if p.b == 2.0:
+        return p.c * _suppression(q, p, family) / n2
+    if p.b < 2.0:
+        # |e|^(b-2) diverges at zero error; the update it scales vanishes
+        safe = np.abs(e) >= GRADIENT_GUARD
+        q = np.where(safe, q, 1.0)
+    kernel = q ** (0.5 * (p.b - 2.0))  # |e~|^(b-2)
+    k = p.c * _suppression(kernel * q, p, family) * kernel / n2
+    return np.where(safe, k, 0.0) if p.b < 2.0 else k
+
+
+def _gradient_core(e, x_tilde, w, p: RtgaParams, family: str | None):
     e = np.asarray(e, dtype=float)
     x_tilde = np.asarray(x_tilde, dtype=float)
     w = np.asarray(w, dtype=float)
     n2 = norm2_bar(w, p.phi)
-    et = np.abs(e) / np.sqrt(n2)
-    if p.b < 2:
-        # |e|^(b-2) diverges at zero error; the update it scales vanishes
-        safe = np.abs(e) >= GRADIENT_GUARD
-        et = np.where(safe, et, 1.0)
-        kernel = np.where(safe, et ** (p.b - 2.0), 0.0)
-    else:
-        kernel = et ** (p.b - 2.0)
-    coeff = p.c * factor(et) * kernel / n2
+    k = np.asarray(gradient_coefficient(e, n2, p, family))
     psi = x_tilde * e[..., None] + (e * e / n2)[..., None] * w
-    return -coeff[..., None] * psi
+    return -k[..., None] * psi
 
 
 def rtga_gradient(e, x_tilde, w, p: RtgaParams):
@@ -151,16 +180,14 @@ def rtga_gradient(e, x_tilde, w, p: RtgaParams):
     norm on w. Broadcasts over leading batch axes.
     """
     _check_a(p)
-    return _gradient_core(e, x_tilde, w, p, lambda et: suppression_factor(et, p))
+    return _gradient_core(e, x_tilde, w, p, None)
 
 
 def limit_gradient(e, x_tilde, w, family: str, p: RtgaParams):
     """Gradient with the suppression coefficient replaced by its limit."""
     if family not in LIMIT_FAMILIES:
         raise ValueError(f"unknown limit family {family!r}")
-    return _gradient_core(
-        e, x_tilde, w, p, lambda et: limit_suppression_factor(et, family, p)
-    )
+    return _gradient_core(e, x_tilde, w, p, family)
 
 
 def gradient(e, x_tilde, w, p: RtgaParams, family: str | None = None):

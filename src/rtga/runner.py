@@ -26,7 +26,9 @@ from .dataio import (
     synth_echo_path,
     synth_far_end,
 )
-from .filters import RtgaParams, gradient, limit_cost, rtga_cost
+from .filters import RtgaParams, limit_cost, rtga_cost
+# bench/spans.py times the engine's per-run coefficient by this name
+from .filters import gradient_coefficient as gradient
 from .metrics import (
     LearningCurve,
     erle_db,
@@ -95,20 +97,31 @@ class _ScaleTracker:
         self.count = 0
         self.sigma = np.zeros(runs)
         self.ready = False
+        half = cfg.window // 2
+        self._mid = half if cfg.window % 2 else (half - 1, half)
+
+    def _median(self) -> np.ndarray:
+        # np.median's own selection: the middle element, or the mean of the
+        # two middle elements of an even window, so the result is identical
+        part = np.partition(self.ring, self._mid, axis=1)
+        if isinstance(self._mid, int):
+            return part[:, self._mid]
+        lo, hi = self._mid
+        return (part[:, lo] + part[:, hi]) / 2.0
 
     def update(self, e: np.ndarray) -> None:
-        if not np.all(np.isfinite(e)):
+        if not np.isfinite(e).all():
             raise ArithmeticError("non-finite error fed to scale tracker")
         cfg = self.cfg
         self.ring[:, self.count % cfg.window] = np.abs(e)
         self.count += 1
         if not self.ready:
             if self.count >= cfg.window:
-                self.sigma = MAD_FACTOR * np.median(self.ring, axis=1)
+                self.sigma = MAD_FACTOR * self._median()
                 self.ready = True
             return
         if cfg.estimator == "robust_median":
-            med = np.median(self.ring, axis=1)
+            med = self._median()
             self.sigma = cfg.tau * self.sigma + MAD_FACTOR * (1.0 - cfg.tau) * med
         else:
             var = cfg.tau * self.sigma**2 + (1.0 - cfg.tau) * e * e
@@ -245,20 +258,43 @@ def run_engine(
     W = np.zeros((runs, L))
     tracker = _ScaleTracker(runs, censor) if censor.active else None
     kappa = censor.kappa if censor.active else 0.0
-    no_censor = np.zeros(runs, dtype=bool)
     ratio = np.empty((runs, n))
     cen_mask = np.zeros((runs, n), dtype=bool)
     errors = np.empty((runs, n)) if keep_errors else None
-    mu = params.mu
-    main_steps = main_updates = reuse_steps = reuse_updates = 0
+    mu, phi = params.mu, params.phi
+    main_steps = reuse_steps = reuse_censored = 0
+    # Per-run scalars of one update: the two step coefficients, n2 and e^2.
+    # Rows of one array, so one finiteness check covers all four.
+    scalars = np.empty((4, runs))
+    step_x, step_w, n2, e2 = scalars
 
-    def check(g: np.ndarray, i: int) -> None:
-        if not np.all(np.isfinite(g)):
-            bad = np.unique(np.nonzero(~np.isfinite(g))[0]) + run_offset
+    def update(W: np.ndarray, x: np.ndarray, d: np.ndarray, thr, i: int):
+        """Gated step of every run on (x, d); W is updated in place.
+
+        With k the per-run gradient coefficient the step is
+        W <- W (1 + mu k e^2/n2) + (mu k e) x; a censored run (|e| < thr)
+        takes a zero step. Returns the error and the censored mask (None
+        when ungated).
+        """
+        e = d - np.einsum("rl,rl->r", W, x)
+        np.add(np.einsum("rl,rl->r", W, W), phi, out=n2)
+        np.multiply(e, e, out=e2)
+        k = mu * gradient(e, n2, params, family)
+        np.multiply(k, e, out=step_x)
+        np.multiply(np.divide(e2, n2, out=step_w), k, out=step_w)
+        if not np.isfinite(scalars).all():
+            bad = np.nonzero(~np.isfinite(scalars).all(axis=0))[0] + run_offset
             raise ArithmeticError(
                 f"non-finite gradient at iteration {i} in run(s) {bad.tolist()}; "
                 f"the step size is likely beyond the stable range (mu={mu})"
             )
+        cen = None
+        if thr is not None:
+            cen = np.abs(e) < thr
+            np.copyto(scalars[:2], 0.0, where=cen)
+        W *= (step_w + 1.0)[:, None]
+        W += step_x[:, None] * x
+        return e, cen
 
     seg_idx = 0
     seg_start, seg_end, seg_w = segments[0]
@@ -268,23 +304,17 @@ def run_engine(
         x_i, d_i = provider.step(i)
         if i >= L:
             gated = censor.active and tracker.ready
+            thr = kappa * tracker.sigma if gated else None
             for idx in schedule(reuse_cfg, i, L):
                 x_r, d_r = provider.past(idx)
-                e_r = d_r - np.einsum("rl,rl->r", W, x_r)
-                mask = np.abs(e_r) < kappa * tracker.sigma if gated else no_censor
-                g = gradient(e_r, x_r, W, params, family)
-                check(g, i)
-                W = np.where(mask[:, None], W, W - mu * g)
+                _, cen = update(W, x_r, d_r, thr, i)
                 reuse_steps += runs
-                reuse_updates += runs - int(mask.sum())
-            e = d_i - np.einsum("rl,rl->r", W, x_i)
-            mask = np.abs(e) < kappa * tracker.sigma if gated else no_censor
-            g = gradient(e, x_i, W, params, family)
-            check(g, i)
-            W = np.where(mask[:, None], W, W - mu * g)
-            cen_mask[:, i] = mask
+                if gated:
+                    reuse_censored += int(np.count_nonzero(cen))
+            e, cen = update(W, x_i, d_i, thr, i)
             main_steps += runs
-            main_updates += runs - int(mask.sum())
+            if gated:
+                cen_mask[:, i] = cen
             if censor.active:
                 tracker.update(e)
         else:
@@ -303,9 +333,9 @@ def run_engine(
         errors=errors,
         weights=W,
         main_steps=main_steps,
-        main_updates=main_updates,
+        main_updates=main_steps - int(np.count_nonzero(cen_mask)),
         reuse_steps=reuse_steps,
-        reuse_updates=reuse_updates,
+        reuse_updates=reuse_steps - reuse_censored,
     )
 
 

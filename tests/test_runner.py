@@ -6,13 +6,14 @@ import pytest
 from rtga.censoring import CensorConfig, ScaleState, censor_decision, update_scale
 from rtga.config import AlgorithmConfig, ExperimentConfig, TheoryConfig
 from rtga.dataio import AecAssets, synth_echo_path
-from rtga.filters import FilterState, RtgaParams, update_step
+from rtga.filters import FilterState, RtgaParams, gradient, update_step
 from rtga.metrics import iterations_to_level
 from rtga.noise import NoiseSpec
 from rtga.reuse import ReuseConfig, SampleHistory, reuse_pass, schedule
 from rtga.runner import (
     SWEEP_TRUTH,
     ArrayProvider,
+    _ScaleTracker,
     _batch_size,
     draw_true_weights,
     load_aec_assets,
@@ -36,6 +37,46 @@ def _synth_run(seed, run, wo_order, n, in_spec, out_spec):
     src = source_rng.standard_normal(n)
     x, x_tilde, d, d_tilde = synthesize_eiv_arrays(wo, src, in_spec, out_spec, streams)
     return wo, x_tilde, d_tilde
+
+
+def _per_sample_run(x_tilde, d_tilde, wo, params, family, censor, reuse):
+    """One run through a per-sample loop on filters.gradient.
+
+    Contract order per iteration: scheduled reuse steps, each censored on
+    its own error, then the gated main step, then the scale update.
+    """
+    n, L = x_tilde.shape
+    w = np.zeros(L)
+    scale = ScaleState()
+    den = float(wo @ wo)
+    ratio = np.empty(n)
+    cen_mask = np.zeros(n, dtype=bool)
+    counts = dict(main_updates=0, reuse_steps=0, reuse_updates=0)
+
+    def step(w, idx):
+        e = float(d_tilde[idx]) - float(w @ x_tilde[idx])
+        censored = (
+            censor.active
+            and scale.ready
+            and censor_decision(e, censor.kappa, scale.sigma_e)
+        )
+        if not censored:
+            w = w - params.mu * gradient(e, x_tilde[idx], w, params, family)
+        return w, e, censored
+
+    for i in range(n):
+        if i >= L:
+            for idx in schedule(reuse, i, L):
+                w, _, censored = step(w, idx)
+                counts["reuse_steps"] += 1
+                counts["reuse_updates"] += not censored
+            w, e, censored = step(w, i)
+            cen_mask[i] = censored
+            counts["main_updates"] += not censored
+            scale = update_scale(scale, e, censor)
+        dev = w - wo
+        ratio[i] = float(dev @ dev) / den
+    return w, ratio, cen_mask, counts
 
 
 class TestEngineEquivalence:
@@ -98,6 +139,55 @@ class TestEngineEquivalence:
         assert state.iteration == res.main_steps + res.reuse_steps
         assert state.update_count == main_updates + reuse_updates
 
+    @pytest.mark.parametrize(
+        "params, family",
+        [
+            # b < 2, case-3 shape
+            (RtgaParams(a=-100.0, b=1.5, c=0.1, mu=0.155), None),
+            # b > 2, case-4 shape
+            (RtgaParams(a=-1000.0, b=8.0, c=0.6, mu=0.025), None),
+            (RtgaParams(a=-1.0e6, b=4.0, c=1.0, mu=0.01), "tlmp"),
+            (RtgaParams(a=-1.0e6, b=2.0, c=1.0, mu=0.01), "ltls"),
+            (RtgaParams(a=-1.0e6, b=1.56, c=1.0, mu=0.05), "exp"),
+        ],
+        ids=["b1.5-guard", "b8", "tlmp-b4", "ltls-b2", "exp-b1.56"],
+    )
+    def test_specialised_branches_match_per_sample_loop(self, params, family):
+        n, L, runs = 300, 5, 3
+        in_spec = NoiseSpec("gaussian", 0.1)
+        out_spec = NoiseSpec("gaussian", 0.1, impulse_prob=0.01, impulse_variance=10.0)
+        synth = [_synth_run(29, r, L, n, in_spec, out_spec) for r in range(runs)]
+        WO = np.stack([s[0] for s in synth])
+        X = np.stack([s[1] for s in synth])
+        D = np.stack([s[2] for s in synth])
+        # zero-error samples before the tracker is ready, where no gate
+        # hides them: e = 0 exactly, so b < 2 must take the guard path
+        X[1, [L + 1, L + 3]] = 0.0
+        D[1, [L + 1, L + 3]] = 0.0
+        censor = CensorConfig(p_ce=0.5, estimator="robust_median")
+        reuse = ReuseConfig(scheme="idr", l_reused=2)
+
+        res = run_engine(
+            ArrayProvider(X, D), n, params, family, censor, reuse, [(0, n, WO)],
+        )
+
+        main_updates = reuse_steps = reuse_updates = 0
+        for r in range(runs):
+            w, ratio, cen_mask, counts = _per_sample_run(
+                X[r], D[r], WO[r], params, family, censor, reuse
+            )
+            assert np.allclose(res.weights[r], w, rtol=0.0, atol=1e-13)
+            assert np.allclose(res.ratio[r], ratio, rtol=0.0, atol=1e-13)
+            assert np.array_equal(res.censored[r], cen_mask)
+            main_updates += counts["main_updates"]
+            reuse_steps += counts["reuse_steps"]
+            reuse_updates += counts["reuse_updates"]
+        assert res.main_steps == runs * (n - L)
+        assert res.main_updates == main_updates
+        assert res.reuse_steps == reuse_steps
+        assert res.reuse_updates == reuse_updates
+        assert 0 < reuse_updates < reuse_steps
+
     def test_divergence_error_names_runs(self):
         n, L = 200, 4
         spec = NoiseSpec("gaussian", 0.1)
@@ -109,6 +199,30 @@ class TestEngineEquivalence:
                     ArrayProvider(x_tilde[None], d_tilde[None]), n, params, None,
                     NO_CENSOR, NO_REUSE, [(0, n, wo[None])], run_offset=0,
                 )
+
+    def test_divergence_named_among_several_runs(self):
+        n, L = 400, 4
+        spec = NoiseSpec("gaussian", 0.1)
+        synth = [_synth_run(23, r, L, n, spec, spec) for r in range(3)]
+        WO = np.stack([s[0] for s in synth])
+        X = np.stack([s[1] for s in synth])
+        D = np.stack([s[2] for s in synth])
+        # a > b: the cost grows faster than quadratically in the error, so
+        # a run whose data are 1e3 times larger overflows at this step size
+        params = RtgaParams(a=100.0, b=2.0, c=0.5, mu=0.01, phi=1.0)
+        censor = CensorConfig(p_ce=0.5)
+        reuse = ReuseConfig(scheme="idr", l_reused=2)
+        args = (params, None, censor, reuse, [(0, n, WO)])
+        calm = run_engine(ArrayProvider(X, D), n, *args, run_offset=5)
+        assert np.all(calm.ratio[:, -1] < 0.05)
+
+        X[1] *= 1e3
+        D[1] *= 1e3
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                ArithmeticError, match=r"at iteration \d+ in run\(s\) \[6\];"
+            ):
+                run_engine(ArrayProvider(X, D), n, *args, run_offset=5)
 
     def test_noiseless_limit_filter_converges_monotonically(self):
         n, L = 800, 4
@@ -142,6 +256,25 @@ class TestEngineEquivalence:
         w = res.weights[0]
         assert abs(w[0] - 1.0) < 0.15
         assert np.all(np.abs(w[1:]) < 0.15)
+
+
+class TestScaleTracker:
+    @pytest.mark.parametrize("estimator", ["robust_median", "conventional"])
+    @pytest.mark.parametrize("window", range(7, 16))
+    def test_matches_per_run_update_scale(self, window, estimator):
+        runs, steps = 4, 60
+        rng = np.random.default_rng(window)
+        errors = rng.standard_normal((steps, runs)) * rng.uniform(0.1, 3.0, runs)
+        errors[rng.random((steps, runs)) < 0.05] *= 50.0  # impulses
+        cfg = CensorConfig(p_ce=0.5, window=window, estimator=estimator)
+        tracker = _ScaleTracker(runs, cfg)
+        states = [ScaleState() for _ in range(runs)]
+        for e in errors:
+            tracker.update(e)
+            states = [update_scale(s, float(v), cfg) for s, v in zip(states, e)]
+            assert [s.ready for s in states] == [tracker.ready] * runs
+            assert tracker.sigma.tolist() == [s.sigma_e for s in states]
+        assert tracker.ready
 
 
 class TestReuse:
