@@ -26,26 +26,23 @@ from .dataio import (
     write_csv,
 )
 from .filters import (
-    FilterState,
     RtgaParams,
     gradient,
     limit_cost,
     limit_gradient,
     rtga_cost,
     rtga_gradient,
-    update_step,
 )
 from .metrics import (
     LearningCurve,
     erle_db,
     iterations_to_level,
-    nmsd_db,
     predicted_op_counts,
     tail_mean_db,
     to_db,
 )
 from .noise import NoiseSpec, case_spec, noise_ratio, sample_ggd, sample_mixture
-from .reuse import ReuseConfig, SampleHistory, idr_indices, reuse_pass, schedule
+from .reuse import ReuseConfig, idr_indices, schedule
 from .runner import (
     ExperimentResult,
     run_aec,
@@ -54,7 +51,7 @@ from .runner import (
     run_theory_compare,
     run_tracking,
 )
-from .signal_model import EivSample, TrueSystem, delay_line_matrix, synthesize_eiv
+from .signal_model import delay_line_matrix
 from .theory import (
     TheoryInputs,
     empirical_gradient_at_optimum,
@@ -73,18 +70,14 @@ __all__ = [
     "AudioClip",
     "CensorConfig",
     "ConfigError",
-    "EivSample",
     "ExperimentConfig",
     "ExperimentResult",
-    "FilterState",
     "LearningCurve",
     "NoiseSpec",
     "ReuseConfig",
     "RtgaParams",
-    "SampleHistory",
     "ScaleState",
     "TheoryInputs",
-    "TrueSystem",
     "build_config",
     "case_spec",
     "censor_decision",
@@ -103,11 +96,9 @@ __all__ = [
     "load_echo_path",
     "load_wav",
     "max_step_size",
-    "nmsd_db",
     "noise_ratio",
     "predicted_op_counts",
     "read_config_file",
-    "reuse_pass",
     "rtga_cost",
     "rtga_gradient",
     "run_aec",
@@ -123,10 +114,8 @@ __all__ = [
     "steady_state_msd",
     "synth_echo_path",
     "synth_far_end",
-    "synthesize_eiv",
     "tail_mean_db",
     "to_db",
     "update_scale",
-    "update_step",
     "write_csv",
 ]

@@ -55,17 +55,6 @@ class RtgaParams:
             raise ValueError("a must differ from b (use the tlmp limit family)")
 
 
-@dataclass
-class FilterState:
-    """Mutable per-filter state carried across iterations."""
-
-    w: np.ndarray
-    iteration: int = 0
-    sigma_e: float = 0.0
-    update_count: int = 0
-    censor_count: int = 0
-
-
 def norm2_bar(w, phi: float):
     """Squared augmented-weight norm phi + ||w||^2 along the last axis."""
     w = np.asarray(w, dtype=float)
@@ -195,25 +184,3 @@ def gradient(e, x_tilde, w, p: RtgaParams, family: str | None = None):
     if family is None:
         return rtga_gradient(e, x_tilde, w, p)
     return limit_gradient(e, x_tilde, w, family, p)
-
-
-def update_step(state: FilterState, sample, p: RtgaParams, censored: bool) -> FilterState:
-    """One gated stochastic-gradient step on a single sample.
-
-    The error is computed against the incoming weights. A censored step
-    leaves the weights untouched and only advances the counters.
-    """
-    state.iteration += 1
-    if censored:
-        state.censor_count += 1
-        return state
-    e = sample.d_tilde - float(state.w @ sample.x_tilde)
-    g = rtga_gradient(e, sample.x_tilde, state.w, p)
-    if not np.all(np.isfinite(g)):
-        raise ArithmeticError(
-            f"non-finite gradient at iteration {state.iteration} "
-            f"(e={e!r}, params={p!r})"
-        )
-    state.w = state.w - p.mu * g
-    state.update_count += 1
-    return state

@@ -6,7 +6,6 @@ dB values are clamped to +/-300 so serialized output stays finite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,34 +30,6 @@ def to_db(linear) -> np.ndarray:
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(linear)
     return np.clip(db, -DB_CLAMP, DB_CLAMP)
-
-
-def nmsd_db(weight_trajectories, w_o_trajectory) -> LearningCurve:
-    """Normalized mean-square weight deviation in dB.
-
-    weight_trajectories: (runs, n, L) per-run weight sequences (a single
-    (n, L) trajectory is promoted to one run). w_o_trajectory: (L,) for a
-    fixed system or (n, L) when the truth moves (tracking). The ratio is
-    averaged across runs before the dB transform.
-    """
-    w = np.asarray(weight_trajectories, dtype=float)
-    if w.ndim == 2:
-        w = w[None]
-    wo = np.asarray(w_o_trajectory, dtype=float)
-    if wo.ndim == 1:
-        wo = wo[None, :]
-    denom = np.sum(wo * wo, axis=-1)
-    if np.any(denom == 0):
-        raise ValueError("w_o norm is zero; the normalized deviation is undefined")
-    dev = w - wo[None, :, :]
-    ratio = np.sum(dev * dev, axis=-1) / denom[None, :]
-    return LearningCurve(to_db(ratio.mean(axis=0)), runs=w.shape[0])
-
-
-def nmsd_from_ratios(ratio_matrix: np.ndarray) -> LearningCurve:
-    """Curve from an already-computed (runs, n) matrix of deviation ratios."""
-    ratio_matrix = np.atleast_2d(np.asarray(ratio_matrix, dtype=float))
-    return LearningCurve(to_db(ratio_matrix.mean(axis=0)), runs=ratio_matrix.shape[0])
 
 
 def tail_mean_db(linear_mean_curve: np.ndarray, fraction: float = 0.1) -> float:
@@ -99,14 +70,6 @@ def erle_db(d_seq, e_seq, rho: float = 0.999) -> LearningCurve:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(pe > 0, pd / np.where(pe > 0, pe, 1.0), np.inf)
     return LearningCurve(to_db(ratio), runs=runs)
-
-
-def censoring_ratio(decisions) -> float:
-    """Fraction of censored (True) decisions."""
-    decisions = np.asarray(decisions)
-    if decisions.size == 0:
-        raise ValueError("no censoring decisions recorded")
-    return float(np.count_nonzero(decisions) / decisions.size)
 
 
 def predicted_op_counts(L: int, params, p_ce: float = 0.0, l_reused: int = 0) -> dict:

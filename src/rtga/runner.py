@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,7 +39,7 @@ from .metrics import (
 )
 from .noise import NoiseSpec, case_spec, sample_mixture_split
 from .reuse import ReuseConfig, schedule
-from .signal_model import delay_line_matrix, synthesize_eiv_arrays
+from .signal_model import delay_line_matrix, synthesize_eiv_arrays, wo_segments
 from .theory import TheoryInputs, steady_state_msd
 
 # Calibrated squared norm of the randomly drawn true weight vectors.
@@ -396,22 +397,28 @@ def _batch_size(runs: int, n: int, order: int) -> int:
     return max(1, min(runs, int(_MEMORY_BUDGET // per_run)))
 
 
-def _aggregate(cfg: ExperimentConfig, results: list[EngineResult], n: int) -> ExperimentResult:
-    ratio_sum = np.zeros(n)
+def _mean_ratio(results: list[EngineResult]) -> tuple[np.ndarray, int]:
+    """Deviation ratio averaged over every run of every batch, and the run count."""
+    ratio_sum = np.zeros(results[0].ratio.shape[1])
     runs = 0
+    for r in results:
+        ratio_sum += r.ratio.sum(axis=0)
+        runs += r.ratio.shape[0]
+    return ratio_sum / runs, runs
+
+
+def _aggregate(cfg: ExperimentConfig, results: list[EngineResult], n: int) -> ExperimentResult:
+    mean_ratio, runs = _mean_ratio(results)
     cen_all = cen_steady = 0
     counts = dict(main_steps=0, main_updates=0, reuse_steps=0, reuse_updates=0)
     steady_start = max(n // 2, cfg.order)
     for r in results:
-        ratio_sum += r.ratio.sum(axis=0)
-        runs += r.ratio.shape[0]
         cen_all += int(r.censored.sum())
         cen_steady += int(r.censored[:, steady_start:].sum())
         counts["main_steps"] += r.main_steps
         counts["main_updates"] += r.main_updates
         counts["reuse_steps"] += r.reuse_steps
         counts["reuse_updates"] += r.reuse_updates
-    mean_ratio = ratio_sum / runs
     curve = LearningCurve(to_db(mean_ratio), runs=runs)
     params, _ = cfg.resolved_params()
     out = ExperimentResult(
@@ -433,77 +440,77 @@ def _aggregate(cfg: ExperimentConfig, results: list[EngineResult], n: int) -> Ex
     return out
 
 
-def _sysid_engine(cfg: ExperimentConfig,
-                  shifts: list[tuple[int, int]] | None = None) -> list[EngineResult]:
-    """Batched delay-line experiment (sysid and tracking)."""
-    params, family = cfg.resolved_params()
-    in_spec, out_spec = case_spec(cfg.case_id)
+def _delay_line_batch(cfg: ExperimentConfig, lo: int, hi: int, noise, w_o, shifts):
+    """Samples and truth segments of trials [lo, hi).
+
+    Trial r draws its truth from its system stream unless a fixed w_o is
+    given. A shifted truth gets its clean output recomputed per segment,
+    under the trial's own output noise.
+    """
     n, L = cfg.n_samples, cfg.order
-    batch = _batch_size(cfg.mc_runs, n, L)
+    xt = np.empty((hi - lo, n, L))
+    dt = np.empty((hi - lo, n))
+    WO = np.empty((hi - lo, L))
+    for j, r in enumerate(range(lo, hi)):
+        system_rng, source_rng, streams = run_streams(cfg.base_seed, r)
+        wo = draw_true_weights(system_rng, L) if w_o is None else w_o
+        src = source_rng.standard_normal(n)
+        x, x_tilde, d, d_tilde = synthesize_eiv_arrays(wo, src, *noise, streams)
+        if shifts:
+            v = d_tilde - d
+            for start, end, w_seg in wo_segments(wo, shifts, n):
+                d[start:end] = x[start:end] @ w_seg
+            d_tilde = d + v
+        xt[j] = x_tilde
+        dt[j] = d_tilde
+        WO[j] = wo
+    return ArrayProvider(xt, dt), wo_segments(WO, shifts, n)
+
+
+def _delay_line_engine(
+    cfg: ExperimentConfig,
+    params: RtgaParams,
+    family: str | None,
+    noise: tuple[NoiseSpec, NoiseSpec],
+    w_o: np.ndarray | None = None,
+    shifts: Sequence[tuple[int, int]] = (),
+) -> list[EngineResult]:
+    """Delay-line experiment in run batches: sysid, tracking and theory.
+
+    noise is the (input, output) pair, w_o an optional truth for every
+    trial and shifts the truth's (time, right_shift) schedule.
+    """
+    batch = _batch_size(cfg.mc_runs, cfg.n_samples, cfg.order)
     results = []
     for lo in range(0, cfg.mc_runs, batch):
         hi = min(lo + batch, cfg.mc_runs)
-        B = hi - lo
-        xt = np.empty((B, n, L))
-        dt = np.empty((B, n))
-        WO = np.empty((B, L))
-        v_store = np.empty((B, n)) if shifts else None
-        x_store = [] if shifts else None
-        for j, r in enumerate(range(lo, hi)):
-            system_rng, source_rng, streams = run_streams(cfg.base_seed, r)
-            wo = draw_true_weights(system_rng, L)
-            src = source_rng.standard_normal(n)
-            x, x_tilde, d, d_tilde = synthesize_eiv_arrays(
-                wo, src, in_spec, out_spec, streams
-            )
-            xt[j] = x_tilde
-            dt[j] = d_tilde
-            WO[j] = wo
-            if shifts:
-                v_store[j] = d_tilde - d
-                x_store.append(x)
-        if shifts:
-            segments = []
-            w_cur = WO
-            start = 0
-            for t, amount in [*shifts, (n, 0)]:
-                if t > start:
-                    segments.append((start, t, w_cur))
-                if t >= n:
-                    break
-                shifted = np.zeros_like(w_cur)
-                if amount < L:
-                    shifted[:, amount:] = w_cur[:, : L - amount] if amount else w_cur
-                w_cur = shifted
-                start = t
-            for j in range(B):
-                d = np.empty(n)
-                for s, e, w_seg in segments:
-                    d[s:e] = x_store[j][s:e] @ w_seg[j]
-                dt[j] = d + v_store[j]
-        else:
-            segments = [(0, n, WO)]
-        provider = ArrayProvider(xt, dt)
+        provider, segments = _delay_line_batch(cfg, lo, hi, noise, w_o, shifts)
         results.append(
             run_engine(
-                provider, n, params, family, cfg.censoring, cfg.reuse,
-                segments, run_offset=lo,
+                provider, cfg.n_samples, params, family, cfg.censoring,
+                cfg.reuse, segments, run_offset=lo,
             )
         )
+        # release this batch's samples before the next one is synthesized
+        del provider
     return results
 
 
 def run_sysid(cfg: ExperimentConfig) -> ExperimentResult:
     """Stationary system identification under the configured case."""
     cfg.validate()
-    return _aggregate(cfg, _sysid_engine(cfg), cfg.n_samples)
+    results = _delay_line_engine(cfg, *cfg.resolved_params(), case_spec(cfg.case_id))
+    return _aggregate(cfg, results, cfg.n_samples)
 
 
 def run_tracking(cfg: ExperimentConfig) -> ExperimentResult:
     """System identification with a mid-run right shift of the truth."""
     cfg.validate()
     shifts = [(cfg.shift_time, cfg.shift_amount)] if cfg.shift_amount else []
-    return _aggregate(cfg, _sysid_engine(cfg, shifts=shifts), cfg.n_samples)
+    results = _delay_line_engine(
+        cfg, *cfg.resolved_params(), case_spec(cfg.case_id), shifts=shifts
+    )
+    return _aggregate(cfg, results, cfg.n_samples)
 
 
 def load_aec_assets(cfg: ExperimentConfig) -> tuple[AecAssets, list[str]]:
@@ -645,30 +652,14 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
             p_t=1.0 - cfg.censoring.p_ce,
         )
         theory_db = float(to_db(steady_state_msd(t, params.mu)))
-        sim_cfg = ExperimentConfig(
-            mode="sysid",
-            case_id=cfg.case_id,
-            order=L,
-            n_samples=cfg.n_samples,
-            mc_runs=cfg.mc_runs,
-            base_seed=cfg.base_seed,
-            algorithm=cfg.algorithm,
-            censoring=cfg.censoring,
-            reuse=cfg.reuse,
-        )
         noise = (
             NoiseSpec("gaussian", s2),
             NoiseSpec(
                 "laplace" if cfg.theory.output_family == "laplace" else "gaussian", s2
             ),
         )
-        sim_results = _theory_sim(sim_cfg, params, w_o, noise)
-        ratio_sum = np.zeros(cfg.n_samples)
-        runs = 0
-        for r in sim_results:
-            ratio_sum += r.ratio.sum(axis=0)
-            runs += r.ratio.shape[0]
-        sim_db = tail_mean_db(ratio_sum / runs)
+        mean_ratio, _ = _mean_ratio(_delay_line_engine(cfg, params, None, noise, w_o))
+        sim_db = tail_mean_db(mean_ratio)
         rows.append(
             {
                 "label": f"{cfg.theory.output_family}, variance {s2:g}",
@@ -688,36 +679,6 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
             "gap_db": [r["gap_db"] for r in rows],
         },
     )
-
-
-def _theory_sim(cfg: ExperimentConfig, params: RtgaParams, w_o: np.ndarray,
-                noise: tuple[NoiseSpec, NoiseSpec]) -> list[EngineResult]:
-    """Fixed-truth simulation batches for the theory comparison."""
-    n, L = cfg.n_samples, cfg.order
-    batch = _batch_size(cfg.mc_runs, n, L)
-    results = []
-    for lo in range(0, cfg.mc_runs, batch):
-        hi = min(lo + batch, cfg.mc_runs)
-        B = hi - lo
-        xt = np.empty((B, n, L))
-        dt = np.empty((B, n))
-        for j, r in enumerate(range(lo, hi)):
-            _, source_rng, streams = run_streams(cfg.base_seed, r)
-            src = source_rng.standard_normal(n)
-            _, x_tilde, _, d_tilde = synthesize_eiv_arrays(
-                w_o, src, noise[0], noise[1], streams
-            )
-            xt[j] = x_tilde
-            dt[j] = d_tilde
-        WO = np.broadcast_to(w_o, (B, L))
-        provider = ArrayProvider(xt, dt)
-        results.append(
-            run_engine(
-                provider, n, params, None, cfg.censoring, cfg.reuse,
-                [(0, n, WO)], run_offset=lo,
-            )
-        )
-    return results
 
 
 # Fixed truth for the two-tap cost-surface grid.

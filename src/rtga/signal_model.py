@@ -9,7 +9,7 @@ L-1 steps are zero-padded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -17,69 +17,30 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .noise import NoiseSpec, sample_mixture_split
 
 
-@dataclass
-class TrueSystem:
-    """True weight vector plus an optional tracking-shift schedule.
-
-    shift_schedule entries are (time, right_shift) pairs applied in order;
-    at each scheduled time the current w_o is shifted right by the given
-    amount with zero fill, discarding the taps that fall off the end.
-    """
-
-    w_o: np.ndarray
-    shift_schedule: list[tuple[int, int]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.w_o = np.asarray(self.w_o, dtype=float)
-        if self.w_o.ndim != 1 or self.w_o.size < 1:
-            raise ValueError("w_o must be a vector of length >= 1")
-        times = [t for t, _ in self.shift_schedule]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("shift times must be strictly increasing")
-
-    @property
-    def order(self) -> int:
-        return self.w_o.size
-
-
-@dataclass(frozen=True)
-class EivSample:
-    """One time step of the noisy stream."""
-
-    x: np.ndarray
-    x_tilde: np.ndarray
-    d: float
-    d_tilde: float
-    index: int
-
-
-def apply_fir(w, x_window) -> float:
-    """Inner product of a weight vector with a regressor window."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x_window, dtype=float)
-    if w.shape != x.shape:
-        raise ValueError(f"length mismatch: weights {w.shape} vs window {x.shape}")
-    return float(w @ x)
-
-
 def shift_right(w: np.ndarray, amount: int) -> np.ndarray:
-    """Right-shift with zero fill; shifted-out coefficients are discarded."""
+    """Right-shift along the last axis with zero fill, discarding the overflow."""
     if amount < 0:
         raise ValueError("shift amount must be >= 0")
     if amount == 0:
         return w.copy()
     out = np.zeros_like(w)
-    if amount < w.size:
-        out[amount:] = w[:-amount]
+    if amount < w.shape[-1]:
+        out[..., amount:] = w[..., :-amount]
     return out
 
 
-def wo_segments(system: TrueSystem, n: int) -> list[tuple[int, int, np.ndarray]]:
-    """Piecewise-constant w_o trajectory as (start, end, w_o) segments."""
+def wo_segments(
+    w_o: np.ndarray, shifts: Sequence[tuple[int, int]], n: int
+) -> list[tuple[int, int, np.ndarray]]:
+    """Piecewise-constant truth over [0, n) as (start, end, w_o) segments.
+
+    w_o is (L,) or (runs, L); at each (time, amount) of the schedule, in
+    increasing time order, the truth is shifted right by amount.
+    """
     segments = []
-    w = system.w_o.copy()
+    w = w_o
     start = 0
-    for t, amount in system.shift_schedule:
+    for t, amount in shifts:
         if t >= n:
             break
         if t > start:
@@ -140,50 +101,3 @@ def synthesize_eiv_arrays(
         d.shape,
     )
     return x, x_tilde, d, d + v
-
-
-def noise_streams(seed) -> dict[str, np.random.Generator]:
-    """Six dedicated noise substreams spawned from one seed.
-
-    Accepts an integer or a numpy SeedSequence. Separate substreams per
-    mixture component keep the stream layout independent of how many
-    samples each component draws.
-    """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    keys = ("u_base", "u_mask", "u_amp", "v_base", "v_mask", "v_amp")
-    return dict(zip(keys, map(np.random.default_rng, ss.spawn(len(keys)))))
-
-
-def synthesize_eiv(
-    system: TrueSystem,
-    input_source,
-    noise: tuple[NoiseSpec, NoiseSpec],
-    n: int,
-    seed,
-) -> list[EivSample]:
-    """Materialize n steps of the noisy stream as EivSample records.
-
-    input_source is any iterable of scalars providing at least n values.
-    The same (seed, config) reproduces the identical sequence bit for bit.
-    """
-    if system.order < 1:
-        raise ValueError("invalid system: order must be >= 1")
-    if n < system.order:
-        raise ValueError("n must be at least the filter order")
-    src = np.fromiter(iter(input_source), dtype=float, count=-1)
-    if src.size < n:
-        raise ValueError(f"input source exhausted: needed {n} samples, got {src.size}")
-    src = src[:n]
-    input_spec, output_spec = noise
-    x, x_tilde, d, d_tilde = synthesize_eiv_arrays(
-        system.w_o, src, input_spec, output_spec, noise_streams(seed)
-    )
-    if system.shift_schedule:
-        v = d_tilde - d
-        for start, end, w in wo_segments(system, n):
-            d[start:end] = x[start:end] @ w
-        d_tilde = d + v
-    return [
-        EivSample(x[i].copy(), x_tilde[i].copy(), float(d[i]), float(d_tilde[i]), i)
-        for i in range(n)
-    ]

@@ -1,4 +1,4 @@
-"""Cost, gradient, and single-step update contracts."""
+"""Cost and gradient contracts."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rtga.filters import (
-    FilterState,
     RtgaParams,
     gradient,
     limit_cost,
@@ -16,18 +15,11 @@ from rtga.filters import (
     rtga_cost,
     rtga_gradient,
     suppression_factor,
-    update_step,
 )
 
 # Hand-derived from the closed form with a = -100, b = 2, c = 0.2, phi = 1,
 # w = [0], e = 1, x = [1]: g = -c (1 + c/102)^(-51).
 GRADIENT_ORACLE = -0.18098520322682346
-
-
-class Sample:
-    def __init__(self, x_tilde, d_tilde):
-        self.x_tilde = np.asarray(x_tilde, dtype=float)
-        self.d_tilde = float(d_tilde)
 
 
 def params(a=-100.0, b=2.0, c=0.2, mu=0.01, phi=1.0):
@@ -204,23 +196,3 @@ def test_gradient_batched_rows_match_scalar():
     for k in range(5):
         row = rtga_gradient(float(e[k]), X[k], W[k], p)
         np.testing.assert_allclose(batched[k], row, rtol=1e-13)
-
-
-def test_update_step_moves_and_counts():
-    p = params(mu=0.05)
-    state = FilterState(w=np.zeros(2))
-    state = update_step(state, Sample([1.0, 0.0], 1.0), p, censored=False)
-    assert state.update_count == 1 and state.censor_count == 0
-    assert state.w[0] != 0.0
-    w_before = state.w.copy()
-    state = update_step(state, Sample([0.0, 1.0], -1.0), p, censored=True)
-    assert state.update_count == 1 and state.censor_count == 1
-    np.testing.assert_array_equal(state.w, w_before)
-    assert state.iteration == 2
-
-
-def test_update_step_nonfinite_raises():
-    p = params(mu=0.05)
-    state = FilterState(w=np.zeros(2))
-    with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError):
-        update_step(state, Sample([np.inf, 0.0], 1.0), p, censored=False)

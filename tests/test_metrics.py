@@ -6,11 +6,8 @@ import pytest
 from rtga.filters import RtgaParams
 from rtga.metrics import (
     LearningCurve,
-    censoring_ratio,
     erle_db,
     iterations_to_level,
-    nmsd_db,
-    nmsd_from_ratios,
     predicted_op_counts,
     smoothed_power,
     tail_mean_db,
@@ -24,25 +21,6 @@ def test_to_db_values_and_clamp():
     assert out[0] == -300.0
     assert out[1] == -300.0
     assert to_db(np.array([1e40]))[0] == 300.0
-
-
-def test_nmsd_is_db_of_mean_ratio():
-    # Two runs with ratios 1 and 0.01: db of the mean, not mean of the dbs.
-    ratios = np.array([[1.0, 1.0], [0.01, 0.01]])
-    curve = nmsd_from_ratios(ratios)
-    np.testing.assert_allclose(curve.values_db, to_db(np.array([0.505, 0.505])))
-    assert curve.runs == 2
-
-
-def test_nmsd_db_from_trajectories():
-    w_o = np.array([1.0, 0.0])
-    traj = np.array([[[0.0, 0.0], [1.0, 0.0]]])  # one run, two iterations
-    curve = nmsd_db(traj, w_o)
-    np.testing.assert_allclose(curve.values_db, [0.0, -300.0])
-    # A moving truth is matched per iteration.
-    wo_traj = np.array([[1.0, 0.0], [0.0, 1.0]])
-    curve = nmsd_db(traj, wo_traj)
-    np.testing.assert_allclose(curve.values_db, [0.0, to_db(np.array([2.0]))[0]])
 
 
 def test_tail_mean_is_linear_average():
@@ -72,11 +50,6 @@ def test_erle_multirun_averages_instantaneous_powers():
     curve = erle_db(d, e, rho=0.0)
     expected = 10 * np.log10(1.0 / np.mean([0.01, 0.09]))
     assert curve.values_db[1] == pytest.approx(expected, rel=1e-12)
-
-
-def test_censoring_ratio():
-    assert censoring_ratio(np.array([True, False, True, True])) == 0.75
-    assert censoring_ratio(np.zeros(5, dtype=bool)) == 0.0
 
 
 def test_iterations_to_level():

@@ -1,19 +1,20 @@
-"""Reuse index schedules, sample history, and the gated reuse pass."""
+"""Reuse index schedules and the engine's gated reuse pass."""
 
 import numpy as np
 import pytest
 
-from rtga.censoring import CensorConfig, ScaleState, update_scale
-from rtga.filters import FilterState, RtgaParams, update_step
+from rtga.censoring import CensorConfig
+from rtga.filters import RtgaParams
 from rtga.reuse import (
     ReuseConfig,
-    SampleHistory,
     dr_indices,
     idr_indices,
-    reuse_pass,
     schedule,
     undr_indices,
 )
+from rtga.noise import NoiseSpec
+from rtga.runner import ArrayProvider, StreamProvider, run_engine, run_streams
+from rtga.signal_model import delay_line_matrix
 
 
 def test_idr_frozen_examples():
@@ -72,123 +73,95 @@ def test_reuse_config_validation():
     assert ReuseConfig(scheme="idr", l_reused=1).active
 
 
-def test_history_full_storage():
-    h = SampleHistory(order=3)
-    for k in range(5):
-        h.push(np.full(3, float(k)), float(10 * k))
-    assert h.latest == 4
-    x, d = h.get(2)
-    np.testing.assert_array_equal(x, [2.0, 2.0, 2.0])
-    assert d == 20.0
-    assert h.has(0) and not h.has(5)
-
-
 def test_history_ring_evicts_old_pairs():
-    h = SampleHistory(order=2, capacity=3)
-    for k in range(6):
-        h.push(np.array([k, -k], dtype=float), float(k))
-    assert h.has(5) and h.has(3) and not h.has(2)
-    x, d = h.get(4)
-    np.testing.assert_array_equal(x, [4.0, -4.0])
-    assert d == 4.0
+    # The streaming provider keeps the reuse history in a ring of the most
+    # recent `capacity` samples.
+    n, L, cap = 40, 3, 5
+    zero = NoiseSpec("gaussian", 0.0)
+    x_clean = delay_line_matrix(np.arange(1.0, n + 1.0), L)
+    d_clean = -np.arange(n, dtype=float)
+    provider = StreamProvider(
+        x_clean, d_clean, zero, zero, [run_streams(0, 0)[2]], capacity=cap,
+    )
+    for i in range(20):
+        provider.step(i)
+    for idx in range(20 - cap, 20):
+        x, d = provider.past(idx)
+        np.testing.assert_array_equal(x[0], x_clean[idx])
+        assert d[0] == d_clean[idx]
     with pytest.raises(LookupError, match="history gap"):
-        h.get(2)
-    with pytest.raises(LookupError):
-        h.get(6)
-
-
-def test_history_from_arrays():
-    x = np.arange(12, dtype=float).reshape(4, 3)
-    d = np.arange(4, dtype=float)
-    h = SampleHistory.from_arrays(x, d)
-    got_x, got_d = h.get(3)
-    np.testing.assert_array_equal(got_x, x[3])
-    assert got_d == 3.0
+        provider.past(20 - cap - 1)
+    with pytest.raises(LookupError, match="history gap"):
+        provider.past(20)
 
 
 def params(mu=0.05):
     return RtgaParams(a=-100.0, b=2.0, c=0.2, mu=mu, phi=1.0)
 
 
-def _seeded_history(n=40, order=3, seed=31):
+def _seeded_run(n=40, order=3, seed=31, runs=1):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, order))
-    d = rng.standard_normal(n)
-    return SampleHistory.from_arrays(x, d), x, d
+    x = rng.standard_normal((runs, n, order))
+    d = rng.standard_normal((runs, n))
+    w_o = rng.standard_normal((runs, order))
+    return x, d, [(0, n, w_o)]
 
 
-def test_reuse_pass_matches_sequential_updates():
-    history, x, d = _seeded_history()
-    cfg = ReuseConfig(scheme="idr", l_reused=3)
-    censor = CensorConfig(p_ce=0.0)
-    p = params()
-    state = FilterState(w=np.array([0.3, -0.2, 0.1]))
-    manual = FilterState(w=state.w.copy())
-    state = reuse_pass(state, history, p, cfg, censor, ScaleState(), i=30, L=3)
-
-    class S:
-        def __init__(self, x_tilde, d_tilde):
-            self.x_tilde = x_tilde
-            self.d_tilde = d_tilde
-
-    for idx in idr_indices(30, 3, 3):
-        manual = update_step(manual, S(x[idx], d[idx]), p, censored=False)
-    np.testing.assert_array_equal(state.w, manual.w)
-    assert state.update_count == manual.update_count == 3
+def _reuse_steps(cfg, n, L):
+    return sum(len(schedule(cfg, i, L)) for i in range(L, n))
 
 
 def test_reuse_pass_each_step_individually_censored():
-    # A converged scale plus a huge threshold censors every reuse step.
-    history, _, _ = _seeded_history()
-    cfg = ReuseConfig(scheme="idr", l_reused=3)
+    # Huge errors over the tracker's warm-up leave a huge scale behind, so
+    # once the gate closes every reuse step is censored on its own small
+    # error. The warm-up errors are so large that the robust cost makes
+    # their steps exactly zero, so the weights never leave zero.
+    n, L = 40, 3
+    x, d, segments = _seeded_run(n, L)
     censor = CensorConfig(p_ce=0.7)
-    scale = ScaleState()
-    for _ in range(9):
-        scale = update_scale(scale, 5.0, censor)  # big scale, all errors small
-    scale.sigma_e = 1e6
-    p = params()
-    state = FilterState(w=np.zeros(3))
-    state = reuse_pass(state, history, p, cfg, censor, scale, i=30, L=3)
-    assert state.censor_count == 3 and state.update_count == 0
-    np.testing.assert_array_equal(state.w, np.zeros(3))
+    d[0, L:L + censor.window] = 1e6
+    cfg = ReuseConfig(scheme="idr", l_reused=3)
+    res = run_engine(ArrayProvider(x, d), n, params(), None, censor, cfg, segments)
+    gated_from = L + censor.window  # the tracker is ready after `window` errors
+    assert res.main_updates == censor.window
+    assert not res.censored[0, :gated_from].any()
+    assert res.censored[0, gated_from:].all()
+    gated = sum(len(schedule(cfg, i, L)) for i in range(gated_from, n))
+    assert gated > 0
+    assert res.reuse_steps - res.reuse_updates == gated
+    np.testing.assert_array_equal(res.weights, np.zeros((1, L)))
 
 
 def test_reuse_pass_updates_when_scale_not_ready():
     # Before warm-up completes the gate stays open.
-    history, _, _ = _seeded_history()
-    cfg = ReuseConfig(scheme="idr", l_reused=2)
     censor = CensorConfig(p_ce=0.7)
-    p = params()
-    state = FilterState(w=np.zeros(3))
-    state = reuse_pass(state, history, p, cfg, censor, ScaleState(), i=30, L=3)
-    assert state.update_count == 2 and state.censor_count == 0
+    L = 3
+    n = L + censor.window - 1  # one error short of a ready tracker
+    x, d, segments = _seeded_run(n, L)
+    cfg = ReuseConfig(scheme="idr", l_reused=2)
+    res = run_engine(ArrayProvider(x, d), n, params(), None, censor, cfg, segments)
+    assert res.reuse_steps == _reuse_steps(cfg, n, L) > 0
+    assert res.reuse_updates == res.reuse_steps
+    assert res.main_updates == res.main_steps == n - L
+    assert not res.censored.any()
 
 
 def test_executed_update_identity():
     # Executed updates per decision step = (1 - c_main) + l (1 - c_reuse).
-    history, x, d = _seeded_history(n=400, order=3, seed=32)
+    n, L, runs = 400, 3, 2
+    x, d, segments = _seeded_run(n, L, seed=32, runs=runs)
     cfg = ReuseConfig(scheme="idr", l_reused=2)
     censor = CensorConfig(p_ce=0.5)
-    p = params(mu=0.01)
-    state = FilterState(w=np.zeros(3))
-    scale = ScaleState()
-    main_steps = reuse_steps = 0
-    for i in range(3, 400):
-        before = state.iteration
-        state = reuse_pass(state, history, p, cfg, censor, scale, i, 3)
-        reuse_steps += state.iteration - before
-        e = d[i] - float(state.w @ x[i])
-        from rtga.censoring import censor_decision
-
-        gated = censor.active and scale.ready and censor_decision(
-            e, censor.kappa, scale.sigma_e
-        )
-        state = update_step(state, type("S", (), {"x_tilde": x[i], "d_tilde": d[i]})(), p, gated)
-        main_steps += 1
-        scale = update_scale(scale, e, censor)
-    executed = state.update_count
-    censored = state.censor_count
-    assert executed + censored == main_steps + reuse_steps
-    assert reuse_steps == sum(
-        len(schedule(cfg, i, 3)) for i in range(3, 400)
+    res = run_engine(
+        ArrayProvider(x, d), n, params(mu=0.01), None, censor, cfg, segments
+    )
+    assert res.main_steps == runs * (n - L)
+    assert res.reuse_steps == runs * _reuse_steps(cfg, n, L)
+    c_main = np.count_nonzero(res.censored) / res.main_steps
+    c_reuse = 1.0 - res.reuse_updates / res.reuse_steps
+    assert 0.0 < c_main < 1.0 and 0.0 < c_reuse < 1.0
+    l_mean = res.reuse_steps / res.main_steps
+    executed = res.main_updates + res.reuse_updates
+    assert executed / res.main_steps == pytest.approx(
+        (1.0 - c_main) + l_mean * (1.0 - c_reuse), rel=1e-12
     )

@@ -6,13 +6,14 @@ import pytest
 from rtga.censoring import CensorConfig, ScaleState, censor_decision, update_scale
 from rtga.config import AlgorithmConfig, ExperimentConfig, TheoryConfig
 from rtga.dataio import AecAssets, synth_echo_path
-from rtga.filters import FilterState, RtgaParams, gradient, update_step
+from rtga.filters import RtgaParams, gradient
 from rtga.metrics import iterations_to_level
-from rtga.noise import NoiseSpec
-from rtga.reuse import ReuseConfig, SampleHistory, reuse_pass, schedule
+from rtga.noise import NoiseSpec, case_spec, sample_mixture_split
+from rtga.reuse import ReuseConfig, schedule
 from rtga.runner import (
     SWEEP_TRUTH,
     ArrayProvider,
+    StreamProvider,
     _ScaleTracker,
     _batch_size,
     draw_true_weights,
@@ -96,48 +97,17 @@ class TestEngineEquivalence:
             censor, reuse, [(0, n, wo[None])],
         )
 
-        state = FilterState(w=np.zeros(L))
-        scale = ScaleState()
-        history = SampleHistory.from_arrays(x_tilde, d_tilde)
-        den = float(wo @ wo)
-        ratio = np.empty(n)
-        cen_mask = np.zeros(n, dtype=bool)
-        main_updates = reuse_steps = reuse_updates = 0
-        for i in range(n):
-            if i >= L:
-                before = state.update_count
-                state = reuse_pass(state, history, params, reuse, censor, scale, i, L)
-                reuse_steps += len(schedule(reuse, i, L))
-                reuse_updates += state.update_count - before
-                e = float(d_tilde[i]) - float(state.w @ x_tilde[i])
-                gated = (
-                    censor.active
-                    and scale.ready
-                    and censor_decision(e, censor.kappa, scale.sigma_e)
-                )
+        w, ratio, cen_mask, counts = _per_sample_run(
+            x_tilde, d_tilde, wo, params, None, censor, reuse
+        )
 
-                class _S:
-                    pass
-
-                s = _S()
-                s.x_tilde, s.d_tilde = x_tilde[i], float(d_tilde[i])
-                state = update_step(state, s, params, gated)
-                cen_mask[i] = gated
-                if not gated:
-                    main_updates += 1
-                scale = update_scale(scale, e, censor)
-            dev = state.w - wo
-            ratio[i] = float(dev @ dev) / den
-
-        assert np.allclose(res.weights[0], state.w, rtol=0.0, atol=1e-13)
+        assert np.allclose(res.weights[0], w, rtol=0.0, atol=1e-13)
         assert np.allclose(res.ratio[0], ratio, rtol=0.0, atol=1e-13)
         assert np.array_equal(res.censored[0], cen_mask)
         assert res.main_steps == n - L
-        assert res.main_updates == main_updates
-        assert res.reuse_steps == reuse_steps
-        assert res.reuse_updates == reuse_updates
-        assert state.iteration == res.main_steps + res.reuse_steps
-        assert state.update_count == main_updates + reuse_updates
+        assert res.main_updates == counts["main_updates"]
+        assert res.reuse_steps == counts["reuse_steps"]
+        assert res.reuse_updates == counts["reuse_updates"]
 
     @pytest.mark.parametrize(
         "params, family",
@@ -315,19 +285,68 @@ class TestSeedLayout:
         assert np.all(res.curve.values_db[:9] == 0.0)
 
     def test_batch_splitting_is_transparent(self, monkeypatch):
-        cfg = ExperimentConfig(mode="sysid", order=9, n_samples=500, mc_runs=3)
-        full = run_sysid(cfg)
+        # one run per batch, in each mode the delay-line driver serves
+        common = dict(order=9, n_samples=500, mc_runs=3)
+        cases = [
+            (run_sysid, ExperimentConfig(mode="sysid", **common)),
+            (run_tracking, ExperimentConfig(
+                mode="tracking", shift_time=250, shift_amount=2,
+                algorithm=AlgorithmConfig(name="proposed"),
+                censoring=CensorConfig(p_ce=0.5),
+                reuse=ReuseConfig(scheme="idr", l_reused=2), **common,
+            )),
+            (run_theory_compare, ExperimentConfig(
+                mode="theory", theory=TheoryConfig(variances=(0.1,)), **common,
+            )),
+        ]
+        full = [run(cfg) for run, cfg in cases]
         import rtga.runner as runner_mod
 
         monkeypatch.setattr(runner_mod, "_MEMORY_BUDGET", 1)
-        split = run_sysid(cfg)
-        assert np.allclose(full.curve.values_db, split.curve.values_db, atol=1e-10)
-        assert full.counts == split.counts
+        for (run, cfg), whole in zip(cases, full):
+            split = run(cfg)
+            if cfg.mode == "theory":
+                assert split.table == whole.table
+            else:
+                assert np.allclose(whole.curve.values_db, split.curve.values_db, atol=1e-10)
+                assert whole.counts == split.counts
 
     def test_batch_size_bounds(self):
         assert _batch_size(5, 10**9, 512) == 1
         assert _batch_size(1000, 8000, 9) >= 1
         assert _batch_size(10, 100, 9) == 10
+
+
+class TestStreamProvider:
+    """The streaming provider behind AEC; its ring is tested in test_reuse."""
+
+    @pytest.mark.parametrize("case_id", [1, 2, 3, 4, 5])
+    def test_chunked_steps_match_one_shot_draws(self, case_id):
+        # 2600 samples cross two 1024-sample chunk boundaries
+        n, L, runs, seed = 2600, 4, 2, 13
+        in_spec, out_spec = case_spec(case_id)
+        rng = np.random.default_rng(case_id)
+        x_clean = delay_line_matrix(rng.standard_normal(n), L)
+        d_clean = rng.standard_normal(n)
+        provider = StreamProvider(
+            x_clean, d_clean, in_spec, out_spec,
+            [run_streams(seed, r)[2] for r in range(runs)], capacity=2,
+        )
+        u, v = [], []
+        for r in range(runs):
+            s = run_streams(seed, r)[2]
+            u.append(sample_mixture_split(
+                in_spec, s["u_base"], s["u_mask"], s["u_amp"], (n, L)
+            ))
+            v.append(sample_mixture_split(
+                out_spec, s["v_base"], s["v_mask"], s["v_amp"], n
+            ))
+        x_tilde = x_clean[None] + np.stack(u)
+        d_tilde = d_clean[None] + np.stack(v)
+        for i in range(n):
+            x_i, d_i = provider.step(i)
+            np.testing.assert_array_equal(x_i, x_tilde[:, i])
+            np.testing.assert_array_equal(d_i, d_tilde[:, i])
 
 
 class TestTracking:

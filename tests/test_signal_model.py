@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
+from rtga.config import ExperimentConfig
 from rtga.noise import NoiseSpec
+from rtga.runner import _delay_line_batch, run_streams
 from rtga.signal_model import (
-    TrueSystem,
-    apply_fir,
     delay_line_matrix,
-    noise_streams,
     shift_right,
-    synthesize_eiv,
     synthesize_eiv_arrays,
     wo_segments,
 )
@@ -47,12 +45,6 @@ def test_delay_line_is_read_only_view_safe():
     assert got[0, 0] == 0.0 or got[1, 1] == 0.0  # past values were captured
 
 
-def test_apply_fir():
-    w = np.array([0.5, -1.0])
-    x = np.array([2.0, 3.0])
-    assert apply_fir(w, x) == pytest.approx(-2.0, rel=1e-14)
-
-
 def test_shift_right():
     w = np.array([1.0, 2.0, 3.0, 4.0])
     np.testing.assert_array_equal(shift_right(w, 2), [0.0, 0.0, 1.0, 2.0])
@@ -61,11 +53,15 @@ def test_shift_right():
         shift_right(w, -1)
     # A shift past the end discards every coefficient.
     np.testing.assert_array_equal(shift_right(w, 5), np.zeros(4))
+    # A (runs, L) batch shifts row by row.
+    batch = np.stack([w, -w])
+    np.testing.assert_array_equal(
+        shift_right(batch, 1), [[0.0, 1.0, 2.0, 3.0], [0.0, -1.0, -2.0, -3.0]]
+    )
 
 
 def test_wo_segments_no_schedule():
-    sys = TrueSystem(w_o=np.array([1.0, 2.0]))
-    segs = wo_segments(sys, 100)
+    segs = wo_segments(np.array([1.0, 2.0]), [], 100)
     assert len(segs) == 1
     start, end, w = segs[0]
     assert (start, end) == (0, 100)
@@ -73,8 +69,7 @@ def test_wo_segments_no_schedule():
 
 
 def test_wo_segments_with_shift():
-    sys = TrueSystem(w_o=np.array([1.0, 2.0, 3.0]), shift_schedule=[(50, 1)])
-    segs = wo_segments(sys, 100)
+    segs = wo_segments(np.array([1.0, 2.0, 3.0]), [(50, 1)], 100)
     assert [(s, e) for s, e, _ in segs] == [(0, 50), (50, 100)]
     np.testing.assert_array_equal(segs[1][2], [0.0, 1.0, 2.0])
 
@@ -116,40 +111,30 @@ def test_input_noise_is_fresh_per_step():
     assert not np.allclose(u[1:, 1], u[:-1, 0])
 
 
-def test_synthesize_eiv_sample_stream():
-    sys = TrueSystem(w_o=np.array([0.7, 0.1]))
-    samples = synthesize_eiv(
-        sys,
-        np.random.default_rng(9).standard_normal(25),
-        (NoiseSpec("gaussian", 0.1), NoiseSpec("gaussian", 0.1)),
-        25,
-        seed=3,
-    )
-    assert len(samples) == 25
-    s = samples[10]
-    assert s.index == 10
-    assert s.d == pytest.approx(float(sys.w_o @ s.x), rel=1e-12)
-    assert s.x.shape == s.x_tilde.shape == (2,)
-
-
 def test_synthesize_eiv_tracks_shift_schedule():
-    sys = TrueSystem(w_o=np.array([1.0, 0.0]), shift_schedule=[(10, 1)])
-    samples = synthesize_eiv(
-        sys,
-        np.arange(1.0, 21.0),
-        (NoiseSpec("gaussian", 0.0), NoiseSpec("gaussian", 0.0)),
-        20,
-        seed=4,
+    # The tracking driver's synthesis: with zero noise, d = x . w_o before
+    # the shift and x . shift_right(w_o) after it.
+    n, L, t = 20, 3, 10
+    cfg = ExperimentConfig(
+        mode="tracking", order=L, n_samples=n, mc_runs=2, shift_time=t, shift_amount=1,
     )
-    before = samples[9]
-    after = samples[10]
-    # Pre-shift d = x[0]; post-shift d = x[1] (weight moved one tap right).
-    assert before.d == pytest.approx(before.x[0], rel=1e-12)
-    assert after.d == pytest.approx(after.x[1], rel=1e-12)
+    zero = NoiseSpec("gaussian", 0.0)
+    provider, segs = _delay_line_batch(cfg, 0, 2, (zero, zero), None, [(t, 1)])
+    assert [(s, e) for s, e, _ in segs] == [(0, t), (t, n)]
+    for j, r in enumerate(range(2)):
+        _, source_rng, _ = run_streams(cfg.base_seed, r)
+        x = delay_line_matrix(source_rng.standard_normal(n), L)
+        w_o = segs[0][2][j]
+        np.testing.assert_array_equal(provider.x[j], x)
+        np.testing.assert_allclose(provider.d[j, :t], x[:t] @ w_o, rtol=1e-12)
+        np.testing.assert_allclose(
+            provider.d[j, t:], x[t:] @ shift_right(w_o, 1), rtol=1e-12
+        )
+        np.testing.assert_array_equal(segs[1][2][j], shift_right(w_o, 1))
 
 
 def test_noise_streams_keys_and_independence():
-    streams = noise_streams(17)
+    _, _, streams = run_streams(17, 0)
     assert set(streams) == {
         "u_base", "u_mask", "u_amp", "v_base", "v_mask", "v_amp",
     }
