@@ -61,7 +61,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except (ArithmeticError, ValueError, LookupError, OSError) as exc:
+    except (ArithmeticError, ValueError, LookupError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if cfg.out_path:

@@ -79,3 +79,13 @@ def schedule(cfg: ReuseConfig, i: int, L: int) -> list[int]:
     if cfg.scheme == "dr":
         return dr_indices(i, cfg.l_reused)
     return undr_indices(i, L, cfg.l_reused)
+
+
+def reach(cfg: ReuseConfig, n: int) -> int:
+    """How far back schedule may reach in an n-sample run: 0 without reuse
+    and for dr, l_reused for undr, the window cap or the whole run for idr."""
+    if not cfg.active or cfg.scheme == "dr":
+        return 0
+    if cfg.scheme == "undr":
+        return cfg.l_reused
+    return n - 1 if cfg.window_cap is None else cfg.window_cap

@@ -4,7 +4,7 @@ The engine runs every Monte-Carlo trial of one experiment in lockstep:
 state arrays carry a leading run axis and each iteration applies the
 reuse pass, the gated main update, and the error-scale update to all
 runs at once. Trial r derives every random stream from
-SeedSequence(base_seed + r), so results are independent of batching and
+SeedSequence(base_seed + r), so results are independent of chunking and
 rerunning a config reproduces identical output bytes.
 """
 
@@ -37,8 +37,10 @@ from .metrics import (
     tail_mean_db,
     to_db,
 )
-from .noise import NoiseSpec, case_spec, sample_mixture_split
-from .reuse import ReuseConfig, schedule
+from .noise import NoiseSpec, case_spec
+# unused here; bench/spans.py patches this name when it times the noise draws
+from .noise import sample_mixture_split
+from .reuse import ReuseConfig, reach, schedule
 from .signal_model import delay_line_matrix, synthesize_eiv_arrays, wo_segments
 from .theory import TheoryInputs, steady_state_msd
 
@@ -55,9 +57,11 @@ THEORY_MU = 0.05
 # gaussian-like near zero, where the negative-order moments concentrate.
 THEORY_ALPHA = {"gaussian": 2.0, "laplace": 2.0}
 
-_STREAM_KEYS = ("u_base", "u_mask", "u_amp", "v_base", "v_mask", "v_amp")
+# A run whose squared deviation exceeds this multiple of its largest
+# squared truth norm is reported as divergent.
+DIVERGENCE_FACTOR = 1e6
 
-_MEMORY_BUDGET = 2.8e8  # bytes of synthesis arrays per run batch
+_STREAM_KEYS = ("u_base", "u_mask", "u_amp", "v_base", "v_mask", "v_amp")
 
 
 def run_streams(base_seed: int, r: int):
@@ -130,7 +134,10 @@ class _ScaleTracker:
 
 
 class ArrayProvider:
-    """Serves current and past samples from fully materialized arrays."""
+    """Serves current and past samples from hand-made (runs, n, L) arrays.
+
+    The engine's test seam; the experiments stream through StreamProvider.
+    """
 
     def __init__(self, x_tilde: np.ndarray, d_tilde: np.ndarray):
         self.x = x_tilde
@@ -144,86 +151,87 @@ class ArrayProvider:
 
 
 class StreamProvider:
-    """Streams a long shared-scene run without materializing history.
+    """Streams every run's noisy samples in time-major chunks.
 
-    The clean regressors and echo are shared across runs; per-run input
-    noise is drawn in fixed-size time chunks from each run's dedicated
-    streams (chunked draws reproduce the one-shot sequence because every
-    mixture component owns its own generator). Past samples live in a ring
-    sized by the reuse window.
+    segments is the piecewise truth [(start, end, (runs, L))], noise the
+    (input, output) pair and streams each run's (source, noise streams)
+    generators from run_streams; a source shared by every run replaces the
+    source draws. A chunk of at most _CHUNK samples ends at a segment
+    boundary, so it has one truth per run, and is synthesized per run with
+    the previous L-1 source samples carried in; chunked draws reproduce the
+    one-shot sequence. The latest `capacity` samples stay available to past().
     """
 
     _CHUNK = 1024
 
     def __init__(
         self,
-        x_clean: np.ndarray,
-        d_clean: np.ndarray,
-        in_spec: NoiseSpec,
-        out_spec: NoiseSpec,
-        stream_list: list[dict],
+        segments: list[tuple[int, int, np.ndarray]],
+        noise: tuple[NoiseSpec, NoiseSpec],
+        streams: list[tuple[np.random.Generator, dict]],
         capacity: int,
+        source: np.ndarray | None = None,
     ):
-        self.x_clean = x_clean
-        self.d_clean = d_clean
-        self.in_spec = in_spec
-        self.out_spec = out_spec
-        self.streams = stream_list
-        runs = len(stream_list)
-        order = x_clean.shape[-1]
-        self.cap = max(2, capacity)
-        self.ring_x = np.zeros((runs, self.cap, order))
-        self.ring_d = np.zeros((runs, self.cap))
-        self._block = -1
+        self.segments = segments
+        self.noise = noise
+        self.streams = streams
+        self.source = source
+        self.cap = capacity
+        runs, L = segments[0][2].shape
+        rows = min(segments[-1][1], capacity - 1 + self._CHUNK)
+        self.x = np.empty((rows, runs, L))
+        self.d = np.empty((rows, runs))
+        self.carry = np.zeros((runs, L - 1))
+        self._base = 0  # stream index of buffer row 0
+        self._end = 0  # one past the last synthesized sample
+        self._seg = 0
         self._latest = -1
-        self._u = None
-        self._v = None
 
-    def _load_block(self, blk: int) -> None:
-        order = self.x_clean.shape[-1]
-        u_rows = []
-        v_rows = []
-        for s in self.streams:
-            u_rows.append(
-                sample_mixture_split(
-                    self.in_spec, s["u_base"], s["u_mask"], s["u_amp"],
-                    (self._CHUNK, order),
-                )
+    def _load(self, start: int) -> None:
+        while start >= self.segments[self._seg][1]:
+            self._seg += 1
+        _, seg_end, w_seg = self.segments[self._seg]
+        end = min(start + self._CHUNK, seg_end)
+        if end - self._base > len(self.x):
+            # slide the reuse history to the front of the buffer
+            keep = min(self.cap - 1, start)
+            old = slice(start - keep - self._base, start - self._base)
+            self.x[:keep] = self.x[old]
+            self.d[:keep] = self.d[old]
+            self._base = start - keep
+        rows = slice(start - self._base, end - self._base)
+        for r, (source_rng, noise_streams) in enumerate(self.streams):
+            if self.source is None:
+                src = source_rng.standard_normal(end - start)
+            else:
+                src = self.source[start:end]
+            x, x_tilde, _, d_tilde = synthesize_eiv_arrays(
+                w_seg[r], src, *self.noise, noise_streams, carry=self.carry[r]
             )
-            v_rows.append(
-                sample_mixture_split(
-                    self.out_spec, s["v_base"], s["v_mask"], s["v_amp"], self._CHUNK
-                )
-            )
-        self._u = np.stack(u_rows)
-        self._v = np.stack(v_rows)
-        self._block = blk
+            self.x[rows, r] = x_tilde
+            self.d[rows, r] = d_tilde
+            # the last regressor holds the newest L-1 samples, newest first
+            self.carry[r] = x[-1, : self.carry.shape[1]][::-1]
+        self._end = end
 
     def step(self, i: int):
-        blk, off = divmod(i, self._CHUNK)
-        if blk != self._block:
-            self._load_block(blk)
-        x = self.x_clean[i][None, :] + self._u[:, off, :]
-        d = self.d_clean[i] + self._v[:, off]
-        slot = i % self.cap
-        self.ring_x[:, slot, :] = x
-        self.ring_d[:, slot] = d
+        if i >= self._end:
+            self._load(i)
         self._latest = i
-        return self.ring_x[:, slot, :], self.ring_d[:, slot]
+        return self.x[i - self._base], self.d[i - self._base]
 
     def past(self, idx: int):
-        if idx > self._latest or idx <= self._latest - self.cap:
+        if not max(0, self._latest - self.cap + 1) <= idx <= self._latest:
             raise LookupError(
-                f"history gap: index {idx} outside the stored ring "
+                f"history gap: index {idx} outside the stored history "
                 f"(latest {self._latest}, capacity {self.cap})"
             )
-        slot = idx % self.cap
-        return self.ring_x[:, slot, :], self.ring_d[:, slot]
+        return self.x[idx - self._base], self.d[idx - self._base]
 
 
 @dataclass
 class EngineResult:
-    """Raw per-batch engine output (run axis preserved)."""
+    """Raw engine output (run axis preserved)."""
 
     ratio: np.ndarray
     censored: np.ndarray
@@ -244,18 +252,18 @@ def run_engine(
     reuse_cfg: ReuseConfig,
     segments: list[tuple[int, int, np.ndarray]],
     keep_errors: bool = False,
-    run_offset: int = 0,
 ) -> EngineResult:
-    """Run all trials of one batch in lockstep for n iterations.
+    """Run all trials in lockstep for n iterations.
 
     segments is the piecewise-constant truth [(start, end, (runs, L))]
     covering [0, n). Updates begin once the delay line is full (i >= L);
     earlier iterations only record the zero-weight deviation. Per
     iteration: scheduled reuse updates (each individually censored), then
-    the gated main update, then the scale update on the main error.
+    the gated main update, then the scale update on the main error. A run
+    whose squared deviation exceeds DIVERGENCE_FACTOR times its largest
+    squared truth norm raises ArithmeticError after the loop.
     """
-    L = segments[0][2].shape[1]
-    runs = segments[0][2].shape[0]
+    runs, L = segments[0][2].shape
     W = np.zeros((runs, L))
     tracker = _ScaleTracker(runs, censor) if censor.active else None
     kappa = censor.kappa if censor.active else 0.0
@@ -284,7 +292,7 @@ def run_engine(
         np.multiply(k, e, out=step_x)
         np.multiply(np.divide(e2, n2, out=step_w), k, out=step_w)
         if not np.isfinite(scalars).all():
-            bad = np.nonzero(~np.isfinite(scalars).all(axis=0))[0] + run_offset
+            bad = np.nonzero(~np.isfinite(scalars).all(axis=0))[0]
             raise ArithmeticError(
                 f"non-finite gradient at iteration {i} in run(s) {bad.tolist()}; "
                 f"the step size is likely beyond the stable range (mu={mu})"
@@ -328,6 +336,7 @@ def run_engine(
             seg_den = np.sum(seg_w * seg_w, axis=1)
         dev = W - seg_w
         ratio[:, i] = np.einsum("rl,rl->r", dev, dev) / seg_den
+    _check_divergence(ratio, segments, mu)
     return EngineResult(
         ratio=ratio,
         censored=cen_mask,
@@ -338,6 +347,30 @@ def run_engine(
         reuse_steps=reuse_steps,
         reuse_updates=reuse_steps - reuse_censored,
     )
+
+
+def _check_divergence(ratio: np.ndarray, segments, mu: float) -> None:
+    """Name the runs that blew up without turning non-finite.
+
+    The n2 = phi + |w|^2 normalization keeps such a run finite. ratio times
+    the segment's |w_o|^2 is |W - w_o|^2, which is compared with the run's
+    largest |w_o|^2, since a shift may leave a tiny truth.
+    """
+    dens = [np.sum(w * w, axis=1) for _, _, w in segments]
+    limit = DIVERGENCE_FACTOR * np.max(dens, axis=0)
+    first = {}  # run -> first iteration over the limit
+    for (start, end, _), den in zip(segments, dens):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            thr = limit / den
+        seg = ratio[:, start:end]
+        for r in np.nonzero(seg.max(axis=1) > thr)[0]:
+            first.setdefault(int(r), start + int(np.argmax(seg[r] > thr[r])))
+    if first:
+        raise ArithmeticError(
+            f"divergence at iteration {min(first.values())} in run(s) {sorted(first)}; "
+            f"|W - w_o|^2 exceeds {DIVERGENCE_FACTOR:g} times the run's largest "
+            f"|w_o|^2, the step size is likely beyond the stable range (mu={mu})"
+        )
 
 
 @dataclass
@@ -392,34 +425,11 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-def _batch_size(runs: int, n: int, order: int) -> int:
-    per_run = n * (order * 16 + 48)
-    return max(1, min(runs, int(_MEMORY_BUDGET // per_run)))
-
-
-def _mean_ratio(results: list[EngineResult]) -> tuple[np.ndarray, int]:
-    """Deviation ratio averaged over every run of every batch, and the run count."""
-    ratio_sum = np.zeros(results[0].ratio.shape[1])
-    runs = 0
-    for r in results:
-        ratio_sum += r.ratio.sum(axis=0)
-        runs += r.ratio.shape[0]
-    return ratio_sum / runs, runs
-
-
-def _aggregate(cfg: ExperimentConfig, results: list[EngineResult], n: int) -> ExperimentResult:
-    mean_ratio, runs = _mean_ratio(results)
-    cen_all = cen_steady = 0
-    counts = dict(main_steps=0, main_updates=0, reuse_steps=0, reuse_updates=0)
-    steady_start = max(n // 2, cfg.order)
-    for r in results:
-        cen_all += int(r.censored.sum())
-        cen_steady += int(r.censored[:, steady_start:].sum())
-        counts["main_steps"] += r.main_steps
-        counts["main_updates"] += r.main_updates
-        counts["reuse_steps"] += r.reuse_steps
-        counts["reuse_updates"] += r.reuse_updates
-    curve = LearningCurve(to_db(mean_ratio), runs=runs)
+def _aggregate(cfg: ExperimentConfig, res: EngineResult, n: int) -> ExperimentResult:
+    mean_ratio = res.ratio.mean(axis=0)
+    keys = ("main_steps", "main_updates", "reuse_steps", "reuse_updates")
+    counts = {k: getattr(res, k) for k in keys}
+    curve = LearningCurve(to_db(mean_ratio), runs=res.ratio.shape[0])
     params, _ = cfg.resolved_params()
     out = ExperimentResult(
         mode=cfg.mode,
@@ -433,84 +443,71 @@ def _aggregate(cfg: ExperimentConfig, results: list[EngineResult], n: int) -> Ex
         csv_columns={"nmsd_db": curve.values_db},
     )
     if cfg.censoring.active:
-        out.censor_overall = cen_all / counts["main_steps"]
-        out.censor_steady = cen_steady / (runs * (n - steady_start))
+        out.censor_overall = int(res.censored.sum()) / counts["main_steps"]
+        out.censor_steady = float(res.censored[:, max(n // 2, cfg.order):].mean())
     if counts["reuse_steps"]:
         out.reuse_censor = 1.0 - counts["reuse_updates"] / counts["reuse_steps"]
     return out
 
 
-def _delay_line_batch(cfg: ExperimentConfig, lo: int, hi: int, noise, w_o, shifts):
-    """Samples and truth segments of trials [lo, hi).
+def _trial_provider(
+    cfg: ExperimentConfig,
+    noise: tuple[NoiseSpec, NoiseSpec],
+    w_o: np.ndarray | None = None,
+    source: np.ndarray | None = None,
+    shifts: Sequence[tuple[int, int]] = (),
+) -> StreamProvider:
+    """The provider of every trial, holding the reuse schedule's reach.
 
-    Trial r draws its truth from its system stream unless a fixed w_o is
-    given. A shifted truth gets its clean output recomputed per segment,
-    under the trial's own output noise.
+    Trial r draws its truth from its system stream unless w_o is given, and
+    its source from its source stream unless a source shared by every run
+    is given; shifts is the truth's (time, right_shift) schedule.
     """
     n, L = cfg.n_samples, cfg.order
-    xt = np.empty((hi - lo, n, L))
-    dt = np.empty((hi - lo, n))
-    WO = np.empty((hi - lo, L))
-    for j, r in enumerate(range(lo, hi)):
-        system_rng, source_rng, streams = run_streams(cfg.base_seed, r)
-        wo = draw_true_weights(system_rng, L) if w_o is None else w_o
-        src = source_rng.standard_normal(n)
-        x, x_tilde, d, d_tilde = synthesize_eiv_arrays(wo, src, *noise, streams)
-        if shifts:
-            v = d_tilde - d
-            for start, end, w_seg in wo_segments(wo, shifts, n):
-                d[start:end] = x[start:end] @ w_seg
-            d_tilde = d + v
-        xt[j] = x_tilde
-        dt[j] = d_tilde
-        WO[j] = wo
-    return ArrayProvider(xt, dt), wo_segments(WO, shifts, n)
+    WO = np.empty((cfg.mc_runs, L))
+    streams = []
+    for r in range(cfg.mc_runs):
+        system_rng, *trial_streams = run_streams(cfg.base_seed, r)
+        WO[r] = draw_true_weights(system_rng, L) if w_o is None else w_o
+        streams.append(trial_streams)
+    capacity = reach(cfg.reuse, n) + 1
+    return StreamProvider(wo_segments(WO, shifts, n), noise, streams, capacity, source)
 
 
-def _delay_line_engine(
+def _run_trials(
     cfg: ExperimentConfig,
     params: RtgaParams,
     family: str | None,
     noise: tuple[NoiseSpec, NoiseSpec],
     w_o: np.ndarray | None = None,
+    source: np.ndarray | None = None,
     shifts: Sequence[tuple[int, int]] = (),
-) -> list[EngineResult]:
-    """Delay-line experiment in run batches: sysid, tracking and theory.
+    keep_errors: bool = False,
+) -> EngineResult:
+    """The one driver of every engine mode: all trials in one time-major batch.
 
-    noise is the (input, output) pair, w_o an optional truth for every
-    trial and shifts the truth's (time, right_shift) schedule.
+    noise is the (input, output) pair; see _trial_provider for the rest.
     """
-    batch = _batch_size(cfg.mc_runs, cfg.n_samples, cfg.order)
-    results = []
-    for lo in range(0, cfg.mc_runs, batch):
-        hi = min(lo + batch, cfg.mc_runs)
-        provider, segments = _delay_line_batch(cfg, lo, hi, noise, w_o, shifts)
-        results.append(
-            run_engine(
-                provider, cfg.n_samples, params, family, cfg.censoring,
-                cfg.reuse, segments, run_offset=lo,
-            )
-        )
-        # release this batch's samples before the next one is synthesized
-        del provider
-    return results
+    provider = _trial_provider(cfg, noise, w_o, source, shifts)
+    return run_engine(
+        provider, cfg.n_samples, params, family, cfg.censoring, cfg.reuse,
+        provider.segments, keep_errors,
+    )
 
 
 def run_sysid(cfg: ExperimentConfig) -> ExperimentResult:
     """Stationary system identification under the configured case."""
     cfg.validate()
-    results = _delay_line_engine(cfg, *cfg.resolved_params(), case_spec(cfg.case_id))
-    return _aggregate(cfg, results, cfg.n_samples)
+    res = _run_trials(cfg, *cfg.resolved_params(), case_spec(cfg.case_id))
+    return _aggregate(cfg, res, cfg.n_samples)
 
 
 def run_tracking(cfg: ExperimentConfig) -> ExperimentResult:
     """System identification with a mid-run right shift of the truth."""
     cfg.validate()
     shifts = [(cfg.shift_time, cfg.shift_amount)] if cfg.shift_amount else []
-    results = _delay_line_engine(
-        cfg, *cfg.resolved_params(), case_spec(cfg.case_id), shifts=shifts
-    )
-    return _aggregate(cfg, results, cfg.n_samples)
+    res = _run_trials(cfg, *cfg.resolved_params(), case_spec(cfg.case_id), shifts=shifts)
+    return _aggregate(cfg, res, cfg.n_samples)
 
 
 def load_aec_assets(cfg: ExperimentConfig) -> tuple[AecAssets, list[str]]:
@@ -563,23 +560,14 @@ def run_aec(
         )
     if np.abs(far).max() == 0:
         warnings.warn("far-end audio is silent; results are degenerate")
-    n, L = cfg.n_samples, cfg.order
     echo = assets.echo_path
-    d_clean = np.convolve(far, echo)[:n]
-    x_clean = delay_line_matrix(far, L)
+    d_clean = delay_line_matrix(far, cfg.order) @ echo
     if noise is None:
-        in_spec, out_spec = case_spec(cfg.case_id)
         p_x = float(np.mean(far**2))
         p_d = float(np.mean(d_clean**2))
-        in_spec = replace(
-            in_spec,
-            variance=in_spec.variance * p_x,
-            impulse_variance=in_spec.impulse_variance * p_x,
-        )
-        out_spec = replace(
-            out_spec,
-            variance=out_spec.variance * p_d,
-            impulse_variance=out_spec.impulse_variance * p_d,
+        in_spec, out_spec = (
+            replace(s, variance=s.variance * p, impulse_variance=s.impulse_variance * p)
+            for s, p in zip(case_spec(cfg.case_id), (p_x, p_d))
         )
         notes.append(
             f"case noises scaled by scene power: input x{p_x:.4g}, output x{p_d:.4g}"
@@ -593,18 +581,11 @@ def run_aec(
     params, family = cfg.algorithm.resolve(cfg.case_id, phi)
     if cfg.reuse.active and cfg.reuse.window_cap is None:
         raise ValueError("aec mode streams its history; reuse needs reuse.window set")
-    cap = (cfg.reuse.window_cap + 1) if cfg.reuse.active else 2
-    stream_list = []
-    for r in range(cfg.mc_runs):
-        _, _, streams = run_streams(cfg.base_seed, r)
-        stream_list.append(streams)
-    provider = StreamProvider(x_clean, d_clean, in_spec, out_spec, stream_list, cap)
-    WO = np.broadcast_to(echo, (cfg.mc_runs, L))
-    res = run_engine(
-        provider, n, params, family, cfg.censoring, cfg.reuse,
-        [(0, n, WO)], keep_errors=True,
+    res = _run_trials(
+        cfg, params, family, (in_spec, out_spec), w_o=echo, source=far,
+        keep_errors=True,
     )
-    out = _aggregate(cfg, [res], n)
+    out = _aggregate(cfg, res, cfg.n_samples)
     out.mode = "aec"
     out.erle = erle_db(d_clean, res.errors)
     out.csv_columns = {"nmsd_db": out.curve.values_db, "erle_db": out.erle.values_db}
@@ -658,8 +639,7 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
                 "laplace" if cfg.theory.output_family == "laplace" else "gaussian", s2
             ),
         )
-        mean_ratio, _ = _mean_ratio(_delay_line_engine(cfg, params, None, noise, w_o))
-        sim_db = tail_mean_db(mean_ratio)
+        sim_db = tail_mean_db(_run_trials(cfg, params, None, noise, w_o).ratio.mean(axis=0))
         rows.append(
             {
                 "label": f"{cfg.theory.output_family}, variance {s2:g}",

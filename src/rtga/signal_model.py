@@ -51,17 +51,22 @@ def wo_segments(
     return segments
 
 
-def delay_line_matrix(source: np.ndarray, order: int) -> np.ndarray:
+def delay_line_matrix(
+    source: np.ndarray, order: int, carry: np.ndarray | None = None
+) -> np.ndarray:
     """Regressor matrix of a scalar source, newest sample first.
 
     Accepts (n,) or (runs, n) sources and returns (..., n, order). 'Row i'
-    is [s(i), s(i-1), ..., s(i-order+1)] with zeros before the start.
-    Returned as a read-only strided view where possible; copy before
-    mutating.
+    is [s(i), s(i-1), ..., s(i-order+1)]. carry holds at most order-1
+    samples that precede source[0], oldest first; samples before those
+    are zero. Returned as a read-only strided view where possible; copy
+    before mutating.
     """
     source = np.asarray(source, dtype=float)
-    pad_shape = source.shape[:-1] + (order - 1,)
-    padded = np.concatenate([np.zeros(pad_shape), source], axis=-1)
+    if carry is None:
+        carry = np.zeros(source.shape[:-1] + (0,))
+    pad = np.zeros(source.shape[:-1] + (order - 1 - np.shape(carry)[-1],))
+    padded = np.concatenate([pad, carry, source], axis=-1)
     windows = sliding_window_view(padded, order, axis=-1)
     return windows[..., ::-1]
 
@@ -72,18 +77,20 @@ def synthesize_eiv_arrays(
     input_spec: NoiseSpec,
     output_spec: NoiseSpec,
     streams: dict[str, np.random.Generator],
+    carry: np.ndarray | None = None,
 ):
     """Vectorized EIV stream synthesis.
 
     source is (n,) or (runs, n); w_o is (order,) or (runs, order) matching
-    the leading source shape. streams carries six generators keyed
-    u_base/u_mask/u_amp/v_base/v_mask/v_amp so that impulse components draw
-    from dedicated substreams. Returns (x, x_tilde, d, d_tilde) with
-    regressor axes (..., n, order).
+    the leading source shape; carry is as in delay_line_matrix. streams
+    carries six generators keyed u_base/u_mask/u_amp/v_base/v_mask/v_amp so
+    that impulse components draw from dedicated substreams, and calls on
+    consecutive pieces of a source, each with its carry, reproduce one call
+    on the whole. Returns (x, x_tilde, d, d_tilde), regressors (..., n, order).
     """
     w_o = np.asarray(w_o, dtype=float)
     order = w_o.shape[-1]
-    x = delay_line_matrix(source, order)
+    x = delay_line_matrix(source, order, carry)
     u = sample_mixture_split(
         input_spec,
         streams["u_base"],

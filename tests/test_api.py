@@ -1,6 +1,10 @@
-"""The package's public API resolves."""
+"""The package's public API resolves, and so do the benchmark's hooks."""
+
+import importlib.util
+from pathlib import Path
 
 import rtga
+from rtga import config, dataio, runner, signal_model
 
 
 def test_star_import_resolves_every_public_name():
@@ -8,3 +12,21 @@ def test_star_import_resolves_every_public_name():
     exec("from rtga import *", namespace)
     assert [name for name in rtga.__all__ if not hasattr(rtga, name)] == []
     assert set(rtga.__all__) <= set(namespace)
+
+
+def test_benchmark_tracer_hooks_resolve(monkeypatch):
+    # bench/spans.py wraps package names where the callers look them up; a
+    # rename would break `bench/run.py --trace 1`. Nothing is patched here.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    seen = []
+
+    def check(self, owner, attr, name, after=None):
+        assert callable(getattr(owner, attr)), f"{owner.__name__}.{attr}"
+        seen.append(name)
+
+    monkeypatch.setattr(spans.Tracer, "patch", check)
+    spans.Tracer().install(config, dataio, runner, signal_model)
+    assert set(seen) == set(spans.SPAN_NAMES)

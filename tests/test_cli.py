@@ -2,6 +2,7 @@
 
 import pytest
 
+from rtga import cli
 from rtga.cli import main
 
 FAST = ["--runs", "2", "--samples", "300", "--seed", "1"]
@@ -80,6 +81,17 @@ def test_wrong_echo_path_length_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "512" in err
+
+
+def test_out_of_memory_exits_1(monkeypatch, capsys):
+    def too_large(cfg):
+        raise MemoryError("Unable to allocate 576. MiB for an array")
+
+    monkeypatch.setitem(cli._RUNNERS, "sysid", too_large)
+    assert main(["sysid", *FAST]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 576. MiB")
+    assert "Traceback" not in err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -9,6 +9,7 @@ from rtga.reuse import (
     ReuseConfig,
     dr_indices,
     idr_indices,
+    reach,
     schedule,
     undr_indices,
 )
@@ -73,15 +74,36 @@ def test_reuse_config_validation():
     assert ReuseConfig(scheme="idr", l_reused=1).active
 
 
-def test_history_ring_evicts_old_pairs():
-    # The streaming provider keeps the reuse history in a ring of the most
-    # recent `capacity` samples.
+def test_reach_bounds_every_schedule():
+    # The provider keeps reach + 1 samples; no schedule may look further back.
+    n, L = 300, 4
+    cases = {
+        ReuseConfig(): 0,
+        ReuseConfig(scheme="dr", l_reused=3): 0,
+        ReuseConfig(scheme="undr", l_reused=3): 3,
+        ReuseConfig(scheme="idr", l_reused=3, window_cap=40): 40,
+        ReuseConfig(scheme="idr", l_reused=3): n - 1,
+    }
+    for cfg, expect in cases.items():
+        assert reach(cfg, n) == expect
+        deepest = max(i - min(schedule(cfg, i, L), default=i) for i in range(L, n))
+        assert deepest <= expect
+
+
+def test_history_ring_evicts_old_pairs(monkeypatch):
+    # The provider keeps the most recent `capacity` samples. With 19-sample
+    # chunks, sample 19 opens the second chunk, so the provider must slide
+    # the 4 samples before it to the front of its buffer.
+    monkeypatch.setattr(StreamProvider, "_CHUNK", 19)
     n, L, cap = 40, 3, 5
     zero = NoiseSpec("gaussian", 0.0)
-    x_clean = delay_line_matrix(np.arange(1.0, n + 1.0), L)
-    d_clean = -np.arange(n, dtype=float)
+    source = np.arange(1.0, n + 1.0)
+    w_o = np.array([1.0, -2.0, 3.0])
+    x_clean = delay_line_matrix(source, L)
+    d_clean = x_clean @ w_o
     provider = StreamProvider(
-        x_clean, d_clean, zero, zero, [run_streams(0, 0)[2]], capacity=cap,
+        [(0, n, w_o[None])], (zero, zero), [run_streams(0, 0)[1:]], capacity=cap,
+        source=source,
     )
     for i in range(20):
         provider.step(i)

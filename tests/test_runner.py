@@ -15,7 +15,6 @@ from rtga.runner import (
     ArrayProvider,
     StreamProvider,
     _ScaleTracker,
-    _batch_size,
     draw_true_weights,
     load_aec_assets,
     run_aec,
@@ -167,7 +166,7 @@ class TestEngineEquivalence:
             with pytest.raises(ArithmeticError, match=r"run\(s\) \[0\].*mu=1e\+300"):
                 run_engine(
                     ArrayProvider(x_tilde[None], d_tilde[None]), n, params, None,
-                    NO_CENSOR, NO_REUSE, [(0, n, wo[None])], run_offset=0,
+                    NO_CENSOR, NO_REUSE, [(0, n, wo[None])],
                 )
 
     def test_divergence_named_among_several_runs(self):
@@ -183,16 +182,38 @@ class TestEngineEquivalence:
         censor = CensorConfig(p_ce=0.5)
         reuse = ReuseConfig(scheme="idr", l_reused=2)
         args = (params, None, censor, reuse, [(0, n, WO)])
-        calm = run_engine(ArrayProvider(X, D), n, *args, run_offset=5)
+        calm = run_engine(ArrayProvider(X, D), n, *args)
         assert np.all(calm.ratio[:, -1] < 0.05)
 
         X[1] *= 1e3
         D[1] *= 1e3
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(
-                ArithmeticError, match=r"at iteration \d+ in run\(s\) \[6\];"
+                ArithmeticError, match=r"at iteration \d+ in run\(s\) \[1\];"
             ):
-                run_engine(ArrayProvider(X, D), n, *args, run_offset=5)
+                run_engine(ArrayProvider(X, D), n, *args)
+
+    def test_finite_divergence_named_among_several_runs(self):
+        # The n2 = phi + |w|^2 normalization keeps this blown-up run finite
+        # (it ends near a ratio of 7e10), so only the deviation names it.
+        n, L = 300, 4
+        spec = NoiseSpec("gaussian", 0.1)
+        synth = [_synth_run(23, r, L, n, spec, spec) for r in range(3)]
+        WO = np.stack([s[0] for s in synth])
+        X = np.stack([s[1] for s in synth])
+        D = np.stack([s[2] for s in synth])
+        params = RtgaParams(a=-100.0, b=2.0, c=1.0, mu=0.05, phi=1.0)
+        reuse = ReuseConfig(scheme="idr", l_reused=2)
+        args = (params, "tlmp", NO_CENSOR, reuse, [(0, n, WO)])
+        calm = run_engine(ArrayProvider(X, D), n, *args)
+        assert np.all(calm.ratio[:, -1] < 0.05)
+
+        X[1] *= 1e3
+        D[1] *= 1e3
+        with pytest.raises(
+            ArithmeticError, match=r"^divergence at iteration \d+ in run\(s\) \[1\];"
+        ):
+            run_engine(ArrayProvider(X, D), n, *args)
 
     def test_noiseless_limit_filter_converges_monotonically(self):
         n, L = 800, 4
@@ -284,69 +305,82 @@ class TestSeedLayout:
         assert res.curve.values_db.shape == (600,)
         assert np.all(res.curve.values_db[:9] == 0.0)
 
-    def test_batch_splitting_is_transparent(self, monkeypatch):
-        # one run per batch, in each mode the delay-line driver serves
+    def test_chunk_size_is_transparent(self, monkeypatch):
+        # Chunks of 1 and 37 samples cut across the delay line, the reuse
+        # window and the shift, in every mode the one driver serves.
         common = dict(order=9, n_samples=500, mc_runs=3)
+        proposed = dict(
+            algorithm=AlgorithmConfig(name="proposed"),
+            censoring=CensorConfig(p_ce=0.5),
+        )
+        far = np.random.default_rng(4).uniform(-0.9, 0.9, 1200)
+        assets = AecAssets(far_end=far, echo_path=synth_echo_path())
         cases = [
             (run_sysid, ExperimentConfig(mode="sysid", **common)),
             (run_tracking, ExperimentConfig(
                 mode="tracking", shift_time=250, shift_amount=2,
-                algorithm=AlgorithmConfig(name="proposed"),
-                censoring=CensorConfig(p_ce=0.5),
-                reuse=ReuseConfig(scheme="idr", l_reused=2), **common,
+                reuse=ReuseConfig(scheme="idr", l_reused=2), **proposed, **common,
             )),
             (run_theory_compare, ExperimentConfig(
                 mode="theory", theory=TheoryConfig(variances=(0.1,)), **common,
             )),
+            (lambda cfg: run_aec(cfg, assets), ExperimentConfig(
+                mode="aec", order=512, n_samples=1200, mc_runs=2,
+                reuse=ReuseConfig(scheme="idr", l_reused=2, window_cap=40), **proposed,
+            )),
         ]
-        full = [run(cfg) for run, cfg in cases]
-        import rtga.runner as runner_mod
-
-        monkeypatch.setattr(runner_mod, "_MEMORY_BUDGET", 1)
-        for (run, cfg), whole in zip(cases, full):
-            split = run(cfg)
-            if cfg.mode == "theory":
-                assert split.table == whole.table
-            else:
-                assert np.allclose(whole.curve.values_db, split.curve.values_db, atol=1e-10)
-                assert whole.counts == split.counts
-
-    def test_batch_size_bounds(self):
-        assert _batch_size(5, 10**9, 512) == 1
-        assert _batch_size(1000, 8000, 9) >= 1
-        assert _batch_size(10, 100, 9) == 10
+        whole = [run(cfg) for run, cfg in cases]
+        for chunk in (1, 37):
+            monkeypatch.setattr(StreamProvider, "_CHUNK", chunk)
+            for (run, cfg), ref in zip(cases, whole):
+                split = run(cfg)
+                if cfg.mode == "theory":
+                    assert split.table == ref.table
+                else:
+                    assert np.allclose(ref.curve.values_db, split.curve.values_db, atol=1e-10)
+                    assert ref.counts == split.counts
+                if cfg.mode == "aec":
+                    assert np.allclose(ref.erle.values_db, split.erle.values_db, atol=1e-10)
 
 
 class TestStreamProvider:
-    """The streaming provider behind AEC; its ring is tested in test_reuse."""
+    """The provider behind every mode; its history is tested in test_reuse."""
 
     @pytest.mark.parametrize("case_id", [1, 2, 3, 4, 5])
     def test_chunked_steps_match_one_shot_draws(self, case_id):
-        # 2600 samples cross two 1024-sample chunk boundaries
+        # 2600 samples cross two 1024-sample chunk boundaries, with per-run
+        # sources drawn from the source streams and with one shared source
         n, L, runs, seed = 2600, 4, 2, 13
         in_spec, out_spec = case_spec(case_id)
         rng = np.random.default_rng(case_id)
-        x_clean = delay_line_matrix(rng.standard_normal(n), L)
-        d_clean = rng.standard_normal(n)
-        provider = StreamProvider(
-            x_clean, d_clean, in_spec, out_spec,
-            [run_streams(seed, r)[2] for r in range(runs)], capacity=2,
-        )
-        u, v = [], []
-        for r in range(runs):
-            s = run_streams(seed, r)[2]
-            u.append(sample_mixture_split(
-                in_spec, s["u_base"], s["u_mask"], s["u_amp"], (n, L)
-            ))
-            v.append(sample_mixture_split(
-                out_spec, s["v_base"], s["v_mask"], s["v_amp"], n
-            ))
-        x_tilde = x_clean[None] + np.stack(u)
-        d_tilde = d_clean[None] + np.stack(v)
-        for i in range(n):
-            x_i, d_i = provider.step(i)
-            np.testing.assert_array_equal(x_i, x_tilde[:, i])
-            np.testing.assert_array_equal(d_i, d_tilde[:, i])
+        shared = rng.standard_normal(n)
+        WO = rng.standard_normal((runs, L))
+        for source in (None, shared):
+            provider = StreamProvider(
+                [(0, n, WO)], (in_spec, out_spec),
+                [run_streams(seed, r)[1:] for r in range(runs)], capacity=2,
+                source=source,
+            )
+            x, u, d, v = [], [], [], []
+            for r in range(runs):
+                _, source_rng, s = run_streams(seed, r)
+                src = source_rng.standard_normal(n) if source is None else source
+                x.append(delay_line_matrix(src, L))
+                u.append(sample_mixture_split(
+                    in_spec, s["u_base"], s["u_mask"], s["u_amp"], (n, L)
+                ))
+                v.append(sample_mixture_split(
+                    out_spec, s["v_base"], s["v_mask"], s["v_amp"], n
+                ))
+                d.append(synthesize_eiv_arrays(
+                    WO[r], src, in_spec, out_spec, run_streams(seed, r)[2]
+                )[2])
+            x_tilde = np.stack(x) + np.stack(u)
+            d_tilde = np.stack(d) + np.stack(v)
+            for i in range(n):
+                x_i, d_i = provider.step(i)
+                np.testing.assert_array_equal(x_i, x_tilde[:, i])
+                np.testing.assert_array_equal(d_i, d_tilde[:, i])
 
 
 class TestTracking:

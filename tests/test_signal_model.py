@@ -5,7 +5,7 @@ import pytest
 
 from rtga.config import ExperimentConfig
 from rtga.noise import NoiseSpec
-from rtga.runner import _delay_line_batch, run_streams
+from rtga.runner import _trial_provider, run_streams
 from rtga.signal_model import (
     delay_line_matrix,
     shift_right,
@@ -119,17 +119,19 @@ def test_synthesize_eiv_tracks_shift_schedule():
         mode="tracking", order=L, n_samples=n, mc_runs=2, shift_time=t, shift_amount=1,
     )
     zero = NoiseSpec("gaussian", 0.0)
-    provider, segs = _delay_line_batch(cfg, 0, 2, (zero, zero), None, [(t, 1)])
+    provider = _trial_provider(cfg, (zero, zero), shifts=[(t, 1)])
+    segs = provider.segments
     assert [(s, e) for s, e, _ in segs] == [(0, t), (t, n)]
+    steps = [provider.step(i) for i in range(n)]
+    xs = np.stack([x for x, _ in steps], axis=1)
+    ds = np.stack([d for _, d in steps], axis=1)
     for j, r in enumerate(range(2)):
         _, source_rng, _ = run_streams(cfg.base_seed, r)
         x = delay_line_matrix(source_rng.standard_normal(n), L)
         w_o = segs[0][2][j]
-        np.testing.assert_array_equal(provider.x[j], x)
-        np.testing.assert_allclose(provider.d[j, :t], x[:t] @ w_o, rtol=1e-12)
-        np.testing.assert_allclose(
-            provider.d[j, t:], x[t:] @ shift_right(w_o, 1), rtol=1e-12
-        )
+        np.testing.assert_array_equal(xs[j], x)
+        np.testing.assert_allclose(ds[j, :t], x[:t] @ w_o, rtol=1e-12)
+        np.testing.assert_allclose(ds[j, t:], x[t:] @ shift_right(w_o, 1), rtol=1e-12)
         np.testing.assert_array_equal(segs[1][2][j], shift_right(w_o, 1))
 
 
