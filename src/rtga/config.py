@@ -338,8 +338,8 @@ def build_config(
     samples = pick("samples", b.get("experiment", "samples", int, default_samples))
     runs = pick("runs", b.get("experiment", "runs", int, default_runs))
     seed = pick("seed", b.get("experiment", "seed", int, 0))
-    shift_time = b.get("experiment", "shift_time", int, 8000)
-    shift_amount = b.get("experiment", "shift_amount", int, 3)
+    shift_time = b.get("experiment", "shift_time", int, ExperimentConfig.shift_time)
+    shift_amount = b.get("experiment", "shift_amount", int, ExperimentConfig.shift_amount)
 
     algo = AlgorithmConfig(
         name=pick("algo", b.get("algorithm", "name", str, "rtga")),
@@ -350,8 +350,8 @@ def build_config(
     )
 
     p_ce = pick("pce", b.get("censoring", "p_ce", float, 0.0))
-    window = b.get("censoring", "window", int, 9)
-    tau = b.get("censoring", "tau", float, 0.99)
+    window = b.get("censoring", "window", int, CensorConfig.window)
+    tau = b.get("censoring", "tau", float, CensorConfig.tau)
     estimator = b.get("censoring", "estimator", str, "auto")
     if estimator == "auto":
         estimator = "conventional" if case_id == 1 else "robust_median"
@@ -365,19 +365,19 @@ def build_config(
         cap = 200
 
     aec = AecConfig(
-        far_end=b.get("aec", "far_end", str, "synthetic"),
-        echo_path=b.get("aec", "echo_path", str, "synthetic"),
+        far_end=b.get("aec", "far_end", str, AecConfig.far_end),
+        echo_path=b.get("aec", "echo_path", str, AecConfig.echo_path),
     )
     theory = TheoryConfig(
-        variances=b.get("theory", "variances", _float_list, (0.01, 0.05, 0.1)),
-        output_family=b.get("theory", "output_family", str, "gaussian"),
-        alpha=b.get("theory", "alpha", float, None),
+        variances=b.get("theory", "variances", _float_list, TheoryConfig.variances),
+        output_family=b.get("theory", "output_family", str, TheoryConfig.output_family),
+        alpha=b.get("theory", "alpha", float, TheoryConfig.alpha),
     )
     sweep = SweepConfig(
-        grid_min=b.get("sweep", "min", float, -2.0),
-        grid_max=b.get("sweep", "max", float, 2.0),
-        points=b.get("sweep", "points", int, 41),
-        draws=b.get("sweep", "draws", int, 2000),
+        grid_min=b.get("sweep", "min", float, SweepConfig.grid_min),
+        grid_max=b.get("sweep", "max", float, SweepConfig.grid_max),
+        points=b.get("sweep", "points", int, SweepConfig.points),
+        draws=b.get("sweep", "draws", int, SweepConfig.draws),
     )
 
     errors = list(b.errors)

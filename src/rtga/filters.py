@@ -111,23 +111,6 @@ def _suppression(eb, p: RtgaParams, family: str | None):
     raise ValueError(f"unknown limit family {family!r}")
 
 
-def suppression_factor(et_abs, p: RtgaParams):
-    """The bounded coefficient (c|e~|^b/|a-b| + 1)^((a-b)/b).
-
-    For a < b this lies in (0, 1] and decays for large errors, which is
-    what rejects impulsive samples. Computed through log1p so extreme
-    shapes (a = -1000) underflow to 0 instead of overflowing.
-    """
-    return _suppression(np.asarray(et_abs) ** p.b, p, None)
-
-
-def limit_suppression_factor(et_abs, family: str, p: RtgaParams):
-    """Analytic limits of the suppression coefficient."""
-    if family == "tlmp":
-        return np.ones_like(np.asarray(et_abs, dtype=float))
-    return _suppression(np.asarray(et_abs) ** p.b, p, family)
-
-
 def gradient_coefficient(e, n2, p: RtgaParams, family: str | None = None):
     """Per-run scalar k of the gradient -k (x~ e + (e^2 / n2) w).
 

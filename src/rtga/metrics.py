@@ -39,16 +39,12 @@ def tail_mean_db(linear_mean_curve: np.ndarray, fraction: float = 0.1) -> float:
     return float(to_db(curve[-k:].mean()))
 
 
-def smoothed_power(x: np.ndarray, rho: float = 0.999) -> np.ndarray:
-    """Recursive power estimate P(i) = rho P(i-1) + (1-rho) x^2(i).
+def smoothed_power(p_inst: np.ndarray, rho: float = 0.999) -> np.ndarray:
+    """Recursive power estimate P(i) = rho P(i-1) + (1-rho) p_inst(i).
 
-    Accepts (n,) or (runs, n); multi-run input averages the instantaneous
-    powers across runs first. Initialized from the first sample.
+    p_inst is an (n,) instantaneous power; P starts at its first sample.
     """
-    x = np.asarray(x, dtype=float)
-    p_inst = x * x
-    if p_inst.ndim == 2:
-        p_inst = p_inst.mean(axis=0)
+    p_inst = np.asarray(p_inst, dtype=float)
     out = np.empty_like(p_inst)
     acc = p_inst[0]
     out[0] = acc
@@ -58,15 +54,16 @@ def smoothed_power(x: np.ndarray, rho: float = 0.999) -> np.ndarray:
     return out
 
 
-def erle_db(d_seq, e_seq, rho: float = 0.999) -> LearningCurve:
-    """Echo-return-loss enhancement with recursive power smoothing."""
-    d = np.asarray(d_seq, dtype=float)
-    e = np.asarray(e_seq, dtype=float)
-    if d.shape[-1] != e.shape[-1]:
-        raise ValueError("echo and error sequences must share their length")
-    runs = e.shape[0] if e.ndim == 2 else 1
-    pd = smoothed_power(d, rho)
-    pe = smoothed_power(e, rho)
+def erle_db(echo_power, error_power, runs: int = 1, rho: float = 0.999) -> LearningCurve:
+    """Echo-return-loss enhancement with recursive power smoothing.
+
+    echo_power is the echo's instantaneous power d^2(i) and error_power
+    the error's, averaged over `runs` trials before smoothing.
+    """
+    if np.shape(echo_power) != np.shape(error_power):
+        raise ValueError("echo and error powers must share their length")
+    pd = smoothed_power(echo_power, rho)
+    pe = smoothed_power(error_power, rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(pe > 0, pd / np.where(pe > 0, pe, 1.0), np.inf)
     return LearningCurve(to_db(ratio), runs=runs)

@@ -61,6 +61,9 @@ THEORY_ALPHA = {"gaussian": 2.0, "laplace": 2.0}
 # squared truth norm is reported as divergent.
 DIVERGENCE_FACTOR = 1e6
 
+# Columns of the engine's (runs, _BLOCK) per-run output buffers.
+_BLOCK = 512
+
 _STREAM_KEYS = ("u_base", "u_mask", "u_amp", "v_base", "v_mask", "v_amp")
 
 
@@ -115,8 +118,7 @@ class _ScaleTracker:
         return (part[:, lo] + part[:, hi]) / 2.0
 
     def update(self, e: np.ndarray) -> None:
-        if not np.isfinite(e).all():
-            raise ArithmeticError("non-finite error fed to scale tracker")
+        # e is finite: the engine checks e^2 before it feeds the tracker
         cfg = self.cfg
         self.ring[:, self.count % cfg.window] = np.abs(e)
         self.count += 1
@@ -146,8 +148,7 @@ class ArrayProvider:
     def step(self, i: int):
         return self.x[:, i, :], self.d[:, i]
 
-    def past(self, idx: int):
-        return self.x[:, idx, :], self.d[:, idx]
+    past = step  # the arrays hold the whole stream
 
 
 class StreamProvider:
@@ -231,11 +232,8 @@ class StreamProvider:
 
 @dataclass
 class EngineResult:
-    """Raw engine output (run axis preserved)."""
+    """The engine's final weights and update counts; per-run curves go to the sink."""
 
-    ratio: np.ndarray
-    censored: np.ndarray
-    errors: np.ndarray | None
     weights: np.ndarray
     main_steps: int
     main_updates: int
@@ -251,7 +249,7 @@ def run_engine(
     censor: CensorConfig,
     reuse_cfg: ReuseConfig,
     segments: list[tuple[int, int, np.ndarray]],
-    keep_errors: bool = False,
+    sink,
 ) -> EngineResult:
     """Run all trials in lockstep for n iterations.
 
@@ -259,19 +257,23 @@ def run_engine(
     covering [0, n). Updates begin once the delay line is full (i >= L);
     earlier iterations only record the zero-weight deviation. Per
     iteration: scheduled reuse updates (each individually censored), then
-    the gated main update, then the scale update on the main error. A run
-    whose squared deviation exceeds DIVERGENCE_FACTOR times its largest
-    squared truth norm raises ArithmeticError after the loop.
+    the gated main update, then the scale update on the main error.
+
+    Per-run output fills (runs, _BLOCK) buffers; a block ends when they are
+    full, at a segment end and at n. A run whose squared deviation then
+    exceeds DIVERGENCE_FACTOR times its largest squared truth norm raises
+    ArithmeticError; otherwise sink(start, ratio, censored, e) receives the
+    block's (runs, end - start) views, which the next block overwrites.
     """
     runs, L = segments[0][2].shape
     W = np.zeros((runs, L))
     tracker = _ScaleTracker(runs, censor) if censor.active else None
     kappa = censor.kappa if censor.active else 0.0
-    ratio = np.empty((runs, n))
-    cen_mask = np.zeros((runs, n), dtype=bool)
-    errors = np.empty((runs, n)) if keep_errors else None
+    ratio = np.empty((runs, _BLOCK))
+    cen_mask = np.empty((runs, _BLOCK), dtype=bool)
+    errors = np.empty((runs, _BLOCK))
     mu, phi = params.mu, params.phi
-    main_steps = reuse_steps = reuse_censored = 0
+    main_steps = main_censored = reuse_steps = reuse_censored = 0
     # Per-run scalars of one update: the two step coefficients, n2 and e^2.
     # Rows of one array, so one finiteness check covers all four.
     scalars = np.empty((4, runs))
@@ -305,72 +307,87 @@ def run_engine(
         W += step_x[:, None] * x
         return e, cen
 
-    seg_idx = 0
-    seg_start, seg_end, seg_w = segments[0]
-    seg_den = np.sum(seg_w * seg_w, axis=1)
-
-    for i in range(n):
-        x_i, d_i = provider.step(i)
-        if i >= L:
-            gated = censor.active and tracker.ready
-            thr = kappa * tracker.sigma if gated else None
-            for idx in schedule(reuse_cfg, i, L):
-                x_r, d_r = provider.past(idx)
-                _, cen = update(W, x_r, d_r, thr, i)
-                reuse_steps += runs
-                if gated:
-                    reuse_censored += int(np.count_nonzero(cen))
-            e, cen = update(W, x_i, d_i, thr, i)
-            main_steps += runs
-            if gated:
-                cen_mask[:, i] = cen
-            if censor.active:
-                tracker.update(e)
-        else:
-            e = d_i - np.einsum("rl,rl->r", W, x_i)
-        if keep_errors:
-            errors[:, i] = e
-        while i >= seg_end:
-            seg_idx += 1
-            seg_start, seg_end, seg_w = segments[seg_idx]
-            seg_den = np.sum(seg_w * seg_w, axis=1)
-        dev = W - seg_w
-        ratio[:, i] = np.einsum("rl,rl->r", dev, dev) / seg_den
-    _check_divergence(ratio, segments, mu)
+    # |W - w_o|^2 (ratio times the segment's |w_o|^2) is compared with the
+    # run's largest |w_o|^2, since a shift may leave a tiny truth
+    dens = [np.sum(w * w, axis=1) for _, _, w in segments]
+    limit = DIVERGENCE_FACTOR * np.max(dens, axis=0)
+    for (seg_start, seg_end, seg_w), seg_den in zip(segments, dens):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            blown = limit / seg_den
+        for start in range(seg_start, min(seg_end, n), _BLOCK):
+            end = min(start + _BLOCK, seg_end, n)
+            cen_mask.fill(False)
+            for j, i in enumerate(range(start, end)):
+                x_i, d_i = provider.step(i)
+                if i >= L:
+                    gated = censor.active and tracker.ready
+                    thr = kappa * tracker.sigma if gated else None
+                    for idx in schedule(reuse_cfg, i, L):
+                        x_r, d_r = provider.past(idx)
+                        _, cen = update(W, x_r, d_r, thr, i)
+                        reuse_steps += runs
+                        if gated:
+                            reuse_censored += int(np.count_nonzero(cen))
+                    e, cen = update(W, x_i, d_i, thr, i)
+                    main_steps += runs
+                    if gated:
+                        cen_mask[:, j] = cen
+                    if censor.active:
+                        tracker.update(e)
+                else:
+                    e = d_i - np.einsum("rl,rl->r", W, x_i)
+                errors[:, j] = e
+                dev = W - seg_w
+                ratio[:, j] = np.einsum("rl,rl->r", dev, dev) / seg_den
+            block = slice(0, end - start)
+            _check_divergence(ratio[:, block], blown, start, mu)
+            main_censored += int(np.count_nonzero(cen_mask[:, block]))
+            sink(start, ratio[:, block], cen_mask[:, block], errors[:, block])
     return EngineResult(
-        ratio=ratio,
-        censored=cen_mask,
-        errors=errors,
         weights=W,
         main_steps=main_steps,
-        main_updates=main_steps - int(np.count_nonzero(cen_mask)),
+        main_updates=main_steps - main_censored,
         reuse_steps=reuse_steps,
         reuse_updates=reuse_steps - reuse_censored,
     )
 
 
-def _check_divergence(ratio: np.ndarray, segments, mu: float) -> None:
-    """Name the runs that blew up without turning non-finite.
+def _check_divergence(ratio: np.ndarray, blown: np.ndarray, start: int, mu: float) -> None:
+    """Name the runs whose ratio in the block from `start` exceeds blown.
 
-    The n2 = phi + |w|^2 normalization keeps such a run finite. ratio times
-    the segment's |w_o|^2 is |W - w_o|^2, which is compared with the run's
-    largest |w_o|^2, since a shift may leave a tiny truth.
+    The n2 = phi + |w|^2 normalization can keep a blown-up run finite.
     """
-    dens = [np.sum(w * w, axis=1) for _, _, w in segments]
-    limit = DIVERGENCE_FACTOR * np.max(dens, axis=0)
-    first = {}  # run -> first iteration over the limit
-    for (start, end, _), den in zip(segments, dens):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            thr = limit / den
-        seg = ratio[:, start:end]
-        for r in np.nonzero(seg.max(axis=1) > thr)[0]:
-            first.setdefault(int(r), start + int(np.argmax(seg[r] > thr[r])))
-    if first:
+    over = ratio > blown[:, None]
+    if over.any():
+        first = start + int(np.argmax(over.any(axis=0)))
         raise ArithmeticError(
-            f"divergence at iteration {min(first.values())} in run(s) {sorted(first)}; "
+            f"divergence at iteration {first} in run(s) "
+            f"{np.nonzero(over.any(axis=1))[0].tolist()}; "
             f"|W - w_o|^2 exceeds {DIVERGENCE_FACTOR:g} times the run's largest "
             f"|w_o|^2, the step size is likely beyond the stable range (mu={mu})"
         )
+
+
+class RunSums:
+    """The experiments' sink: per-iteration run sums of the ratio and e^2.
+
+    Rows are added one run after another, the order of mean(axis=0) on a
+    (runs, n) array, so the means are bit-identical; censored counts the
+    censored runs per iteration.
+    """
+
+    def __init__(self, runs: int, n: int):
+        self.runs = runs
+        self.ratio, self.e2 = np.zeros(n), np.zeros(n)
+        self.censored = np.zeros(n, dtype=np.int64)
+
+    def __call__(self, start: int, ratio, censored, e) -> None:
+        cols = slice(start, start + ratio.shape[1])
+        ratio_sum, e2_sum = self.ratio[cols], self.e2[cols]
+        for ratio_row, e_row in zip(ratio, e):
+            ratio_sum += ratio_row
+            e2_sum += e_row * e_row
+        self.censored[cols] = np.count_nonzero(censored, axis=0)
 
 
 @dataclass
@@ -425,11 +442,11 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-def _aggregate(cfg: ExperimentConfig, res: EngineResult, n: int) -> ExperimentResult:
-    mean_ratio = res.ratio.mean(axis=0)
+def _aggregate(cfg: ExperimentConfig, res: EngineResult, sums: RunSums) -> ExperimentResult:
+    mean_ratio = sums.ratio / sums.runs
     keys = ("main_steps", "main_updates", "reuse_steps", "reuse_updates")
     counts = {k: getattr(res, k) for k in keys}
-    curve = LearningCurve(to_db(mean_ratio), runs=res.ratio.shape[0])
+    curve = LearningCurve(to_db(mean_ratio), runs=sums.runs)
     params, _ = cfg.resolved_params()
     out = ExperimentResult(
         mode=cfg.mode,
@@ -443,8 +460,10 @@ def _aggregate(cfg: ExperimentConfig, res: EngineResult, n: int) -> ExperimentRe
         csv_columns={"nmsd_db": curve.values_db},
     )
     if cfg.censoring.active:
-        out.censor_overall = int(res.censored.sum()) / counts["main_steps"]
-        out.censor_steady = float(res.censored[:, max(n // 2, cfg.order):].mean())
+        steps = counts["main_steps"]
+        out.censor_overall = (steps - counts["main_updates"]) / steps
+        steady = sums.censored[max(cfg.n_samples // 2, cfg.order):]
+        out.censor_steady = int(steady.sum()) / (sums.runs * steady.size)
     if counts["reuse_steps"]:
         out.reuse_censor = 1.0 - counts["reuse_updates"] / counts["reuse_steps"]
     return out
@@ -482,32 +501,34 @@ def _run_trials(
     w_o: np.ndarray | None = None,
     source: np.ndarray | None = None,
     shifts: Sequence[tuple[int, int]] = (),
-    keep_errors: bool = False,
-) -> EngineResult:
+) -> tuple[EngineResult, RunSums]:
     """The one driver of every engine mode: all trials in one time-major batch.
 
     noise is the (input, output) pair; see _trial_provider for the rest.
+    Returns the engine result and the run sums of its output.
     """
     provider = _trial_provider(cfg, noise, w_o, source, shifts)
-    return run_engine(
+    sums = RunSums(cfg.mc_runs, cfg.n_samples)
+    res = run_engine(
         provider, cfg.n_samples, params, family, cfg.censoring, cfg.reuse,
-        provider.segments, keep_errors,
+        provider.segments, sums,
     )
+    return res, sums
 
 
 def run_sysid(cfg: ExperimentConfig) -> ExperimentResult:
     """Stationary system identification under the configured case."""
     cfg.validate()
-    res = _run_trials(cfg, *cfg.resolved_params(), case_spec(cfg.case_id))
-    return _aggregate(cfg, res, cfg.n_samples)
+    return _aggregate(cfg, *_run_trials(cfg, *cfg.resolved_params(), case_spec(cfg.case_id)))
 
 
 def run_tracking(cfg: ExperimentConfig) -> ExperimentResult:
     """System identification with a mid-run right shift of the truth."""
     cfg.validate()
     shifts = [(cfg.shift_time, cfg.shift_amount)] if cfg.shift_amount else []
-    res = _run_trials(cfg, *cfg.resolved_params(), case_spec(cfg.case_id), shifts=shifts)
-    return _aggregate(cfg, res, cfg.n_samples)
+    return _aggregate(
+        cfg, *_run_trials(cfg, *cfg.resolved_params(), case_spec(cfg.case_id), shifts=shifts)
+    )
 
 
 def load_aec_assets(cfg: ExperimentConfig) -> tuple[AecAssets, list[str]]:
@@ -581,13 +602,10 @@ def run_aec(
     params, family = cfg.algorithm.resolve(cfg.case_id, phi)
     if cfg.reuse.active and cfg.reuse.window_cap is None:
         raise ValueError("aec mode streams its history; reuse needs reuse.window set")
-    res = _run_trials(
-        cfg, params, family, (in_spec, out_spec), w_o=echo, source=far,
-        keep_errors=True,
-    )
-    out = _aggregate(cfg, res, cfg.n_samples)
+    res, sums = _run_trials(cfg, params, family, (in_spec, out_spec), w_o=echo, source=far)
+    out = _aggregate(cfg, res, sums)
     out.mode = "aec"
-    out.erle = erle_db(d_clean, res.errors)
+    out.erle = erle_db(d_clean * d_clean, sums.e2 / sums.runs, sums.runs)
     out.csv_columns = {"nmsd_db": out.curve.values_db, "erle_db": out.erle.values_db}
     out.notes.extend(notes)
     return out
@@ -639,7 +657,8 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
                 "laplace" if cfg.theory.output_family == "laplace" else "gaussian", s2
             ),
         )
-        sim_db = tail_mean_db(_run_trials(cfg, params, None, noise, w_o).ratio.mean(axis=0))
+        _, sums = _run_trials(cfg, params, None, noise, w_o)
+        sim_db = tail_mean_db(sums.ratio / sums.runs)
         rows.append(
             {
                 "label": f"{cfg.theory.output_family}, variance {s2:g}",

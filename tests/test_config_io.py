@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from rtga.censoring import CensorConfig
 from rtga.config import (
+    MODES,
+    AecConfig,
     AlgorithmConfig,
     ConfigError,
     ExperimentConfig,
+    SweepConfig,
+    TheoryConfig,
     build_config,
     read_config_file,
 )
@@ -35,6 +40,18 @@ def test_build_defaults_per_mode():
     assert (theory.n_samples, theory.mc_runs) == (30_000, 200)
     sweep = build_config("sweep", None, {})
     assert sweep.order == 2
+    # Every other default comes from the config dataclasses, in every mode.
+    for mode in MODES:
+        cfg = build_config(mode, None, {})
+        assert (cfg.shift_time, cfg.shift_amount) == (
+            ExperimentConfig.shift_time, ExperimentConfig.shift_amount,
+        )
+        assert (cfg.censoring.window, cfg.censoring.tau) == (
+            CensorConfig.window, CensorConfig.tau,
+        )
+        assert cfg.theory == TheoryConfig()
+        assert cfg.sweep == SweepConfig()
+        assert cfg.aec == AecConfig()
 
 
 def test_estimator_auto_rule():

@@ -7,14 +7,13 @@ import pytest
 
 from rtga.filters import (
     RtgaParams,
+    _suppression,
     gradient,
     limit_cost,
     limit_gradient,
-    limit_suppression_factor,
     norm2_bar,
     rtga_cost,
     rtga_gradient,
-    suppression_factor,
 )
 
 # Hand-derived from the closed form with a = -100, b = 2, c = 0.2, phi = 1,
@@ -151,14 +150,18 @@ def test_limit_family_equivalence():
 
 def test_suppression_factor_limits():
     p = params(a=-30.0, b=2.0, c=0.5)
+
+    def eb(et_abs):  # the coefficient's argument |e~|^b
+        return np.array([et_abs]) ** p.b
+
     # Large normalized error is suppressed toward zero; small error is not.
-    assert suppression_factor(np.array([50.0]), p)[0] < 1e-3
-    assert suppression_factor(np.array([1e-8]), p)[0] == pytest.approx(1.0, abs=1e-6)
-    assert limit_suppression_factor(np.array([3.0]), "tlmp", p)[0] == 1.0
-    assert limit_suppression_factor(np.array([3.0]), "exp", p)[0] == pytest.approx(
+    assert _suppression(eb(50.0), p, None)[0] < 1e-3
+    assert _suppression(eb(1e-8), p, None)[0] == pytest.approx(1.0, abs=1e-6)
+    assert _suppression(eb(3.0), p, "tlmp") == 1.0
+    assert _suppression(eb(3.0), p, "exp")[0] == pytest.approx(
         math.exp(-0.25 * 9.0), rel=1e-12
     )
-    assert limit_suppression_factor(np.array([3.0]), "ltls", p)[0] == pytest.approx(
+    assert _suppression(eb(3.0), p, "ltls")[0] == pytest.approx(
         1.0 / (1.0 + 0.25 * 9.0), rel=1e-12
     )
 

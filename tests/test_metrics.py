@@ -32,24 +32,28 @@ def test_tail_mean_is_linear_average():
 
 def test_smoothed_power_initializes_from_first_sample():
     x = np.array([2.0, 0.0, 0.0])
-    p = smoothed_power(x, rho=0.5)
+    p = smoothed_power(x * x, rho=0.5)
     np.testing.assert_allclose(p, [4.0, 2.0, 1.0])
 
 
 def test_erle_ratio_of_smoothed_powers():
     d = np.array([1.0, 1.0, 1.0, 1.0])
     e = np.array([1.0, 0.1, 0.1, 0.1])
-    curve = erle_db(d, e, rho=0.9)
+    curve = erle_db(d * d, e * e, rho=0.9)
     assert curve.values_db[0] == pytest.approx(0.0, abs=1e-12)
     assert np.all(np.diff(curve.values_db) > 0)
+    with pytest.raises(ValueError, match="share their length"):
+        erle_db(d * d, e[:3] * e[:3])
 
 
 def test_erle_multirun_averages_instantaneous_powers():
+    # The error power is averaged over the runs before smoothing.
     d = np.array([1.0, 1.0])
     e = np.array([[1.0, 0.1], [1.0, 0.3]])
-    curve = erle_db(d, e, rho=0.0)
+    curve = erle_db(d * d, (e * e).mean(axis=0), runs=2, rho=0.0)
     expected = 10 * np.log10(1.0 / np.mean([0.01, 0.09]))
     assert curve.values_db[1] == pytest.approx(expected, rel=1e-12)
+    assert curve.runs == 2
 
 
 def test_iterations_to_level():

@@ -14,8 +14,10 @@ from rtga.reuse import (
     undr_indices,
 )
 from rtga.noise import NoiseSpec
-from rtga.runner import ArrayProvider, StreamProvider, run_engine, run_streams
+from rtga.runner import ArrayProvider, StreamProvider, run_streams
 from rtga.signal_model import delay_line_matrix
+
+from keep_all import run_kept
 
 
 def test_idr_frozen_examples():
@@ -143,11 +145,11 @@ def test_reuse_pass_each_step_individually_censored():
     censor = CensorConfig(p_ce=0.7)
     d[0, L:L + censor.window] = 1e6
     cfg = ReuseConfig(scheme="idr", l_reused=3)
-    res = run_engine(ArrayProvider(x, d), n, params(), None, censor, cfg, segments)
+    res, kept = run_kept(ArrayProvider(x, d), n, params(), None, censor, cfg, segments)
     gated_from = L + censor.window  # the tracker is ready after `window` errors
     assert res.main_updates == censor.window
-    assert not res.censored[0, :gated_from].any()
-    assert res.censored[0, gated_from:].all()
+    assert not kept.censored[0, :gated_from].any()
+    assert kept.censored[0, gated_from:].all()
     gated = sum(len(schedule(cfg, i, L)) for i in range(gated_from, n))
     assert gated > 0
     assert res.reuse_steps - res.reuse_updates == gated
@@ -161,11 +163,11 @@ def test_reuse_pass_updates_when_scale_not_ready():
     n = L + censor.window - 1  # one error short of a ready tracker
     x, d, segments = _seeded_run(n, L)
     cfg = ReuseConfig(scheme="idr", l_reused=2)
-    res = run_engine(ArrayProvider(x, d), n, params(), None, censor, cfg, segments)
+    res, kept = run_kept(ArrayProvider(x, d), n, params(), None, censor, cfg, segments)
     assert res.reuse_steps == _reuse_steps(cfg, n, L) > 0
     assert res.reuse_updates == res.reuse_steps
     assert res.main_updates == res.main_steps == n - L
-    assert not res.censored.any()
+    assert not kept.censored.any()
 
 
 def test_executed_update_identity():
@@ -174,12 +176,12 @@ def test_executed_update_identity():
     x, d, segments = _seeded_run(n, L, seed=32, runs=runs)
     cfg = ReuseConfig(scheme="idr", l_reused=2)
     censor = CensorConfig(p_ce=0.5)
-    res = run_engine(
+    res, kept = run_kept(
         ArrayProvider(x, d), n, params(mu=0.01), None, censor, cfg, segments
     )
     assert res.main_steps == runs * (n - L)
     assert res.reuse_steps == runs * _reuse_steps(cfg, n, L)
-    c_main = np.count_nonzero(res.censored) / res.main_steps
+    c_main = np.count_nonzero(kept.censored) / res.main_steps
     c_reuse = 1.0 - res.reuse_updates / res.reuse_steps
     assert 0.0 < c_main < 1.0 and 0.0 < c_reuse < 1.0
     l_mean = res.reuse_steps / res.main_steps

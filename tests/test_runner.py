@@ -1,8 +1,11 @@
 """Experiment runner: engine semantics, seed layout, and the mode drivers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rtga import runner
 from rtga.censoring import CensorConfig, ScaleState, censor_decision, update_scale
 from rtga.config import AlgorithmConfig, ExperimentConfig, TheoryConfig
 from rtga.dataio import AecAssets, synth_echo_path
@@ -11,8 +14,10 @@ from rtga.metrics import iterations_to_level
 from rtga.noise import NoiseSpec, case_spec, sample_mixture_split
 from rtga.reuse import ReuseConfig, schedule
 from rtga.runner import (
+    DIVERGENCE_FACTOR,
     SWEEP_TRUTH,
     ArrayProvider,
+    RunSums,
     StreamProvider,
     _ScaleTracker,
     draw_true_weights,
@@ -26,6 +31,8 @@ from rtga.runner import (
     run_tracking,
 )
 from rtga.signal_model import delay_line_matrix, synthesize_eiv_arrays
+
+from keep_all import KeepAll, run_kept
 
 NO_CENSOR = CensorConfig(p_ce=0.0)
 NO_REUSE = ReuseConfig(scheme="none")
@@ -91,7 +98,7 @@ class TestEngineEquivalence:
         censor = CensorConfig(p_ce=0.5, estimator="robust_median")
         reuse = ReuseConfig(scheme="idr", l_reused=2)
 
-        res = run_engine(
+        res, kept = run_kept(
             ArrayProvider(x_tilde[None], d_tilde[None]), n, params, None,
             censor, reuse, [(0, n, wo[None])],
         )
@@ -101,8 +108,8 @@ class TestEngineEquivalence:
         )
 
         assert np.allclose(res.weights[0], w, rtol=0.0, atol=1e-13)
-        assert np.allclose(res.ratio[0], ratio, rtol=0.0, atol=1e-13)
-        assert np.array_equal(res.censored[0], cen_mask)
+        assert np.allclose(kept.ratio[0], ratio, rtol=0.0, atol=1e-13)
+        assert np.array_equal(kept.censored[0], cen_mask)
         assert res.main_steps == n - L
         assert res.main_updates == counts["main_updates"]
         assert res.reuse_steps == counts["reuse_steps"]
@@ -136,7 +143,7 @@ class TestEngineEquivalence:
         censor = CensorConfig(p_ce=0.5, estimator="robust_median")
         reuse = ReuseConfig(scheme="idr", l_reused=2)
 
-        res = run_engine(
+        res, kept = run_kept(
             ArrayProvider(X, D), n, params, family, censor, reuse, [(0, n, WO)],
         )
 
@@ -146,8 +153,8 @@ class TestEngineEquivalence:
                 X[r], D[r], WO[r], params, family, censor, reuse
             )
             assert np.allclose(res.weights[r], w, rtol=0.0, atol=1e-13)
-            assert np.allclose(res.ratio[r], ratio, rtol=0.0, atol=1e-13)
-            assert np.array_equal(res.censored[r], cen_mask)
+            assert np.allclose(kept.ratio[r], ratio, rtol=0.0, atol=1e-13)
+            assert np.array_equal(kept.censored[r], cen_mask)
             main_updates += counts["main_updates"]
             reuse_steps += counts["reuse_steps"]
             reuse_updates += counts["reuse_updates"]
@@ -164,7 +171,7 @@ class TestEngineEquivalence:
         params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=1e300, phi=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ArithmeticError, match=r"run\(s\) \[0\].*mu=1e\+300"):
-                run_engine(
+                run_kept(
                     ArrayProvider(x_tilde[None], d_tilde[None]), n, params, None,
                     NO_CENSOR, NO_REUSE, [(0, n, wo[None])],
                 )
@@ -182,7 +189,7 @@ class TestEngineEquivalence:
         censor = CensorConfig(p_ce=0.5)
         reuse = ReuseConfig(scheme="idr", l_reused=2)
         args = (params, None, censor, reuse, [(0, n, WO)])
-        calm = run_engine(ArrayProvider(X, D), n, *args)
+        _, calm = run_kept(ArrayProvider(X, D), n, *args)
         assert np.all(calm.ratio[:, -1] < 0.05)
 
         X[1] *= 1e3
@@ -191,7 +198,7 @@ class TestEngineEquivalence:
             with pytest.raises(
                 ArithmeticError, match=r"at iteration \d+ in run\(s\) \[1\];"
             ):
-                run_engine(ArrayProvider(X, D), n, *args)
+                run_kept(ArrayProvider(X, D), n, *args)
 
     def test_finite_divergence_named_among_several_runs(self):
         # The n2 = phi + |w|^2 normalization keeps this blown-up run finite
@@ -205,7 +212,7 @@ class TestEngineEquivalence:
         params = RtgaParams(a=-100.0, b=2.0, c=1.0, mu=0.05, phi=1.0)
         reuse = ReuseConfig(scheme="idr", l_reused=2)
         args = (params, "tlmp", NO_CENSOR, reuse, [(0, n, WO)])
-        calm = run_engine(ArrayProvider(X, D), n, *args)
+        _, calm = run_kept(ArrayProvider(X, D), n, *args)
         assert np.all(calm.ratio[:, -1] < 0.05)
 
         X[1] *= 1e3
@@ -213,18 +220,54 @@ class TestEngineEquivalence:
         with pytest.raises(
             ArithmeticError, match=r"^divergence at iteration \d+ in run\(s\) \[1\];"
         ):
-            run_engine(ArrayProvider(X, D), n, *args)
+            run_kept(ArrayProvider(X, D), n, *args)
+
+    def test_divergence_fails_fast(self, monkeypatch):
+        # The finite blow-up above, from sample 100 of a stream of ten
+        # 30-sample blocks: the engine raises at the end of the block in
+        # which run 1 first crosses the limit, naming the iteration that
+        # the whole curve names.
+        monkeypatch.setattr(runner, "_BLOCK", 30)
+        n, L = 300, 4
+        spec = NoiseSpec("gaussian", 0.1)
+        synth = [_synth_run(23, r, L, n, spec, spec) for r in range(3)]
+        WO = np.stack([s[0] for s in synth])
+        X = np.stack([s[1] for s in synth])
+        D = np.stack([s[2] for s in synth])
+        X[1, 100:] *= 1e3
+        D[1, 100:] *= 1e3
+        params = RtgaParams(a=-100.0, b=2.0, c=1.0, mu=0.05, phi=1.0)
+        reuse = ReuseConfig(scheme="idr", l_reused=2)
+        _, ratio, _, _ = _per_sample_run(X[1], D[1], WO[1], params, "tlmp", NO_CENSOR, reuse)
+        den = WO[1] @ WO[1]
+        over = ratio > DIVERGENCE_FACTOR * den / den
+        first = int(np.argmax(over))
+        assert over[first] and 90 <= first < 120
+
+        class Recording(ArrayProvider):
+            latest = -1
+
+            def step(self, i):
+                self.latest = i
+                return super().step(i)
+
+        provider = Recording(X, D)
+        with pytest.raises(
+            ArithmeticError, match=rf"^divergence at iteration {first} in run\(s\) \[1\];"
+        ):
+            run_engine(provider, n, params, "tlmp", NO_CENSOR, reuse, [(0, n, WO)], KeepAll())
+        assert provider.latest == (first // 30 + 1) * 30 - 1 < n - 1
 
     def test_noiseless_limit_filter_converges_monotonically(self):
         n, L = 800, 4
         zero = NoiseSpec("gaussian", 0.0)
         wo, x_tilde, d_tilde = _synth_run(11, 0, L, n, zero, zero)
         params = RtgaParams(a=-100.0, b=2.0, c=1.0, mu=0.05, phi=1.0)
-        res = run_engine(
+        _, kept = run_kept(
             ArrayProvider(x_tilde[None], d_tilde[None]), n, params, "tlmp",
             NO_CENSOR, NO_REUSE, [(0, n, wo[None])],
         )
-        curve = res.ratio[0]
+        curve = kept.ratio[0]
         upticks = np.diff(curve[L:])
         assert np.all(upticks <= 1e-12)
         assert curve[-1] < 1e-3 * curve[L]
@@ -240,13 +283,74 @@ class TestEngineEquivalence:
         x_tilde = x + 0.1 * rng.standard_normal((n, L))
         d_tilde = x @ wo + noise[0]
         params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.05, phi=1.0)
-        res = run_engine(
+        res, _ = run_kept(
             ArrayProvider(x_tilde[None], d_tilde[None]), n, params, None,
             NO_CENSOR, NO_REUSE, [(0, n, wo[None])],
         )
         w = res.weights[0]
         assert abs(w[0] - 1.0) < 0.15
         assert np.all(np.abs(w[1:]) < 0.15)
+
+
+class TestEngineBlocks:
+    """Block-wise engine output and the experiments' reduction of it."""
+
+    @pytest.mark.parametrize(
+        "block, widths", [(16, [16, 8, 16, 1]), (1, [1] * 41)], ids=["16", "1"]
+    )
+    def test_run_sums_add_in_mean_order(self, monkeypatch, block, widths):
+        # 12 runs; at width 16 the truth shifts inside the second block and
+        # the last block is one column wide. A one-column block is where a
+        # sum over the run axis leaves the order of mean(axis=0) (numpy
+        # sums a contiguous axis pairwise), so width 1 has only those. The
+        # run sums must equal the kept curves' means exactly.
+        monkeypatch.setattr(runner, "_BLOCK", block)
+        n, L, runs, shift = 41, 4, 12, 24
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((runs, n, L))
+        D = rng.standard_normal((runs, n))
+        WO = rng.standard_normal((runs, L))
+        segments = [(0, shift, WO), (shift, n, np.roll(WO, 1, axis=1))]
+        kept, sums = KeepAll(), RunSums(runs, n)
+
+        def both(*out):
+            kept(*out)
+            sums(*out)
+
+        params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.05, phi=1.0)
+        censor = CensorConfig(p_ce=0.5)
+        reuse = ReuseConfig(scheme="idr", l_reused=2)
+        run_engine(ArrayProvider(X, D), n, params, None, censor, reuse, segments, both)
+
+        assert [b[0].shape[1] for b in kept.blocks] == widths
+        assert np.array_equal(sums.ratio / runs, kept.ratio.mean(axis=0))
+        e = kept.errors
+        assert np.array_equal(sums.e2 / runs, (e * e).mean(axis=0))
+        assert np.array_equal(sums.censored, kept.censored.sum(axis=0))
+        assert sums.censored[-1] > 0
+
+    def test_memory_flat_in_stream_length(self, monkeypatch):
+        # The engine holds one block of per-run output whatever n is.
+        block, runs, L = 64, 8, 4
+        monkeypatch.setattr(runner, "_BLOCK", block)
+        params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.01, phi=1.0)
+        censor = CensorConfig(p_ce=0.5)
+        reuse = ReuseConfig(scheme="idr", l_reused=2)
+        peaks = []
+        for n in (4 * block, 16 * block):
+            rng = np.random.default_rng(n)
+            provider = ArrayProvider(
+                rng.standard_normal((runs, n, L)), rng.standard_normal((runs, n))
+            )
+            segments = [(0, n, rng.standard_normal((runs, L)))]
+            tracemalloc.start()
+            try:
+                run_engine(provider, n, params, None, censor, reuse, segments, lambda *b: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one_block = runs * block * (8 + 1 + 8)  # ratio, censor mask, error
+        assert peaks[1] - peaks[0] < one_block
 
 
 class TestScaleTracker:
@@ -306,8 +410,9 @@ class TestSeedLayout:
         assert np.all(res.curve.values_db[:9] == 0.0)
 
     def test_chunk_size_is_transparent(self, monkeypatch):
-        # Chunks of 1 and 37 samples cut across the delay line, the reuse
-        # window and the shift, in every mode the one driver serves.
+        # Provider chunks and engine blocks of 1 and 37 samples cut across
+        # the delay line, the reuse window and the shift, in every mode the
+        # one driver serves.
         common = dict(order=9, n_samples=500, mc_runs=3)
         proposed = dict(
             algorithm=AlgorithmConfig(name="proposed"),
@@ -330,8 +435,9 @@ class TestSeedLayout:
             )),
         ]
         whole = [run(cfg) for run, cfg in cases]
-        for chunk in (1, 37):
+        for chunk, block in ((1, 37), (37, 1)):
             monkeypatch.setattr(StreamProvider, "_CHUNK", chunk)
+            monkeypatch.setattr(runner, "_BLOCK", block)
             for (run, cfg), ref in zip(cases, whole):
                 split = run(cfg)
                 if cfg.mode == "theory":
