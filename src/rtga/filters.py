@@ -111,19 +111,21 @@ def _suppression(eb, p: RtgaParams, family: str | None):
     raise ValueError(f"unknown limit family {family!r}")
 
 
-def gradient_coefficient(e, n2, p: RtgaParams, family: str | None = None):
+def gradient_coefficient(e, n2, p: RtgaParams, family: str | None = None, q=None):
     """Per-run scalar k of the gradient -k (x~ e + (e^2 / n2) w).
 
     k = c f(|e~|) |e~|^(b-2) / n2, with e~ = e / sqrt(n2), n2 = phi + ||w||^2
     and f the suppression coefficient of the full shape (family None) or
     of an analytic limit. Both vectors of the gradient enter linearly, so
-    a batched update needs only this coefficient per run. Broadcasts e
-    against n2.
+    a batched update needs only this coefficient per run. q is |e~|^2 =
+    e^2 / n2 when the caller already has it; it is not modified. Broadcasts
+    e against n2.
     """
     if family is None:
         _check_a(p)
     e = np.asarray(e, dtype=float)
-    q = e * e / n2  # |e~|^2
+    if q is None:
+        q = e * e / n2  # |e~|^2
     if p.b == 2.0:
         return p.c * _suppression(q, p, family) / n2
     if p.b < 2.0:

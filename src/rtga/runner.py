@@ -5,7 +5,8 @@ state arrays carry a leading run axis and each iteration applies the
 reuse pass, the gated main update, and the error-scale update to all
 runs at once. Trial r derives every random stream from
 SeedSequence(base_seed + r), so results are independent of chunking and
-rerunning a config reproduces identical output bytes.
+of the groups merged into one pass, and rerunning a config reproduces
+identical output bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .censoring import MAD_FACTOR, CensorConfig
 from .config import ExperimentConfig
@@ -41,7 +43,12 @@ from .noise import NoiseSpec, case_spec
 # unused here; bench/spans.py patches this name when it times the noise draws
 from .noise import sample_mixture_split
 from .reuse import ReuseConfig, reach, schedule
-from .signal_model import delay_line_matrix, synthesize_eiv_arrays, wo_segments
+from .signal_model import (
+    clean_output,
+    delay_line_matrix,
+    synthesize_eiv_arrays,
+    wo_segments,
+)
 from .theory import TheoryInputs, steady_state_msd
 
 # Calibrated squared norm of the randomly drawn true weight vectors.
@@ -61,7 +68,8 @@ THEORY_ALPHA = {"gaussian": 2.0, "laplace": 2.0}
 # squared truth norm is reported as divergent.
 DIVERGENCE_FACTOR = 1e6
 
-# Columns of the engine's (runs, _BLOCK) per-run output buffers.
+# Columns of the engine's (runs, _BLOCK) per-run output buffers; a pass
+# that merges G groups of runs fills _BLOCK // G columns.
 _BLOCK = 512
 
 _STREAM_KEYS = ("u_base", "u_mask", "u_amp", "v_base", "v_mask", "v_amp")
@@ -154,13 +162,17 @@ class ArrayProvider:
 class StreamProvider:
     """Streams every run's noisy samples in time-major chunks.
 
-    segments is the piecewise truth [(start, end, (runs, L))], noise the
-    (input, output) pair and streams each run's (source, noise streams)
-    generators from run_streams; a source shared by every run replaces the
-    source draws. A chunk of at most _CHUNK samples ends at a segment
-    boundary, so it has one truth per run, and is synthesized per run with
-    the previous L-1 source samples carried in; chunked draws reproduce the
-    one-shot sequence. The latest `capacity` samples stay available to past().
+    segments is the piecewise truth [(start, end, (runs, L))], noise one
+    (input, output) pair per run and streams each run's (source, noise
+    streams) generators from run_streams; a source shared by every run
+    replaces the source draws. A pass that merges G groups of runs
+    streams chunks of at most _CHUNK // G samples, so its buffers hold
+    what one group's pass holds. A chunk ends at a segment boundary, so it
+    has one truth per run. A run's clean regressors are a view on one
+    reused delay line that holds the previous L-1 source samples and then
+    the chunk's, so chunked draws reproduce the one-shot sequence; with a
+    shared source and truth they and the clean output serve every run. The
+    latest `capacity` samples stay available to past().
     """
 
     _CHUNK = 1024
@@ -168,10 +180,11 @@ class StreamProvider:
     def __init__(
         self,
         segments: list[tuple[int, int, np.ndarray]],
-        noise: tuple[NoiseSpec, NoiseSpec],
+        noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
         streams: list[tuple[np.random.Generator, dict]],
         capacity: int,
         source: np.ndarray | None = None,
+        groups: int = 1,
     ):
         self.segments = segments
         self.noise = noise
@@ -179,20 +192,36 @@ class StreamProvider:
         self.source = source
         self.cap = capacity
         runs, L = segments[0][2].shape
-        rows = min(segments[-1][1], capacity - 1 + self._CHUNK)
-        self.x = np.empty((rows, runs, L))
-        self.d = np.empty((rows, runs))
-        self.carry = np.zeros((runs, L - 1))
+        n = segments[-1][1]
+        self.chunk = min(max(1, self._CHUNK // groups), n)
+        self.x = np.empty((min(n, capacity - 1 + self.chunk), runs, L))
+        self.d = np.empty((len(self.x), runs))
+        # the newest L-1 source samples of each run, oldest first
+        self.carry = np.zeros((runs if source is None else 1, L - 1))
+        self.line = np.empty(L - 1 + self.chunk)
+        self.windows = sliding_window_view(self.line, L)[:, ::-1]
         self._base = 0  # stream index of buffer row 0
         self._end = 0  # one past the last synthesized sample
         self._seg = 0
         self._latest = -1
 
+    def _regressors(self, carry: np.ndarray, src: np.ndarray) -> np.ndarray:
+        """Clean regressors of src after carry, a view on the delay line.
+
+        carry moves on to the newest L-1 samples; the view is valid until
+        the next call.
+        """
+        lag, m = carry.size, src.size
+        self.line[:lag] = carry
+        self.line[lag:lag + m] = src
+        carry[:] = self.line[m:m + lag]
+        return self.windows[:m]
+
     def _load(self, start: int) -> None:
         while start >= self.segments[self._seg][1]:
             self._seg += 1
         _, seg_end, w_seg = self.segments[self._seg]
-        end = min(start + self._CHUNK, seg_end)
+        end = min(start + self.chunk, seg_end)
         if end - self._base > len(self.x):
             # slide the reuse history to the front of the buffer
             keep = min(self.cap - 1, start)
@@ -201,18 +230,19 @@ class StreamProvider:
             self.d[:keep] = self.d[old]
             self._base = start - keep
         rows = slice(start - self._base, end - self._base)
+        d = None
+        if self.source is not None:
+            x = self._regressors(self.carry[0], self.source[start:end])
+            if (w_seg == w_seg[0]).all():
+                d = clean_output(x, w_seg[0])
         for r, (source_rng, noise_streams) in enumerate(self.streams):
             if self.source is None:
-                src = source_rng.standard_normal(end - start)
-            else:
-                src = self.source[start:end]
-            x, x_tilde, _, d_tilde = synthesize_eiv_arrays(
-                w_seg[r], src, *self.noise, noise_streams, carry=self.carry[r]
+                x = self._regressors(self.carry[r], source_rng.standard_normal(end - start))
+            _, x_tilde, _, d_tilde = synthesize_eiv_arrays(
+                w_seg[r], x, *self.noise[r], noise_streams, d
             )
             self.x[rows, r] = x_tilde
             self.d[rows, r] = d_tilde
-            # the last regressor holds the newest L-1 samples, newest first
-            self.carry[r] = x[-1, : self.carry.shape[1]][::-1]
         self._end = end
 
     def step(self, i: int):
@@ -250,6 +280,7 @@ def run_engine(
     reuse_cfg: ReuseConfig,
     segments: list[tuple[int, int, np.ndarray]],
     sink,
+    groups: Sequence[str] = (),
 ) -> EngineResult:
     """Run all trials in lockstep for n iterations.
 
@@ -259,19 +290,24 @@ def run_engine(
     iteration: scheduled reuse updates (each individually censored), then
     the gated main update, then the scale update on the main error.
 
-    Per-run output fills (runs, _BLOCK) buffers; a block ends when they are
-    full, at a segment end and at n. A run whose squared deviation then
-    exceeds DIVERGENCE_FACTOR times its largest squared truth norm raises
-    ArithmeticError; otherwise sink(start, ratio, censored, e) receives the
-    block's (runs, end - start) views, which the next block overwrites.
+    groups labels the G equal groups of runs that a merged pass holds, in
+    run order (none: one group). Per-run output fills (runs, _BLOCK // G)
+    buffers, so they hold what one group's pass holds; a block ends when
+    they are full, at a segment end and at n. A run whose squared deviation
+    then exceeds DIVERGENCE_FACTOR times its largest squared truth norm
+    raises ArithmeticError, which names the run by its group's label and
+    its index in the group; otherwise sink(start, ratio, censored, e)
+    receives the block's (runs, end - start) views, which the next block
+    overwrites.
     """
     runs, L = segments[0][2].shape
     W = np.zeros((runs, L))
     tracker = _ScaleTracker(runs, censor) if censor.active else None
     kappa = censor.kappa if censor.active else 0.0
-    ratio = np.empty((runs, _BLOCK))
-    cen_mask = np.empty((runs, _BLOCK), dtype=bool)
-    errors = np.empty((runs, _BLOCK))
+    width = max(1, _BLOCK // max(1, len(groups)))
+    ratio = np.empty((runs, width))
+    cen_mask = np.empty((runs, width), dtype=bool)
+    errors = np.empty((runs, width))
     mu, phi = params.mu, params.phi
     main_steps = main_censored = reuse_steps = reuse_censored = 0
     # Per-run scalars of one update: the two step coefficients, n2 and e^2.
@@ -290,13 +326,15 @@ def run_engine(
         e = d - np.einsum("rl,rl->r", W, x)
         np.add(np.einsum("rl,rl->r", W, W), phi, out=n2)
         np.multiply(e, e, out=e2)
-        k = mu * gradient(e, n2, params, family)
+        np.divide(e2, n2, out=step_w)  # |e~|^2, scaled by k below
+        k = mu * gradient(e, n2, params, family, step_w)
         np.multiply(k, e, out=step_x)
-        np.multiply(np.divide(e2, n2, out=step_w), k, out=step_w)
+        np.multiply(step_w, k, out=step_w)
         if not np.isfinite(scalars).all():
             bad = np.nonzero(~np.isfinite(scalars).all(axis=0))[0]
             raise ArithmeticError(
-                f"non-finite gradient at iteration {i} in run(s) {bad.tolist()}; "
+                f"non-finite gradient at iteration {i} in "
+                f"{_name_runs(bad, groups, runs)}; "
                 f"the step size is likely beyond the stable range (mu={mu})"
             )
         cen = None
@@ -314,8 +352,8 @@ def run_engine(
     for (seg_start, seg_end, seg_w), seg_den in zip(segments, dens):
         with np.errstate(divide="ignore", invalid="ignore"):
             blown = limit / seg_den
-        for start in range(seg_start, min(seg_end, n), _BLOCK):
-            end = min(start + _BLOCK, seg_end, n)
+        for start in range(seg_start, min(seg_end, n), width):
+            end = min(start + width, seg_end, n)
             cen_mask.fill(False)
             for j, i in enumerate(range(start, end)):
                 x_i, d_i = provider.step(i)
@@ -340,7 +378,7 @@ def run_engine(
                 dev = W - seg_w
                 ratio[:, j] = np.einsum("rl,rl->r", dev, dev) / seg_den
             block = slice(0, end - start)
-            _check_divergence(ratio[:, block], blown, start, mu)
+            _check_divergence(ratio[:, block], blown, start, mu, groups)
             main_censored += int(np.count_nonzero(cen_mask[:, block]))
             sink(start, ratio[:, block], cen_mask[:, block], errors[:, block])
     return EngineResult(
@@ -352,7 +390,19 @@ def run_engine(
     )
 
 
-def _check_divergence(ratio: np.ndarray, blown: np.ndarray, start: int, mu: float) -> None:
+def _name_runs(bad: np.ndarray, groups: Sequence[str], runs: int) -> str:
+    """The runs at indices bad of the run axis, by group when it is grouped."""
+    if not groups:
+        return f"run(s) {bad.tolist()}"
+    group, run = np.divmod(bad, runs // len(groups))
+    return ", ".join(
+        f"{groups[g]} run(s) {run[group == g].tolist()}" for g in np.unique(group)
+    )
+
+
+def _check_divergence(
+    ratio: np.ndarray, blown: np.ndarray, start: int, mu: float, groups: Sequence[str]
+) -> None:
     """Name the runs whose ratio in the block from `start` exceeds blown.
 
     The n2 = phi + |w|^2 normalization can keep a blown-up run finite.
@@ -360,33 +410,39 @@ def _check_divergence(ratio: np.ndarray, blown: np.ndarray, start: int, mu: floa
     over = ratio > blown[:, None]
     if over.any():
         first = start + int(np.argmax(over.any(axis=0)))
+        bad = np.nonzero(over.any(axis=1))[0]
         raise ArithmeticError(
-            f"divergence at iteration {first} in run(s) "
-            f"{np.nonzero(over.any(axis=1))[0].tolist()}; "
+            f"divergence at iteration {first} in "
+            f"{_name_runs(bad, groups, len(ratio))}; "
             f"|W - w_o|^2 exceeds {DIVERGENCE_FACTOR:g} times the run's largest "
             f"|w_o|^2, the step size is likely beyond the stable range (mu={mu})"
         )
 
 
 class RunSums:
-    """The experiments' sink: per-iteration run sums of the ratio and e^2.
+    """An experiment's sink: per-iteration run sums of the ratio (and e^2).
 
     Rows are added one run after another, the order of mean(axis=0) on a
     (runs, n) array, so the means are bit-identical; censored counts the
-    censored runs per iteration.
+    censored runs per iteration. The e^2 sums are kept only with errors
+    (e2 is None otherwise).
     """
 
-    def __init__(self, runs: int, n: int):
+    def __init__(self, runs: int, n: int, errors: bool = False):
         self.runs = runs
-        self.ratio, self.e2 = np.zeros(n), np.zeros(n)
+        self.ratio = np.zeros(n)
+        self.e2 = np.zeros(n) if errors else None
         self.censored = np.zeros(n, dtype=np.int64)
 
     def __call__(self, start: int, ratio, censored, e) -> None:
         cols = slice(start, start + ratio.shape[1])
-        ratio_sum, e2_sum = self.ratio[cols], self.e2[cols]
-        for ratio_row, e_row in zip(ratio, e):
+        ratio_sum = self.ratio[cols]
+        for ratio_row in ratio:
             ratio_sum += ratio_row
-            e2_sum += e_row * e_row
+        if self.e2 is not None:
+            e2_sum = self.e2[cols]
+            for e_row in e:
+                e2_sum += e_row * e_row
         self.censored[cols] = np.count_nonzero(censored, axis=0)
 
 
@@ -471,47 +527,66 @@ def _aggregate(cfg: ExperimentConfig, res: EngineResult, sums: RunSums) -> Exper
 
 def _trial_provider(
     cfg: ExperimentConfig,
-    noise: tuple[NoiseSpec, NoiseSpec],
+    noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
     w_o: np.ndarray | None = None,
     source: np.ndarray | None = None,
     shifts: Sequence[tuple[int, int]] = (),
 ) -> StreamProvider:
     """The provider of every trial, holding the reuse schedule's reach.
 
-    Trial r draws its truth from its system stream unless w_o is given, and
-    its source from its source stream unless a source shared by every run
-    is given; shifts is the truth's (time, right_shift) schedule.
+    noise holds one (input, output) pair per group of cfg.mc_runs trials;
+    trial r of every group roots at SeedSequence(base_seed + r). Trial r
+    draws its truth from its system stream unless w_o is given, and its
+    source from its source stream unless a source shared by every run is
+    given; shifts is the truth's (time, right_shift) schedule.
     """
-    n, L = cfg.n_samples, cfg.order
-    WO = np.empty((cfg.mc_runs, L))
+    n, L, runs = cfg.n_samples, cfg.order, cfg.mc_runs
+    WO = np.empty((len(noise) * runs, L))
     streams = []
-    for r in range(cfg.mc_runs):
-        system_rng, *trial_streams = run_streams(cfg.base_seed, r)
-        WO[r] = draw_true_weights(system_rng, L) if w_o is None else w_o
+    for k in range(len(WO)):
+        system_rng, *trial_streams = run_streams(cfg.base_seed, k % runs)
+        WO[k] = draw_true_weights(system_rng, L) if w_o is None else w_o
         streams.append(trial_streams)
     capacity = reach(cfg.reuse, n) + 1
-    return StreamProvider(wo_segments(WO, shifts, n), noise, streams, capacity, source)
+    return StreamProvider(
+        wo_segments(WO, shifts, n), [pair for pair in noise for _ in range(runs)],
+        streams, capacity, source, groups=len(noise),
+    )
 
 
 def _run_trials(
     cfg: ExperimentConfig,
     params: RtgaParams,
     family: str | None,
-    noise: tuple[NoiseSpec, NoiseSpec],
+    noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
     w_o: np.ndarray | None = None,
     source: np.ndarray | None = None,
     shifts: Sequence[tuple[int, int]] = (),
-) -> tuple[EngineResult, RunSums]:
+    labels: Sequence[str] = (),
+    errors: bool = False,
+) -> tuple[EngineResult, list[RunSums]]:
     """The one driver of every engine mode: all trials in one time-major batch.
 
-    noise is the (input, output) pair; see _trial_provider for the rest.
-    Returns the engine result and the run sums of its output.
+    noise holds one (input, output) pair per group of cfg.mc_runs trials,
+    all run in this one engine pass; labels names each group when there
+    are several. errors asks for the run sums of e^2. See _trial_provider
+    for the rest. Returns the engine result, whose counts cover every
+    group, and one RunSums per group.
     """
+    if len(noise) > 1 and len(labels) != len(noise):
+        raise ValueError("a merged pass needs one label per noise group")
+    runs = cfg.mc_runs
     provider = _trial_provider(cfg, noise, w_o, source, shifts)
-    sums = RunSums(cfg.mc_runs, cfg.n_samples)
+    sums = [RunSums(runs, cfg.n_samples, errors) for _ in noise]
+
+    def sink(start: int, ratio, censored, e) -> None:
+        for g, group_sums in enumerate(sums):
+            rows = slice(g * runs, (g + 1) * runs)
+            group_sums(start, ratio[rows], censored[rows], e[rows])
+
     res = run_engine(
         provider, cfg.n_samples, params, family, cfg.censoring, cfg.reuse,
-        provider.segments, sums,
+        provider.segments, sink, labels,
     )
     return res, sums
 
@@ -519,16 +594,18 @@ def _run_trials(
 def run_sysid(cfg: ExperimentConfig) -> ExperimentResult:
     """Stationary system identification under the configured case."""
     cfg.validate()
-    return _aggregate(cfg, *_run_trials(cfg, *cfg.resolved_params(), case_spec(cfg.case_id)))
+    res, (sums,) = _run_trials(cfg, *cfg.resolved_params(), [case_spec(cfg.case_id)])
+    return _aggregate(cfg, res, sums)
 
 
 def run_tracking(cfg: ExperimentConfig) -> ExperimentResult:
     """System identification with a mid-run right shift of the truth."""
     cfg.validate()
     shifts = [(cfg.shift_time, cfg.shift_amount)] if cfg.shift_amount else []
-    return _aggregate(
-        cfg, *_run_trials(cfg, *cfg.resolved_params(), case_spec(cfg.case_id), shifts=shifts)
+    res, (sums,) = _run_trials(
+        cfg, *cfg.resolved_params(), [case_spec(cfg.case_id)], shifts=shifts
     )
+    return _aggregate(cfg, res, sums)
 
 
 def load_aec_assets(cfg: ExperimentConfig) -> tuple[AecAssets, list[str]]:
@@ -602,7 +679,9 @@ def run_aec(
     params, family = cfg.algorithm.resolve(cfg.case_id, phi)
     if cfg.reuse.active and cfg.reuse.window_cap is None:
         raise ValueError("aec mode streams its history; reuse needs reuse.window set")
-    res, sums = _run_trials(cfg, params, family, (in_spec, out_spec), w_o=echo, source=far)
+    res, (sums,) = _run_trials(
+        cfg, params, family, [(in_spec, out_spec)], w_o=echo, source=far, errors=True
+    )
     out = _aggregate(cfg, res, sums)
     out.mode = "aec"
     out.erle = erle_db(d_clean * d_clean, sums.e2 / sums.runs, sums.runs)
@@ -630,7 +709,8 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
     noise power (the input side is always Gaussian; the output side
     follows theory.output_family). The simulated value is the tail
     average of a fixed-truth run with a unit-norm truth vector, so the
-    normalized deviation coincides with the MSD.
+    normalized deviation coincides with the MSD. Every variance's trials
+    run as one group of a single engine pass.
     """
     cfg.validate()
     params = theory_params(cfg)
@@ -639,8 +719,9 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
     alpha = cfg.theory.alpha
     if alpha is None:
         alpha = THEORY_ALPHA[cfg.theory.output_family]
-    rows = []
-    for s2 in cfg.theory.variances:
+    variances = cfg.theory.variances
+    theory = []
+    for s2 in variances:
         t = TheoryInputs(
             R=np.eye(L),
             w_o=w_o,
@@ -650,15 +731,14 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
             params=params,
             p_t=1.0 - cfg.censoring.p_ce,
         )
-        theory_db = float(to_db(steady_state_msd(t, params.mu)))
-        noise = (
-            NoiseSpec("gaussian", s2),
-            NoiseSpec(
-                "laplace" if cfg.theory.output_family == "laplace" else "gaussian", s2
-            ),
-        )
-        _, sums = _run_trials(cfg, params, None, noise, w_o)
-        sim_db = tail_mean_db(sums.ratio / sums.runs)
+        theory.append(float(to_db(steady_state_msd(t, params.mu))))
+    out_family = "laplace" if cfg.theory.output_family == "laplace" else "gaussian"
+    noise = [(NoiseSpec("gaussian", s2), NoiseSpec(out_family, s2)) for s2 in variances]
+    labels = [f"variance {s2:g}" for s2 in variances]
+    _, sums = _run_trials(cfg, params, None, noise, w_o, labels=labels)
+    rows = []
+    for s2, theory_db, group in zip(variances, theory, sums):
+        sim_db = tail_mean_db(group.ratio / group.runs)
         rows.append(
             {
                 "label": f"{cfg.theory.output_family}, variance {s2:g}",
@@ -693,7 +773,7 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     _, source_rng, streams = run_streams(cfg.base_seed, 0)
     src = source_rng.standard_normal(n)
     _, x_tilde, _, d_tilde = synthesize_eiv_arrays(
-        SWEEP_TRUTH, src, in_spec, out_spec, streams
+        SWEEP_TRUTH, delay_line_matrix(src, SWEEP_TRUTH.size), in_spec, out_spec, streams
     )
     axis = np.linspace(cfg.sweep.grid_min, cfg.sweep.grid_max, cfg.sweep.points)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")

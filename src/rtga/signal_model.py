@@ -51,46 +51,44 @@ def wo_segments(
     return segments
 
 
-def delay_line_matrix(
-    source: np.ndarray, order: int, carry: np.ndarray | None = None
-) -> np.ndarray:
+def delay_line_matrix(source: np.ndarray, order: int) -> np.ndarray:
     """Regressor matrix of a scalar source, newest sample first.
 
     Accepts (n,) or (runs, n) sources and returns (..., n, order). 'Row i'
-    is [s(i), s(i-1), ..., s(i-order+1)]. carry holds at most order-1
-    samples that precede source[0], oldest first; samples before those
-    are zero. Returned as a read-only strided view where possible; copy
-    before mutating.
+    is [s(i), s(i-1), ..., s(i-order+1)]; samples before s(0) are zero.
+    Returned as a read-only strided view where possible; copy before
+    mutating.
     """
     source = np.asarray(source, dtype=float)
-    if carry is None:
-        carry = np.zeros(source.shape[:-1] + (0,))
-    pad = np.zeros(source.shape[:-1] + (order - 1 - np.shape(carry)[-1],))
-    padded = np.concatenate([pad, carry, source], axis=-1)
+    pad = np.zeros(source.shape[:-1] + (order - 1,))
+    padded = np.concatenate([pad, source], axis=-1)
     windows = sliding_window_view(padded, order, axis=-1)
     return windows[..., ::-1]
 
 
+def clean_output(x: np.ndarray, w_o: np.ndarray) -> np.ndarray:
+    """Noiseless output x . w_o of regressors (..., n, L) and a truth (..., L)."""
+    return np.einsum("...nl,...l->...n", x, w_o)
+
+
 def synthesize_eiv_arrays(
     w_o: np.ndarray,
-    source: np.ndarray,
+    x: np.ndarray,
     input_spec: NoiseSpec,
     output_spec: NoiseSpec,
     streams: dict[str, np.random.Generator],
-    carry: np.ndarray | None = None,
+    d: np.ndarray | None = None,
 ):
-    """Vectorized EIV stream synthesis.
+    """Vectorized EIV stream synthesis on clean regressors.
 
-    source is (n,) or (runs, n); w_o is (order,) or (runs, order) matching
-    the leading source shape; carry is as in delay_line_matrix. streams
-    carries six generators keyed u_base/u_mask/u_amp/v_base/v_mask/v_amp so
-    that impulse components draw from dedicated substreams, and calls on
-    consecutive pieces of a source, each with its carry, reproduce one call
-    on the whole. Returns (x, x_tilde, d, d_tilde), regressors (..., n, order).
+    x is the clean regressor matrix (..., n, order), e.g. from
+    delay_line_matrix; w_o is (order,) or (runs, order) matching its
+    leading shape. d is the clean output clean_output(x, w_o) when the
+    caller already has it. streams carries six generators keyed
+    u_base/u_mask/u_amp/v_base/v_mask/v_amp so that impulse components
+    draw from dedicated substreams, and calls on consecutive pieces of a
+    stream reproduce one call on the whole. Returns (x, x_tilde, d, d_tilde).
     """
-    w_o = np.asarray(w_o, dtype=float)
-    order = w_o.shape[-1]
-    x = delay_line_matrix(source, order, carry)
     u = sample_mixture_split(
         input_spec,
         streams["u_base"],
@@ -99,7 +97,8 @@ def synthesize_eiv_arrays(
         x.shape,
     )
     x_tilde = x + u
-    d = np.einsum("...nl,...l->...n", x, w_o)
+    if d is None:
+        d = clean_output(x, np.asarray(w_o, dtype=float))
     v = sample_mixture_split(
         output_spec,
         streams["v_base"],

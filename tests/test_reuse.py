@@ -104,7 +104,7 @@ def test_history_ring_evicts_old_pairs(monkeypatch):
     x_clean = delay_line_matrix(source, L)
     d_clean = x_clean @ w_o
     provider = StreamProvider(
-        [(0, n, w_o[None])], (zero, zero), [run_streams(0, 0)[1:]], capacity=cap,
+        [(0, n, w_o[None])], [(zero, zero)], [run_streams(0, 0)[1:]], capacity=cap,
         source=source,
     )
     for i in range(20):

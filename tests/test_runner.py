@@ -1,11 +1,14 @@
 """Experiment runner: engine semantics, seed layout, and the mode drivers."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rtga import runner
+from rtga import runner, signal_model
 from rtga.censoring import CensorConfig, ScaleState, censor_decision, update_scale
 from rtga.config import AlgorithmConfig, ExperimentConfig, TheoryConfig
 from rtga.dataio import AecAssets, synth_echo_path
@@ -30,7 +33,7 @@ from rtga.runner import (
     run_theory_compare,
     run_tracking,
 )
-from rtga.signal_model import delay_line_matrix, synthesize_eiv_arrays
+from rtga.signal_model import clean_output, delay_line_matrix, synthesize_eiv_arrays
 
 from keep_all import KeepAll, run_kept
 
@@ -42,7 +45,9 @@ def _synth_run(seed, run, wo_order, n, in_spec, out_spec):
     system_rng, source_rng, streams = run_streams(seed, run)
     wo = draw_true_weights(system_rng, wo_order)
     src = source_rng.standard_normal(n)
-    x, x_tilde, d, d_tilde = synthesize_eiv_arrays(wo, src, in_spec, out_spec, streams)
+    x, x_tilde, d, d_tilde = synthesize_eiv_arrays(
+        wo, delay_line_matrix(src, wo_order), in_spec, out_spec, streams
+    )
     return wo, x_tilde, d_tilde
 
 
@@ -258,6 +263,42 @@ class TestEngineEquivalence:
             run_engine(provider, n, params, "tlmp", NO_CENSOR, reuse, [(0, n, WO)], KeepAll())
         assert provider.latest == (first // 30 + 1) * 30 - 1 < n - 1
 
+    @pytest.mark.parametrize(
+        "params, family, censor",
+        [
+            # a > b overflows the gradient; the finite blow-up of the test above
+            (RtgaParams(a=100.0, b=2.0, c=0.5, mu=0.01), None, CensorConfig(p_ce=0.5)),
+            (RtgaParams(a=-100.0, b=2.0, c=1.0, mu=0.05), "tlmp", NO_CENSOR),
+        ],
+        ids=["non-finite", "finite"],
+    )
+    def test_merged_divergence_named_by_group(self, params, family, censor):
+        # Two groups of 3 runs share one pass and only run 1 of the second
+        # blows up: the merged pass names it by its group's label and its
+        # index in the group, at the iteration its own pass names.
+        n, L = 300, 4
+        spec = NoiseSpec("gaussian", 0.1)
+        synth = [_synth_run(23, r, L, n, spec, spec) for r in range(3)]
+        WO = np.stack([s[0] for s in synth])
+        X = np.stack([s[1] for s in synth])
+        D = np.stack([s[2] for s in synth])
+        wild_X, wild_D = X.copy(), D.copy()
+        wild_X[1] *= 1e3
+        wild_D[1] *= 1e3
+        args = (params, family, censor, ReuseConfig(scheme="idr", l_reused=2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArithmeticError, match=r" in run\(s\) \[1\];") as alone:
+                run_kept(ArrayProvider(wild_X, wild_D), n, *args, [(0, n, WO)])
+            first = re.search(r"at iteration (\d+) in", str(alone.value)).group(1)
+            merged = ArrayProvider(np.concatenate([X, wild_X]), np.concatenate([D, wild_D]))
+            with pytest.raises(
+                ArithmeticError, match=rf"at iteration {first} in wild run\(s\) \[1\];"
+            ):
+                run_engine(
+                    merged, n, *args, [(0, n, np.concatenate([WO, WO]))], KeepAll(),
+                    ("calm", "wild"),
+                )
+
     def test_noiseless_limit_filter_converges_monotonically(self):
         n, L = 800, 4
         zero = NoiseSpec("gaussian", 0.0)
@@ -311,11 +352,12 @@ class TestEngineBlocks:
         D = rng.standard_normal((runs, n))
         WO = rng.standard_normal((runs, L))
         segments = [(0, shift, WO), (shift, n, np.roll(WO, 1, axis=1))]
-        kept, sums = KeepAll(), RunSums(runs, n)
+        kept, sums, plain = KeepAll(), RunSums(runs, n, errors=True), RunSums(runs, n)
 
         def both(*out):
             kept(*out)
             sums(*out)
+            plain(*out)
 
         params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.05, phi=1.0)
         censor = CensorConfig(p_ce=0.5)
@@ -328,6 +370,25 @@ class TestEngineBlocks:
         assert np.array_equal(sums.e2 / runs, (e * e).mean(axis=0))
         assert np.array_equal(sums.censored, kept.censored.sum(axis=0))
         assert sums.censored[-1] > 0
+        # without errors the sink keeps no e^2 sums and the same ratio sums
+        assert plain.e2 is None
+        assert np.array_equal(plain.ratio, sums.ratio)
+
+    def test_merged_pass_divides_the_block_width(self, monkeypatch):
+        # A pass of G groups fills _BLOCK // G columns (at least one), so
+        # its buffers hold what one group's pass holds.
+        monkeypatch.setattr(runner, "_BLOCK", 16)
+        n, L, runs = 30, 3, 6
+        rng = np.random.default_rng(9)
+        provider = ArrayProvider(
+            rng.standard_normal((runs, n, L)), rng.standard_normal((runs, n))
+        )
+        params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.05, phi=1.0)
+        segments = [(0, n, rng.standard_normal((runs, L)))]
+        for groups, widths in (((), [16, 14]), (("a", "b", "c"), [5] * 6), (("a",) * 6, [2] * 15)):
+            kept = KeepAll()
+            run_engine(provider, n, params, None, NO_CENSOR, NO_REUSE, segments, kept, groups)
+            assert [b[0].shape[1] for b in kept.blocks] == widths
 
     def test_memory_flat_in_stream_length(self, monkeypatch):
         # The engine holds one block of per-run output whatever n is.
@@ -429,6 +490,11 @@ class TestSeedLayout:
             (run_theory_compare, ExperimentConfig(
                 mode="theory", theory=TheoryConfig(variances=(0.1,)), **common,
             )),
+            # two variances in one pass: chunk and block 1 hit the max(1, .) floor
+            (run_theory_compare, ExperimentConfig(
+                mode="theory", theory=TheoryConfig(variances=(0.1, 0.02)),
+                reuse=ReuseConfig(scheme="idr", l_reused=2), **proposed, **common,
+            )),
             (lambda cfg: run_aec(cfg, assets), ExperimentConfig(
                 mode="aec", order=512, n_samples=1200, mc_runs=2,
                 reuse=ReuseConfig(scheme="idr", l_reused=2, window_cap=40), **proposed,
@@ -460,10 +526,12 @@ class TestStreamProvider:
         in_spec, out_spec = case_spec(case_id)
         rng = np.random.default_rng(case_id)
         shared = rng.standard_normal(n)
-        WO = rng.standard_normal((runs, L))
-        for source in (None, shared):
+        truths = rng.standard_normal((runs, L))
+        # a shared source and truth (as in AEC) share the clean output
+        one_truth = np.repeat(truths[:1], runs, axis=0)
+        for source, WO in ((None, truths), (shared, truths), (shared, one_truth)):
             provider = StreamProvider(
-                [(0, n, WO)], (in_spec, out_spec),
+                [(0, n, WO)], [(in_spec, out_spec)] * runs,
                 [run_streams(seed, r)[1:] for r in range(runs)], capacity=2,
                 source=source,
             )
@@ -479,7 +547,7 @@ class TestStreamProvider:
                     out_spec, s["v_base"], s["v_mask"], s["v_amp"], n
                 ))
                 d.append(synthesize_eiv_arrays(
-                    WO[r], src, in_spec, out_spec, run_streams(seed, r)[2]
+                    WO[r], x[-1], in_spec, out_spec, run_streams(seed, r)[2]
                 )[2])
             x_tilde = np.stack(x) + np.stack(u)
             d_tilde = np.stack(d) + np.stack(v)
@@ -487,6 +555,34 @@ class TestStreamProvider:
                 x_i, d_i = provider.step(i)
                 np.testing.assert_array_equal(x_i, x_tilde[:, i])
                 np.testing.assert_array_equal(d_i, d_tilde[:, i])
+
+    @pytest.mark.parametrize("shared_truth", [False, True])
+    def test_shared_clean_output_computed_once_per_chunk(self, monkeypatch, shared_truth):
+        # With one source and one truth for every run, each chunk's clean
+        # output is computed once, not once per run.
+        calls = []
+
+        def counting(x, w_o):
+            calls.append(len(x))
+            return clean_output(x, w_o)
+
+        monkeypatch.setattr(runner, "clean_output", counting)
+        monkeypatch.setattr(signal_model, "clean_output", counting)
+        n, L, runs = 2600, 4, 3
+        rng = np.random.default_rng(2)
+        WO = rng.standard_normal((runs, L))
+        if shared_truth:
+            WO[:] = WO[0]
+        zero = NoiseSpec("gaussian", 0.0)
+        provider = StreamProvider(
+            [(0, n, WO)], [(zero, zero)] * runs,
+            [run_streams(0, r)[1:] for r in range(runs)], capacity=1,
+            source=rng.standard_normal(n),
+        )
+        for i in range(n):
+            provider.step(i)
+        chunks = [1024, 1024, 552]
+        assert calls == (chunks if shared_truth else [c for c in chunks for _ in range(runs)])
 
 
 class TestTracking:
@@ -594,6 +690,73 @@ class TestTheoryAndSweep:
         assert results[0.02]["sim_db"] < results[0.05]["sim_db"]
         for row in results.values():
             assert abs(row["gap_db"]) < 2.0
+
+    @pytest.mark.parametrize(
+        "family, p_ce, reuse",
+        [
+            ("gaussian", 0.0, ReuseConfig(scheme="none")),
+            ("laplace", 0.0, ReuseConfig(scheme="none")),
+            ("gaussian", 0.5, ReuseConfig(scheme="idr", l_reused=2)),
+            ("laplace", 0.3, ReuseConfig(scheme="idr", l_reused=3, window_cap=50)),
+        ],
+        ids=["gaussian", "laplace", "gaussian-censor-idr", "laplace-censor-idr-window"],
+    )
+    def test_merged_variances_equal_separate_runs(self, monkeypatch, family, p_ce, reuse):
+        # Every variance's trials run as one group of a single engine pass,
+        # and each table row equals the row of a one-variance run.
+        variances = (0.1, 0.02, 0.5)
+        common = dict(
+            mode="theory", order=9, n_samples=700, mc_runs=4, base_seed=11,
+            censoring=CensorConfig(p_ce=p_ce), reuse=reuse,
+        )
+        alone = [
+            run_theory_compare(ExperimentConfig(
+                theory=TheoryConfig(variances=(s2,), output_family=family), **common
+            )).table[0]
+            for s2 in variances
+        ]
+        passes = []
+
+        def counting(*args):
+            passes.append(args[0])
+            return run_engine(*args)
+
+        monkeypatch.setattr(runner, "run_engine", counting)
+        merged = run_theory_compare(ExperimentConfig(
+            theory=TheoryConfig(variances=variances, output_family=family), **common
+        ))
+        assert len(passes) == 1
+        assert merged.table == alone
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        variances=st.lists(st.floats(0.001, 2.0), min_size=1, max_size=3),
+        runs=st.integers(1, 4),
+        chunk=st.integers(1, 64),
+        block=st.integers(1, 64),
+        family=st.sampled_from(["gaussian", "laplace"]),
+        reuse=st.integers(0, 2),
+    )
+    def test_merged_theory_is_batch_and_chunk_invariant(
+        self, variances, runs, chunk, block, family, reuse
+    ):
+        # The rows of a merged pass at any chunk and block size equal the
+        # rows of one-variance runs at the default sizes.
+        common = dict(
+            mode="theory", order=4, n_samples=150, mc_runs=runs, base_seed=runs,
+            censoring=CensorConfig(p_ce=0.3),
+            reuse=ReuseConfig(scheme="idr", l_reused=reuse) if reuse else ReuseConfig(scheme="none"),
+        )
+
+        def table(variances):
+            theory = TheoryConfig(variances=tuple(variances), output_family=family)
+            return run_theory_compare(ExperimentConfig(theory=theory, **common)).table
+
+        alone = [table([s2])[0] for s2 in variances]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(StreamProvider, "_CHUNK", chunk)
+            mp.setattr(runner, "_BLOCK", block)
+            assert table(variances) == alone
 
     def test_sweep_minimum_lands_on_truth(self):
         cfg = ExperimentConfig(mode="sweep", case_id=1, order=2, mc_runs=1)

@@ -83,14 +83,15 @@ def test_synthesize_arrays_respects_model():
     source = np.random.default_rng(5).standard_normal(30)
     in_spec = NoiseSpec("gaussian", 0.1)
     out_spec = NoiseSpec("gaussian", 0.1)
-    x, x_tilde, d, d_tilde = synthesize_eiv_arrays(w_o, source, in_spec, out_spec, streams)
+    X = delay_line_matrix(source, 2)
+    x, x_tilde, d, d_tilde = synthesize_eiv_arrays(w_o, X, in_spec, out_spec, streams)
     np.testing.assert_allclose(d, delay_line_matrix(source, 2) @ w_o, rtol=1e-13)
     np.testing.assert_array_equal(x, delay_line_matrix(source, 2))
     assert not np.array_equal(x, x_tilde)
     assert not np.array_equal(d, d_tilde)
     # Zero noise collapses the tilde streams onto the clean ones.
     z = NoiseSpec("gaussian", 0.0)
-    x, x_tilde, d, d_tilde = synthesize_eiv_arrays(w_o, source, z, z, streams)
+    x, x_tilde, d, d_tilde = synthesize_eiv_arrays(w_o, X, z, z, streams)
     np.testing.assert_array_equal(x, x_tilde)
     np.testing.assert_array_equal(d, d_tilde)
 
@@ -105,7 +106,9 @@ def test_input_noise_is_fresh_per_step():
     source = np.arange(1.0, 11.0)
     in_spec = NoiseSpec("gaussian", 0.5)
     out_spec = NoiseSpec("gaussian", 0.0)
-    x, x_tilde, _, _ = synthesize_eiv_arrays(w_o, source, in_spec, out_spec, streams)
+    x, x_tilde, _, _ = synthesize_eiv_arrays(
+        w_o, delay_line_matrix(source, 2), in_spec, out_spec, streams
+    )
     u = x_tilde - x
     # u[i, 1] is the noise on source[i-1]; u[i-1, 0] hit the same sample.
     assert not np.allclose(u[1:, 1], u[:-1, 0])
@@ -119,7 +122,7 @@ def test_synthesize_eiv_tracks_shift_schedule():
         mode="tracking", order=L, n_samples=n, mc_runs=2, shift_time=t, shift_amount=1,
     )
     zero = NoiseSpec("gaussian", 0.0)
-    provider = _trial_provider(cfg, (zero, zero), shifts=[(t, 1)])
+    provider = _trial_provider(cfg, [(zero, zero)], shifts=[(t, 1)])
     segs = provider.segments
     assert [(s, e) for s, e, _ in segs] == [(0, t), (t, n)]
     steps = [provider.step(i) for i in range(n)]
