@@ -51,6 +51,11 @@ class NoiseSpec:
     def total_variance(self) -> float:
         return self.variance + self.impulse_prob * self.impulse_variance
 
+    @property
+    def impulsive(self) -> bool:
+        """Whether draws add impulses (and read the mask and amplitude streams)."""
+        return self.impulse_prob > 0.0 and self.impulse_variance > 0.0
+
 
 def sample_ggd(alpha: float, sigma2: float, rng: np.random.Generator, size=None):
     """Draw zero-mean generalized Gaussian samples with variance sigma2.
@@ -74,8 +79,15 @@ def sample_ggd(alpha: float, sigma2: float, rng: np.random.Generator, size=None)
     return float(out) if size is None else out
 
 
-def _sample_base(spec: NoiseSpec, rng: np.random.Generator, size):
+def _sample_base(spec: NoiseSpec, rng: np.random.Generator, size, out=None):
     v = spec.variance
+    if out is not None:
+        if v > 0 and spec.family == "gaussian":
+            rng.standard_normal(out=out)
+            out *= math.sqrt(v)
+        else:
+            out[...] = _sample_base(spec, rng, out.shape)
+        return out
     if v == 0:
         return np.zeros(size if size is not None else ())
     if spec.family == "gaussian":
@@ -94,21 +106,27 @@ def _sample_base(spec: NoiseSpec, rng: np.random.Generator, size):
 def sample_mixture_split(
     spec: NoiseSpec,
     rng_base: np.random.Generator,
-    rng_mask: np.random.Generator,
-    rng_amp: np.random.Generator,
+    rng_mask: np.random.Generator | None,
+    rng_amp: np.random.Generator | None,
     size=None,
+    out: np.ndarray | None = None,
 ):
     """Mixture draw with dedicated generators per component.
 
     Separating the base/mask/amplitude streams keeps each stream's
     consumption independent of the others, so batched generation produces
-    the same numbers regardless of how the draws are grouped.
+    the same numbers regardless of how the draws are grouped. The mask and
+    amplitude generators are read only when spec.impulsive (None otherwise
+    is fine). With out, a C-contiguous float array, the draw of out.shape
+    is written there and out is returned.
     """
-    base = _sample_base(spec, rng_base, size)
-    if spec.impulse_prob > 0.0 and spec.impulse_variance > 0.0:
+    if out is not None:
+        size = out.shape
+    base = _sample_base(spec, rng_base, size, out)
+    if spec.impulsive:
         mask = rng_mask.random(size) < spec.impulse_prob
         amp = rng_amp.standard_normal(size) * math.sqrt(spec.impulse_variance)
-        base = base + np.where(mask, amp, 0.0)
+        base = np.add(base, np.where(mask, amp, 0.0), out=out)
     return float(base) if size is None else np.asarray(base)
 
 

@@ -12,6 +12,7 @@ identical output bytes.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -44,8 +45,8 @@ from .noise import NoiseSpec, case_spec
 from .noise import sample_mixture_split
 from .reuse import ReuseConfig, reach, schedule
 from .signal_model import (
-    clean_output,
     delay_line_matrix,
+    draw_eiv_noise,
     synthesize_eiv_arrays,
     wo_segments,
 )
@@ -75,21 +76,34 @@ _BLOCK = 512
 _STREAM_KEYS = ("u_base", "u_mask", "u_amp", "v_base", "v_mask", "v_amp")
 
 
-def run_streams(base_seed: int, r: int):
+def run_streams(base_seed: int, r: int, noise: tuple[NoiseSpec, NoiseSpec] | None = None):
     """Random generators for trial r: (system, source, noise streams).
 
     The per-run seed tree is part of the output contract: trial r roots at
     SeedSequence(base_seed + r), splits into a system stream (true weights)
     and a data stream, and the data stream splits into the source plus six
-    noise substreams.
+    noise substreams. Given the run's (input, output) noise pair, the
+    mask and amplitude generators of a side without impulses, which its
+    draws never read, are not built; the tree, and so every stream, stays
+    the same.
     """
     ss = np.random.SeedSequence(base_seed + r)
     system_ss, data_ss = ss.spawn(2)
-    kids = data_ss.spawn(1 + len(_STREAM_KEYS))
+    source_ss, *noise_ss = data_ss.spawn(1 + len(_STREAM_KEYS))
+    unread = set()
+    if noise is not None:
+        unread = {
+            f"{side}_{part}"
+            for side, spec in zip("uv", noise) if not spec.impulsive
+            for part in ("mask", "amp")
+        }
     return (
         np.random.default_rng(system_ss),
-        np.random.default_rng(kids[0]),
-        dict(zip(_STREAM_KEYS, map(np.random.default_rng, kids[1:]))),
+        np.random.default_rng(source_ss),
+        {
+            key: np.random.default_rng(seq)
+            for key, seq in zip(_STREAM_KEYS, noise_ss) if key not in unread
+        },
     )
 
 
@@ -160,22 +174,39 @@ class ArrayProvider:
 
 
 class StreamProvider:
-    """Streams every run's noisy samples in time-major chunks.
+    """Streams every run's noisy samples through a ring of time-major rows.
 
     segments is the piecewise truth [(start, end, (runs, L))], noise one
     (input, output) pair per run and streams each run's (source, noise
-    streams) generators from run_streams; a source shared by every run
-    replaces the source draws. A pass that merges G groups of runs
-    streams chunks of at most _CHUNK // G samples, so its buffers hold
-    what one group's pass holds. A chunk ends at a segment boundary, so it
-    has one truth per run. A run's clean regressors are a view on one
-    reused delay line that holds the previous L-1 source samples and then
-    the chunk's, so chunked draws reproduce the one-shot sequence; with a
-    shared source and truth they and the clean output serve every run. The
-    latest `capacity` samples stay available to past().
+    streams) generators from run_streams. A source shared by every run
+    replaces the source draws, and clean, its clean output when every run
+    shares the truth too, replaces the clean-output einsum.
+
+    The ring holds sample i in row i % rows of (rows, runs, L) regressors
+    and (rows, runs) outputs, rows = min(n, capacity - 1 + chunk), where a
+    pass that merges G groups of runs streams chunks of max(1, _CHUNK // G)
+    samples; the latest `capacity` samples stay available to past(). It is
+    filled piece by piece, and a piece ends at a segment boundary (so it
+    has one truth per run) and at the ring's end. Each run's source, input
+    and output noise draws go into a run-major scratch of _SCRATCH bytes,
+    for a batch of runs and samples at a time; the batch's delay line,
+    x~ = x + u, clean output and d~ = d + v are then written straight into
+    the ring. Draws into consecutive pieces reproduce the one-shot sequence,
+    so the samples do not depend on the chunk or the batch.
+
+    When a run draws at least _THREADED values per half chunk, a producer
+    thread fills the ring in half-chunk pieces, at most a chunk past the
+    start of the engine's piece, so it never overwrites a row that past()
+    may still serve; only that thread touches the runs' generators, and an
+    exception there is raised by the engine's next step() that waits on it.
+    Smaller fills run on the engine's thread a chunk at a time, since many
+    short producer calls would starve for the interpreter lock. close(), or
+    leaving a with-block, stops and joins the producer.
     """
 
     _CHUNK = 1024
+    _SCRATCH = 1 << 19
+    _THREADED = 4096
 
     def __init__(
         self,
@@ -184,72 +215,133 @@ class StreamProvider:
         streams: list[tuple[np.random.Generator, dict]],
         capacity: int,
         source: np.ndarray | None = None,
+        clean: np.ndarray | None = None,
         groups: int = 1,
     ):
         self.segments = segments
         self.noise = noise
         self.streams = streams
         self.source = source
+        self.clean = clean
         self.cap = capacity
         runs, L = segments[0][2].shape
         n = segments[-1][1]
         self.chunk = min(max(1, self._CHUNK // groups), n)
-        self.x = np.empty((min(n, capacity - 1 + self.chunk), runs, L))
-        self.d = np.empty((len(self.x), runs))
-        # the newest L-1 source samples of each run, oldest first
+        self.rows = min(n, capacity - 1 + self.chunk)
+        self.x = np.empty((self.rows, runs, L))
+        self.d = np.empty((self.rows, runs))
+        # values a run draws per sample: input and output noise, and source
+        per_sample = L + 1 + (source is None)
+        half = max(1, self.chunk // 2)
+        threaded = half * per_sample >= self._THREADED
+        piece = half if threaded else self.chunk
+        values = self._SCRATCH // 8
+        self.span = min(piece, max(1, values // per_sample))
+        self.batch = min(runs, max(1, values // (self.span * per_sample)))
+        self.u = np.empty((self.batch, self.span, L))
+        self.v = np.empty((self.batch, self.span))
+        # delay lines: the newest L-1 source samples, then the new ones
         self.carry = np.zeros((runs if source is None else 1, L - 1))
-        self.line = np.empty(L - 1 + self.chunk)
-        self.windows = sliding_window_view(self.line, L)[:, ::-1]
-        self._base = 0  # stream index of buffer row 0
-        self._end = 0  # one past the last synthesized sample
-        self._seg = 0
+        self.line = np.empty((self.batch if source is None else 1, L - 1 + self.span))
+        self.windows = sliding_window_view(self.line, L, axis=1)[:, :, ::-1]
+        self.pieces = []
+        for seg_start, seg_end, w_seg in segments:
+            a = seg_start
+            while a < seg_end:
+                b = min(a + piece, seg_end, (a // self.rows + 1) * self.rows)
+                self.pieces.append((a, b, w_seg))
+                a = b
+        self._next = 0  # the next piece the engine enters
+        self._mark = 0  # one past the last sample of the engine's piece
         self._latest = -1
+        self._cv = threading.Condition() if threaded else None
+        self._thread = None
+        self._pos = 0  # start of the engine's piece, as the producer sees it
+        self._ready = 0  # one past the last sample the producer wrote
+        self._error = None
+        self._stop = False
 
-    def _regressors(self, carry: np.ndarray, src: np.ndarray) -> np.ndarray:
-        """Clean regressors of src after carry, a view on the delay line.
+    def _fill(self, start: int, end: int, w_seg: np.ndarray) -> None:
+        """Synthesize samples [start, end), which lie in one segment, into the ring."""
+        lag = self.carry.shape[1]
+        runs = len(self.streams)
+        # equal spans of at most self.span samples
+        parts = -(-(end - start) // self.span)
+        span = -(-(end - start) // parts)
+        for t in range(start, end, span):
+            m = min(span, end - t)
+            rows = slice(t % self.rows, t % self.rows + m)
+            d = None
+            if self.source is not None:
+                self.line[0, :lag] = self.carry[0]
+                self.line[0, lag:lag + m] = self.source[t:t + m]
+                self.carry[0] = self.line[0, m:m + lag]
+                x = self.windows[0, :m]
+                if self.clean is not None:
+                    d = self.clean[t:t + m]
+            for r0 in range(0, runs, self.batch):
+                r1 = min(r0 + self.batch, runs)
+                k = r1 - r0
+                if self.source is None:
+                    self.line[:k, :lag] = self.carry[r0:r1]
+                for b, r in enumerate(range(r0, r1)):
+                    source_rng, streams = self.streams[r]
+                    if self.source is None:
+                        source_rng.standard_normal(out=self.line[b, lag:lag + m])
+                    draw_eiv_noise(*self.noise[r], streams, self.u[b, :m], self.v[b, :m])
+                if self.source is None:
+                    self.carry[r0:r1] = self.line[:k, m:m + lag]
+                    x = self.windows[:k, :m]
+                synthesize_eiv_arrays(
+                    w_seg[r0:r1], x, self.u[:k, :m], self.v[:k, :m], d,
+                    out=(self.x[rows, r0:r1].transpose(1, 0, 2), self.d[rows, r0:r1].T),
+                )
 
-        carry moves on to the newest L-1 samples; the view is valid until
-        the next call.
-        """
-        lag, m = carry.size, src.size
-        self.line[:lag] = carry
-        self.line[lag:lag + m] = src
-        carry[:] = self.line[m:m + lag]
-        return self.windows[:m]
+    def _produce(self) -> None:
+        """The producer thread: fill every piece, a chunk ahead at most."""
+        cv = self._cv
+        try:
+            for start, end, w_seg in self.pieces:
+                with cv:
+                    while end > self._pos + self.chunk and not self._stop:
+                        cv.wait()
+                    if self._stop:
+                        return
+                self._fill(start, end, w_seg)
+                with cv:
+                    self._ready = end
+                    cv.notify_all()
+        except BaseException as exc:  # raised again in the engine's thread
+            with cv:
+                self._error = exc
+                cv.notify_all()
 
-    def _load(self, start: int) -> None:
-        while start >= self.segments[self._seg][1]:
-            self._seg += 1
-        _, seg_end, w_seg = self.segments[self._seg]
-        end = min(start + self.chunk, seg_end)
-        if end - self._base > len(self.x):
-            # slide the reuse history to the front of the buffer
-            keep = min(self.cap - 1, start)
-            old = slice(start - keep - self._base, start - self._base)
-            self.x[:keep] = self.x[old]
-            self.d[:keep] = self.d[old]
-            self._base = start - keep
-        rows = slice(start - self._base, end - self._base)
-        d = None
-        if self.source is not None:
-            x = self._regressors(self.carry[0], self.source[start:end])
-            if (w_seg == w_seg[0]).all():
-                d = clean_output(x, w_seg[0])
-        for r, (source_rng, noise_streams) in enumerate(self.streams):
-            if self.source is None:
-                x = self._regressors(self.carry[r], source_rng.standard_normal(end - start))
-            _, x_tilde, _, d_tilde = synthesize_eiv_arrays(
-                w_seg[r], x, *self.noise[r], noise_streams, d
-            )
-            self.x[rows, r] = x_tilde
-            self.d[rows, r] = d_tilde
-        self._end = end
+    def _enter_piece(self) -> None:
+        """Make the engine's next piece ready: fill it, or wait for the producer."""
+        start, end, w_seg = self.pieces[self._next]
+        self._next += 1
+        self._mark = end
+        cv = self._cv
+        if cv is None:
+            self._fill(start, end, w_seg)
+            return
+        if self._thread is None and not self._stop:
+            self._thread = threading.Thread(target=self._produce, daemon=True)
+            self._thread.start()
+        with cv:
+            self._pos = start
+            cv.notify_all()
+            while self._ready < end and self._error is None and not self._stop:
+                cv.wait()
+            if self._ready < end:
+                raise self._error or RuntimeError("the stream provider is closed")
 
     def step(self, i: int):
-        if i >= self._end:
-            self._load(i)
+        while i >= self._mark:
+            self._enter_piece()
         self._latest = i
-        return self.x[i - self._base], self.d[i - self._base]
+        row = i % self.rows
+        return self.x[row], self.d[row]
 
     def past(self, idx: int):
         if not max(0, self._latest - self.cap + 1) <= idx <= self._latest:
@@ -257,7 +349,23 @@ class StreamProvider:
                 f"history gap: index {idx} outside the stored history "
                 f"(latest {self._latest}, capacity {self.cap})"
             )
-        return self.x[idx - self._base], self.d[idx - self._base]
+        row = idx % self.rows
+        return self.x[row], self.d[row]
+
+    def close(self) -> None:
+        """Stop and join the producer thread, if one runs."""
+        self._stop = True
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            with self._cv:
+                self._cv.notify_all()
+            thread.join()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 @dataclass
@@ -531,6 +639,7 @@ def _trial_provider(
     w_o: np.ndarray | None = None,
     source: np.ndarray | None = None,
     shifts: Sequence[tuple[int, int]] = (),
+    clean: np.ndarray | None = None,
 ) -> StreamProvider:
     """The provider of every trial, holding the reuse schedule's reach.
 
@@ -538,19 +647,21 @@ def _trial_provider(
     trial r of every group roots at SeedSequence(base_seed + r). Trial r
     draws its truth from its system stream unless w_o is given, and its
     source from its source stream unless a source shared by every run is
-    given; shifts is the truth's (time, right_shift) schedule.
+    given, with clean its clean output through w_o; shifts is the truth's
+    (time, right_shift) schedule.
     """
     n, L, runs = cfg.n_samples, cfg.order, cfg.mc_runs
     WO = np.empty((len(noise) * runs, L))
+    pairs = [pair for pair in noise for _ in range(runs)]
     streams = []
-    for k in range(len(WO)):
-        system_rng, *trial_streams = run_streams(cfg.base_seed, k % runs)
+    for k, pair in enumerate(pairs):
+        system_rng, *trial_streams = run_streams(cfg.base_seed, k % runs, pair)
         WO[k] = draw_true_weights(system_rng, L) if w_o is None else w_o
         streams.append(trial_streams)
     capacity = reach(cfg.reuse, n) + 1
     return StreamProvider(
-        wo_segments(WO, shifts, n), [pair for pair in noise for _ in range(runs)],
-        streams, capacity, source, groups=len(noise),
+        wo_segments(WO, shifts, n), pairs, streams, capacity, source, clean,
+        groups=len(noise),
     )
 
 
@@ -564,6 +675,7 @@ def _run_trials(
     shifts: Sequence[tuple[int, int]] = (),
     labels: Sequence[str] = (),
     errors: bool = False,
+    clean: np.ndarray | None = None,
 ) -> tuple[EngineResult, list[RunSums]]:
     """The one driver of every engine mode: all trials in one time-major batch.
 
@@ -576,7 +688,6 @@ def _run_trials(
     if len(noise) > 1 and len(labels) != len(noise):
         raise ValueError("a merged pass needs one label per noise group")
     runs = cfg.mc_runs
-    provider = _trial_provider(cfg, noise, w_o, source, shifts)
     sums = [RunSums(runs, cfg.n_samples, errors) for _ in noise]
 
     def sink(start: int, ratio, censored, e) -> None:
@@ -584,10 +695,11 @@ def _run_trials(
             rows = slice(g * runs, (g + 1) * runs)
             group_sums(start, ratio[rows], censored[rows], e[rows])
 
-    res = run_engine(
-        provider, cfg.n_samples, params, family, cfg.censoring, cfg.reuse,
-        provider.segments, sink, labels,
-    )
+    with _trial_provider(cfg, noise, w_o, source, shifts, clean) as provider:
+        res = run_engine(
+            provider, cfg.n_samples, params, family, cfg.censoring, cfg.reuse,
+            provider.segments, sink, labels,
+        )
     return res, sums
 
 
@@ -680,7 +792,8 @@ def run_aec(
     if cfg.reuse.active and cfg.reuse.window_cap is None:
         raise ValueError("aec mode streams its history; reuse needs reuse.window set")
     res, (sums,) = _run_trials(
-        cfg, params, family, [(in_spec, out_spec)], w_o=echo, source=far, errors=True
+        cfg, params, family, [(in_spec, out_spec)], w_o=echo, source=far, errors=True,
+        clean=d_clean,
     )
     out = _aggregate(cfg, res, sums)
     out.mode = "aec"
@@ -770,11 +883,11 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     params, family = cfg.resolved_params(require_mu=False)
     in_spec, out_spec = case_spec(cfg.case_id)
     n = cfg.sweep.draws
-    _, source_rng, streams = run_streams(cfg.base_seed, 0)
-    src = source_rng.standard_normal(n)
-    _, x_tilde, _, d_tilde = synthesize_eiv_arrays(
-        SWEEP_TRUTH, delay_line_matrix(src, SWEEP_TRUTH.size), in_spec, out_spec, streams
-    )
+    _, source_rng, streams = run_streams(cfg.base_seed, 0, (in_spec, out_spec))
+    x = delay_line_matrix(source_rng.standard_normal(n), SWEEP_TRUTH.size)
+    u, v = np.empty(x.shape), np.empty(n)
+    draw_eiv_noise(in_spec, out_spec, streams, u, v)
+    _, x_tilde, _, d_tilde = synthesize_eiv_arrays(SWEEP_TRUTH, x, u, v)
     axis = np.linspace(cfg.sweep.grid_min, cfg.sweep.grid_max, cfg.sweep.points)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     Wg = np.column_stack([g1.ravel(), g2.ravel()])

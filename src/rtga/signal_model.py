@@ -71,39 +71,49 @@ def clean_output(x: np.ndarray, w_o: np.ndarray) -> np.ndarray:
     return np.einsum("...nl,...l->...n", x, w_o)
 
 
-def synthesize_eiv_arrays(
-    w_o: np.ndarray,
-    x: np.ndarray,
+def draw_eiv_noise(
     input_spec: NoiseSpec,
     output_spec: NoiseSpec,
     streams: dict[str, np.random.Generator],
+    u: np.ndarray,
+    v: np.ndarray,
+) -> None:
+    """One run's input noise into u and output noise into v, in place.
+
+    streams carries the run's generators keyed u_base/u_mask/u_amp and
+    v_base/v_mask/v_amp; a side without impulses needs no mask or amplitude
+    generator. Impulse components draw from dedicated substreams, so draws
+    into consecutive pieces of a stream reproduce one draw of the whole.
+    u and v are C-contiguous, e.g. (n, order) and (n,).
+    """
+    sample_mixture_split(
+        input_spec, streams["u_base"], streams.get("u_mask"), streams.get("u_amp"), out=u
+    )
+    sample_mixture_split(
+        output_spec, streams["v_base"], streams.get("v_mask"), streams.get("v_amp"), out=v
+    )
+
+
+def synthesize_eiv_arrays(
+    w_o: np.ndarray,
+    x: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
     d: np.ndarray | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """Vectorized EIV stream synthesis on clean regressors.
+    """EIV samples from clean regressors and drawn noise.
 
     x is the clean regressor matrix (..., n, order), e.g. from
-    delay_line_matrix; w_o is (order,) or (runs, order) matching its
-    leading shape. d is the clean output clean_output(x, w_o) when the
-    caller already has it. streams carries six generators keyed
-    u_base/u_mask/u_amp/v_base/v_mask/v_amp so that impulse components
-    draw from dedicated substreams, and calls on consecutive pieces of a
-    stream reproduce one call on the whole. Returns (x, x_tilde, d, d_tilde).
+    delay_line_matrix, u the input noise and v the output noise, shaped
+    like x and like the clean output; w_o is (order,) or (..., order) and
+    broadcasts against x's leading shape, as x does against u's. d is the
+    clean output clean_output(x, w_o) when the caller already has it. out
+    is an (x_tilde, d_tilde) pair of arrays, or views, to write the noisy
+    samples into. Returns (x, x_tilde, d, d_tilde).
     """
-    u = sample_mixture_split(
-        input_spec,
-        streams["u_base"],
-        streams["u_mask"],
-        streams["u_amp"],
-        x.shape,
-    )
-    x_tilde = x + u
+    x_tilde, d_tilde = (None, None) if out is None else out
+    x_tilde = np.add(x, u, out=x_tilde)
     if d is None:
         d = clean_output(x, np.asarray(w_o, dtype=float))
-    v = sample_mixture_split(
-        output_spec,
-        streams["v_base"],
-        streams["v_mask"],
-        streams["v_amp"],
-        d.shape,
-    )
-    return x, x_tilde, d, d + v
+    return x, x_tilde, d, np.add(d, v, out=d_tilde)

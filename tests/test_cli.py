@@ -1,8 +1,10 @@
 """Command-line interface: flags, config files, exit codes, CSV output."""
 
+import threading
+
 import pytest
 
-from rtga import cli
+from rtga import cli, runner
 from rtga.cli import main
 
 FAST = ["--runs", "2", "--samples", "300", "--seed", "1"]
@@ -92,6 +94,23 @@ def test_out_of_memory_exits_1(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate 576. MiB")
     assert "Traceback" not in err
+
+
+def test_fault_in_producer_thread_exits_1(monkeypatch, capsys):
+    # AEC's 512-tap fill runs on the provider's producer thread; a fault
+    # there reaches the engine's thread and exits like any runtime error.
+    threads = []
+
+    def failing(*args, **kwargs):
+        threads.append(threading.current_thread())
+        raise MemoryError("Unable to allocate 2.00 MiB for an array")
+
+    monkeypatch.setattr(runner, "synthesize_eiv_arrays", failing)
+    assert main(["aec", "--runs", "2", "--samples", "1200", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 2.00 MiB")
+    assert "Traceback" not in err
+    assert threads and threading.main_thread() not in threads
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -93,10 +93,10 @@ def test_reach_bounds_every_schedule():
 
 
 def test_history_ring_evicts_old_pairs(monkeypatch):
-    # The provider keeps the most recent `capacity` samples. With 19-sample
-    # chunks, sample 19 opens the second chunk, so the provider must slide
-    # the 4 samples before it to the front of its buffer.
-    monkeypatch.setattr(StreamProvider, "_CHUNK", 19)
+    # The provider keeps the most recent `capacity` samples. With 8-sample
+    # chunks its ring holds 4 + 8 = 12 rows, so samples 12-19 overwrite
+    # rows 0-7 and the history of sample 19 lies past the ring's first end.
+    monkeypatch.setattr(StreamProvider, "_CHUNK", 8)
     n, L, cap = 40, 3, 5
     zero = NoiseSpec("gaussian", 0.0)
     source = np.arange(1.0, n + 1.0)

@@ -1,7 +1,9 @@
 """Experiment runner: engine semantics, seed layout, and the mode drivers."""
 
 import re
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +35,12 @@ from rtga.runner import (
     run_theory_compare,
     run_tracking,
 )
-from rtga.signal_model import clean_output, delay_line_matrix, synthesize_eiv_arrays
+from rtga.signal_model import (
+    clean_output,
+    delay_line_matrix,
+    draw_eiv_noise,
+    synthesize_eiv_arrays,
+)
 
 from keep_all import KeepAll, run_kept
 
@@ -44,10 +51,10 @@ NO_REUSE = ReuseConfig(scheme="none")
 def _synth_run(seed, run, wo_order, n, in_spec, out_spec):
     system_rng, source_rng, streams = run_streams(seed, run)
     wo = draw_true_weights(system_rng, wo_order)
-    src = source_rng.standard_normal(n)
-    x, x_tilde, d, d_tilde = synthesize_eiv_arrays(
-        wo, delay_line_matrix(src, wo_order), in_spec, out_spec, streams
-    )
+    x = delay_line_matrix(source_rng.standard_normal(n), wo_order)
+    u, v = np.empty(x.shape), np.empty(n)
+    draw_eiv_noise(in_spec, out_spec, streams, u, v)
+    _, x_tilde, _, d_tilde = synthesize_eiv_arrays(wo, x, u, v)
     return wo, x_tilde, d_tilde
 
 
@@ -473,7 +480,9 @@ class TestSeedLayout:
     def test_chunk_size_is_transparent(self, monkeypatch):
         # Provider chunks and engine blocks of 1 and 37 samples cut across
         # the delay line, the reuse window and the shift, in every mode the
-        # one driver serves.
+        # one driver serves. With 100-sample chunks AEC's 40-sample window
+        # makes a 140-row ring, so the chunk from sample 100 wraps past the
+        # ring's end into row 0.
         common = dict(order=9, n_samples=500, mc_runs=3)
         proposed = dict(
             algorithm=AlgorithmConfig(name="proposed"),
@@ -501,7 +510,7 @@ class TestSeedLayout:
             )),
         ]
         whole = [run(cfg) for run, cfg in cases]
-        for chunk, block in ((1, 37), (37, 1)):
+        for chunk, block in ((1, 37), (37, 1), (100, 64)):
             monkeypatch.setattr(StreamProvider, "_CHUNK", chunk)
             monkeypatch.setattr(runner, "_BLOCK", block)
             for (run, cfg), ref in zip(cases, whole):
@@ -527,13 +536,16 @@ class TestStreamProvider:
         rng = np.random.default_rng(case_id)
         shared = rng.standard_normal(n)
         truths = rng.standard_normal((runs, L))
-        # a shared source and truth (as in AEC) share the clean output
+        # a shared source and truth (as in AEC) come with their clean output
         one_truth = np.repeat(truths[:1], runs, axis=0)
-        for source, WO in ((None, truths), (shared, truths), (shared, one_truth)):
+        echo = clean_output(delay_line_matrix(shared, L), truths[0])
+        for source, WO, clean in (
+            (None, truths, None), (shared, truths, None), (shared, one_truth, echo),
+        ):
             provider = StreamProvider(
                 [(0, n, WO)], [(in_spec, out_spec)] * runs,
                 [run_streams(seed, r)[1:] for r in range(runs)], capacity=2,
-                source=source,
+                source=source, clean=clean,
             )
             x, u, d, v = [], [], [], []
             for r in range(runs):
@@ -546,43 +558,125 @@ class TestStreamProvider:
                 v.append(sample_mixture_split(
                     out_spec, s["v_base"], s["v_mask"], s["v_amp"], n
                 ))
-                d.append(synthesize_eiv_arrays(
-                    WO[r], x[-1], in_spec, out_spec, run_streams(seed, r)[2]
-                )[2])
+                d.append(clean_output(x[-1], WO[r]))
             x_tilde = np.stack(x) + np.stack(u)
             d_tilde = np.stack(d) + np.stack(v)
-            for i in range(n):
-                x_i, d_i = provider.step(i)
-                np.testing.assert_array_equal(x_i, x_tilde[:, i])
-                np.testing.assert_array_equal(d_i, d_tilde[:, i])
+            with provider:
+                for i in range(n):
+                    x_i, d_i = provider.step(i)
+                    np.testing.assert_array_equal(x_i, x_tilde[:, i])
+                    np.testing.assert_array_equal(d_i, d_tilde[:, i])
 
     @pytest.mark.parametrize("shared_truth", [False, True])
     def test_shared_clean_output_computed_once_per_chunk(self, monkeypatch, shared_truth):
-        # With one source and one truth for every run, each chunk's clean
-        # output is computed once, not once per run.
+        # With one source and one truth for every run, the caller hands the
+        # provider their clean output and the provider computes none; with
+        # a truth per run it computes each run's clean output once.
         calls = []
 
         def counting(x, w_o):
-            calls.append(len(x))
-            return clean_output(x, w_o)
+            out = clean_output(x, w_o)
+            calls.append(out.size)
+            return out
 
-        monkeypatch.setattr(runner, "clean_output", counting)
         monkeypatch.setattr(signal_model, "clean_output", counting)
         n, L, runs = 2600, 4, 3
         rng = np.random.default_rng(2)
         WO = rng.standard_normal((runs, L))
+        source = rng.standard_normal(n)
+        clean = None
         if shared_truth:
             WO[:] = WO[0]
+            clean = clean_output(delay_line_matrix(source, L), WO[0])
         zero = NoiseSpec("gaussian", 0.0)
-        provider = StreamProvider(
+        with StreamProvider(
             [(0, n, WO)], [(zero, zero)] * runs,
             [run_streams(0, r)[1:] for r in range(runs)], capacity=1,
-            source=rng.standard_normal(n),
+            source=source, clean=clean,
+        ) as provider:
+            for i in range(n):
+                provider.step(i)
+        assert sum(calls) == (0 if shared_truth else n * runs)
+
+
+def _kept_rows(cfg):
+    """Each run's ratio row and the update counts of a sysid or tracking pass."""
+    params, family = cfg.resolved_params()
+    shifts = [(cfg.shift_time, cfg.shift_amount)] if cfg.mode == "tracking" else []
+    with runner._trial_provider(cfg, [case_spec(cfg.case_id)], shifts=shifts) as provider:
+        res, kept = run_kept(
+            provider, cfg.n_samples, params, family, cfg.censoring, cfg.reuse,
+            provider.segments,
         )
-        for i in range(n):
-            provider.step(i)
-        chunks = [1024, 1024, 552]
-        assert calls == (chunks if shared_truth else [c for c in chunks for _ in range(runs)])
+    counts = (res.main_steps, res.main_updates, res.reuse_steps, res.reuse_updates)
+    return kept.ratio, counts
+
+
+class TestProducerThread:
+    """The producer thread fills the ring, and it ends with its pass."""
+
+    @pytest.mark.parametrize("ending", ["normal", "divergence", "fault"])
+    def test_pass_leaves_no_thread_behind(self, monkeypatch, ending):
+        # The blow-up of test_divergence_fails_fast, from noise of variance
+        # 1e6 on both sides: the engine raises while the producer waits for
+        # it. The fault hits the producer's third fill, mid-stream.
+        cfg = ExperimentConfig(
+            mode="sysid", order=9, n_samples=3000, mc_runs=3,
+            reuse=ReuseConfig(scheme="idr", l_reused=2),
+        )
+        params = RtgaParams(a=-100.0, b=2.0, c=1.0, mu=0.05, phi=1.0)
+        spec = NoiseSpec("gaussian", 1e6 if ending == "divergence" else 0.1)
+        fills = []
+        synthesize = runner.synthesize_eiv_arrays
+
+        def recording(*args, **kwargs):
+            fills.append(threading.current_thread())
+            if ending == "fault" and len(fills) == 3:
+                raise MemoryError("Unable to allocate 2.00 MiB for an array")
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "synthesize_eiv_arrays", recording)
+        before = threading.active_count()
+        run = lambda: runner._run_trials(cfg, params, "tlmp", [(spec, spec)])  # noqa: E731
+        if ending == "normal":
+            run()
+        else:
+            error = ArithmeticError if ending == "divergence" else MemoryError
+            with pytest.raises(error):
+                run()
+        assert threading.active_count() == before
+        assert fills and threading.main_thread() not in fills
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        mode=st.sampled_from(["sysid", "tracking"]),
+        chunk=st.integers(1, 1100),
+        runs=st.integers(1, 3),
+        more=st.integers(1, 3),
+        l_reused=st.integers(1, 3),
+        window=st.integers(5, 300),
+    )
+    def test_rows_invariant_to_chunk_and_run_count(
+        self, mode, chunk, runs, more, l_reused, window
+    ):
+        # Through the threaded provider, each run's ratio row and the
+        # counts do not depend on the chunk size, and run r's row does not
+        # depend on how many runs share its pass.
+        cfg = ExperimentConfig(
+            mode=mode, order=4, n_samples=800, mc_runs=runs, case_id=2,
+            base_seed=chunk, shift_time=400, shift_amount=1,
+            algorithm=AlgorithmConfig(name="proposed"), censoring=CensorConfig(p_ce=0.3),
+            reuse=ReuseConfig(scheme="idr", l_reused=l_reused, window_cap=window),
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(StreamProvider, "_THREADED", 0)
+            rows, counts = _kept_rows(cfg)
+            wide, _ = _kept_rows(replace(cfg, mc_runs=runs + more))
+            mp.setattr(StreamProvider, "_CHUNK", chunk)
+            chunked, chunked_counts = _kept_rows(cfg)
+        assert np.array_equal(chunked, rows)
+        assert chunked_counts == counts
+        assert np.array_equal(wide[:runs], rows)
 
 
 class TestTracking:

@@ -8,10 +8,17 @@ from rtga.noise import NoiseSpec
 from rtga.runner import _trial_provider, run_streams
 from rtga.signal_model import (
     delay_line_matrix,
+    draw_eiv_noise,
     shift_right,
     synthesize_eiv_arrays,
     wo_segments,
 )
+
+
+def _synthesize(w_o, X, in_spec, out_spec, streams):
+    u, v = np.empty(X.shape), np.empty(len(X))
+    draw_eiv_noise(in_spec, out_spec, streams, u, v)
+    return synthesize_eiv_arrays(w_o, X, u, v)
 
 
 def test_delay_line_newest_first_and_zero_padded():
@@ -84,14 +91,14 @@ def test_synthesize_arrays_respects_model():
     in_spec = NoiseSpec("gaussian", 0.1)
     out_spec = NoiseSpec("gaussian", 0.1)
     X = delay_line_matrix(source, 2)
-    x, x_tilde, d, d_tilde = synthesize_eiv_arrays(w_o, X, in_spec, out_spec, streams)
+    x, x_tilde, d, d_tilde = _synthesize(w_o, X, in_spec, out_spec, streams)
     np.testing.assert_allclose(d, delay_line_matrix(source, 2) @ w_o, rtol=1e-13)
     np.testing.assert_array_equal(x, delay_line_matrix(source, 2))
     assert not np.array_equal(x, x_tilde)
     assert not np.array_equal(d, d_tilde)
     # Zero noise collapses the tilde streams onto the clean ones.
     z = NoiseSpec("gaussian", 0.0)
-    x, x_tilde, d, d_tilde = synthesize_eiv_arrays(w_o, X, z, z, streams)
+    x, x_tilde, d, d_tilde = _synthesize(w_o, X, z, z, streams)
     np.testing.assert_array_equal(x, x_tilde)
     np.testing.assert_array_equal(d, d_tilde)
 
@@ -106,7 +113,7 @@ def test_input_noise_is_fresh_per_step():
     source = np.arange(1.0, 11.0)
     in_spec = NoiseSpec("gaussian", 0.5)
     out_spec = NoiseSpec("gaussian", 0.0)
-    x, x_tilde, _, _ = synthesize_eiv_arrays(
+    x, x_tilde, _, _ = _synthesize(
         w_o, delay_line_matrix(source, 2), in_spec, out_spec, streams
     )
     u = x_tilde - x
@@ -122,10 +129,10 @@ def test_synthesize_eiv_tracks_shift_schedule():
         mode="tracking", order=L, n_samples=n, mc_runs=2, shift_time=t, shift_amount=1,
     )
     zero = NoiseSpec("gaussian", 0.0)
-    provider = _trial_provider(cfg, [(zero, zero)], shifts=[(t, 1)])
-    segs = provider.segments
-    assert [(s, e) for s, e, _ in segs] == [(0, t), (t, n)]
-    steps = [provider.step(i) for i in range(n)]
+    with _trial_provider(cfg, [(zero, zero)], shifts=[(t, 1)]) as provider:
+        segs = provider.segments
+        assert [(s, e) for s, e, _ in segs] == [(0, t), (t, n)]
+        steps = [[a.copy() for a in provider.step(i)] for i in range(n)]
     xs = np.stack([x for x, _ in steps], axis=1)
     ds = np.stack([d for _, d in steps], axis=1)
     for j, r in enumerate(range(2)):
