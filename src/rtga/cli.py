@@ -49,11 +49,7 @@ def main(argv=None) -> int:
     for mode, text in _HELP.items():
         _add_flags(sub.add_parser(mode, help=text))
     args = parser.parse_args(argv)
-    override_keys = (
-        "out", "runs", "samples", "seed", "case", "algo", "mu", "pce",
-        "reuse", "window",
-    )
-    overrides = {k: getattr(args, k) for k in override_keys}
+    overrides = {k: v for k, v in vars(args).items() if k not in ("mode", "config")}
     try:
         file_values = read_config_file(args.config) if args.config else None
         cfg = build_config(args.mode, file_values, overrides)

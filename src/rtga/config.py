@@ -9,6 +9,7 @@ file values before validation.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -210,6 +211,8 @@ class ExperimentConfig:
                 errors.append(f"theory mode requires order <= 64, got {self.order}")
             if any(v <= 0 for v in self.theory.variances):
                 errors.append("theory.variances must all be > 0")
+            if not all(map(math.isfinite, self.theory.variances)):
+                errors.append("theory.variances must all be finite")
             if not self.theory.variances:
                 errors.append("theory.variances must be non-empty")
             if self.theory.output_family not in ("gaussian", "laplace"):
@@ -217,8 +220,8 @@ class ExperimentConfig:
                     f"theory.output_family must be gaussian or laplace, "
                     f"got {self.theory.output_family!r}"
                 )
-            if self.theory.alpha is not None and self.theory.alpha <= 0:
-                errors.append("theory.alpha must be > 0")
+            if self.theory.alpha is not None and not 0 < self.theory.alpha < math.inf:
+                errors.append(f"theory.alpha must be finite and > 0, got {self.theory.alpha}")
         if self.mode == "sweep":
             if self.order != 2:
                 errors.append(f"sweep mode grids 2-tap weights; set order = 2, got {self.order}")
@@ -226,6 +229,9 @@ class ExperimentConfig:
                 errors.append(f"sweep.points must be >= 2, got {self.sweep.points}")
             if self.sweep.draws < 1:
                 errors.append(f"sweep.draws must be >= 1, got {self.sweep.draws}")
+            for key, bound in (("min", self.sweep.grid_min), ("max", self.sweep.grid_max)):
+                if not math.isfinite(bound):
+                    errors.append(f"sweep.{key} must be finite, got {bound}")
             if not self.sweep.grid_max > self.sweep.grid_min:
                 errors.append("sweep.max must exceed sweep.min")
         return errors

@@ -13,6 +13,7 @@ exponential (correntropy-type) family. All kernels broadcast: scalars with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ GRADIENT_GUARD = 1e-12
 class RtgaParams:
     """Cost-shape, scale, and step parameters.
 
-    a: shape (any real except b; arbitrarily negative allowed, a = 0 only
-       through the analytic limit family).
+    a: shape (any finite real except b; arbitrarily negative allowed, a = 0
+       only through the analytic limit family).
     b: error exponent, > 0.
     c: scale, > 0.
     mu: step size, >= 0 (0 is a legal no-op step).
@@ -43,6 +44,9 @@ class RtgaParams:
     phi: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "c", "mu", "phi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.b <= 0:
             raise ValueError("b must be > 0")
         if self.c <= 0:

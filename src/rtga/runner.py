@@ -12,6 +12,7 @@ identical output bytes.
 from __future__ import annotations
 
 import math
+import queue
 import threading
 import warnings
 from collections.abc import Sequence
@@ -178,9 +179,10 @@ class StreamProvider:
 
     segments is the piecewise truth [(start, end, (runs, L))], noise one
     (input, output) pair per run and streams each run's (source, noise
-    streams) generators from run_streams. A source shared by every run
-    replaces the source draws, and clean, its clean output when every run
-    shares the truth too, replaces the clean-output einsum.
+    streams) generators from run_streams. regressors, the clean (n, L)
+    regressors of a source shared by every run, replaces the source draws
+    and the delay line, and clean, its clean output when every run shares
+    the truth too, replaces the clean-output einsum.
 
     The ring holds sample i in row i % rows of (rows, runs, L) regressors
     and (rows, runs) outputs, rows = min(n, capacity - 1 + chunk), where a
@@ -195,13 +197,14 @@ class StreamProvider:
     so the samples do not depend on the chunk or the batch.
 
     When a run draws at least _THREADED values per half chunk, a producer
-    thread fills the ring in half-chunk pieces, at most a chunk past the
-    start of the engine's piece, so it never overwrites a row that past()
-    may still serve; only that thread touches the runs' generators, and an
-    exception there is raised by the engine's next step() that waits on it.
-    Smaller fills run on the engine's thread a chunk at a time, since many
-    short producer calls would starve for the interpreter lock. close(), or
-    leaving a with-block, stops and joins the producer.
+    thread fills the ring in half-chunk pieces, which the engine queues as
+    it enters a piece: those that end within a chunk of its start, so none
+    overwrites a row that past() may still serve. The producer answers
+    each with None or the exception it caught, which the engine raises;
+    only that thread touches the runs' generators. Smaller fills run on the
+    engine's thread a chunk at a time, since many short producer calls
+    would starve for the interpreter lock. close(), or leaving a with-block,
+    stops and joins the producer, and a later fill raises.
     """
 
     _CHUNK = 1024
@@ -214,14 +217,14 @@ class StreamProvider:
         noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
         streams: list[tuple[np.random.Generator, dict]],
         capacity: int,
-        source: np.ndarray | None = None,
+        regressors: np.ndarray | None = None,
         clean: np.ndarray | None = None,
         groups: int = 1,
     ):
         self.segments = segments
         self.noise = noise
         self.streams = streams
-        self.source = source
+        self.regressors = regressors
         self.clean = clean
         self.cap = capacity
         runs, L = segments[0][2].shape
@@ -231,7 +234,7 @@ class StreamProvider:
         self.x = np.empty((self.rows, runs, L))
         self.d = np.empty((self.rows, runs))
         # values a run draws per sample: input and output noise, and source
-        per_sample = L + 1 + (source is None)
+        per_sample = L + 1 + (regressors is None)
         half = max(1, self.chunk // 2)
         threaded = half * per_sample >= self._THREADED
         piece = half if threaded else self.chunk
@@ -240,9 +243,9 @@ class StreamProvider:
         self.batch = min(runs, max(1, values // (self.span * per_sample)))
         self.u = np.empty((self.batch, self.span, L))
         self.v = np.empty((self.batch, self.span))
-        # delay lines: the newest L-1 source samples, then the new ones
-        self.carry = np.zeros((runs if source is None else 1, L - 1))
-        self.line = np.empty((self.batch if source is None else 1, L - 1 + self.span))
+        # per-run delay lines: the newest L-1 source samples, then the new ones
+        self.carry = np.zeros((runs, L - 1))
+        self.line = np.empty((self.batch, L - 1 + self.span))
         self.windows = sliding_window_view(self.line, L, axis=1)[:, :, ::-1]
         self.pieces = []
         for seg_start, seg_end, w_seg in segments:
@@ -254,12 +257,12 @@ class StreamProvider:
         self._next = 0  # the next piece the engine enters
         self._mark = 0  # one past the last sample of the engine's piece
         self._latest = -1
-        self._cv = threading.Condition() if threaded else None
+        self._closed = False
+        # pieces to fill (None stops the producer), and one result per piece
+        self._todo = queue.SimpleQueue() if threaded else None
+        self._done = queue.SimpleQueue()
+        self._queued = 0  # pieces handed to the producer
         self._thread = None
-        self._pos = 0  # start of the engine's piece, as the producer sees it
-        self._ready = 0  # one past the last sample the producer wrote
-        self._error = None
-        self._stop = False
 
     def _fill(self, start: int, end: int, w_seg: np.ndarray) -> None:
         """Synthesize samples [start, end), which lie in one segment, into the ring."""
@@ -272,24 +275,21 @@ class StreamProvider:
             m = min(span, end - t)
             rows = slice(t % self.rows, t % self.rows + m)
             d = None
-            if self.source is not None:
-                self.line[0, :lag] = self.carry[0]
-                self.line[0, lag:lag + m] = self.source[t:t + m]
-                self.carry[0] = self.line[0, m:m + lag]
-                x = self.windows[0, :m]
+            if self.regressors is not None:
+                x = self.regressors[t:t + m]
                 if self.clean is not None:
                     d = self.clean[t:t + m]
             for r0 in range(0, runs, self.batch):
                 r1 = min(r0 + self.batch, runs)
                 k = r1 - r0
-                if self.source is None:
+                if self.regressors is None:
                     self.line[:k, :lag] = self.carry[r0:r1]
                 for b, r in enumerate(range(r0, r1)):
                     source_rng, streams = self.streams[r]
-                    if self.source is None:
+                    if self.regressors is None:
                         source_rng.standard_normal(out=self.line[b, lag:lag + m])
                     draw_eiv_noise(*self.noise[r], streams, self.u[b, :m], self.v[b, :m])
-                if self.source is None:
+                if self.regressors is None:
                     self.carry[r0:r1] = self.line[:k, m:m + lag]
                     x = self.windows[:k, :m]
                 synthesize_eiv_arrays(
@@ -298,43 +298,35 @@ class StreamProvider:
                 )
 
     def _produce(self) -> None:
-        """The producer thread: fill every piece, a chunk ahead at most."""
-        cv = self._cv
-        try:
-            for start, end, w_seg in self.pieces:
-                with cv:
-                    while end > self._pos + self.chunk and not self._stop:
-                        cv.wait()
-                    if self._stop:
-                        return
-                self._fill(start, end, w_seg)
-                with cv:
-                    self._ready = end
-                    cv.notify_all()
-        except BaseException as exc:  # raised again in the engine's thread
-            with cv:
-                self._error = exc
-                cv.notify_all()
+        """The producer thread: fill the queued pieces in order, until None."""
+        for piece in iter(self._todo.get, None):
+            try:
+                self._fill(*piece)
+            except BaseException as exc:  # raised again in the engine's thread
+                self._done.put(exc)
+                return
+            self._done.put(None)
 
     def _enter_piece(self) -> None:
-        """Make the engine's next piece ready: fill it, or wait for the producer."""
+        """Make the engine's next piece ready: fill it, or take the producer's result."""
+        if self._closed:
+            raise RuntimeError("the stream provider is closed")
         start, end, w_seg = self.pieces[self._next]
         self._next += 1
         self._mark = end
-        cv = self._cv
-        if cv is None:
+        if self._todo is None:
             self._fill(start, end, w_seg)
             return
-        if self._thread is None and not self._stop:
+        if self._thread is None:
             self._thread = threading.Thread(target=self._produce, daemon=True)
             self._thread.start()
-        with cv:
-            self._pos = start
-            cv.notify_all()
-            while self._ready < end and self._error is None and not self._stop:
-                cv.wait()
-            if self._ready < end:
-                raise self._error or RuntimeError("the stream provider is closed")
+        while self._queued < len(self.pieces) and self.pieces[self._queued][1] <= start + self.chunk:
+            self._todo.put(self.pieces[self._queued])
+            self._queued += 1
+        error = self._done.get()
+        if error is not None:
+            self.close()
+            raise error
 
     def step(self, i: int):
         while i >= self._mark:
@@ -354,12 +346,10 @@ class StreamProvider:
 
     def close(self) -> None:
         """Stop and join the producer thread, if one runs."""
-        self._stop = True
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            with self._cv:
-                self._cv.notify_all()
-            thread.join()
+        self._closed = True
+        if self._thread is not None:
+            self._todo.put(None)
+            self._thread.join()
 
     def __enter__(self):
         return self
@@ -637,7 +627,7 @@ def _trial_provider(
     cfg: ExperimentConfig,
     noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
     w_o: np.ndarray | None = None,
-    source: np.ndarray | None = None,
+    regressors: np.ndarray | None = None,
     shifts: Sequence[tuple[int, int]] = (),
     clean: np.ndarray | None = None,
 ) -> StreamProvider:
@@ -646,9 +636,9 @@ def _trial_provider(
     noise holds one (input, output) pair per group of cfg.mc_runs trials;
     trial r of every group roots at SeedSequence(base_seed + r). Trial r
     draws its truth from its system stream unless w_o is given, and its
-    source from its source stream unless a source shared by every run is
-    given, with clean its clean output through w_o; shifts is the truth's
-    (time, right_shift) schedule.
+    source from its source stream unless regressors, the clean regressors
+    of a source shared by every run, are given, with clean their clean
+    output through w_o; shifts is the truth's (time, right_shift) schedule.
     """
     n, L, runs = cfg.n_samples, cfg.order, cfg.mc_runs
     WO = np.empty((len(noise) * runs, L))
@@ -660,7 +650,7 @@ def _trial_provider(
         streams.append(trial_streams)
     capacity = reach(cfg.reuse, n) + 1
     return StreamProvider(
-        wo_segments(WO, shifts, n), pairs, streams, capacity, source, clean,
+        wo_segments(WO, shifts, n), pairs, streams, capacity, regressors, clean,
         groups=len(noise),
     )
 
@@ -671,7 +661,7 @@ def _run_trials(
     family: str | None,
     noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
     w_o: np.ndarray | None = None,
-    source: np.ndarray | None = None,
+    regressors: np.ndarray | None = None,
     shifts: Sequence[tuple[int, int]] = (),
     labels: Sequence[str] = (),
     errors: bool = False,
@@ -695,7 +685,7 @@ def _run_trials(
             rows = slice(g * runs, (g + 1) * runs)
             group_sums(start, ratio[rows], censored[rows], e[rows])
 
-    with _trial_provider(cfg, noise, w_o, source, shifts, clean) as provider:
+    with _trial_provider(cfg, noise, w_o, regressors, shifts, clean) as provider:
         res = run_engine(
             provider, cfg.n_samples, params, family, cfg.censoring, cfg.reuse,
             provider.segments, sink, labels,
@@ -771,7 +761,8 @@ def run_aec(
     if np.abs(far).max() == 0:
         warnings.warn("far-end audio is silent; results are degenerate")
     echo = assets.echo_path
-    d_clean = delay_line_matrix(far, cfg.order) @ echo
+    x_far = delay_line_matrix(far, cfg.order)
+    d_clean = x_far @ echo
     if noise is None:
         p_x = float(np.mean(far**2))
         p_d = float(np.mean(d_clean**2))
@@ -792,8 +783,8 @@ def run_aec(
     if cfg.reuse.active and cfg.reuse.window_cap is None:
         raise ValueError("aec mode streams its history; reuse needs reuse.window set")
     res, (sums,) = _run_trials(
-        cfg, params, family, [(in_spec, out_spec)], w_o=echo, source=far, errors=True,
-        clean=d_clean,
+        cfg, params, family, [(in_spec, out_spec)], w_o=echo, regressors=x_far,
+        errors=True, clean=d_clean,
     )
     out = _aggregate(cfg, res, sums)
     out.mode = "aec"

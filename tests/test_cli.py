@@ -1,8 +1,12 @@
 """Command-line interface: flags, config files, exit codes, CSV output."""
 
+import contextlib
+import io
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtga import cli, runner
 from rtga.cli import main
@@ -136,3 +140,104 @@ def test_theory_prints_table(capsys):
     out = capsys.readouterr().out
     assert "setting gaussian, variance" in out
     assert "gap" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("mode, section, key", [
+    ("sysid", "algorithm", "mu"),
+    ("sysid", "algorithm", "a"),
+    ("sysid", "algorithm", "b"),
+    ("sysid", "algorithm", "c"),
+    ("theory", "theory", "variances"),
+    ("theory", "theory", "alpha"),
+    ("sweep", "sweep", "min"),
+    ("sweep", "sweep", "max"),
+])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, value, mode, section, key):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    assert main([mode, "--config", str(ini), "--runs", "2", "--samples", "60"]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must" in err and "finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_step_flag_exits_2(capsys, value):
+    assert main(["sysid", *FAST, "--mu", value]) == 2
+    err = capsys.readouterr().err
+    assert "mu must be finite" in err
+    assert "Traceback" not in err
+
+
+# Non-size keys each mode reads; runs, samples, order and the sweep's
+# points and draws stay fixed, since large values allocate.
+_COMMON_KEYS = {
+    "experiment": ("case", "seed"),
+    "algorithm": ("name", "a", "b", "c", "mu"),
+    "censoring": ("p_ce", "window", "tau", "estimator"),
+    "reuse": ("scheme", "count", "window"),
+}
+_MODE_KEYS = {
+    "sysid": {},
+    "tracking": {"experiment": ("shift_time", "shift_amount")},
+    "theory": {"theory": ("variances", "output_family", "alpha")},
+    "sweep": {"sweep": ("min", "max")},
+}
+_FLOAT_KEYS = {
+    ("algorithm", "a"), ("algorithm", "b"), ("algorithm", "c"), ("algorithm", "mu"),
+    ("censoring", "p_ce"), ("censoring", "tau"), ("theory", "variances"),
+    ("theory", "alpha"), ("sweep", "min"), ("sweep", "max"),
+}
+_FLAG_KEYS = {"--mu": ("algorithm", "mu"), "--pce": ("censoring", "p_ce")}
+_POOL = ["nan", "inf", "-inf", "0", "-1", "1e300", "abc", ""]
+_NON_FINITE = {"nan", "inf", "-inf"}
+
+
+@st.composite
+def _fuzzed_run(draw):
+    mode = draw(st.sampled_from(sorted(_MODE_KEYS)))
+    keys = [
+        (section, key)
+        for table in (_COMMON_KEYS, _MODE_KEYS[mode])
+        for section, names in table.items()
+        for key in names
+    ]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=3, unique=True))
+    values = {sk: draw(st.sampled_from(_POOL)) for sk in chosen}
+    flags = draw(st.dictionaries(
+        st.sampled_from(sorted(_FLAG_KEYS)), st.sampled_from(_POOL[:6]), max_size=2
+    ))
+    return mode, values, flags
+
+
+# a step size of 1e300 overflows numpy before the engine names the run
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(run=_fuzzed_run())
+def test_config_and_flag_fuzz_exits_cleanly(tmp_path_factory, run):
+    mode, values, flags = run
+    # a small sweep grid, and a shift inside the 60 samples unless fuzzed
+    sections = {
+        "sweep": {"sweep": {"points": "5", "draws": "50"}},
+        "tracking": {"experiment": {"shift_time": "30"}},
+    }.get(mode, {})
+    for (section, key), value in values.items():
+        sections.setdefault(section, {})[key] = value
+    ini = tmp_path_factory.mktemp("fuzz") / "fuzz.ini"
+    ini.write_text("".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in sections.items()
+    ))
+    argv = [mode, "--config", str(ini), "--runs", "2", "--samples", "60"]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    err = err.getvalue()
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    # a flag wins over the file's value of its key
+    used = {**values, **{_FLAG_KEYS[flag]: value for flag, value in flags.items()}}
+    if any(sk in _FLOAT_KEYS and v in _NON_FINITE for sk, v in used.items()):
+        assert rc == 2, err

@@ -105,7 +105,7 @@ def test_history_ring_evicts_old_pairs(monkeypatch):
     d_clean = x_clean @ w_o
     provider = StreamProvider(
         [(0, n, w_o[None])], [(zero, zero)], [run_streams(0, 0)[1:]], capacity=cap,
-        source=source,
+        regressors=x_clean,
     )
     for i in range(20):
         provider.step(i)

@@ -1,6 +1,7 @@
 """Experiment runner: engine semantics, seed layout, and the mode drivers."""
 
 import re
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -545,7 +546,8 @@ class TestStreamProvider:
             provider = StreamProvider(
                 [(0, n, WO)], [(in_spec, out_spec)] * runs,
                 [run_streams(seed, r)[1:] for r in range(runs)], capacity=2,
-                source=source, clean=clean,
+                regressors=None if source is None else delay_line_matrix(source, L),
+                clean=clean,
             )
             x, u, d, v = [], [], [], []
             for r in range(runs):
@@ -592,7 +594,7 @@ class TestStreamProvider:
         with StreamProvider(
             [(0, n, WO)], [(zero, zero)] * runs,
             [run_streams(0, r)[1:] for r in range(runs)], capacity=1,
-            source=source, clean=clean,
+            regressors=delay_line_matrix(source, L), clean=clean,
         ) as provider:
             for i in range(n):
                 provider.step(i)
@@ -677,6 +679,62 @@ class TestProducerThread:
         assert np.array_equal(chunked, rows)
         assert chunked_counts == counts
         assert np.array_equal(wide[:runs], rows)
+
+    def test_rows_hold_under_fast_thread_switching(self, monkeypatch):
+        # Four passes at once, each with its own producer, with the
+        # interpreter switching threads every microsecond: a piece filled
+        # too far ahead, or served before it is filled, changes a row.
+        cfg = ExperimentConfig(
+            mode="sysid", order=4, n_samples=600, mc_runs=2, case_id=2,
+            algorithm=AlgorithmConfig(name="proposed"), censoring=CensorConfig(p_ce=0.3),
+            reuse=ReuseConfig(scheme="idr", l_reused=2, window_cap=40),
+        )
+        monkeypatch.setattr(StreamProvider, "_CHUNK", 16)
+        inline, _ = _kept_rows(cfg)
+        monkeypatch.setattr(StreamProvider, "_THREADED", 0)
+        results = {}
+
+        def work(k):
+            results[k] = _kept_rows(cfg)[0]
+
+        passes = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in passes:
+                t.start()
+            for t in passes:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in passes)
+        assert len(results) == 4
+        for rows in results.values():
+            assert np.array_equal(rows, inline)
+
+    @staticmethod
+    def _threaded_provider(monkeypatch):
+        monkeypatch.setattr(StreamProvider, "_THREADED", 0)
+        cfg = ExperimentConfig(mode="sysid", order=4, n_samples=3000, mc_runs=2)
+        return runner._trial_provider(cfg, [case_spec(1)])
+
+    def test_step_after_close_raises(self, monkeypatch):
+        # The producer has filled pieces ahead; an inline fill of the next
+        # piece would draw the runs' generators a second time.
+        provider = self._threaded_provider(monkeypatch)
+        provider.step(0)
+        provider.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            for i in range(3000):
+                provider.step(i)
+
+    def test_close_before_first_step_starts_no_thread(self, monkeypatch):
+        before = threading.active_count()
+        provider = self._threaded_provider(monkeypatch)
+        provider.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            provider.step(0)
+        assert threading.active_count() == before
 
 
 class TestTracking:
