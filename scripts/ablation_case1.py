@@ -15,7 +15,7 @@ from rtga.metrics import iterations_to_level
 from rtga.reuse import ReuseConfig
 from rtga.runner import run_sysid
 
-PROPOSED_MU = AlgorithmConfig(name="proposed").resolve(1, phi=1.0)[0].mu
+PROPOSED_MU = AlgorithmConfig(name="proposed").resolve(1, phi=1.0).mu
 
 ARMS = (
     ("`rtga`", AlgorithmConfig(name="rtga"), 0, 0.0),
@@ -39,7 +39,7 @@ def main() -> None:
             reuse=ReuseConfig(scheme="idr", l_reused=l_reused) if l_reused
             else ReuseConfig(scheme="none"),
         )
-        params, _ = cfg.resolved_params()
+        params = cfg.resolved_params()
         res = run_sysid(cfg)
         reuse = f"idr {l_reused}" if l_reused else "none"
         print(

@@ -25,14 +25,7 @@ from .dataio import (
     synth_far_end,
     write_csv,
 )
-from .filters import (
-    RtgaParams,
-    gradient,
-    limit_cost,
-    limit_gradient,
-    rtga_cost,
-    rtga_gradient,
-)
+from .filters import RtgaParams, cost, gradient
 from .metrics import (
     LearningCurve,
     erle_db,
@@ -82,6 +75,7 @@ __all__ = [
     "case_spec",
     "censor_decision",
     "censor_threshold",
+    "cost",
     "delay_line_matrix",
     "empirical_gradient_at_optimum",
     "erle_db",
@@ -91,16 +85,12 @@ __all__ = [
     "hessian_at_optimum",
     "idr_indices",
     "iterations_to_level",
-    "limit_cost",
-    "limit_gradient",
     "load_echo_path",
     "load_wav",
     "max_step_size",
     "noise_ratio",
     "predicted_op_counts",
     "read_config_file",
-    "rtga_cost",
-    "rtga_gradient",
     "run_aec",
     "run_sweep",
     "run_sysid",

@@ -59,9 +59,6 @@ _LIMIT_PRESETS = {
     "ltls": dict(family="ltls", b=2.0, c=1.0),
 }
 
-# a is irrelevant for limit families; any value distinct from b works.
-_LIMIT_A = -1.0e6
-
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
@@ -73,19 +70,15 @@ class AlgorithmConfig:
     c: float | None = None
     mu: float | None = None
 
-    def resolve(self, case_id: int, phi: float, require_mu: bool = True):
-        """Concrete (RtgaParams, limit family or None) for one case."""
+    def resolve(self, case_id: int, phi: float, require_mu: bool = True) -> RtgaParams:
+        """Concrete RtgaParams for one case."""
         if self.name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.name!r}; expected one of {ALGORITHMS}")
         if self.name in ("rtga", "proposed"):
             preset = dict(_FULL_COST[(self.name, case_id)])
-            family = None
         else:
-            row = _LIMIT_PRESETS[self.name]
-            family = row["family"]
-            preset = dict(a=_LIMIT_A)
-            for key in ("b", "c", "mu"):
-                val = row.get(key)
+            preset = {}
+            for key, val in _LIMIT_PRESETS[self.name].items():
                 if isinstance(val, dict):
                     val = val.get(case_id)
                 if val is not None:
@@ -103,13 +96,10 @@ class AlgorithmConfig:
             preset["mu"] = 0.0
         if require_mu and preset["mu"] <= 0:
             raise ConfigError(f"algorithm.mu must be > 0, got {preset['mu']}")
-        missing = [k for k in ("a", "b", "c") if k not in preset]
+        missing = [k for k in ("b", "c") if k not in preset]
         if missing:
             raise ConfigError(f"algorithm {self.name!r} is missing {missing}; set them explicitly")
-        params = RtgaParams(
-            a=preset["a"], b=preset["b"], c=preset["c"], mu=preset["mu"], phi=phi
-        )
-        return params, family
+        return RtgaParams(**preset, phi=phi)
 
 
 @dataclass(frozen=True)
@@ -157,7 +147,7 @@ class ExperimentConfig:
         inp, out = case_spec(self.case_id)
         return noise_ratio(inp, out)
 
-    def resolved_params(self, require_mu: bool = True):
+    def resolved_params(self, require_mu: bool = True) -> RtgaParams:
         return self.algorithm.resolve(self.case_id, self.phi(), require_mu)
 
     def validate(self) -> None:

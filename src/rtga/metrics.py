@@ -73,13 +73,16 @@ def predicted_op_counts(L: int, params, p_ce: float = 0.0, l_reused: int = 0) ->
     """Per-iteration operation counts predicted by the complexity table.
 
     The base row is (4L+4) additions, (5L+5+2b+|a|/b) multiplications, and
-    3 nonlinear evaluations. Censoring plus reuse scales the first two by
-    (1-p_ce)(l_reused + p_ce*l_reused + 1), the table's printed factor, and
-    leaves the nonlinear count at 3. The factor is reported as printed; the
-    harness's measured update counts are the ground truth for actual work.
+    3 nonlinear evaluations; a limit family has no a and no |a|/b term.
+    Censoring plus reuse scales the first two by (1-p_ce)(l_reused +
+    p_ce*l_reused + 1), the table's printed factor, and leaves the
+    nonlinear count at 3. The factor is reported as printed; the harness's
+    measured update counts are the ground truth for actual work.
     """
     adds = 4 * L + 4
-    mults = 5 * L + 5 + 2 * params.b + abs(params.a) / params.b
+    mults = 5 * L + 5 + 2 * params.b
+    if params.family is None:
+        mults += abs(params.a) / params.b
     factor = (1.0 - p_ce) * (l_reused + p_ce * l_reused + 1.0)
     return {
         "additions": adds * factor,

@@ -31,7 +31,7 @@ from .dataio import (
     synth_echo_path,
     synth_far_end,
 )
-from .filters import RtgaParams, limit_cost, rtga_cost
+from .filters import RtgaParams, cost
 # bench/spans.py times the engine's per-run coefficient by this name
 from .filters import gradient_coefficient as gradient
 from .metrics import (
@@ -108,15 +108,13 @@ def run_streams(base_seed: int, r: int, noise: tuple[NoiseSpec, NoiseSpec] | Non
     )
 
 
-def draw_true_weights(system_rng, order: int, norm2: float | None = None):
+def draw_true_weights(system_rng, order: int):
     """Random direction scaled to the calibrated squared norm."""
-    if norm2 is None:
-        norm2 = TRUE_WEIGHT_NORM2
     w = system_rng.standard_normal(order)
     nrm = np.linalg.norm(w)
     if nrm == 0:
         raise ArithmeticError("degenerate zero draw for the true weights")
-    return w * (math.sqrt(norm2) / nrm)
+    return w * (math.sqrt(TRUE_WEIGHT_NORM2) / nrm)
 
 
 class _ScaleTracker:
@@ -373,7 +371,6 @@ def run_engine(
     provider,
     n: int,
     params: RtgaParams,
-    family: str | None,
     censor: CensorConfig,
     reuse_cfg: ReuseConfig,
     segments: list[tuple[int, int, np.ndarray]],
@@ -425,7 +422,7 @@ def run_engine(
         np.add(np.einsum("rl,rl->r", W, W), phi, out=n2)
         np.multiply(e, e, out=e2)
         np.divide(e2, n2, out=step_w)  # |e~|^2, scaled by k below
-        k = mu * gradient(e, n2, params, family, step_w)
+        k = mu * gradient(e, n2, params, step_w)
         np.multiply(k, e, out=step_x)
         np.multiply(step_w, k, out=step_w)
         if not np.isfinite(scalars).all():
@@ -447,38 +444,40 @@ def run_engine(
     # run's largest |w_o|^2, since a shift may leave a tiny truth
     dens = [np.sum(w * w, axis=1) for _, _, w in segments]
     limit = DIVERGENCE_FACTOR * np.max(dens, axis=0)
-    for (seg_start, seg_end, seg_w), seg_den in zip(segments, dens):
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # One errstate per pass, not per update: the finiteness and divergence
+    # checks name the runs that overflow, so numpy's warnings stay quiet
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for (seg_start, seg_end, seg_w), seg_den in zip(segments, dens):
             blown = limit / seg_den
-        for start in range(seg_start, min(seg_end, n), width):
-            end = min(start + width, seg_end, n)
-            cen_mask.fill(False)
-            for j, i in enumerate(range(start, end)):
-                x_i, d_i = provider.step(i)
-                if i >= L:
-                    gated = censor.active and tracker.ready
-                    thr = kappa * tracker.sigma if gated else None
-                    for idx in schedule(reuse_cfg, i, L):
-                        x_r, d_r = provider.past(idx)
-                        _, cen = update(W, x_r, d_r, thr, i)
-                        reuse_steps += runs
+            for start in range(seg_start, min(seg_end, n), width):
+                end = min(start + width, seg_end, n)
+                cen_mask.fill(False)
+                for j, i in enumerate(range(start, end)):
+                    x_i, d_i = provider.step(i)
+                    if i >= L:
+                        gated = censor.active and tracker.ready
+                        thr = kappa * tracker.sigma if gated else None
+                        for idx in schedule(reuse_cfg, i, L):
+                            x_r, d_r = provider.past(idx)
+                            _, cen = update(W, x_r, d_r, thr, i)
+                            reuse_steps += runs
+                            if gated:
+                                reuse_censored += int(np.count_nonzero(cen))
+                        e, cen = update(W, x_i, d_i, thr, i)
+                        main_steps += runs
                         if gated:
-                            reuse_censored += int(np.count_nonzero(cen))
-                    e, cen = update(W, x_i, d_i, thr, i)
-                    main_steps += runs
-                    if gated:
-                        cen_mask[:, j] = cen
-                    if censor.active:
-                        tracker.update(e)
-                else:
-                    e = d_i - np.einsum("rl,rl->r", W, x_i)
-                errors[:, j] = e
-                dev = W - seg_w
-                ratio[:, j] = np.einsum("rl,rl->r", dev, dev) / seg_den
-            block = slice(0, end - start)
-            _check_divergence(ratio[:, block], blown, start, mu, groups)
-            main_censored += int(np.count_nonzero(cen_mask[:, block]))
-            sink(start, ratio[:, block], cen_mask[:, block], errors[:, block])
+                            cen_mask[:, j] = cen
+                        if censor.active:
+                            tracker.update(e)
+                    else:
+                        e = d_i - np.einsum("rl,rl->r", W, x_i)
+                    errors[:, j] = e
+                    dev = W - seg_w
+                    ratio[:, j] = np.einsum("rl,rl->r", dev, dev) / seg_den
+                block = slice(0, end - start)
+                _check_divergence(ratio[:, block], blown, start, mu, groups)
+                main_censored += int(np.count_nonzero(cen_mask[:, block]))
+                sink(start, ratio[:, block], cen_mask[:, block], errors[:, block])
     return EngineResult(
         weights=W,
         main_steps=main_steps,
@@ -601,7 +600,7 @@ def _aggregate(cfg: ExperimentConfig, res: EngineResult, sums: RunSums) -> Exper
     keys = ("main_steps", "main_updates", "reuse_steps", "reuse_updates")
     counts = {k: getattr(res, k) for k in keys}
     curve = LearningCurve(to_db(mean_ratio), runs=sums.runs)
-    params, _ = cfg.resolved_params()
+    params = cfg.resolved_params()
     out = ExperimentResult(
         mode=cfg.mode,
         curve=curve,
@@ -658,7 +657,6 @@ def _trial_provider(
 def _run_trials(
     cfg: ExperimentConfig,
     params: RtgaParams,
-    family: str | None,
     noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
     w_o: np.ndarray | None = None,
     regressors: np.ndarray | None = None,
@@ -687,7 +685,7 @@ def _run_trials(
 
     with _trial_provider(cfg, noise, w_o, regressors, shifts, clean) as provider:
         res = run_engine(
-            provider, cfg.n_samples, params, family, cfg.censoring, cfg.reuse,
+            provider, cfg.n_samples, params, cfg.censoring, cfg.reuse,
             provider.segments, sink, labels,
         )
     return res, sums
@@ -696,7 +694,7 @@ def _run_trials(
 def run_sysid(cfg: ExperimentConfig) -> ExperimentResult:
     """Stationary system identification under the configured case."""
     cfg.validate()
-    res, (sums,) = _run_trials(cfg, *cfg.resolved_params(), [case_spec(cfg.case_id)])
+    res, (sums,) = _run_trials(cfg, cfg.resolved_params(), [case_spec(cfg.case_id)])
     return _aggregate(cfg, res, sums)
 
 
@@ -705,7 +703,7 @@ def run_tracking(cfg: ExperimentConfig) -> ExperimentResult:
     cfg.validate()
     shifts = [(cfg.shift_time, cfg.shift_amount)] if cfg.shift_amount else []
     res, (sums,) = _run_trials(
-        cfg, *cfg.resolved_params(), [case_spec(cfg.case_id)], shifts=shifts
+        cfg, cfg.resolved_params(), [case_spec(cfg.case_id)], shifts=shifts
     )
     return _aggregate(cfg, res, sums)
 
@@ -717,13 +715,7 @@ def load_aec_assets(cfg: ExperimentConfig) -> tuple[AecAssets, list[str]]:
         far = synth_far_end(cfg.n_samples)
         notes.append("far end: synthetic AR(1) process (pole 0.9), peak-normalized")
     else:
-        clip = load_wav(cfg.aec.far_end)
-        if clip.samples.size < cfg.n_samples:
-            raise ValueError(
-                f"far-end audio has {clip.samples.size} samples; "
-                f"{cfg.n_samples} requested"
-            )
-        far = clip.samples[: cfg.n_samples]
+        far = load_wav(cfg.aec.far_end).samples[: cfg.n_samples]
     if cfg.aec.echo_path == "synthetic":
         echo = synth_echo_path()
         notes.append("echo path: synthetic exponential-decay taps, unit norm")
@@ -779,11 +771,11 @@ def run_aec(
         phi = out_spec.variance / in_spec.variance
     else:
         phi = 1.0  # neutral normalization when a side is noiseless
-    params, family = cfg.algorithm.resolve(cfg.case_id, phi)
+    params = cfg.algorithm.resolve(cfg.case_id, phi)
     if cfg.reuse.active and cfg.reuse.window_cap is None:
         raise ValueError("aec mode streams its history; reuse needs reuse.window set")
     res, (sums,) = _run_trials(
-        cfg, params, family, [(in_spec, out_spec)], w_o=echo, regressors=x_far,
+        cfg, params, [(in_spec, out_spec)], w_o=echo, regressors=x_far,
         errors=True, clean=d_clean,
     )
     out = _aggregate(cfg, res, sums)
@@ -839,7 +831,7 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
     out_family = "laplace" if cfg.theory.output_family == "laplace" else "gaussian"
     noise = [(NoiseSpec("gaussian", s2), NoiseSpec(out_family, s2)) for s2 in variances]
     labels = [f"variance {s2:g}" for s2 in variances]
-    _, sums = _run_trials(cfg, params, None, noise, w_o, labels=labels)
+    _, sums = _run_trials(cfg, params, noise, w_o, labels=labels)
     rows = []
     for s2, theory_db, group in zip(variances, theory, sums):
         sim_db = tail_mean_db(group.ratio / group.runs)
@@ -871,7 +863,7 @@ SWEEP_TRUTH = np.array([-0.6, 0.8])
 def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Monte-Carlo mean cost over a two-tap weight grid."""
     cfg.validate()
-    params, family = cfg.resolved_params(require_mu=False)
+    params = cfg.resolved_params(require_mu=False)
     in_spec, out_spec = case_spec(cfg.case_id)
     n = cfg.sweep.draws
     _, source_rng, streams = run_streams(cfg.base_seed, 0, (in_spec, out_spec))
@@ -883,11 +875,7 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     Wg = np.column_stack([g1.ravel(), g2.ravel()])
     e = d_tilde[None, :] - Wg @ x_tilde.T
-    if family is None:
-        cost = rtga_cost(e, Wg[:, None, :], params)
-    else:
-        cost = limit_cost(e, Wg[:, None, :], family, params)
-    mean_cost = np.asarray(cost).mean(axis=1)
+    mean_cost = np.asarray(cost(e, Wg[:, None, :], params)).mean(axis=1)
     return ExperimentResult(
         mode="sweep",
         csv_columns={"w1": Wg[:, 0], "w2": Wg[:, 1], "mean_cost": mean_cost},

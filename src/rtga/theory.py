@@ -65,7 +65,7 @@ class TheoryInputs:
     w_o: true weights.
     sigma_i2 / sigma_o2: input/output noise variances.
     alpha: GGD shape attributed to the normalized optimal error.
-    params: cost parameters; params.phi must equal sigma_o2 / sigma_i2.
+    params: full-shape cost parameters; params.phi must equal sigma_o2 / sigma_i2.
     p_t: update probability (1 - censoring ratio).
     """
 
@@ -95,6 +95,8 @@ class TheoryInputs:
             raise ValueError("noise variances must be non-negative")
         if not 0.0 < self.p_t <= 1.0:
             raise ValueError("p_t must lie in (0, 1]")
+        if self.params.family is not None:
+            raise ValueError("the steady-state analysis covers the full shape only")
         if self.sigma_i2 > 0:
             ratio = self.sigma_o2 / self.sigma_i2
             if not math.isclose(self.params.phi, ratio, rel_tol=1e-9, abs_tol=1e-12):

@@ -30,3 +30,14 @@ def test_benchmark_tracer_hooks_resolve(monkeypatch):
     monkeypatch.setattr(spans.Tracer, "patch", check)
     spans.Tracer().install(config, dataio, runner, signal_model)
     assert set(seen) == set(spans.SPAN_NAMES)
+
+
+def test_ablation_script_imports():
+    # The README's ablation table comes from this script; it resolves a
+    # preset at import time, so an API change would break it unseen.
+    path = Path(__file__).resolve().parents[1] / "scripts" / "ablation_case1.py"
+    spec = importlib.util.spec_from_file_location("ablation_case1", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.PROPOSED_MU == 0.0098
+    assert callable(script.main)

@@ -3,13 +3,16 @@
 import contextlib
 import io
 import threading
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtga import cli, runner
 from rtga.cli import main
+from rtga.dataio import save_wav
 
 FAST = ["--runs", "2", "--samples", "300", "--seed", "1"]
 
@@ -117,6 +120,50 @@ def test_fault_in_producer_thread_exits_1(monkeypatch, capsys):
     assert threads and threading.main_thread() not in threads
 
 
+def test_short_far_end_wav_exits_1(tmp_path, capsys):
+    wav = tmp_path / "far.wav"
+    save_wav(str(wav), 0.5 * np.sin(np.arange(700) / 10.0))
+    ini = tmp_path / "aec.ini"
+    ini.write_text(f"[aec]\nfar_end = {wav}\n")
+    rc = main(["aec", "--config", str(ini), "--runs", "1", "--samples", "1000"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: far-end audio has 700 samples; 1000 requested\n"
+
+
+def test_overflowing_step_exits_1_with_one_line(capsys):
+    # numpy's overflow warnings stay quiet; the engine's own error names the runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["sysid", "--runs", "2", "--samples", "60", "--mu", "1e300"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: non-finite gradient at iteration 10 in run(s) [0, 1];")
+
+
+def test_full_shape_a_zero_exits_2(tmp_path, capsys):
+    ini = tmp_path / "a0.ini"
+    ini.write_text("[algorithm]\nname = rtga\na = 0\n")
+    assert main(["sysid", "--config", str(ini), *FAST]) == 2
+    err = capsys.readouterr().err
+    assert "a = 0 is the logarithmic limit" in err
+    assert "Traceback" not in err
+
+
+def test_limit_family_runs_with_a_equal_to_b(tmp_path, capsys):
+    ini = tmp_path / "tlmp.ini"
+    ini.write_text("[algorithm]\nname = tlmp\na = 2\nb = 2\nmu = 0.001\n")
+    assert main(["sysid", "--config", str(ini), *FAST]) == 0
+    assert "mode: sysid" in capsys.readouterr().out
+
+
+def test_limit_family_predicted_cost_has_no_a_term(capsys):
+    assert main(["sysid", "--algo", "gdtls", "--runs", "2", "--samples", "200"]) == 0
+    out = capsys.readouterr().out
+    assert "40.0 additions, 54.0 multiplications, 3 nonlinear" in out
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = main(["sysid", "--config", str(tmp_path / "nope.ini")])
     assert rc == 2
@@ -211,8 +258,6 @@ def _fuzzed_run(draw):
     return mode, values, flags
 
 
-# a step size of 1e300 overflows numpy before the engine names the run
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(run=_fuzzed_run())
 def test_config_and_flag_fuzz_exits_cleanly(tmp_path_factory, run):

@@ -75,19 +75,20 @@ def test_tracking_reuse_window_defaults_to_200():
 
 def test_preset_step_sizes_resolve():
     cfg = build_config("sysid", None, {"runs": 2, "algo": "rtga"})
-    p, family = cfg.resolved_params()
-    assert family is None
+    p = cfg.resolved_params()
+    assert p.family is None
     assert (p.a, p.b, p.c, p.mu) == (-100.0, 2.0, 0.2, 0.022)
     cfg = build_config("sysid", None, {"runs": 2, "algo": "proposed", "case": 3})
-    p, _ = cfg.resolved_params()
+    p = cfg.resolved_params()
     assert (p.b, p.c, p.mu) == (1.5, 0.1, 0.155)
     assert p.phi == pytest.approx(10.0)
     cfg = build_config("sysid", None, {"runs": 2, "algo": "gdtls"})
-    p, family = cfg.resolved_params()
-    assert family == "tlmp" and (p.b, p.c, p.mu) == (2.0, 2.0, 0.0022)
+    p = cfg.resolved_params()
+    assert p.family == "tlmp" and (p.b, p.c, p.mu) == (2.0, 2.0, 0.0022)
+    assert p.a is None
     cfg = build_config("sysid", None, {"runs": 2, "algo": "mtgc", "case": 4})
-    p, family = cfg.resolved_params()
-    assert family == "exp" and (p.b, p.mu) == (6.0, 0.055)
+    p = cfg.resolved_params()
+    assert p.family == "exp" and (p.b, p.mu) == (6.0, 0.055)
 
 
 def test_families_without_preset_mu_require_explicit_mu():
@@ -96,20 +97,37 @@ def test_families_without_preset_mu_require_explicit_mu():
     with pytest.raises(ConfigError, match="mu"):
         build_config("sysid", file_values, {"runs": 2})
     cfg = build_config("sysid", file_values, {"runs": 2, "mu": 0.01})
-    p, family = cfg.resolved_params()
-    assert family == "tlmp" and p.mu == 0.01 and p.b == 3.0
+    p = cfg.resolved_params()
+    assert p.family == "tlmp" and p.mu == 0.01 and p.b == 3.0
     # tlmf pins b = 4 so only mu is missing.
     with pytest.raises(ConfigError, match="mu"):
         build_config("sysid", None, {"runs": 2, "algo": "tlmf"})
     cfg = build_config("sysid", None, {"runs": 2, "algo": "tlmf", "mu": 0.02})
-    p, family = cfg.resolved_params()
-    assert family == "tlmp" and p.b == 4.0
+    p = cfg.resolved_params()
+    assert p.family == "tlmp" and p.b == 4.0
+
+
+def test_full_shape_rejects_a_zero():
+    # a = 0 is the ltls limit, not a point of the full shape: a config
+    # error (exit 2) that names a, before anything runs.
+    with pytest.raises(ConfigError, match="a = 0"):
+        build_config("sysid", {"algorithm": {"name": "rtga", "a": "0"}}, {"runs": 2})
+
+
+def test_limit_family_ignores_a():
+    # a limit family's cost has no a; a given one must be finite, and that
+    # is all, so a = b is no error.
+    file_values = {"algorithm": {"name": "tlmp", "a": "2", "b": "2", "mu": "0.001"}}
+    p = build_config("sysid", file_values, {"runs": 2}).resolved_params()
+    assert (p.family, p.b, p.mu) == ("tlmp", 2.0, 0.001)
+    file_values["algorithm"]["a"] = "nan"
+    with pytest.raises(ConfigError, match="a must be finite"):
+        build_config("sysid", file_values, {"runs": 2})
 
 
 def test_mu_override_beats_preset():
     cfg = build_config("sysid", None, {"runs": 2, "algo": "rtga", "mu": 0.5})
-    p, _ = cfg.resolved_params()
-    assert p.mu == 0.5
+    assert cfg.resolved_params().mu == 0.5
 
 
 def test_validation_collects_every_error():
@@ -207,8 +225,7 @@ def test_resolved_params_requires_case_entry():
     cfg = ExperimentConfig(mode="sysid", mc_runs=2)
     cfg.algorithm = AlgorithmConfig(name="rtga")
     cfg.case_id = 1
-    p, _ = cfg.resolved_params()
-    assert p.mu == 0.022
+    assert cfg.resolved_params().mu == 0.022
 
 
 # --- CSV ---

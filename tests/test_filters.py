@@ -1,35 +1,26 @@
 """Cost and gradient contracts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rtga.filters import (
-    RtgaParams,
-    _suppression,
-    gradient,
-    limit_cost,
-    limit_gradient,
-    norm2_bar,
-    rtga_cost,
-    rtga_gradient,
-)
+from rtga.filters import RtgaParams, _suppression, cost, gradient, norm2_bar
 
 # Hand-derived from the closed form with a = -100, b = 2, c = 0.2, phi = 1,
 # w = [0], e = 1, x = [1]: g = -c (1 + c/102)^(-51).
 GRADIENT_ORACLE = -0.18098520322682346
 
 
-def params(a=-100.0, b=2.0, c=0.2, mu=0.01, phi=1.0):
-    return RtgaParams(a=a, b=b, c=c, mu=mu, phi=phi)
+def params(a=-100.0, b=2.0, c=0.2, mu=0.01, phi=1.0, family=None):
+    if family is not None:
+        a = None
+    return RtgaParams(a=a, b=b, c=c, mu=mu, phi=phi, family=family)
 
 
-def cost_of_weights(w, x_tilde, d_tilde, p, family=None):
-    e = d_tilde - w @ x_tilde
-    if family is None:
-        return rtga_cost(e, w, p)
-    return limit_cost(e, w, family, p)
+def cost_of_weights(w, x_tilde, d_tilde, p):
+    return cost(d_tilde - w @ x_tilde, w, p)
 
 
 def test_params_validation():
@@ -45,6 +36,22 @@ def test_params_validation():
         params(a=2.0, b=2.0)
 
 
+def test_params_family_rules():
+    with pytest.raises(ValueError, match="a = 0"):
+        params(a=0.0)
+    with pytest.raises(ValueError, match="needs a"):
+        params(a=None)
+    with pytest.raises(ValueError, match="a must be finite"):
+        params(a=math.inf)
+    with pytest.raises(ValueError, match="unknown limit family"):
+        params(family="huber")
+    with pytest.raises(TypeError):
+        RtgaParams(-100.0, 2.0, 0.2, 0.01)  # fields are keyword-only
+    # a limit family has no a: a = b or a = 0 beside it is not an error
+    assert RtgaParams(a=2.0, b=2.0, c=1.0, mu=0.0, family="tlmp").family == "tlmp"
+    assert params(family="ltls").a is None
+
+
 def test_norm2_bar():
     w = np.array([3.0, 4.0])
     assert norm2_bar(w, 2.0) == pytest.approx(27.0, abs=0)
@@ -53,40 +60,42 @@ def test_norm2_bar():
 def test_cost_hand_values():
     # a = -2, b = 2, c = 4: J = (4/-2) ((e^2 + 1)^-1 - 1) = 1 at e = 1.
     p = params(a=-2.0, b=2.0, c=4.0)
-    assert rtga_cost(1.0, np.zeros(2), p) == pytest.approx(1.0, rel=1e-14)
+    assert cost(1.0, np.zeros(2), p) == pytest.approx(1.0, rel=1e-14)
     # a = 4, b = 2, c = 1: J = (2/4) ((e^2/2 + 1)^2 - 1) = 4 at e = 2.
     p = params(a=4.0, b=2.0, c=1.0)
-    assert rtga_cost(2.0, np.zeros(2), p) == pytest.approx(4.0, rel=1e-14)
+    assert cost(2.0, np.zeros(2), p) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_cost_zero_error_is_zero():
     p = params()
-    assert rtga_cost(0.0, np.zeros(3), p) == 0.0
+    assert cost(0.0, np.zeros(3), p) == 0.0
     for fam in ("tlmp", "ltls", "exp"):
-        assert limit_cost(0.0, np.zeros(3), fam, p) == 0.0
+        assert cost(0.0, np.zeros(3), replace(p, a=None, family=fam)) == 0.0
 
 
 def test_limit_cost_hand_values():
-    p = params(b=2.0, c=2.0)
-    assert limit_cost(3.0, np.zeros(2), "tlmp", p) == pytest.approx(9.0, rel=1e-14)
-    assert limit_cost(1.0, np.zeros(2), "ltls", p) == pytest.approx(
+    def p(fam):
+        return params(b=2.0, c=2.0, family=fam)
+
+    assert cost(3.0, np.zeros(2), p("tlmp")) == pytest.approx(9.0, rel=1e-14)
+    assert cost(1.0, np.zeros(2), p("ltls")) == pytest.approx(
         math.log(2.0), rel=1e-14
     )
-    assert limit_cost(1.0, np.zeros(2), "exp", p) == pytest.approx(
+    assert cost(1.0, np.zeros(2), p("exp")) == pytest.approx(
         1.0 - math.exp(-1.0), rel=1e-14
     )
 
 
 def test_gradient_frozen_oracle():
     p = params(a=-100.0, b=2.0, c=0.2)
-    g = rtga_gradient(1.0, np.array([1.0]), np.array([0.0]), p)
+    g = gradient(1.0, np.array([1.0]), np.array([0.0]), p)
     assert g[0] == pytest.approx(GRADIENT_ORACLE, rel=1e-13)
 
 
 def test_gradient_hand_value():
     # a = -2, b = 2, c = 4, w = 0, e = 1, x = [1, 0]: g = -c (1+1)^-2 x e = [-1, 0].
     p = params(a=-2.0, b=2.0, c=4.0)
-    g = rtga_gradient(1.0, np.array([1.0, 0.0]), np.zeros(2), p)
+    g = gradient(1.0, np.array([1.0, 0.0]), np.zeros(2), p)
     np.testing.assert_allclose(g, [-1.0, 0.0], rtol=1e-14, atol=0)
 
 
@@ -101,7 +110,7 @@ def test_gradient_matches_finite_differences():
         x = rng.standard_normal(L)
         d = float(w @ x + rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0))
         e = d - w @ x
-        g = rtga_gradient(e, x, w, p)
+        g = gradient(e, x, w, p)
         fd = np.zeros(L)
         for j in range(L):
             h = 1e-6 * max(1.0, abs(w[j]))
@@ -114,22 +123,20 @@ def test_gradient_matches_finite_differences():
 
 def test_limit_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
-    p = params(b=2.5, c=0.7, phi=2.0)
     for fam in ("tlmp", "ltls", "exp"):
+        p = params(b=2.5, c=0.7, phi=2.0, family=fam)
         w = rng.standard_normal(3)
         x = rng.standard_normal(3)
         d = float(w @ x + 0.8)
         e = d - w @ x
-        g = limit_gradient(e, x, w, fam, p)
+        g = gradient(e, x, w, p)
         fd = np.zeros(3)
         for j in range(3):
             h = 1e-6
             wp, wm = w.copy(), w.copy()
             wp[j] += h
             wm[j] -= h
-            fd[j] = (
-                cost_of_weights(wp, x, d, p, fam) - cost_of_weights(wm, x, d, p, fam)
-            ) / (2 * h)
+            fd[j] = (cost_of_weights(wp, x, d, p) - cost_of_weights(wm, x, d, p)) / (2 * h)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-9)
 
 
@@ -139,12 +146,13 @@ def test_limit_family_equivalence():
     w = rng.standard_normal(4)
     x = rng.standard_normal(4)
     for fam, a in (("tlmp", 2.0 - 1e-4), ("ltls", 1e-4), ("exp", -1e4)):
-        p_lim = params(a=a, b=2.0, c=1.3)
-        j_full = rtga_cost(e, w, p_lim)
-        j_fam = limit_cost(e, w, fam, p_lim)
+        p_near = params(a=a, b=2.0, c=1.3)
+        p_lim = replace(p_near, a=None, family=fam)
+        j_full = cost(e, w, p_near)
+        j_fam = cost(e, w, p_lim)
         assert abs(j_full - j_fam) <= 1e-3 * abs(j_fam)
-        g_full = rtga_gradient(e, x, w, p_lim)
-        g_fam = limit_gradient(e, x, w, fam, p_lim)
+        g_full = gradient(e, x, w, p_near)
+        g_fam = gradient(e, x, w, p_lim)
         assert np.linalg.norm(g_full - g_fam) <= 1e-3 * np.linalg.norm(g_fam)
 
 
@@ -155,13 +163,16 @@ def test_suppression_factor_limits():
         return np.array([et_abs]) ** p.b
 
     # Large normalized error is suppressed toward zero; small error is not.
-    assert _suppression(eb(50.0), p, None)[0] < 1e-3
-    assert _suppression(eb(1e-8), p, None)[0] == pytest.approx(1.0, abs=1e-6)
-    assert _suppression(eb(3.0), p, "tlmp") == 1.0
-    assert _suppression(eb(3.0), p, "exp")[0] == pytest.approx(
+    def limit(fam):
+        return replace(p, a=None, family=fam)
+
+    assert _suppression(eb(50.0), p)[0] < 1e-3
+    assert _suppression(eb(1e-8), p)[0] == pytest.approx(1.0, abs=1e-6)
+    assert _suppression(eb(3.0), limit("tlmp")) == 1.0
+    assert _suppression(eb(3.0), limit("exp"))[0] == pytest.approx(
         math.exp(-0.25 * 9.0), rel=1e-12
     )
-    assert _suppression(eb(3.0), p, "ltls")[0] == pytest.approx(
+    assert _suppression(eb(3.0), limit("ltls"))[0] == pytest.approx(
         1.0 / (1.0 + 0.25 * 9.0), rel=1e-12
     )
 
@@ -169,24 +180,10 @@ def test_suppression_factor_limits():
 def test_gradient_guard_below_threshold():
     # b < 2 makes |e|^(b-2) blow up at e = 0; the guard zeroes the step.
     p = params(a=-100.0, b=1.5, c=0.2)
-    g = rtga_gradient(0.0, np.ones(3), np.zeros(3), p)
+    g = gradient(0.0, np.ones(3), np.zeros(3), p)
     np.testing.assert_array_equal(g, np.zeros(3))
-    g = rtga_gradient(1e-13, np.ones(3), np.zeros(3), p)
+    g = gradient(1e-13, np.ones(3), np.zeros(3), p)
     np.testing.assert_array_equal(g, np.zeros(3))
-
-
-def test_gradient_dispatch_matches_families():
-    rng = np.random.default_rng(6)
-    e = 0.7
-    w = rng.standard_normal(3)
-    x = rng.standard_normal(3)
-    p = params(b=2.0, c=1.0)
-    np.testing.assert_array_equal(
-        gradient(e, x, w, p), rtga_gradient(e, x, w, p)
-    )
-    np.testing.assert_array_equal(
-        gradient(e, x, w, p, family="exp"), limit_gradient(e, x, w, "exp", p)
-    )
 
 
 def test_gradient_batched_rows_match_scalar():
@@ -195,7 +192,7 @@ def test_gradient_batched_rows_match_scalar():
     e = rng.standard_normal(5)
     X = rng.standard_normal((5, 4))
     W = rng.standard_normal((5, 4))
-    batched = rtga_gradient(e, X, W, p)
+    batched = gradient(e, X, W, p)
     for k in range(5):
-        row = rtga_gradient(float(e[k]), X[k], W[k], p)
+        row = gradient(float(e[k]), X[k], W[k], p)
         np.testing.assert_allclose(batched[k], row, rtol=1e-13)

@@ -1,5 +1,7 @@
 """Learning-curve metrics, ERLE smoothing, and operation counts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,17 @@ def test_predicted_op_counts_frozen():
     assert counts["additions"] == 40
     assert counts["multiplications"] == 104
     assert counts["nonlinear"] == 3.0
+
+
+def test_predicted_op_counts_limit_family():
+    # A limit family has no a, so no |a|/b term: tlmp, L = 9, b = 2 gives
+    # 5L + 5 + 2b = 54 multiplications.
+    p = RtgaParams(b=2.0, c=2.0, mu=0.0022, family="tlmp")
+    counts = predicted_op_counts(9, p)
+    assert counts["additions"] == 40
+    assert counts["multiplications"] == 54
+    # a given beside a limit family is ignored here too
+    assert predicted_op_counts(9, replace(p, a=-100.0)) == counts
 
 
 def test_predicted_op_counts_factor():

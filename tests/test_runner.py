@@ -59,7 +59,7 @@ def _synth_run(seed, run, wo_order, n, in_spec, out_spec):
     return wo, x_tilde, d_tilde
 
 
-def _per_sample_run(x_tilde, d_tilde, wo, params, family, censor, reuse):
+def _per_sample_run(x_tilde, d_tilde, wo, params, censor, reuse):
     """One run through a per-sample loop on filters.gradient.
 
     Contract order per iteration: scheduled reuse steps, each censored on
@@ -81,7 +81,7 @@ def _per_sample_run(x_tilde, d_tilde, wo, params, family, censor, reuse):
             and censor_decision(e, censor.kappa, scale.sigma_e)
         )
         if not censored:
-            w = w - params.mu * gradient(e, x_tilde[idx], w, params, family)
+            w = w - params.mu * gradient(e, x_tilde[idx], w, params)
         return w, e, censored
 
     for i in range(n):
@@ -112,12 +112,12 @@ class TestEngineEquivalence:
         reuse = ReuseConfig(scheme="idr", l_reused=2)
 
         res, kept = run_kept(
-            ArrayProvider(x_tilde[None], d_tilde[None]), n, params, None,
+            ArrayProvider(x_tilde[None], d_tilde[None]), n, params,
             censor, reuse, [(0, n, wo[None])],
         )
 
         w, ratio, cen_mask, counts = _per_sample_run(
-            x_tilde, d_tilde, wo, params, None, censor, reuse
+            x_tilde, d_tilde, wo, params, censor, reuse
         )
 
         assert np.allclose(res.weights[0], w, rtol=0.0, atol=1e-13)
@@ -129,19 +129,19 @@ class TestEngineEquivalence:
         assert res.reuse_updates == counts["reuse_updates"]
 
     @pytest.mark.parametrize(
-        "params, family",
+        "params",
         [
             # b < 2, case-3 shape
-            (RtgaParams(a=-100.0, b=1.5, c=0.1, mu=0.155), None),
+            RtgaParams(a=-100.0, b=1.5, c=0.1, mu=0.155),
             # b > 2, case-4 shape
-            (RtgaParams(a=-1000.0, b=8.0, c=0.6, mu=0.025), None),
-            (RtgaParams(a=-1.0e6, b=4.0, c=1.0, mu=0.01), "tlmp"),
-            (RtgaParams(a=-1.0e6, b=2.0, c=1.0, mu=0.01), "ltls"),
-            (RtgaParams(a=-1.0e6, b=1.56, c=1.0, mu=0.05), "exp"),
+            RtgaParams(a=-1000.0, b=8.0, c=0.6, mu=0.025),
+            RtgaParams(b=4.0, c=1.0, mu=0.01, family="tlmp"),
+            RtgaParams(b=2.0, c=1.0, mu=0.01, family="ltls"),
+            RtgaParams(b=1.56, c=1.0, mu=0.05, family="exp"),
         ],
         ids=["b1.5-guard", "b8", "tlmp-b4", "ltls-b2", "exp-b1.56"],
     )
-    def test_specialised_branches_match_per_sample_loop(self, params, family):
+    def test_specialised_branches_match_per_sample_loop(self, params):
         n, L, runs = 300, 5, 3
         in_spec = NoiseSpec("gaussian", 0.1)
         out_spec = NoiseSpec("gaussian", 0.1, impulse_prob=0.01, impulse_variance=10.0)
@@ -157,13 +157,13 @@ class TestEngineEquivalence:
         reuse = ReuseConfig(scheme="idr", l_reused=2)
 
         res, kept = run_kept(
-            ArrayProvider(X, D), n, params, family, censor, reuse, [(0, n, WO)],
+            ArrayProvider(X, D), n, params, censor, reuse, [(0, n, WO)],
         )
 
         main_updates = reuse_steps = reuse_updates = 0
         for r in range(runs):
             w, ratio, cen_mask, counts = _per_sample_run(
-                X[r], D[r], WO[r], params, family, censor, reuse
+                X[r], D[r], WO[r], params, censor, reuse
             )
             assert np.allclose(res.weights[r], w, rtol=0.0, atol=1e-13)
             assert np.allclose(kept.ratio[r], ratio, rtol=0.0, atol=1e-13)
@@ -182,12 +182,11 @@ class TestEngineEquivalence:
         spec = NoiseSpec("gaussian", 0.1)
         wo, x_tilde, d_tilde = _synth_run(3, 0, L, n, spec, spec)
         params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=1e300, phi=1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ArithmeticError, match=r"run\(s\) \[0\].*mu=1e\+300"):
-                run_kept(
-                    ArrayProvider(x_tilde[None], d_tilde[None]), n, params, None,
-                    NO_CENSOR, NO_REUSE, [(0, n, wo[None])],
-                )
+        with pytest.raises(ArithmeticError, match=r"run\(s\) \[0\].*mu=1e\+300"):
+            run_kept(
+                ArrayProvider(x_tilde[None], d_tilde[None]), n, params,
+                NO_CENSOR, NO_REUSE, [(0, n, wo[None])],
+            )
 
     def test_divergence_named_among_several_runs(self):
         n, L = 400, 4
@@ -201,17 +200,14 @@ class TestEngineEquivalence:
         params = RtgaParams(a=100.0, b=2.0, c=0.5, mu=0.01, phi=1.0)
         censor = CensorConfig(p_ce=0.5)
         reuse = ReuseConfig(scheme="idr", l_reused=2)
-        args = (params, None, censor, reuse, [(0, n, WO)])
+        args = (params, censor, reuse, [(0, n, WO)])
         _, calm = run_kept(ArrayProvider(X, D), n, *args)
         assert np.all(calm.ratio[:, -1] < 0.05)
 
         X[1] *= 1e3
         D[1] *= 1e3
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(
-                ArithmeticError, match=r"at iteration \d+ in run\(s\) \[1\];"
-            ):
-                run_kept(ArrayProvider(X, D), n, *args)
+        with pytest.raises(ArithmeticError, match=r"at iteration \d+ in run\(s\) \[1\];"):
+            run_kept(ArrayProvider(X, D), n, *args)
 
     def test_finite_divergence_named_among_several_runs(self):
         # The n2 = phi + |w|^2 normalization keeps this blown-up run finite
@@ -222,9 +218,9 @@ class TestEngineEquivalence:
         WO = np.stack([s[0] for s in synth])
         X = np.stack([s[1] for s in synth])
         D = np.stack([s[2] for s in synth])
-        params = RtgaParams(a=-100.0, b=2.0, c=1.0, mu=0.05, phi=1.0)
+        params = RtgaParams(b=2.0, c=1.0, mu=0.05, phi=1.0, family="tlmp")
         reuse = ReuseConfig(scheme="idr", l_reused=2)
-        args = (params, "tlmp", NO_CENSOR, reuse, [(0, n, WO)])
+        args = (params, NO_CENSOR, reuse, [(0, n, WO)])
         _, calm = run_kept(ArrayProvider(X, D), n, *args)
         assert np.all(calm.ratio[:, -1] < 0.05)
 
@@ -249,9 +245,9 @@ class TestEngineEquivalence:
         D = np.stack([s[2] for s in synth])
         X[1, 100:] *= 1e3
         D[1, 100:] *= 1e3
-        params = RtgaParams(a=-100.0, b=2.0, c=1.0, mu=0.05, phi=1.0)
+        params = RtgaParams(b=2.0, c=1.0, mu=0.05, phi=1.0, family="tlmp")
         reuse = ReuseConfig(scheme="idr", l_reused=2)
-        _, ratio, _, _ = _per_sample_run(X[1], D[1], WO[1], params, "tlmp", NO_CENSOR, reuse)
+        _, ratio, _, _ = _per_sample_run(X[1], D[1], WO[1], params, NO_CENSOR, reuse)
         den = WO[1] @ WO[1]
         over = ratio > DIVERGENCE_FACTOR * den / den
         first = int(np.argmax(over))
@@ -268,19 +264,19 @@ class TestEngineEquivalence:
         with pytest.raises(
             ArithmeticError, match=rf"^divergence at iteration {first} in run\(s\) \[1\];"
         ):
-            run_engine(provider, n, params, "tlmp", NO_CENSOR, reuse, [(0, n, WO)], KeepAll())
+            run_engine(provider, n, params, NO_CENSOR, reuse, [(0, n, WO)], KeepAll())
         assert provider.latest == (first // 30 + 1) * 30 - 1 < n - 1
 
     @pytest.mark.parametrize(
-        "params, family, censor",
+        "params, censor",
         [
             # a > b overflows the gradient; the finite blow-up of the test above
-            (RtgaParams(a=100.0, b=2.0, c=0.5, mu=0.01), None, CensorConfig(p_ce=0.5)),
-            (RtgaParams(a=-100.0, b=2.0, c=1.0, mu=0.05), "tlmp", NO_CENSOR),
+            (RtgaParams(a=100.0, b=2.0, c=0.5, mu=0.01), CensorConfig(p_ce=0.5)),
+            (RtgaParams(b=2.0, c=1.0, mu=0.05, family="tlmp"), NO_CENSOR),
         ],
         ids=["non-finite", "finite"],
     )
-    def test_merged_divergence_named_by_group(self, params, family, censor):
+    def test_merged_divergence_named_by_group(self, params, censor):
         # Two groups of 3 runs share one pass and only run 1 of the second
         # blows up: the merged pass names it by its group's label and its
         # index in the group, at the iteration its own pass names.
@@ -293,27 +289,26 @@ class TestEngineEquivalence:
         wild_X, wild_D = X.copy(), D.copy()
         wild_X[1] *= 1e3
         wild_D[1] *= 1e3
-        args = (params, family, censor, ReuseConfig(scheme="idr", l_reused=2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ArithmeticError, match=r" in run\(s\) \[1\];") as alone:
-                run_kept(ArrayProvider(wild_X, wild_D), n, *args, [(0, n, WO)])
-            first = re.search(r"at iteration (\d+) in", str(alone.value)).group(1)
-            merged = ArrayProvider(np.concatenate([X, wild_X]), np.concatenate([D, wild_D]))
-            with pytest.raises(
-                ArithmeticError, match=rf"at iteration {first} in wild run\(s\) \[1\];"
-            ):
-                run_engine(
-                    merged, n, *args, [(0, n, np.concatenate([WO, WO]))], KeepAll(),
-                    ("calm", "wild"),
-                )
+        args = (params, censor, ReuseConfig(scheme="idr", l_reused=2))
+        with pytest.raises(ArithmeticError, match=r" in run\(s\) \[1\];") as alone:
+            run_kept(ArrayProvider(wild_X, wild_D), n, *args, [(0, n, WO)])
+        first = re.search(r"at iteration (\d+) in", str(alone.value)).group(1)
+        merged = ArrayProvider(np.concatenate([X, wild_X]), np.concatenate([D, wild_D]))
+        with pytest.raises(
+            ArithmeticError, match=rf"at iteration {first} in wild run\(s\) \[1\];"
+        ):
+            run_engine(
+                merged, n, *args, [(0, n, np.concatenate([WO, WO]))], KeepAll(),
+                ("calm", "wild"),
+            )
 
     def test_noiseless_limit_filter_converges_monotonically(self):
         n, L = 800, 4
         zero = NoiseSpec("gaussian", 0.0)
         wo, x_tilde, d_tilde = _synth_run(11, 0, L, n, zero, zero)
-        params = RtgaParams(a=-100.0, b=2.0, c=1.0, mu=0.05, phi=1.0)
+        params = RtgaParams(b=2.0, c=1.0, mu=0.05, phi=1.0, family="tlmp")
         _, kept = run_kept(
-            ArrayProvider(x_tilde[None], d_tilde[None]), n, params, "tlmp",
+            ArrayProvider(x_tilde[None], d_tilde[None]), n, params,
             NO_CENSOR, NO_REUSE, [(0, n, wo[None])],
         )
         curve = kept.ratio[0]
@@ -333,7 +328,7 @@ class TestEngineEquivalence:
         d_tilde = x @ wo + noise[0]
         params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.05, phi=1.0)
         res, _ = run_kept(
-            ArrayProvider(x_tilde[None], d_tilde[None]), n, params, None,
+            ArrayProvider(x_tilde[None], d_tilde[None]), n, params,
             NO_CENSOR, NO_REUSE, [(0, n, wo[None])],
         )
         w = res.weights[0]
@@ -370,7 +365,7 @@ class TestEngineBlocks:
         params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.05, phi=1.0)
         censor = CensorConfig(p_ce=0.5)
         reuse = ReuseConfig(scheme="idr", l_reused=2)
-        run_engine(ArrayProvider(X, D), n, params, None, censor, reuse, segments, both)
+        run_engine(ArrayProvider(X, D), n, params, censor, reuse, segments, both)
 
         assert [b[0].shape[1] for b in kept.blocks] == widths
         assert np.array_equal(sums.ratio / runs, kept.ratio.mean(axis=0))
@@ -395,7 +390,7 @@ class TestEngineBlocks:
         segments = [(0, n, rng.standard_normal((runs, L)))]
         for groups, widths in (((), [16, 14]), (("a", "b", "c"), [5] * 6), (("a",) * 6, [2] * 15)):
             kept = KeepAll()
-            run_engine(provider, n, params, None, NO_CENSOR, NO_REUSE, segments, kept, groups)
+            run_engine(provider, n, params, NO_CENSOR, NO_REUSE, segments, kept, groups)
             assert [b[0].shape[1] for b in kept.blocks] == widths
 
     def test_memory_flat_in_stream_length(self, monkeypatch):
@@ -414,7 +409,7 @@ class TestEngineBlocks:
             segments = [(0, n, rng.standard_normal((runs, L)))]
             tracemalloc.start()
             try:
-                run_engine(provider, n, params, None, censor, reuse, segments, lambda *b: None)
+                run_engine(provider, n, params, censor, reuse, segments, lambda *b: None)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -447,7 +442,7 @@ class TestReuse:
         # so the transient should run like a single update at (l + 1) * mu.
         # A reuse pass that lost part of its step would cross -25 dB later.
         common = dict(mode="sysid", case_id=1, order=9, n_samples=3000, mc_runs=30)
-        mu = AlgorithmConfig(name="proposed").resolve(1, phi=1.0)[0].mu
+        mu = AlgorithmConfig(name="proposed").resolve(1, phi=1.0).mu
         reused = run_sysid(ExperimentConfig(
             algorithm=AlgorithmConfig(name="proposed"),
             reuse=ReuseConfig(scheme="idr", l_reused=3), **common,
@@ -603,11 +598,11 @@ class TestStreamProvider:
 
 def _kept_rows(cfg):
     """Each run's ratio row and the update counts of a sysid or tracking pass."""
-    params, family = cfg.resolved_params()
+    params = cfg.resolved_params()
     shifts = [(cfg.shift_time, cfg.shift_amount)] if cfg.mode == "tracking" else []
     with runner._trial_provider(cfg, [case_spec(cfg.case_id)], shifts=shifts) as provider:
         res, kept = run_kept(
-            provider, cfg.n_samples, params, family, cfg.censoring, cfg.reuse,
+            provider, cfg.n_samples, params, cfg.censoring, cfg.reuse,
             provider.segments,
         )
     counts = (res.main_steps, res.main_updates, res.reuse_steps, res.reuse_updates)
@@ -626,7 +621,7 @@ class TestProducerThread:
             mode="sysid", order=9, n_samples=3000, mc_runs=3,
             reuse=ReuseConfig(scheme="idr", l_reused=2),
         )
-        params = RtgaParams(a=-100.0, b=2.0, c=1.0, mu=0.05, phi=1.0)
+        params = RtgaParams(b=2.0, c=1.0, mu=0.05, phi=1.0, family="tlmp")
         spec = NoiseSpec("gaussian", 1e6 if ending == "divergence" else 0.1)
         fills = []
         synthesize = runner.synthesize_eiv_arrays
@@ -639,7 +634,7 @@ class TestProducerThread:
 
         monkeypatch.setattr(runner, "synthesize_eiv_arrays", recording)
         before = threading.active_count()
-        run = lambda: runner._run_trials(cfg, params, "tlmp", [(spec, spec)])  # noqa: E731
+        run = lambda: runner._run_trials(cfg, params, [(spec, spec)])  # noqa: E731
         if ending == "normal":
             run()
         else:

@@ -90,6 +90,11 @@ def test_inputs_validation():
         make_inputs(alpha=-1.0)
     with pytest.raises(ValueError, match=str(MAX_THEORY_ORDER)):
         make_inputs(w_o=np.zeros(65) + 0.1)
+    with pytest.raises(ValueError, match="full shape"):
+        TheoryInputs(
+            R=np.eye(2), w_o=np.array([1.0, 0.0]), sigma_i2=0.1, sigma_o2=0.1,
+            alpha=2.0, params=RtgaParams(b=2.0, c=0.1, mu=0.01, family="exp"),
+        )
 
 
 def test_normalization_scale_equals_input_sigma():
