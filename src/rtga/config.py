@@ -11,11 +11,11 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .censoring import CensorConfig
 from .filters import RtgaParams
-from .noise import case_spec, noise_ratio
+from .noise import NoiseSpec, case_spec, noise_ratio
 from .reuse import ReuseConfig
 
 MODES = ("sysid", "tracking", "aec", "theory", "sweep")
@@ -59,6 +59,10 @@ _LIMIT_PRESETS = {
     "ltls": dict(family="ltls", b=2.0, c=1.0),
 }
 
+# Theory mode's full-shape filter; no published value, mu lies inside the
+# predicted stability bound of every shipped setting.
+_THEORY_PRESET = dict(a=-100.0, b=2.0, c=0.1, mu=0.05)
+
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
@@ -74,19 +78,13 @@ class AlgorithmConfig:
         """Concrete RtgaParams for one case."""
         if self.name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.name!r}; expected one of {ALGORITHMS}")
-        if self.name in ("rtga", "proposed"):
-            preset = dict(_FULL_COST[(self.name, case_id)])
-        else:
-            preset = {}
-            for key, val in _LIMIT_PRESETS[self.name].items():
-                if isinstance(val, dict):
-                    val = val.get(case_id)
-                if val is not None:
-                    preset[key] = val
+        preset = dict(_FULL_COST.get((self.name, case_id), {}))
+        for key, val in _LIMIT_PRESETS.get(self.name, {}).items():
+            preset[key] = val.get(case_id) if isinstance(val, dict) else val
         for key in ("a", "b", "c", "mu"):
-            override = getattr(self, key)
-            if override is not None:
-                preset[key] = override
+            if getattr(self, key) is not None:
+                preset[key] = getattr(self, key)
+        preset = {key: val for key, val in preset.items() if val is not None}
         if "mu" not in preset:
             if require_mu:
                 raise ConfigError(
@@ -143,12 +141,32 @@ class ExperimentConfig:
     sweep: SweepConfig = field(default_factory=SweepConfig)
     out_path: str | None = None
 
-    def phi(self) -> float:
-        inp, out = case_spec(self.case_id)
-        return noise_ratio(inp, out)
+    def noise_pairs(self) -> list[tuple[NoiseSpec, NoiseSpec]]:
+        """The (input, output) noise pair of each group of runs: the case's, or
+        per theory variance a gaussian input and theory.output_family output."""
+        if self.mode != "theory":
+            return [case_spec(self.case_id)]
+        family = self.theory.output_family
+        return [(NoiseSpec("gaussian", s2), NoiseSpec(family, s2)) for s2 in self.theory.variances]
 
-    def resolved_params(self, require_mu: bool = True) -> RtgaParams:
-        return self.algorithm.resolve(self.case_id, self.phi(), require_mu)
+    def resolved_params(self, noise: tuple[NoiseSpec, NoiseSpec] | None = None) -> RtgaParams:
+        """The run's filter: every mode and validation build it here.
+
+        phi is noise_ratio of the (input, output) noise pair the run draws:
+        noise when given (AEC passes its scene-scaled pair), the first of
+        noise_pairs() otherwise. Theory mode analyses the full shape, so it
+        rejects a limit family and fills unset a, b, c and mu from its
+        comparison preset; sweep needs no step size.
+        """
+        algo = self.algorithm
+        if self.mode == "theory":
+            if algo.name in _LIMIT_PRESETS:
+                raise ConfigError(f"theory mode analyses the full RTGA cost shape; "
+                                  f"{algo.name!r} is a limit family (use rtga or proposed)")
+            unset = {k: v for k, v in _THEORY_PRESET.items() if getattr(algo, k) is None}
+            algo = replace(algo, **unset)
+        phi = noise_ratio(*(noise or self.noise_pairs()[0]))
+        return algo.resolve(self.case_id, phi, require_mu=self.mode != "sweep")
 
     def validate(self) -> None:
         """Check every field; report all problems in a single error."""
@@ -175,8 +193,10 @@ class ExperimentConfig:
         if self.base_seed < 0:
             errors.append(f"experiment.seed must be >= 0, got {self.base_seed}")
         if self.case_id in CASES:
+            # the case's pair stands in for theory's, whose fields are checked
+            # below: a valid pair's phi is always a valid phi
             try:
-                self.resolved_params(require_mu=self.mode != "sweep")
+                self.resolved_params(case_spec(self.case_id))
             except (ConfigError, ValueError) as exc:
                 errors.append(str(exc))
         if self.mode == "tracking":

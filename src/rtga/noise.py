@@ -167,8 +167,10 @@ def noise_ratio(input_spec: NoiseSpec, output_spec: NoiseSpec) -> float:
     """Base-variance ratio sigma_o^2 / sigma_i^2 used by the cost normalizer.
 
     Impulsive contributions are excluded: the impulse part is a disturbance
-    the robust cost rejects, not part of the noise geometry.
+    the robust cost rejects, not part of the noise geometry. A noiseless
+    side (base variance 0) leaves no ratio to form, and the ratio is then
+    1, the neutral normalization.
     """
-    if input_spec.variance <= 0:
-        raise ValueError("input noise variance must be > 0 to form the ratio")
+    if input_spec.variance == 0 or output_spec.variance == 0:
+        return 1.0
     return output_spec.variance / input_spec.variance

@@ -81,11 +81,13 @@ def schedule(cfg: ReuseConfig, i: int, L: int) -> list[int]:
     return undr_indices(i, L, cfg.l_reused)
 
 
-def reach(cfg: ReuseConfig, n: int) -> int:
-    """How far back schedule may reach in an n-sample run: 0 without reuse
-    and for dr, l_reused for undr, the window cap or the whole run for idr."""
+def reach(cfg: ReuseConfig, n: int, L: int) -> int:
+    """How far back schedule may reach in an n-sample run of order L: 0
+    without reuse and for dr, l_reused for undr; idr's oldest index lies
+    span // (l_reused + 1) into its span of i - L (at most the cap) samples."""
     if not cfg.active or cfg.scheme == "dr":
         return 0
     if cfg.scheme == "undr":
         return cfg.l_reused
-    return n - 1 if cfg.window_cap is None else cfg.window_cap
+    span = max(0, n - 1 - L) if cfg.window_cap is None else cfg.window_cap
+    return span - span // (cfg.l_reused + 1)

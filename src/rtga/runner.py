@@ -56,15 +56,12 @@ from .theory import TheoryInputs, steady_state_msd
 # Calibrated squared norm of the randomly drawn true weight vectors.
 TRUE_WEIGHT_NORM2 = 1.44
 
-# Step size for the theory-vs-simulation comparison (no published value;
-# chosen inside the predicted stability bound for every shipped setting).
-THEORY_MU = 0.05
-
-# GGD shape attributed to the normalized optimal error per output family.
-# The optimal error is output noise minus the input-noise projection, so
-# even for laplace output the convolution with the gaussian projection is
-# gaussian-like near zero, where the negative-order moments concentrate.
-THEORY_ALPHA = {"gaussian": 2.0, "laplace": 2.0}
+# GGD shape attributed to the normalized optimal error, for either output
+# family. The optimal error is output noise minus the input-noise
+# projection, so even for laplace output the convolution with the gaussian
+# projection is gaussian-like near zero, where the negative-order moments
+# concentrate.
+THEORY_ALPHA = 2.0
 
 # A run whose squared deviation exceeds this multiple of its largest
 # squared truth norm is reported as divergent.
@@ -177,10 +174,9 @@ class StreamProvider:
 
     segments is the piecewise truth [(start, end, (runs, L))], noise one
     (input, output) pair per run and streams each run's (source, noise
-    streams) generators from run_streams. regressors, the clean (n, L)
-    regressors of a source shared by every run, replaces the source draws
-    and the delay line, and clean, its clean output when every run shares
-    the truth too, replaces the clean-output einsum.
+    streams) generators from run_streams. shared, the clean (n, L)
+    regressors and (n,) output of a source and truth that every run shares,
+    replaces the source draws, the delay line and the clean-output einsum.
 
     The ring holds sample i in row i % rows of (rows, runs, L) regressors
     and (rows, runs) outputs, rows = min(n, capacity - 1 + chunk), where a
@@ -215,15 +211,13 @@ class StreamProvider:
         noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
         streams: list[tuple[np.random.Generator, dict]],
         capacity: int,
-        regressors: np.ndarray | None = None,
-        clean: np.ndarray | None = None,
+        shared: tuple[np.ndarray, np.ndarray] | None = None,
         groups: int = 1,
     ):
         self.segments = segments
         self.noise = noise
         self.streams = streams
-        self.regressors = regressors
-        self.clean = clean
+        self.shared = shared
         self.cap = capacity
         runs, L = segments[0][2].shape
         n = segments[-1][1]
@@ -232,7 +226,7 @@ class StreamProvider:
         self.x = np.empty((self.rows, runs, L))
         self.d = np.empty((self.rows, runs))
         # values a run draws per sample: input and output noise, and source
-        per_sample = L + 1 + (regressors is None)
+        per_sample = L + 1 + (shared is None)
         half = max(1, self.chunk // 2)
         threaded = half * per_sample >= self._THREADED
         piece = half if threaded else self.chunk
@@ -273,21 +267,19 @@ class StreamProvider:
             m = min(span, end - t)
             rows = slice(t % self.rows, t % self.rows + m)
             d = None
-            if self.regressors is not None:
-                x = self.regressors[t:t + m]
-                if self.clean is not None:
-                    d = self.clean[t:t + m]
+            if self.shared is not None:
+                x, d = (a[t:t + m] for a in self.shared)
             for r0 in range(0, runs, self.batch):
                 r1 = min(r0 + self.batch, runs)
                 k = r1 - r0
-                if self.regressors is None:
+                if self.shared is None:
                     self.line[:k, :lag] = self.carry[r0:r1]
                 for b, r in enumerate(range(r0, r1)):
                     source_rng, streams = self.streams[r]
-                    if self.regressors is None:
+                    if self.shared is None:
                         source_rng.standard_normal(out=self.line[b, lag:lag + m])
                     draw_eiv_noise(*self.noise[r], streams, self.u[b, :m], self.v[b, :m])
-                if self.regressors is None:
+                if self.shared is None:
                     self.carry[r0:r1] = self.line[:k, m:m + lag]
                     x = self.windows[:k, :m]
                 synthesize_eiv_arrays(
@@ -595,12 +587,13 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-def _aggregate(cfg: ExperimentConfig, res: EngineResult, sums: RunSums) -> ExperimentResult:
+def _aggregate(
+    cfg: ExperimentConfig, params: RtgaParams, res: EngineResult, sums: RunSums
+) -> ExperimentResult:
     mean_ratio = sums.ratio / sums.runs
     keys = ("main_steps", "main_updates", "reuse_steps", "reuse_updates")
     counts = {k: getattr(res, k) for k in keys}
     curve = LearningCurve(to_db(mean_ratio), runs=sums.runs)
-    params = cfg.resolved_params()
     out = ExperimentResult(
         mode=cfg.mode,
         curve=curve,
@@ -626,18 +619,17 @@ def _trial_provider(
     cfg: ExperimentConfig,
     noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
     w_o: np.ndarray | None = None,
-    regressors: np.ndarray | None = None,
+    shared: tuple[np.ndarray, np.ndarray] | None = None,
     shifts: Sequence[tuple[int, int]] = (),
-    clean: np.ndarray | None = None,
 ) -> StreamProvider:
     """The provider of every trial, holding the reuse schedule's reach.
 
     noise holds one (input, output) pair per group of cfg.mc_runs trials;
     trial r of every group roots at SeedSequence(base_seed + r). Trial r
     draws its truth from its system stream unless w_o is given, and its
-    source from its source stream unless regressors, the clean regressors
-    of a source shared by every run, are given, with clean their clean
-    output through w_o; shifts is the truth's (time, right_shift) schedule.
+    source from its source stream unless shared, the clean regressors and
+    clean output (through w_o) of a source every run shares, is given;
+    shifts is the truth's (time, right_shift) schedule.
     """
     n, L, runs = cfg.n_samples, cfg.order, cfg.mc_runs
     WO = np.empty((len(noise) * runs, L))
@@ -647,10 +639,9 @@ def _trial_provider(
         system_rng, *trial_streams = run_streams(cfg.base_seed, k % runs, pair)
         WO[k] = draw_true_weights(system_rng, L) if w_o is None else w_o
         streams.append(trial_streams)
-    capacity = reach(cfg.reuse, n) + 1
+    capacity = reach(cfg.reuse, n, L) + 1
     return StreamProvider(
-        wo_segments(WO, shifts, n), pairs, streams, capacity, regressors, clean,
-        groups=len(noise),
+        wo_segments(WO, shifts, n), pairs, streams, capacity, shared, groups=len(noise),
     )
 
 
@@ -659,11 +650,10 @@ def _run_trials(
     params: RtgaParams,
     noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
     w_o: np.ndarray | None = None,
-    regressors: np.ndarray | None = None,
+    shared: tuple[np.ndarray, np.ndarray] | None = None,
     shifts: Sequence[tuple[int, int]] = (),
     labels: Sequence[str] = (),
     errors: bool = False,
-    clean: np.ndarray | None = None,
 ) -> tuple[EngineResult, list[RunSums]]:
     """The one driver of every engine mode: all trials in one time-major batch.
 
@@ -683,7 +673,7 @@ def _run_trials(
             rows = slice(g * runs, (g + 1) * runs)
             group_sums(start, ratio[rows], censored[rows], e[rows])
 
-    with _trial_provider(cfg, noise, w_o, regressors, shifts, clean) as provider:
+    with _trial_provider(cfg, noise, w_o, shared, shifts) as provider:
         res = run_engine(
             provider, cfg.n_samples, params, cfg.censoring, cfg.reuse,
             provider.segments, sink, labels,
@@ -694,18 +684,18 @@ def _run_trials(
 def run_sysid(cfg: ExperimentConfig) -> ExperimentResult:
     """Stationary system identification under the configured case."""
     cfg.validate()
-    res, (sums,) = _run_trials(cfg, cfg.resolved_params(), [case_spec(cfg.case_id)])
-    return _aggregate(cfg, res, sums)
+    params = cfg.resolved_params()
+    res, (sums,) = _run_trials(cfg, params, cfg.noise_pairs())
+    return _aggregate(cfg, params, res, sums)
 
 
 def run_tracking(cfg: ExperimentConfig) -> ExperimentResult:
     """System identification with a mid-run right shift of the truth."""
     cfg.validate()
     shifts = [(cfg.shift_time, cfg.shift_amount)] if cfg.shift_amount else []
-    res, (sums,) = _run_trials(
-        cfg, cfg.resolved_params(), [case_spec(cfg.case_id)], shifts=shifts
-    )
-    return _aggregate(cfg, res, sums)
+    params = cfg.resolved_params()
+    res, (sums,) = _run_trials(cfg, params, cfg.noise_pairs(), shifts=shifts)
+    return _aggregate(cfg, params, res, sums)
 
 
 def load_aec_assets(cfg: ExperimentConfig) -> tuple[AecAssets, list[str]]:
@@ -758,27 +748,20 @@ def run_aec(
     if noise is None:
         p_x = float(np.mean(far**2))
         p_d = float(np.mean(d_clean**2))
-        in_spec, out_spec = (
+        noise = tuple(
             replace(s, variance=s.variance * p, impulse_variance=s.impulse_variance * p)
             for s, p in zip(case_spec(cfg.case_id), (p_x, p_d))
         )
         notes.append(
             f"case noises scaled by scene power: input x{p_x:.4g}, output x{p_d:.4g}"
         )
-    else:
-        in_spec, out_spec = noise
-    if in_spec.variance > 0 and out_spec.variance > 0:
-        phi = out_spec.variance / in_spec.variance
-    else:
-        phi = 1.0  # neutral normalization when a side is noiseless
-    params = cfg.algorithm.resolve(cfg.case_id, phi)
+    params = cfg.resolved_params(noise)
     if cfg.reuse.active and cfg.reuse.window_cap is None:
         raise ValueError("aec mode streams its history; reuse needs reuse.window set")
     res, (sums,) = _run_trials(
-        cfg, params, [(in_spec, out_spec)], w_o=echo, regressors=x_far,
-        errors=True, clean=d_clean,
+        cfg, params, [noise], w_o=echo, shared=(x_far, d_clean), errors=True
     )
-    out = _aggregate(cfg, res, sums)
+    out = _aggregate(cfg, params, res, sums)
     out.mode = "aec"
     out.erle = erle_db(d_clean * d_clean, sums.e2 / sums.runs, sums.runs)
     out.csv_columns = {"nmsd_db": out.curve.values_db, "erle_db": out.erle.values_db}
@@ -786,16 +769,9 @@ def run_aec(
     return out
 
 
+# bench/child.py reads theory mode's filter by this name
 def theory_params(cfg: ExperimentConfig) -> RtgaParams:
-    """Cost parameters for theory mode with comparison defaults filled in."""
-    alg = cfg.algorithm
-    return RtgaParams(
-        a=alg.a if alg.a is not None else -100.0,
-        b=alg.b if alg.b is not None else 2.0,
-        c=alg.c if alg.c is not None else 0.1,
-        mu=alg.mu if alg.mu is not None else THEORY_MU,
-        phi=1.0,
-    )
+    return cfg.resolved_params()
 
 
 def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
@@ -809,12 +785,10 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
     run as one group of a single engine pass.
     """
     cfg.validate()
-    params = theory_params(cfg)
+    params = cfg.resolved_params()
     L = cfg.order
     w_o = np.ones(L) / math.sqrt(L)
-    alpha = cfg.theory.alpha
-    if alpha is None:
-        alpha = THEORY_ALPHA[cfg.theory.output_family]
+    alpha = THEORY_ALPHA if cfg.theory.alpha is None else cfg.theory.alpha
     variances = cfg.theory.variances
     theory = []
     for s2 in variances:
@@ -828,10 +802,8 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
             p_t=1.0 - cfg.censoring.p_ce,
         )
         theory.append(float(to_db(steady_state_msd(t, params.mu))))
-    out_family = "laplace" if cfg.theory.output_family == "laplace" else "gaussian"
-    noise = [(NoiseSpec("gaussian", s2), NoiseSpec(out_family, s2)) for s2 in variances]
     labels = [f"variance {s2:g}" for s2 in variances]
-    _, sums = _run_trials(cfg, params, noise, w_o, labels=labels)
+    _, sums = _run_trials(cfg, params, cfg.noise_pairs(), w_o, labels=labels)
     rows = []
     for s2, theory_db, group in zip(variances, theory, sums):
         sim_db = tail_mean_db(group.ratio / group.runs)
@@ -863,7 +835,7 @@ SWEEP_TRUTH = np.array([-0.6, 0.8])
 def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Monte-Carlo mean cost over a two-tap weight grid."""
     cfg.validate()
-    params = cfg.resolved_params(require_mu=False)
+    params = cfg.resolved_params()
     in_spec, out_spec = case_spec(cfg.case_id)
     n = cfg.sweep.draws
     _, source_rng, streams = run_streams(cfg.base_seed, 0, (in_spec, out_spec))

@@ -189,6 +189,26 @@ def test_theory_prints_table(capsys):
     assert "gap" in out
 
 
+@pytest.mark.parametrize("algo", ["gdtls", "mtc", "mtgc", "tlmp", "tlmf", "ltls"])
+def test_theory_rejects_limit_family(capsys, algo):
+    # theory mode analyses the full cost shape, so a limit family is a
+    # config error, whether or not its preset has a step size for the case
+    assert main(["theory", *FAST, "--algo", algo]) == 2
+    err = capsys.readouterr().err
+    assert f"theory mode analyses the full RTGA cost shape; {algo!r} is a limit family" in err
+    assert "Traceback" not in err
+
+
+def test_theory_proposed_matches_rtga(capsys):
+    # both take the comparison preset, so they print the same table
+    tables = []
+    for algo in ("rtga", "proposed"):
+        assert main(["theory", *FAST, "--algo", algo]) == 0
+        tables.append(capsys.readouterr().out)
+    assert "setting gaussian, variance" in tables[0]
+    assert tables[0] == tables[1]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("mode, section, key", [
     ("sysid", "algorithm", "mu"),

@@ -125,6 +125,19 @@ def test_limit_family_ignores_a():
         build_config("sysid", file_values, {"runs": 2})
 
 
+def test_theory_params_take_comparison_preset_and_overrides():
+    # Theory's noise pairs have equal variances, so phi is 1 even in case 3,
+    # whose own pair gives 10; unset fields take the comparison preset.
+    cfg = build_config("theory", None, {"runs": 2, "case": 3})
+    p = cfg.resolved_params()
+    assert (p.family, p.a, p.b, p.c, p.mu, p.phi) == (None, -100.0, 2.0, 0.1, 0.05, 1.0)
+    values = {"algorithm": {"a": "-50", "b": "1.5", "c": "0.3", "mu": "0.02"}}
+    p = build_config("theory", values, {"runs": 2, "case": 3}).resolved_params()
+    assert (p.a, p.b, p.c, p.mu, p.phi) == (-50.0, 1.5, 0.3, 0.02, 1.0)
+    p = build_config("theory", values, {"runs": 2, "mu": 0.3}).resolved_params()
+    assert p.mu == 0.3
+
+
 def test_mu_override_beats_preset():
     cfg = build_config("sysid", None, {"runs": 2, "algo": "rtga", "mu": 0.5})
     assert cfg.resolved_params().mu == 0.5

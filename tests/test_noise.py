@@ -148,3 +148,11 @@ def test_noise_ratio_uses_base_variances():
     inp = NoiseSpec("gaussian", 0.1)
     out = NoiseSpec("gaussian", 0.1, impulse_prob=0.01, impulse_variance=100.0)
     assert noise_ratio(inp, out) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_noise_ratio_of_a_noiseless_side_is_one():
+    # No ratio to form: the normalization falls back to the neutral 1.
+    zero = NoiseSpec("gaussian", 0.0)
+    noisy = NoiseSpec("laplace", 0.3, impulse_prob=0.01, impulse_variance=100.0)
+    for pair in ((zero, noisy), (noisy, zero), (zero, zero)):
+        assert noise_ratio(*pair) == 1.0

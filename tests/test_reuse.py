@@ -1,5 +1,7 @@
 """Reuse index schedules and the engine's gated reuse pass."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from rtga.reuse import (
 )
 from rtga.noise import NoiseSpec
 from rtga.runner import ArrayProvider, StreamProvider, run_streams
-from rtga.signal_model import delay_line_matrix
+from rtga.signal_model import clean_output, delay_line_matrix
 
 from keep_all import run_kept
 
@@ -76,20 +78,36 @@ def test_reuse_config_validation():
     assert ReuseConfig(scheme="idr", l_reused=1).active
 
 
+def _deepest(cfg, n, L):
+    return max((i - min(schedule(cfg, i, L), default=i) for i in range(L, n)), default=0)
+
+
 def test_reach_bounds_every_schedule():
     # The provider keeps reach + 1 samples; no schedule may look further back.
+    # idr's oldest index lies span // (l + 1) into its span of 295 samples
+    # (n - 1 - L), or of the 40-sample window.
     n, L = 300, 4
     cases = {
         ReuseConfig(): 0,
         ReuseConfig(scheme="dr", l_reused=3): 0,
         ReuseConfig(scheme="undr", l_reused=3): 3,
-        ReuseConfig(scheme="idr", l_reused=3, window_cap=40): 40,
-        ReuseConfig(scheme="idr", l_reused=3): n - 1,
+        ReuseConfig(scheme="idr", l_reused=3, window_cap=40): 30,
+        ReuseConfig(scheme="idr", l_reused=3): 222,
     }
     for cfg, expect in cases.items():
-        assert reach(cfg, n) == expect
-        deepest = max(i - min(schedule(cfg, i, L), default=i) for i in range(L, n))
-        assert deepest <= expect
+        assert reach(cfg, n, L) == expect
+        assert _deepest(cfg, n, L) == expect
+    # idr's oldest index is as old as the reach wherever the run's longest
+    # span, n - 1 - L, reaches the window (or, without one, holds the l + 1
+    # samples the schedule waits for), and never older, nor negative when
+    # the run is no longer than the order
+    for L, l_reused, cap in itertools.product((4, 9), (1, 2, 3, 5), (None, 6, 40)):
+        cfg = ReuseConfig(scheme="idr", l_reused=l_reused, window_cap=cap)
+        for n in range(1, L + 90):
+            deepest, bound = _deepest(cfg, n, L), reach(cfg, n, L)
+            assert 0 <= deepest <= bound
+            if n - 1 - L >= (cap or l_reused + 1):
+                assert deepest == bound
 
 
 def test_history_ring_evicts_old_pairs(monkeypatch):
@@ -102,10 +120,10 @@ def test_history_ring_evicts_old_pairs(monkeypatch):
     source = np.arange(1.0, n + 1.0)
     w_o = np.array([1.0, -2.0, 3.0])
     x_clean = delay_line_matrix(source, L)
-    d_clean = x_clean @ w_o
+    d_clean = clean_output(x_clean, w_o)
     provider = StreamProvider(
         [(0, n, w_o[None])], [(zero, zero)], [run_streams(0, 0)[1:]], capacity=cap,
-        regressors=x_clean,
+        shared=(x_clean, d_clean),
     )
     for i in range(20):
         provider.step(i)

@@ -534,15 +534,12 @@ class TestStreamProvider:
         truths = rng.standard_normal((runs, L))
         # a shared source and truth (as in AEC) come with their clean output
         one_truth = np.repeat(truths[:1], runs, axis=0)
-        echo = clean_output(delay_line_matrix(shared, L), truths[0])
-        for source, WO, clean in (
-            (None, truths, None), (shared, truths, None), (shared, one_truth, echo),
-        ):
+        x_shared = delay_line_matrix(shared, L)
+        echo = clean_output(x_shared, truths[0])
+        for source, WO, stream in ((None, truths, None), (shared, one_truth, (x_shared, echo))):
             provider = StreamProvider(
                 [(0, n, WO)], [(in_spec, out_spec)] * runs,
-                [run_streams(seed, r)[1:] for r in range(runs)], capacity=2,
-                regressors=None if source is None else delay_line_matrix(source, L),
-                clean=clean,
+                [run_streams(seed, r)[1:] for r in range(runs)], capacity=2, shared=stream,
             )
             x, u, d, v = [], [], [], []
             for r in range(runs):
@@ -564,11 +561,9 @@ class TestStreamProvider:
                     np.testing.assert_array_equal(x_i, x_tilde[:, i])
                     np.testing.assert_array_equal(d_i, d_tilde[:, i])
 
-    @pytest.mark.parametrize("shared_truth", [False, True])
-    def test_shared_clean_output_computed_once_per_chunk(self, monkeypatch, shared_truth):
+    def test_shared_clean_output_is_not_recomputed(self, monkeypatch):
         # With one source and one truth for every run, the caller hands the
-        # provider their clean output and the provider computes none; with
-        # a truth per run it computes each run's clean output once.
+        # provider their clean output and the provider computes none.
         calls = []
 
         def counting(x, w_o):
@@ -579,21 +574,17 @@ class TestStreamProvider:
         monkeypatch.setattr(signal_model, "clean_output", counting)
         n, L, runs = 2600, 4, 3
         rng = np.random.default_rng(2)
-        WO = rng.standard_normal((runs, L))
-        source = rng.standard_normal(n)
-        clean = None
-        if shared_truth:
-            WO[:] = WO[0]
-            clean = clean_output(delay_line_matrix(source, L), WO[0])
+        WO = np.repeat(rng.standard_normal((1, L)), runs, axis=0)
+        x = delay_line_matrix(rng.standard_normal(n), L)
+        clean = clean_output(x, WO[0])
         zero = NoiseSpec("gaussian", 0.0)
         with StreamProvider(
             [(0, n, WO)], [(zero, zero)] * runs,
-            [run_streams(0, r)[1:] for r in range(runs)], capacity=1,
-            regressors=delay_line_matrix(source, L), clean=clean,
+            [run_streams(0, r)[1:] for r in range(runs)], capacity=1, shared=(x, clean),
         ) as provider:
             for i in range(n):
                 provider.step(i)
-        assert sum(calls) == (0 if shared_truth else n * runs)
+        assert sum(calls) == 0
 
 
 def _kept_rows(cfg):
