@@ -103,6 +103,24 @@ def _sample_base(spec: NoiseSpec, rng: np.random.Generator, size, out=None):
     return sample_ggd(spec.alpha, v, rng, size)
 
 
+def unit_scale(spec: NoiseSpec) -> tuple[NoiseSpec, float]:
+    """spec as (unit, scale): spec's draw is scale times unit's draw, bitwise.
+
+    A gaussian or laplace spec with variance v > 0 and no impulses draws
+    z * sqrt(v) or laplace(0, sqrt(v / 2)), so its unit is the family's
+    draw z or laplace(0, 1), read from the same generator. Any other spec
+    (impulsive, uniform, binary, ggd or of zero variance) is its own unit,
+    at scale 1.
+    """
+    v = spec.variance
+    if v > 0 and not spec.impulsive:
+        if spec.family == "gaussian":
+            return NoiseSpec("gaussian", 1.0), math.sqrt(v)
+        if spec.family == "laplace":
+            return NoiseSpec("laplace", 2.0), math.sqrt(v / 2.0)
+    return spec, 1.0
+
+
 def sample_mixture_split(
     spec: NoiseSpec,
     rng_base: np.random.Generator,

@@ -41,7 +41,7 @@ from .metrics import (
     tail_mean_db,
     to_db,
 )
-from .noise import NoiseSpec, case_spec
+from .noise import NoiseSpec, case_spec, unit_scale
 # unused here; bench/spans.py patches this name when it times the noise draws
 from .noise import sample_mixture_split
 from .reuse import ReuseConfig, reach, schedule
@@ -77,13 +77,14 @@ _STREAM_KEYS = ("u_base", "u_mask", "u_amp", "v_base", "v_mask", "v_amp")
 def run_streams(base_seed: int, r: int, noise: tuple[NoiseSpec, NoiseSpec] | None = None):
     """Random generators for trial r: (system, source, noise streams).
 
-    The per-run seed tree is part of the output contract: trial r roots at
-    SeedSequence(base_seed + r), splits into a system stream (true weights)
-    and a data stream, and the data stream splits into the source plus six
-    noise substreams. Given the run's (input, output) noise pair, the
-    mask and amplitude generators of a side without impulses, which its
-    draws never read, are not built; the tree, and so every stream, stays
-    the same.
+    The per-trial seed tree is part of the output contract: trial r roots
+    at SeedSequence(base_seed + r), splits into a system stream (true
+    weights) and a data stream, and the data stream splits into the source
+    plus six noise substreams. Every group of runs in a pass reads trial
+    r's streams for its run r, and the stream provider draws them once for
+    all groups. Given the trial's (input, output) noise pair, the mask and
+    amplitude generators of a side without impulses, which its draws never
+    read, are not built; the tree, and so every stream, stays the same.
     """
     ss = np.random.SeedSequence(base_seed + r)
     system_ss, data_ss = ss.spawn(2)
@@ -169,34 +170,61 @@ class ArrayProvider:
     past = step  # the arrays hold the whole stream
 
 
+def _unit_pair(
+    noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
+) -> tuple[tuple[NoiseSpec, NoiseSpec], list[tuple[float, float]]]:
+    """The unit (input, output) pair that scales to every group's pair, and
+    each group's (input, output) scales; ValueError when there is none."""
+    units, scales = zip(*(zip(*map(unit_scale, pair)) for pair in noise))
+    if len(set(units)) > 1:
+        raise ValueError(
+            "groups that share their trials' draws need noise pairs that scale "
+            "one unit pair; these do not: "
+            + "; ".join(f"{s_in} and {s_out}" for s_in, s_out in noise)
+        )
+    return units[0], list(scales)
+
+
 class StreamProvider:
     """Streams every run's noisy samples through a ring of time-major rows.
 
-    segments is the piecewise truth [(start, end, (runs, L))], noise one
-    (input, output) pair per run and streams each run's (source, noise
-    streams) generators from run_streams. shared, the clean (n, L)
-    regressors and (n,) output of a source and truth that every run shares,
-    replaces the source draws, the delay line and the clean-output einsum.
+    segments is the piecewise truth [(start, end, (trials, L))], streams
+    each trial's (source, noise streams) generators from run_streams and
+    noise one (input, output) pair per group. Every group holds a run of
+    each trial, so the G groups share the trial's source and truth, and
+    group g's run k is column g * trials + k of the ring; the provider's
+    own segments repeat the trial truths once per group, for the engine.
+    shared, the clean (n, L) regressors and (n,) output of a source and
+    truth that every run shares, replaces the source draws, the delay line
+    and the clean-output einsum.
 
-    The ring holds sample i in row i % rows of (rows, runs, L) regressors
-    and (rows, runs) outputs, rows = min(n, capacity - 1 + chunk), where a
-    pass that merges G groups of runs streams chunks of max(1, _CHUNK // G)
-    samples; the latest `capacity` samples stay available to past(). It is
-    filled piece by piece, and a piece ends at a segment boundary (so it
-    has one truth per run) and at the ring's end. Each run's source, input
-    and output noise draws go into a run-major scratch of _SCRATCH bytes,
-    for a batch of runs and samples at a time; the batch's delay line,
-    x~ = x + u, clean output and d~ = d + v are then written straight into
-    the ring. Draws into consecutive pieces reproduce the one-shot sequence,
-    so the samples do not depend on the chunk or the batch.
+    One group draws its own pair. Several groups draw each trial's noise
+    once, as the unit pair that noise.unit_scale finds for every group's
+    pair, and write x~ = x + s_in u and d~ = d + s_out v with each group's
+    scales (s_in, s_out); pairs that do not scale one unit pair raise
+    ValueError.
 
-    When a run draws at least _THREADED values per half chunk, a producer
+    The ring holds sample i in row i % rows of (rows, G * trials, L)
+    regressors and (rows, G * trials) outputs, rows = min(n, capacity - 1
+    + chunk), where chunks are max(1, _CHUNK // G) samples; the latest
+    `capacity` samples stay available to past(). It is filled piece by
+    piece, and a piece ends at a segment boundary (so it has one truth per
+    trial) and at the ring's end. Each trial's source, input and output
+    noise draws go into a trial-major scratch of _SCRATCH bytes, for a
+    batch of trials and samples at a time; the batch's delay line and clean
+    output are then computed once, and every group's x~ and d~ written
+    straight into the ring (several groups scale the noise into a copy of
+    its scratch first). Draws into consecutive pieces reproduce the
+    one-shot sequence, so the samples do not depend on the chunk or the
+    batch.
+
+    When a trial draws at least _THREADED values per half chunk, a producer
     thread fills the ring in half-chunk pieces, which the engine queues as
     it enters a piece: those that end within a chunk of its start, so none
     overwrites a row that past() may still serve. The producer answers
     each with None or the exception it caught, which the engine raises;
-    only that thread touches the runs' generators. Smaller fills run on the
-    engine's thread a chunk at a time, since many short producer calls
+    only that thread touches the trials' generators. Smaller fills run on
+    the engine's thread a chunk at a time, since many short producer calls
     would starve for the interpreter lock. close(), or leaving a with-block,
     stops and joins the producer, and a later fill raises.
     """
@@ -212,31 +240,36 @@ class StreamProvider:
         streams: list[tuple[np.random.Generator, dict]],
         capacity: int,
         shared: tuple[np.ndarray, np.ndarray] | None = None,
-        groups: int = 1,
     ):
-        self.segments = segments
-        self.noise = noise
+        groups = len(noise)
+        if groups == 1:
+            self.unit, self.scales = noise[0], [(1.0, 1.0)]
+        else:
+            self.unit, self.scales = _unit_pair(noise)
+        self.segments = [(a, b, np.tile(w, (groups, 1))) for a, b, w in segments]
         self.streams = streams
         self.shared = shared
         self.cap = capacity
-        runs, L = segments[0][2].shape
+        trials, L = segments[0][2].shape
         n = segments[-1][1]
         self.chunk = min(max(1, self._CHUNK // groups), n)
         self.rows = min(n, capacity - 1 + self.chunk)
-        self.x = np.empty((self.rows, runs, L))
-        self.d = np.empty((self.rows, runs))
-        # values a run draws per sample: input and output noise, and source
+        self.x = np.empty((self.rows, groups * trials, L))
+        self.d = np.empty((self.rows, groups * trials))
+        # values a trial draws per sample: input and output noise, and source
         per_sample = L + 1 + (shared is None)
         half = max(1, self.chunk // 2)
         threaded = half * per_sample >= self._THREADED
         piece = half if threaded else self.chunk
         values = self._SCRATCH // 8
         self.span = min(piece, max(1, values // per_sample))
-        self.batch = min(runs, max(1, values // (self.span * per_sample)))
+        self.batch = min(trials, max(1, values // (self.span * per_sample)))
         self.u = np.empty((self.batch, self.span, L))
         self.v = np.empty((self.batch, self.span))
-        # per-run delay lines: the newest L-1 source samples, then the new ones
-        self.carry = np.zeros((runs, L - 1))
+        # a group's scaled noise, when several groups scale the unit draws
+        self.scaled = (np.empty_like(self.u), np.empty_like(self.v)) if groups > 1 else None
+        # per-trial delay lines: the newest L-1 source samples, then the new ones
+        self.carry = np.zeros((trials, L - 1))
         self.line = np.empty((self.batch, L - 1 + self.span))
         self.windows = sliding_window_view(self.line, L, axis=1)[:, :, ::-1]
         self.pieces = []
@@ -259,18 +292,18 @@ class StreamProvider:
     def _fill(self, start: int, end: int, w_seg: np.ndarray) -> None:
         """Synthesize samples [start, end), which lie in one segment, into the ring."""
         lag = self.carry.shape[1]
-        runs = len(self.streams)
+        trials = len(self.streams)
         # equal spans of at most self.span samples
         parts = -(-(end - start) // self.span)
         span = -(-(end - start) // parts)
         for t in range(start, end, span):
             m = min(span, end - t)
             rows = slice(t % self.rows, t % self.rows + m)
-            d = None
+            shared_d = None
             if self.shared is not None:
-                x, d = (a[t:t + m] for a in self.shared)
-            for r0 in range(0, runs, self.batch):
-                r1 = min(r0 + self.batch, runs)
+                x, shared_d = (a[t:t + m] for a in self.shared)
+            for r0 in range(0, trials, self.batch):
+                r1 = min(r0 + self.batch, trials)
                 k = r1 - r0
                 if self.shared is None:
                     self.line[:k, :lag] = self.carry[r0:r1]
@@ -278,14 +311,24 @@ class StreamProvider:
                     source_rng, streams = self.streams[r]
                     if self.shared is None:
                         source_rng.standard_normal(out=self.line[b, lag:lag + m])
-                    draw_eiv_noise(*self.noise[r], streams, self.u[b, :m], self.v[b, :m])
+                    draw_eiv_noise(*self.unit, streams, self.u[b, :m], self.v[b, :m])
                 if self.shared is None:
                     self.carry[r0:r1] = self.line[:k, m:m + lag]
                     x = self.windows[:k, :m]
-                synthesize_eiv_arrays(
-                    w_seg[r0:r1], x, self.u[:k, :m], self.v[:k, :m], d,
-                    out=(self.x[rows, r0:r1].transpose(1, 0, 2), self.d[rows, r0:r1].T),
-                )
+                d = shared_d
+                for g, scale in enumerate(self.scales):
+                    u, v = self.u[:k, :m], self.v[:k, :m]
+                    if self.scaled is not None:
+                        u, v = (
+                            np.multiply(a, s, out=c[:k, :m])
+                            for a, s, c in zip((u, v), scale, self.scaled)
+                        )
+                    cols = slice(g * trials + r0, g * trials + r1)
+                    # the first group's clean output serves every group
+                    _, _, d, _ = synthesize_eiv_arrays(
+                        w_seg[r0:r1], x, u, v, d,
+                        out=(self.x[rows, cols].transpose(1, 0, 2), self.d[rows, cols].T),
+                    )
 
     def _produce(self) -> None:
         """The producer thread: fill the queued pieces in order, until None."""
@@ -624,25 +667,25 @@ def _trial_provider(
 ) -> StreamProvider:
     """The provider of every trial, holding the reuse schedule's reach.
 
-    noise holds one (input, output) pair per group of cfg.mc_runs trials;
-    trial r of every group roots at SeedSequence(base_seed + r). Trial r
-    draws its truth from its system stream unless w_o is given, and its
-    source from its source stream unless shared, the clean regressors and
-    clean output (through w_o) of a source every run shares, is given;
-    shifts is the truth's (time, right_shift) schedule.
+    noise holds one (input, output) pair per group of cfg.mc_runs runs;
+    run r of every group is trial r, which roots at
+    SeedSequence(base_seed + r), so the groups share the trial's
+    generators, and the provider draws each trial once. Trial r draws its
+    truth from its system stream unless w_o is given, and its source from
+    its source stream unless shared, the clean regressors and clean output
+    (through w_o) of a source every run shares, is given; shifts is the
+    truth's (time, right_shift) schedule.
     """
     n, L, runs = cfg.n_samples, cfg.order, cfg.mc_runs
-    WO = np.empty((len(noise) * runs, L))
-    pairs = [pair for pair in noise for _ in range(runs)]
+    WO = np.empty((runs, L))
     streams = []
-    for k, pair in enumerate(pairs):
-        system_rng, *trial_streams = run_streams(cfg.base_seed, k % runs, pair)
-        WO[k] = draw_true_weights(system_rng, L) if w_o is None else w_o
+    for r in range(runs):
+        # groups that share draws build the same generators (see _unit_pair)
+        system_rng, *trial_streams = run_streams(cfg.base_seed, r, noise[0])
+        WO[r] = draw_true_weights(system_rng, L) if w_o is None else w_o
         streams.append(trial_streams)
     capacity = reach(cfg.reuse, n, L) + 1
-    return StreamProvider(
-        wo_segments(WO, shifts, n), pairs, streams, capacity, shared, groups=len(noise),
-    )
+    return StreamProvider(wo_segments(WO, shifts, n), noise, streams, capacity, shared)
 
 
 def _run_trials(
@@ -657,11 +700,12 @@ def _run_trials(
 ) -> tuple[EngineResult, list[RunSums]]:
     """The one driver of every engine mode: all trials in one time-major batch.
 
-    noise holds one (input, output) pair per group of cfg.mc_runs trials,
-    all run in this one engine pass; labels names each group when there
-    are several. errors asks for the run sums of e^2. See _trial_provider
-    for the rest. Returns the engine result, whose counts cover every
-    group, and one RunSums per group.
+    noise holds one (input, output) pair per group of cfg.mc_runs runs,
+    all run in this one engine pass on the same cfg.mc_runs trials, whose
+    draws the groups share; labels names each group when there are
+    several. errors asks for the run sums of e^2. See _trial_provider for
+    the rest. Returns the engine result, whose counts cover every group,
+    and one RunSums per group.
     """
     if len(noise) > 1 and len(labels) != len(noise):
         raise ValueError("a merged pass needs one label per noise group")
@@ -781,8 +825,9 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
     noise power (the input side is always Gaussian; the output side
     follows theory.output_family). The simulated value is the tail
     average of a fixed-truth run with a unit-norm truth vector, so the
-    normalized deviation coincides with the MSD. Every variance's trials
-    run as one group of a single engine pass.
+    normalized deviation coincides with the MSD. Every variance's runs
+    are one group of a single engine pass, and the groups share each
+    trial's source and unit noise draws, scaled per variance.
     """
     cfg.validate()
     params = cfg.resolved_params()

@@ -11,6 +11,7 @@ from rtga.noise import (
     sample_ggd,
     sample_mixture,
     sample_mixture_split,
+    unit_scale,
 )
 
 N_LARGE = 200_000
@@ -122,6 +123,36 @@ def test_split_matches_single_stream_structure():
     before = m.bit_generator.state
     sample_mixture_split(spec, b, m, a, 50)
     assert m.bit_generator.state == before
+
+
+@pytest.mark.parametrize("family", ["gaussian", "laplace"])
+@pytest.mark.parametrize("variance", [1e-3, 0.05, 1.0, 7.5])
+def test_draw_is_scale_times_unit_draw(family, variance):
+    # Bitwise, signs of zero included: the stream provider draws the unit
+    # noise once and scales it for every group that shares a trial.
+    spec = NoiseSpec(family, variance)
+    unit, scale = unit_scale(spec)
+    assert unit_scale(unit) == (unit, 1.0)
+    drawn, unit_drawn = (
+        sample_mixture_split(s, np.random.default_rng(23), None, None, out=np.empty((4000, 3)))
+        for s in (spec, unit)
+    )
+    scaled = scale * unit_drawn
+    np.testing.assert_array_equal(drawn, scaled)
+    np.testing.assert_array_equal(np.signbit(drawn), np.signbit(scaled))
+
+
+@pytest.mark.parametrize("spec", [
+    NoiseSpec("gaussian", 0.1, impulse_prob=0.01, impulse_variance=100.0),
+    NoiseSpec("laplace", 1.0, impulse_prob=0.5, impulse_variance=1.0),
+    NoiseSpec("uniform", 1.0),
+    NoiseSpec("binary", 0.2),
+    NoiseSpec("ggd", 0.3, alpha=1.5),
+    NoiseSpec("gaussian", 0.0),
+    NoiseSpec("laplace", 0.0),
+])
+def test_other_specs_do_not_factor(spec):
+    assert unit_scale(spec) == (spec, 1.0)
 
 
 def test_case_table():

@@ -538,7 +538,7 @@ class TestStreamProvider:
         echo = clean_output(x_shared, truths[0])
         for source, WO, stream in ((None, truths, None), (shared, one_truth, (x_shared, echo))):
             provider = StreamProvider(
-                [(0, n, WO)], [(in_spec, out_spec)] * runs,
+                [(0, n, WO)], [(in_spec, out_spec)],
                 [run_streams(seed, r)[1:] for r in range(runs)], capacity=2, shared=stream,
             )
             x, u, d, v = [], [], [], []
@@ -579,12 +579,59 @@ class TestStreamProvider:
         clean = clean_output(x, WO[0])
         zero = NoiseSpec("gaussian", 0.0)
         with StreamProvider(
-            [(0, n, WO)], [(zero, zero)] * runs,
+            [(0, n, WO)], [(zero, zero)],
             [run_streams(0, r)[1:] for r in range(runs)], capacity=1, shared=(x, clean),
         ) as provider:
             for i in range(n):
                 provider.step(i)
         assert sum(calls) == 0
+
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    @pytest.mark.parametrize("threaded", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 37, 64])
+    def test_groups_serve_one_group_rows(self, monkeypatch, family, threaded, chunk):
+        # Three groups scale each trial's draws: group g's rows, served by
+        # step and past, equal those of a provider of g's pair alone. The
+        # idr window keeps 27 samples, so every ring (at most 27 + 64 rows)
+        # wraps within the 300 samples.
+        if threaded:
+            monkeypatch.setattr(StreamProvider, "_THREADED", 1)
+        monkeypatch.setattr(StreamProvider, "_CHUNK", chunk)
+        cfg = ExperimentConfig(
+            mode="sysid", order=4, n_samples=300, mc_runs=3, base_seed=5,
+            reuse=ReuseConfig(scheme="idr", l_reused=2, window_cap=40),
+        )
+        pairs = [(NoiseSpec("gaussian", s2), NoiseSpec(family, s2)) for s2 in (0.01, 0.3, 2.0)]
+        grouped = runner._trial_provider(cfg, pairs)
+        alone = [runner._trial_provider(cfg, [pair]) for pair in pairs]
+        assert grouped.rows < cfg.n_samples
+        assert (grouped._todo is not None) == threaded
+        runs = cfg.mc_runs
+        with grouped, alone[0], alone[1], alone[2]:
+            for (_, _, w), (_, _, w_alone) in zip(grouped.segments, alone[0].segments):
+                np.testing.assert_array_equal(w, np.tile(w_alone, (3, 1)))
+            for i in range(cfg.n_samples):
+                oldest = max(0, i - grouped.cap + 1)
+                rows = [grouped.step(i), grouped.past(oldest)]
+                for g, provider in enumerate(alone):
+                    cols = slice(g * runs, (g + 1) * runs)
+                    for (x, d), (x_g, d_g) in zip(rows, (provider.step(i), provider.past(oldest))):
+                        np.testing.assert_array_equal(x[cols], x_g)
+                        np.testing.assert_array_equal(d[cols], d_g)
+
+    @pytest.mark.parametrize("other", [
+        (NoiseSpec("gaussian", 0.1), NoiseSpec("laplace", 0.1)),
+        (NoiseSpec("gaussian", 0.2), NoiseSpec("gaussian", 0.2, impulse_prob=0.01,
+                                                impulse_variance=100.0)),
+        (NoiseSpec("uniform", 1.0), NoiseSpec("uniform", 1.0)),
+    ])
+    def test_groups_that_share_trials_need_one_unit_pair(self, other):
+        cfg = ExperimentConfig(mode="sysid", order=4, n_samples=50, mc_runs=2)
+        pairs = [(NoiseSpec("gaussian", 0.1), NoiseSpec("gaussian", 0.1)), other]
+        with pytest.raises(ValueError, match="scale one unit pair") as info:
+            runner._trial_provider(cfg, pairs)
+        for spec in (*pairs[0], *other):
+            assert str(spec) in str(info.value)
 
 
 def _kept_rows(cfg):
@@ -874,12 +921,13 @@ class TestTheoryAndSweep:
         block=st.integers(1, 64),
         family=st.sampled_from(["gaussian", "laplace"]),
         reuse=st.integers(0, 2),
+        threaded=st.sampled_from([0, 64, StreamProvider._THREADED]),
     )
     def test_merged_theory_is_batch_and_chunk_invariant(
-        self, variances, runs, chunk, block, family, reuse
+        self, variances, runs, chunk, block, family, reuse, threaded
     ):
-        # The rows of a merged pass at any chunk and block size equal the
-        # rows of one-variance runs at the default sizes.
+        # The rows of a merged pass at any chunk, block size and threading
+        # threshold equal the rows of one-variance runs at the default sizes.
         common = dict(
             mode="theory", order=4, n_samples=150, mc_runs=runs, base_seed=runs,
             censoring=CensorConfig(p_ce=0.3),
@@ -893,6 +941,7 @@ class TestTheoryAndSweep:
         alone = [table([s2])[0] for s2 in variances]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(StreamProvider, "_CHUNK", chunk)
+            mp.setattr(StreamProvider, "_THREADED", threaded)
             mp.setattr(runner, "_BLOCK", block)
             assert table(variances) == alone
 
