@@ -14,9 +14,11 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .censoring import CensorConfig
+from .dataio import ECHO_PATH_LEN
 from .filters import RtgaParams
 from .noise import NoiseSpec, case_spec, noise_ratio
 from .reuse import ReuseConfig
+from .theory import MAX_THEORY_ORDER
 
 MODES = ("sysid", "tracking", "aec", "theory", "sweep")
 
@@ -110,7 +112,12 @@ class AecConfig:
 class TheoryConfig:
     variances: tuple[float, ...] = (0.01, 0.05, 0.1)
     output_family: str = "gaussian"
-    alpha: float | None = None
+    # GGD shape attributed to the normalized optimal error, for either output
+    # family. The optimal error is output noise minus the input-noise
+    # projection, so even for laplace output the convolution with the
+    # gaussian projection is gaussian-like near zero, where the
+    # negative-order moments concentrate.
+    alpha: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -148,6 +155,12 @@ class ExperimentConfig:
             return [case_spec(self.case_id)]
         family = self.theory.output_family
         return [(NoiseSpec("gaussian", s2), NoiseSpec(family, s2)) for s2 in self.theory.variances]
+
+    def truth_shifts(self) -> list[tuple[int, int]]:
+        """The truth's (time, right_shift) schedule: tracking mode's one shift."""
+        if self.mode == "tracking" and self.shift_amount:
+            return [(self.shift_time, self.shift_amount)]
+        return []
 
     def resolved_params(self, noise: tuple[NoiseSpec, NoiseSpec] | None = None) -> RtgaParams:
         """The run's filter: every mode and validation build it here.
@@ -210,6 +223,13 @@ class ExperimentConfig:
                     f"experiment.shift_amount must be in [0, order), got {self.shift_amount}"
                 )
         if self.mode == "aec":
+            if self.order != ECHO_PATH_LEN:
+                errors.append(
+                    f"experiment.order must be {ECHO_PATH_LEN} in aec mode, which "
+                    f"identifies a {ECHO_PATH_LEN}-tap path, got {self.order}"
+                )
+            if self.reuse.active and self.reuse.window_cap is None:
+                errors.append("aec mode streams its history; reuse needs reuse.window set")
             for label, path in (
                 ("aec.far_end", self.aec.far_end),
                 ("aec.echo_path", self.aec.echo_path),
@@ -217,8 +237,10 @@ class ExperimentConfig:
                 if path != "synthetic" and not os.path.isfile(path):
                     errors.append(f"{label}: file not found: {path}")
         if self.mode == "theory":
-            if self.order > 64:
-                errors.append(f"theory mode requires order <= 64, got {self.order}")
+            if self.order > MAX_THEORY_ORDER:
+                errors.append(
+                    f"theory mode requires order <= {MAX_THEORY_ORDER}, got {self.order}"
+                )
             if any(v <= 0 for v in self.theory.variances):
                 errors.append("theory.variances must all be > 0")
             if not all(map(math.isfinite, self.theory.variances)):
@@ -230,7 +252,7 @@ class ExperimentConfig:
                     f"theory.output_family must be gaussian or laplace, "
                     f"got {self.theory.output_family!r}"
                 )
-            if self.theory.alpha is not None and not 0 < self.theory.alpha < math.inf:
+            if not 0 < self.theory.alpha < math.inf:
                 errors.append(f"theory.alpha must be finite and > 0, got {self.theory.alpha}")
         if self.mode == "sweep":
             if self.order != 2:

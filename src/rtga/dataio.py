@@ -46,6 +46,9 @@ class AecAssets:
             raise ValueError(
                 f"echo path must have exactly {ECHO_PATH_LEN} taps, got {path.shape}"
             )
+        if not path.any():
+            # the NMSD divides by the path's squared norm
+            raise ValueError("echo path has no nonzero tap")
 
 
 def write_csv(curves: dict, path: str) -> None:

@@ -57,7 +57,7 @@ class NoiseSpec:
         return self.impulse_prob > 0.0 and self.impulse_variance > 0.0
 
 
-def sample_ggd(alpha: float, sigma2: float, rng: np.random.Generator, size=None):
+def sample_ggd(alpha: float, sigma2: float, rng: np.random.Generator, size) -> np.ndarray:
     """Draw zero-mean generalized Gaussian samples with variance sigma2.
 
     Uses the gamma transform: |X| = beta * G**(1/alpha) with
@@ -70,37 +70,31 @@ def sample_ggd(alpha: float, sigma2: float, rng: np.random.Generator, size=None)
     if sigma2 < 0:
         raise ValueError("variance must be >= 0")
     if sigma2 == 0:
-        return 0.0 if size is None else np.zeros(size)
+        return np.zeros(size)
     beta = math.sqrt(sigma2 * math.gamma(1.0 / alpha) / math.gamma(3.0 / alpha))
     g = rng.gamma(1.0 / alpha, 1.0, size)
     mag = beta * np.power(g, 1.0 / alpha)
-    sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-    out = mag * sign
-    return float(out) if size is None else out
+    return mag * np.where(rng.random(size) < 0.5, -1.0, 1.0)
 
 
-def _sample_base(spec: NoiseSpec, rng: np.random.Generator, size, out=None):
+def _sample_base(spec: NoiseSpec, rng: np.random.Generator, out: np.ndarray) -> None:
+    """spec's base draw (no impulses) of out.shape, written into out."""
     v = spec.variance
-    if out is not None:
-        if v > 0 and spec.family == "gaussian":
-            rng.standard_normal(out=out)
-            out *= math.sqrt(v)
-        else:
-            out[...] = _sample_base(spec, rng, out.shape)
-        return out
     if v == 0:
-        return np.zeros(size if size is not None else ())
-    if spec.family == "gaussian":
-        return rng.standard_normal(size) * math.sqrt(v)
-    if spec.family == "laplace":
-        return rng.laplace(0.0, math.sqrt(v / 2.0), size)
-    if spec.family == "uniform":
+        out.fill(0.0)
+    elif spec.family == "gaussian":
+        rng.standard_normal(out=out)
+        out *= math.sqrt(v)
+    elif spec.family == "laplace":
+        out[...] = rng.laplace(0.0, math.sqrt(v / 2.0), out.shape)
+    elif spec.family == "uniform":
         half = math.sqrt(3.0 * v)
-        return rng.uniform(-half, half, size)
-    if spec.family == "binary":
+        out[...] = rng.uniform(-half, half, out.shape)
+    elif spec.family == "binary":
         level = math.sqrt(v)
-        return np.where(rng.random(size) < 0.5, -level, level)
-    return sample_ggd(spec.alpha, v, rng, size)
+        out[...] = np.where(rng.random(out.shape) < 0.5, -level, level)
+    else:
+        out[...] = sample_ggd(spec.alpha, v, rng, out.shape)
 
 
 def unit_scale(spec: NoiseSpec) -> tuple[NoiseSpec, float]:
@@ -128,27 +122,27 @@ def sample_mixture_split(
     rng_amp: np.random.Generator | None,
     size=None,
     out: np.ndarray | None = None,
-):
+) -> np.ndarray:
     """Mixture draw with dedicated generators per component.
 
     Separating the base/mask/amplitude streams keeps each stream's
     consumption independent of the others, so batched generation produces
     the same numbers regardless of how the draws are grouped. The mask and
     amplitude generators are read only when spec.impulsive (None otherwise
-    is fine). With out, a C-contiguous float array, the draw of out.shape
-    is written there and out is returned.
+    is fine). The draw is written into out, a C-contiguous float array, or
+    into a new array of shape size, and returned.
     """
-    if out is not None:
-        size = out.shape
-    base = _sample_base(spec, rng_base, size, out)
+    if out is None:
+        out = np.empty(size)
+    _sample_base(spec, rng_base, out)
     if spec.impulsive:
-        mask = rng_mask.random(size) < spec.impulse_prob
-        amp = rng_amp.standard_normal(size) * math.sqrt(spec.impulse_variance)
-        base = np.add(base, np.where(mask, amp, 0.0), out=out)
-    return float(base) if size is None else np.asarray(base)
+        mask = rng_mask.random(out.shape) < spec.impulse_prob
+        amp = rng_amp.standard_normal(out.shape) * math.sqrt(spec.impulse_variance)
+        np.add(out, np.where(mask, amp, 0.0), out=out)
+    return out
 
 
-def sample_mixture(spec: NoiseSpec, rng: np.random.Generator, size=None):
+def sample_mixture(spec: NoiseSpec, rng: np.random.Generator, size) -> np.ndarray:
     """Draw from the base family, plus a Bernoulli-gated Gaussian impulse.
 
     With probability spec.impulse_prob each sample receives an independent

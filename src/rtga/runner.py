@@ -24,7 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .censoring import MAD_FACTOR, CensorConfig
 from .config import ExperimentConfig
 from .dataio import (
-    ECHO_PATH_LEN,
     AecAssets,
     load_echo_path,
     load_wav,
@@ -41,27 +40,13 @@ from .metrics import (
     tail_mean_db,
     to_db,
 )
-from .noise import NoiseSpec, case_spec, unit_scale
-# unused here; bench/spans.py patches this name when it times the noise draws
-from .noise import sample_mixture_split
+from .noise import NoiseSpec, case_spec, sample_mixture_split, unit_scale
 from .reuse import ReuseConfig, reach, schedule
-from .signal_model import (
-    delay_line_matrix,
-    draw_eiv_noise,
-    synthesize_eiv_arrays,
-    wo_segments,
-)
+from .signal_model import delay_line_matrix, synthesize_eiv_arrays, wo_segments
 from .theory import TheoryInputs, steady_state_msd
 
 # Calibrated squared norm of the randomly drawn true weight vectors.
 TRUE_WEIGHT_NORM2 = 1.44
-
-# GGD shape attributed to the normalized optimal error, for either output
-# family. The optimal error is output noise minus the input-noise
-# projection, so even for laplace output the convolution with the gaussian
-# projection is gaussian-like near zero, where the negative-order moments
-# concentrate.
-THEORY_ALPHA = 2.0
 
 # A run whose squared deviation exceeds this multiple of its largest
 # squared truth norm is reported as divergent.
@@ -71,39 +56,28 @@ DIVERGENCE_FACTOR = 1e6
 # that merges G groups of runs fills _BLOCK // G columns.
 _BLOCK = 512
 
-_STREAM_KEYS = ("u_base", "u_mask", "u_amp", "v_base", "v_mask", "v_amp")
-
-
-def run_streams(base_seed: int, r: int, noise: tuple[NoiseSpec, NoiseSpec] | None = None):
-    """Random generators for trial r: (system, source, noise streams).
+def run_streams(base_seed: int, r: int, noise: tuple[NoiseSpec, NoiseSpec]):
+    """Random generators for trial r: (system, source, (input, output)).
 
     The per-trial seed tree is part of the output contract: trial r roots
     at SeedSequence(base_seed + r), splits into a system stream (true
     weights) and a data stream, and the data stream splits into the source
-    plus six noise substreams. Every group of runs in a pass reads trial
-    r's streams for its run r, and the stream provider draws them once for
-    all groups. Given the trial's (input, output) noise pair, the mask and
-    amplitude generators of a side without impulses, which its draws never
-    read, are not built; the tree, and so every stream, stays the same.
+    and the (base, mask, amplitude) substreams of the input noise, then of
+    the output noise. Each side's triple is what sample_mixture_split reads
+    for that side of the trial's (input, output) noise pair. A side without
+    impulses never reads its mask and amplitude, so they are None; the
+    tree, and with it every stream, is the same either way. Every group of
+    runs in a pass reads trial r's streams for its run r, and the stream
+    provider draws them once for all groups.
     """
     ss = np.random.SeedSequence(base_seed + r)
     system_ss, data_ss = ss.spawn(2)
-    source_ss, *noise_ss = data_ss.spawn(1 + len(_STREAM_KEYS))
-    unread = set()
-    if noise is not None:
-        unread = {
-            f"{side}_{part}"
-            for side, spec in zip("uv", noise) if not spec.impulsive
-            for part in ("mask", "amp")
-        }
-    return (
-        np.random.default_rng(system_ss),
-        np.random.default_rng(source_ss),
-        {
-            key: np.random.default_rng(seq)
-            for key, seq in zip(_STREAM_KEYS, noise_ss) if key not in unread
-        },
-    )
+    source_ss, *noise_ss = data_ss.spawn(7)
+    sides = []
+    for spec, (base, *impulse) in zip(noise, (noise_ss[:3], noise_ss[3:])):
+        impulse = [np.random.default_rng(seq) if spec.impulsive else None for seq in impulse]
+        sides.append((np.random.default_rng(base), *impulse))
+    return np.random.default_rng(system_ss), np.random.default_rng(source_ss), tuple(sides)
 
 
 def draw_true_weights(system_rng, order: int):
@@ -189,7 +163,7 @@ class StreamProvider:
     """Streams every run's noisy samples through a ring of time-major rows.
 
     segments is the piecewise truth [(start, end, (trials, L))], streams
-    each trial's (source, noise streams) generators from run_streams and
+    each trial's (source, (input, output)) generators from run_streams and
     noise one (input, output) pair per group. Every group holds a run of
     each trial, so the G groups share the trial's source and truth, and
     group g's run k is column g * trials + k of the ring; the provider's
@@ -237,7 +211,7 @@ class StreamProvider:
         self,
         segments: list[tuple[int, int, np.ndarray]],
         noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
-        streams: list[tuple[np.random.Generator, dict]],
+        streams: list[tuple[np.random.Generator, tuple]],
         capacity: int,
         shared: tuple[np.ndarray, np.ndarray] | None = None,
     ):
@@ -308,10 +282,11 @@ class StreamProvider:
                 if self.shared is None:
                     self.line[:k, :lag] = self.carry[r0:r1]
                 for b, r in enumerate(range(r0, r1)):
-                    source_rng, streams = self.streams[r]
+                    source_rng, (u_rngs, v_rngs) = self.streams[r]
                     if self.shared is None:
                         source_rng.standard_normal(out=self.line[b, lag:lag + m])
-                    draw_eiv_noise(*self.unit, streams, self.u[b, :m], self.v[b, :m])
+                    sample_mixture_split(self.unit[0], *u_rngs, out=self.u[b, :m])
+                    sample_mixture_split(self.unit[1], *v_rngs, out=self.v[b, :m])
                 if self.shared is None:
                     self.carry[r0:r1] = self.line[:k, m:m + lag]
                     x = self.windows[:k, :m]
@@ -663,7 +638,6 @@ def _trial_provider(
     noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
     w_o: np.ndarray | None = None,
     shared: tuple[np.ndarray, np.ndarray] | None = None,
-    shifts: Sequence[tuple[int, int]] = (),
 ) -> StreamProvider:
     """The provider of every trial, holding the reuse schedule's reach.
 
@@ -673,8 +647,8 @@ def _trial_provider(
     generators, and the provider draws each trial once. Trial r draws its
     truth from its system stream unless w_o is given, and its source from
     its source stream unless shared, the clean regressors and clean output
-    (through w_o) of a source every run shares, is given; shifts is the
-    truth's (time, right_shift) schedule.
+    (through w_o) of a source every run shares, is given. The truth follows
+    cfg.truth_shifts().
     """
     n, L, runs = cfg.n_samples, cfg.order, cfg.mc_runs
     WO = np.empty((runs, L))
@@ -685,7 +659,8 @@ def _trial_provider(
         WO[r] = draw_true_weights(system_rng, L) if w_o is None else w_o
         streams.append(trial_streams)
     capacity = reach(cfg.reuse, n, L) + 1
-    return StreamProvider(wo_segments(WO, shifts, n), noise, streams, capacity, shared)
+    segments = wo_segments(WO, cfg.truth_shifts(), n)
+    return StreamProvider(segments, noise, streams, capacity, shared)
 
 
 def _run_trials(
@@ -694,7 +669,6 @@ def _run_trials(
     noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
     w_o: np.ndarray | None = None,
     shared: tuple[np.ndarray, np.ndarray] | None = None,
-    shifts: Sequence[tuple[int, int]] = (),
     labels: Sequence[str] = (),
     errors: bool = False,
 ) -> tuple[EngineResult, list[RunSums]]:
@@ -717,7 +691,7 @@ def _run_trials(
             rows = slice(g * runs, (g + 1) * runs)
             group_sums(start, ratio[rows], censored[rows], e[rows])
 
-    with _trial_provider(cfg, noise, w_o, shared, shifts) as provider:
+    with _trial_provider(cfg, noise, w_o, shared) as provider:
         res = run_engine(
             provider, cfg.n_samples, params, cfg.censoring, cfg.reuse,
             provider.segments, sink, labels,
@@ -726,20 +700,17 @@ def _run_trials(
 
 
 def run_sysid(cfg: ExperimentConfig) -> ExperimentResult:
-    """Stationary system identification under the configured case."""
+    """System identification under the configured case.
+
+    In tracking mode the truth shifts right mid-run (cfg.truth_shifts()).
+    """
     cfg.validate()
     params = cfg.resolved_params()
     res, (sums,) = _run_trials(cfg, params, cfg.noise_pairs())
     return _aggregate(cfg, params, res, sums)
 
 
-def run_tracking(cfg: ExperimentConfig) -> ExperimentResult:
-    """System identification with a mid-run right shift of the truth."""
-    cfg.validate()
-    shifts = [(cfg.shift_time, cfg.shift_amount)] if cfg.shift_amount else []
-    params = cfg.resolved_params()
-    res, (sums,) = _run_trials(cfg, params, cfg.noise_pairs(), shifts=shifts)
-    return _aggregate(cfg, params, res, sums)
+run_tracking = run_sysid
 
 
 def load_aec_assets(cfg: ExperimentConfig) -> tuple[AecAssets, list[str]]:
@@ -773,10 +744,6 @@ def run_aec(
     """
     cfg.validate()
     notes: list[str] = []
-    if cfg.order != ECHO_PATH_LEN:
-        raise ValueError(
-            f"aec mode identifies a {ECHO_PATH_LEN}-tap path; set order = {ECHO_PATH_LEN}"
-        )
     if assets is None:
         assets, notes = load_aec_assets(cfg)
     far = assets.far_end[: cfg.n_samples]
@@ -800,8 +767,6 @@ def run_aec(
             f"case noises scaled by scene power: input x{p_x:.4g}, output x{p_d:.4g}"
         )
     params = cfg.resolved_params(noise)
-    if cfg.reuse.active and cfg.reuse.window_cap is None:
-        raise ValueError("aec mode streams its history; reuse needs reuse.window set")
     res, (sums,) = _run_trials(
         cfg, params, [noise], w_o=echo, shared=(x_far, d_clean), errors=True
     )
@@ -833,7 +798,6 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
     params = cfg.resolved_params()
     L = cfg.order
     w_o = np.ones(L) / math.sqrt(L)
-    alpha = THEORY_ALPHA if cfg.theory.alpha is None else cfg.theory.alpha
     variances = cfg.theory.variances
     theory = []
     for s2 in variances:
@@ -842,7 +806,7 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
             w_o=w_o,
             sigma_i2=s2,
             sigma_o2=s2,
-            alpha=alpha,
+            alpha=cfg.theory.alpha,
             params=params,
             p_t=1.0 - cfg.censoring.p_ce,
         )
@@ -883,10 +847,10 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     params = cfg.resolved_params()
     in_spec, out_spec = case_spec(cfg.case_id)
     n = cfg.sweep.draws
-    _, source_rng, streams = run_streams(cfg.base_seed, 0, (in_spec, out_spec))
+    _, source_rng, (u_rngs, v_rngs) = run_streams(cfg.base_seed, 0, (in_spec, out_spec))
     x = delay_line_matrix(source_rng.standard_normal(n), SWEEP_TRUTH.size)
-    u, v = np.empty(x.shape), np.empty(n)
-    draw_eiv_noise(in_spec, out_spec, streams, u, v)
+    u = sample_mixture_split(in_spec, *u_rngs, x.shape)
+    v = sample_mixture_split(out_spec, *v_rngs, n)
     _, x_tilde, _, d_tilde = synthesize_eiv_arrays(SWEEP_TRUTH, x, u, v)
     axis = np.linspace(cfg.sweep.grid_min, cfg.sweep.grid_max, cfg.sweep.points)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")

@@ -14,7 +14,8 @@ from collections.abc import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .noise import NoiseSpec, sample_mixture_split
+# unused here; bench/spans.py patches this name when it times the noise draws
+from .noise import sample_mixture_split
 
 
 def shift_right(w: np.ndarray, amount: int) -> np.ndarray:
@@ -69,29 +70,6 @@ def delay_line_matrix(source: np.ndarray, order: int) -> np.ndarray:
 def clean_output(x: np.ndarray, w_o: np.ndarray) -> np.ndarray:
     """Noiseless output x . w_o of regressors (..., n, L) and a truth (..., L)."""
     return np.einsum("...nl,...l->...n", x, w_o)
-
-
-def draw_eiv_noise(
-    input_spec: NoiseSpec,
-    output_spec: NoiseSpec,
-    streams: dict[str, np.random.Generator],
-    u: np.ndarray,
-    v: np.ndarray,
-) -> None:
-    """One run's input noise into u and output noise into v, in place.
-
-    streams carries the run's generators keyed u_base/u_mask/u_amp and
-    v_base/v_mask/v_amp; a side without impulses needs no mask or amplitude
-    generator. Impulse components draw from dedicated substreams, so draws
-    into consecutive pieces of a stream reproduce one draw of the whole.
-    u and v are C-contiguous, e.g. (n, order) and (n,).
-    """
-    sample_mixture_split(
-        input_spec, streams["u_base"], streams.get("u_mask"), streams.get("u_amp"), out=u
-    )
-    sample_mixture_split(
-        output_spec, streams["v_base"], streams.get("v_mask"), streams.get("v_amp"), out=v
-    )
 
 
 def synthesize_eiv_arrays(

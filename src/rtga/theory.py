@@ -166,19 +166,30 @@ def steady_state_msd(t: TheoryInputs, mu: float) -> float:
     """Steady-state E||w - w_o||^2 from the Kronecker fixed point.
 
     Solves (I - F) y = vec(identity) with F = (I - mu H) kron (I - mu H)
-    as a linear system and returns mu^2 s^T y, s = vec(S).
+    as a linear system and returns mu^2 s^T y, s = vec(S). A variance near
+    the float range overflows sigma_i^4, and ValueError says so in place of
+    numpy's warnings.
     """
-    H = hessian_at_optimum(t)
-    L = H.shape[0]
-    A = np.eye(L) - mu * H
-    if np.abs(np.linalg.eigvalsh(A)).max() >= 1.0:
-        raise ValueError(
-            f"divergent regime: spectral radius of I - mu H is >= 1 at mu={mu}"
-        )
-    S = gradient_noise_covariance(t)
-    F = np.kron(A, A)
-    y = np.linalg.solve(np.eye(L * L) - F, np.eye(L).ravel())
-    return float(mu * mu * (S.ravel() @ y))
+    overflow = ValueError(
+        f"steady-state analysis overflows at noise variance {t.sigma_i2:g}"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = hessian_at_optimum(t)
+        if not np.isfinite(H).all():
+            raise overflow
+        L = H.shape[0]
+        A = np.eye(L) - mu * H
+        if np.abs(np.linalg.eigvalsh(A)).max() >= 1.0:
+            raise ValueError(
+                f"divergent regime: spectral radius of I - mu H is >= 1 at mu={mu}"
+            )
+        S = gradient_noise_covariance(t)
+        F = np.kron(A, A)
+        y = np.linalg.solve(np.eye(L * L) - F, np.eye(L).ravel())
+        msd = float(mu * mu * (S.ravel() @ y))
+    if not math.isfinite(msd):
+        raise overflow
+    return msd
 
 
 def empirical_gradient_at_optimum(

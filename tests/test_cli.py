@@ -81,15 +81,34 @@ def test_help_exits_0():
 
 
 def test_wrong_echo_path_length_exits_1(tmp_path, capsys):
-    echo = tmp_path / "short.txt"
-    echo.write_text("0.1 0.2 0.3\n")
+    # a path of 512 zeros has the right length but nothing to identify:
+    # the NMSD would divide by its zero norm
+    for name, text, expected in (
+        ("short.txt", "0.1 0.2 0.3\n", "512"),
+        ("zeros.txt", "0.0\n" * 512, "no nonzero tap"),
+    ):
+        echo = tmp_path / name
+        echo.write_text(text)
+        ini = tmp_path / "aec.ini"
+        ini.write_text(f"[aec]\necho_path = {echo}\n")
+        rc = main(["aec", "--config", str(ini), "--runs", "1", "--samples", "600"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert expected in err
+
+
+def test_aec_order_other_than_512_exits_2(tmp_path, capsys):
+    # aec identifies a 512-tap path: another order is a configuration
+    # error, reported with the file's other problems
     ini = tmp_path / "aec.ini"
-    ini.write_text(f"[aec]\necho_path = {echo}\n")
-    rc = main(["aec", "--config", str(ini), "--runs", "1", "--samples", "600"])
-    assert rc == 1
+    ini.write_text("[experiment]\norder = 9\nruns = 0\n")
+    rc = main(["aec", "--config", str(ini), "--samples", "600"])
+    assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "512" in err
+    assert "experiment.order must be 512 in aec mode" in err
+    assert "experiment.runs must be >= 1" in err
+    assert "Traceback" not in err
 
 
 def test_out_of_memory_exits_1(monkeypatch, capsys):
@@ -140,6 +159,19 @@ def test_overflowing_step_exits_1_with_one_line(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: non-finite gradient at iteration 10 in run(s) [0, 1];")
+
+
+def test_overflowing_theory_variance_exits_1_with_one_line(tmp_path, capsys):
+    # sigma_i^4 overflows in the steady-state analysis, which says so
+    # instead of leaking numpy's warnings into a failed eigensolver
+    ini = tmp_path / "theory.ini"
+    ini.write_text("[theory]\nvariances = 1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["theory", "--config", str(ini), "--runs", "2", "--samples", "60"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: steady-state analysis overflows at noise variance 1e+300\n"
 
 
 def test_full_shape_a_zero_exits_2(tmp_path, capsys):

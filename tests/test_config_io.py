@@ -1,5 +1,8 @@
 """Strict config ingestion and file formats (CSV, WAV, echo path)."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -149,6 +152,19 @@ def test_validation_collects_every_error():
     msg = str(info.value)
     assert "case" in msg and "runs" in msg
     assert msg.count("\n") >= 2  # several problems reported at once
+
+
+@pytest.mark.parametrize("mode", ["sysid", "theory"])
+def test_readme_config_example_builds(tmp_path, mode):
+    # The README's INI block is strict INI: comments on their own lines
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Config file\n.*?```ini\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    cfg = build_config(mode, read_config_file(str(path)), {})
+    assert (cfg.case_id, cfg.order, cfg.mc_runs) == (2, 9, 100)
+    assert cfg.algorithm.name == "proposed" and cfg.algorithm.mu == 0.0098
+    assert cfg.reuse.window_cap == 200 and cfg.theory.alpha == 2.0
 
 
 def test_unknown_algorithm_rejected():
@@ -373,11 +389,15 @@ def test_synth_echo_path_unit_norm_decay():
 
 
 def test_aec_assets_validation():
+    path = synth_echo_path()
     with pytest.raises(ValueError):
-        AecAssets(far_end=np.array([]), echo_path=np.zeros(512))
+        AecAssets(far_end=np.array([]), echo_path=path)
     with pytest.raises(ValueError):
-        AecAssets(far_end=np.array([2.0]), echo_path=np.zeros(512))
+        AecAssets(far_end=np.array([2.0]), echo_path=path)
     with pytest.raises(ValueError):
         AecAssets(far_end=np.array([0.5]), echo_path=np.zeros(100))
-    ok = AecAssets(far_end=np.array([0.5, -0.5]), echo_path=np.zeros(512))
+    # the NMSD normalizes by the path's squared norm
+    with pytest.raises(ValueError, match="no nonzero tap"):
+        AecAssets(far_end=np.array([0.5]), echo_path=np.zeros(512))
+    ok = AecAssets(far_end=np.array([0.5, -0.5]), echo_path=path)
     assert ok.far_end.dtype == float

@@ -125,6 +125,35 @@ def test_split_matches_single_stream_structure():
     assert m.bit_generator.state == before
 
 
+@pytest.mark.parametrize("spec", [
+    NoiseSpec("gaussian", 0.3),
+    NoiseSpec("laplace", 1.0),
+    NoiseSpec("uniform", 1.0),
+    NoiseSpec("binary", 0.2),
+    NoiseSpec("ggd", 0.3, alpha=1.5),
+    NoiseSpec("gaussian", 0.1, impulse_prob=0.01, impulse_variance=100.0),
+    NoiseSpec("laplace", 1.0, impulse_prob=0.3, impulse_variance=4.0),
+    NoiseSpec("uniform", 1.0, impulse_prob=0.01, impulse_variance=100.0),
+    NoiseSpec("binary", 0.2, impulse_prob=0.01, impulse_variance=100.0),
+    NoiseSpec("ggd", 0.3, alpha=0.7, impulse_prob=0.2, impulse_variance=9.0),
+    NoiseSpec("gaussian", 0.0),
+    NoiseSpec("laplace", 0.0, impulse_prob=0.5, impulse_variance=1.0),
+    NoiseSpec("ggd", 0.0, alpha=2.0),
+], ids=lambda spec: f"{spec.family}-{spec.variance:g}-{spec.impulse_prob:g}")
+def test_size_draw_equals_out_draw(spec):
+    # One sampler path: a draw into a new array of the given size equals,
+    # bitwise, a draw written over every element of a given array.
+    def rngs():
+        return [np.random.default_rng(s) for s in np.random.SeedSequence(31).spawn(3)]
+
+    sized = sample_mixture_split(spec, *rngs(), (500, 3))
+    out = np.full((500, 3), np.nan)
+    assert sample_mixture_split(spec, *rngs(), out=out) is out
+    assert sized.shape == (500, 3)
+    np.testing.assert_array_equal(sized, out)
+    np.testing.assert_array_equal(np.signbit(sized), np.signbit(out))
+
+
 @pytest.mark.parametrize("family", ["gaussian", "laplace"])
 @pytest.mark.parametrize("variance", [1e-3, 0.05, 1.0, 7.5])
 def test_draw_is_scale_times_unit_draw(family, variance):

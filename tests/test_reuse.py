@@ -122,8 +122,8 @@ def test_history_ring_evicts_old_pairs(monkeypatch):
     x_clean = delay_line_matrix(source, L)
     d_clean = clean_output(x_clean, w_o)
     provider = StreamProvider(
-        [(0, n, w_o[None])], [(zero, zero)], [run_streams(0, 0)[1:]], capacity=cap,
-        shared=(x_clean, d_clean),
+        [(0, n, w_o[None])], [(zero, zero)], [run_streams(0, 0, (zero, zero))[1:]],
+        capacity=cap, shared=(x_clean, d_clean),
     )
     for i in range(20):
         provider.step(i)

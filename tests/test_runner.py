@@ -36,12 +36,7 @@ from rtga.runner import (
     run_theory_compare,
     run_tracking,
 )
-from rtga.signal_model import (
-    clean_output,
-    delay_line_matrix,
-    draw_eiv_noise,
-    synthesize_eiv_arrays,
-)
+from rtga.signal_model import clean_output, delay_line_matrix, synthesize_eiv_arrays
 
 from keep_all import KeepAll, run_kept
 
@@ -50,11 +45,11 @@ NO_REUSE = ReuseConfig(scheme="none")
 
 
 def _synth_run(seed, run, wo_order, n, in_spec, out_spec):
-    system_rng, source_rng, streams = run_streams(seed, run)
+    system_rng, source_rng, (u_rngs, v_rngs) = run_streams(seed, run, (in_spec, out_spec))
     wo = draw_true_weights(system_rng, wo_order)
     x = delay_line_matrix(source_rng.standard_normal(n), wo_order)
-    u, v = np.empty(x.shape), np.empty(n)
-    draw_eiv_noise(in_spec, out_spec, streams, u, v)
+    u = sample_mixture_split(in_spec, *u_rngs, x.shape)
+    v = sample_mixture_split(out_spec, *v_rngs, n)
     _, x_tilde, _, d_tilde = synthesize_eiv_arrays(wo, x, u, v)
     return wo, x_tilde, d_tilde
 
@@ -539,19 +534,16 @@ class TestStreamProvider:
         for source, WO, stream in ((None, truths, None), (shared, one_truth, (x_shared, echo))):
             provider = StreamProvider(
                 [(0, n, WO)], [(in_spec, out_spec)],
-                [run_streams(seed, r)[1:] for r in range(runs)], capacity=2, shared=stream,
+                [run_streams(seed, r, (in_spec, out_spec))[1:] for r in range(runs)],
+                capacity=2, shared=stream,
             )
             x, u, d, v = [], [], [], []
             for r in range(runs):
-                _, source_rng, s = run_streams(seed, r)
+                _, source_rng, (u_rngs, v_rngs) = run_streams(seed, r, (in_spec, out_spec))
                 src = source_rng.standard_normal(n) if source is None else source
                 x.append(delay_line_matrix(src, L))
-                u.append(sample_mixture_split(
-                    in_spec, s["u_base"], s["u_mask"], s["u_amp"], (n, L)
-                ))
-                v.append(sample_mixture_split(
-                    out_spec, s["v_base"], s["v_mask"], s["v_amp"], n
-                ))
+                u.append(sample_mixture_split(in_spec, *u_rngs, (n, L)))
+                v.append(sample_mixture_split(out_spec, *v_rngs, n))
                 d.append(clean_output(x[-1], WO[r]))
             x_tilde = np.stack(x) + np.stack(u)
             d_tilde = np.stack(d) + np.stack(v)
@@ -580,7 +572,8 @@ class TestStreamProvider:
         zero = NoiseSpec("gaussian", 0.0)
         with StreamProvider(
             [(0, n, WO)], [(zero, zero)],
-            [run_streams(0, r)[1:] for r in range(runs)], capacity=1, shared=(x, clean),
+            [run_streams(0, r, (zero, zero))[1:] for r in range(runs)], capacity=1,
+            shared=(x, clean),
         ) as provider:
             for i in range(n):
                 provider.step(i)
@@ -637,8 +630,7 @@ class TestStreamProvider:
 def _kept_rows(cfg):
     """Each run's ratio row and the update counts of a sysid or tracking pass."""
     params = cfg.resolved_params()
-    shifts = [(cfg.shift_time, cfg.shift_amount)] if cfg.mode == "tracking" else []
-    with runner._trial_provider(cfg, [case_spec(cfg.case_id)], shifts=shifts) as provider:
+    with runner._trial_provider(cfg, [case_spec(cfg.case_id)]) as provider:
         res, kept = run_kept(
             provider, cfg.n_samples, params, cfg.censoring, cfg.reuse,
             provider.segments,

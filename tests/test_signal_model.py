@@ -1,24 +1,32 @@
 """Delay lines, truth shifts, and errors-in-variables stream synthesis."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rtga.config import ExperimentConfig
-from rtga.noise import NoiseSpec
+from rtga.noise import NoiseSpec, sample_mixture_split
 from rtga.runner import _trial_provider, run_streams
 from rtga.signal_model import (
     delay_line_matrix,
-    draw_eiv_noise,
     shift_right,
     synthesize_eiv_arrays,
     wo_segments,
 )
 
 
-def _synthesize(w_o, X, in_spec, out_spec, streams):
-    u, v = np.empty(X.shape), np.empty(len(X))
-    draw_eiv_noise(in_spec, out_spec, streams, u, v)
+def _synthesize(w_o, X, in_spec, out_spec, sides):
+    u_rngs, v_rngs = sides
+    u = sample_mixture_split(in_spec, *u_rngs, X.shape)
+    v = sample_mixture_split(out_spec, *v_rngs, len(X))
     return synthesize_eiv_arrays(w_o, X, u, v)
+
+
+def _sides(seed):
+    """(input, output) (base, mask, amp) generator triples from one seed."""
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(6)]
+    return tuple(rngs[:3]), tuple(rngs[3:])
 
 
 def test_delay_line_newest_first_and_zero_padded():
@@ -83,9 +91,7 @@ def test_wo_segments_with_shift():
 
 def test_synthesize_arrays_respects_model():
     # d = w_o . x on the clean stream and d_tilde = d + v.
-    rng_keys = ("u_base", "u_mask", "u_amp", "v_base", "v_mask", "v_amp")
-    ss = np.random.SeedSequence(7).spawn(6)
-    streams = dict(zip(rng_keys, (np.random.default_rng(s) for s in ss)))
+    streams = _sides(7)
     w_o = np.array([0.4, -0.3])
     source = np.random.default_rng(5).standard_normal(30)
     in_spec = NoiseSpec("gaussian", 0.1)
@@ -106,9 +112,7 @@ def test_synthesize_arrays_respects_model():
 def test_input_noise_is_fresh_per_step():
     # The noisy regressor is not a delay line: the same source sample
     # receives independent noise at each step it appears in.
-    ss = np.random.SeedSequence(8).spawn(6)
-    keys = ("u_base", "u_mask", "u_amp", "v_base", "v_mask", "v_amp")
-    streams = dict(zip(keys, (np.random.default_rng(s) for s in ss)))
+    streams = _sides(8)
     w_o = np.array([1.0, 1.0])
     source = np.arange(1.0, 11.0)
     in_spec = NoiseSpec("gaussian", 0.5)
@@ -129,14 +133,15 @@ def test_synthesize_eiv_tracks_shift_schedule():
         mode="tracking", order=L, n_samples=n, mc_runs=2, shift_time=t, shift_amount=1,
     )
     zero = NoiseSpec("gaussian", 0.0)
-    with _trial_provider(cfg, [(zero, zero)], shifts=[(t, 1)]) as provider:
+    assert cfg.truth_shifts() == [(t, 1)]
+    with _trial_provider(cfg, [(zero, zero)]) as provider:
         segs = provider.segments
         assert [(s, e) for s, e, _ in segs] == [(0, t), (t, n)]
         steps = [[a.copy() for a in provider.step(i)] for i in range(n)]
     xs = np.stack([x for x, _ in steps], axis=1)
     ds = np.stack([d for _, d in steps], axis=1)
     for j, r in enumerate(range(2)):
-        _, source_rng, _ = run_streams(cfg.base_seed, r)
+        _, source_rng, _ = run_streams(cfg.base_seed, r, (zero, zero))
         x = delay_line_matrix(source_rng.standard_normal(n), L)
         w_o = segs[0][2][j]
         np.testing.assert_array_equal(xs[j], x)
@@ -145,11 +150,40 @@ def test_synthesize_eiv_tracks_shift_schedule():
         np.testing.assert_array_equal(segs[1][2][j], shift_right(w_o, 1))
 
 
-def test_noise_streams_keys_and_independence():
-    _, _, streams = run_streams(17, 0)
-    assert set(streams) == {
-        "u_base", "u_mask", "u_amp", "v_base", "v_mask", "v_amp",
-    }
-    a = streams["u_base"].standard_normal(4)
-    b = streams["v_base"].standard_normal(4)
-    assert not np.allclose(a, b)
+def test_truth_shifts_only_in_tracking_with_an_amount():
+    cfg = ExperimentConfig(mode="tracking", shift_time=500, shift_amount=2)
+    assert cfg.truth_shifts() == [(500, 2)]
+    assert replace(cfg, shift_amount=0).truth_shifts() == []
+    assert replace(cfg, mode="sysid").truth_shifts() == []
+
+
+IMPULSIVE = NoiseSpec("gaussian", 0.1, impulse_prob=0.01, impulse_variance=100.0)
+PLAIN = NoiseSpec("laplace", 0.5)
+
+
+def _draws(gen):
+    return gen.standard_normal(8).tolist()
+
+
+@pytest.mark.parametrize("in_spec", [PLAIN, IMPULSIVE], ids=["in-plain", "in-impulsive"])
+@pytest.mark.parametrize("out_spec", [PLAIN, IMPULSIVE], ids=["out-plain", "out-impulsive"])
+def test_run_streams_pin_the_seed_tree(in_spec, out_spec):
+    # Trial r roots at SeedSequence(seed + r) and spawns the system and data
+    # streams; the data stream spawns, in order, the source, the input's
+    # (base, mask, amp) and the output's (base, mask, amp). Every generator
+    # run_streams serves draws what one built straight from that tree
+    # draws, so neither base depends on whether either side is impulsive,
+    # and a side without impulses gets None for its mask and amp.
+    seed, r = 17, 3
+    system, data = np.random.SeedSequence(seed + r).spawn(2)
+    tree = [np.random.default_rng(seq) for seq in (system, *data.spawn(7))]
+    system_rng, source_rng, (inp, out) = run_streams(seed, r, (in_spec, out_spec))
+    assert len(inp) == len(out) == 3
+    served = [system_rng, source_rng, *inp, *out]
+    specs = [None, None, *[in_spec] * 3, *[out_spec] * 3]
+    for k, (gen, spec, direct) in enumerate(zip(served, specs, tree)):
+        if k in (3, 4, 6, 7) and not spec.impulsive:
+            assert gen is None
+        else:
+            assert _draws(gen) == _draws(direct)
+    assert not np.allclose(_draws(tree[2]), _draws(tree[5]))
