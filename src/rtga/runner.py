@@ -12,8 +12,7 @@ identical output bytes.
 from __future__ import annotations
 
 import math
-import queue
-import threading
+import os
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -66,18 +65,25 @@ def run_streams(base_seed: int, r: int, noise: tuple[NoiseSpec, NoiseSpec]):
     the output noise. Each side's triple is what sample_mixture_split reads
     for that side of the trial's (input, output) noise pair. A side without
     impulses never reads its mask and amplitude, so they are None; the
-    tree, and with it every stream, is the same either way. Every group of
-    runs in a pass reads trial r's streams for its run r, and the stream
-    provider draws them once for all groups.
+    tree, and with it every stream, is the same either way. Only the
+    streams the trial reads are built, each straight from its spawn key.
+    Every group of runs in a pass reads trial r's streams for its run r,
+    and the stream provider draws them once for all groups.
     """
-    ss = np.random.SeedSequence(base_seed + r)
-    system_ss, data_ss = ss.spawn(2)
-    source_ss, *noise_ss = data_ss.spawn(7)
+    entropy = base_seed + r
+
+    def rng(*spawn_key: int) -> np.random.Generator:
+        # the child that SeedSequence(entropy).spawn gives at spawn_key
+        return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=spawn_key))
+
+    # system (0,) and data (1,); data's children are the source (1, 0), then
+    # each side's base, mask and amplitude at (1, 1 + 3 side + part)
     sides = []
-    for spec, (base, *impulse) in zip(noise, (noise_ss[:3], noise_ss[3:])):
-        impulse = [np.random.default_rng(seq) if spec.impulsive else None for seq in impulse]
-        sides.append((np.random.default_rng(base), *impulse))
-    return np.random.default_rng(system_ss), np.random.default_rng(source_ss), tuple(sides)
+    for side, spec in enumerate(noise):
+        key = 1 + 3 * side
+        impulse = [rng(1, key + part) if spec.impulsive else None for part in (1, 2)]
+        sides.append((rng(1, key), *impulse))
+    return rng(0), rng(1, 0), tuple(sides)
 
 
 def draw_true_weights(system_rng, order: int):
@@ -192,20 +198,22 @@ class StreamProvider:
     one-shot sequence, so the samples do not depend on the chunk or the
     batch.
 
-    When a trial draws at least _THREADED values per half chunk, a producer
-    thread fills the ring in half-chunk pieces, which the engine queues as
-    it enters a piece: those that end within a chunk of its start, so none
-    overwrites a row that past() may still serve. The producer answers
-    each with None or the exception it caught, which the engine raises;
-    only that thread touches the trials' generators. Smaller fills run on
-    the engine's thread a chunk at a time, since many short producer calls
-    would starve for the interpreter lock. close(), or leaving a with-block,
-    stops and joins the producer, and a later fill raises.
+    When a trial draws at least _FORKED values per half chunk, a forked
+    producer process (rtga.producer) fills the ring, which then lives in an
+    anonymous shared mapping, in half-chunk pieces. Entering a piece, the
+    engine asks for those that end within a chunk of its start, so none
+    overwrites a row that past() may still serve. The producer answers each
+    with None or the exception it caught, which the engine raises; after
+    the fork only the producer touches the trials' generators. Smaller
+    fills, and every fill where os.fork is missing, run in the engine's
+    process a chunk at a time: for a short pass the fork costs more than
+    the overlap saves. close(), or leaving a with-block, kills and reaps
+    the producer, and a later fill raises.
     """
 
     _CHUNK = 1024
     _SCRATCH = 1 << 19
-    _THREADED = 4096
+    _FORKED = 4096
 
     def __init__(
         self,
@@ -228,13 +236,19 @@ class StreamProvider:
         n = segments[-1][1]
         self.chunk = min(max(1, self._CHUNK // groups), n)
         self.rows = min(n, capacity - 1 + self.chunk)
-        self.x = np.empty((self.rows, groups * trials, L))
-        self.d = np.empty((self.rows, groups * trials))
         # values a trial draws per sample: input and output noise, and source
         per_sample = L + 1 + (shared is None)
         half = max(1, self.chunk // 2)
-        threaded = half * per_sample >= self._THREADED
-        piece = half if threaded else self.chunk
+        self.forks = half * per_sample >= self._FORKED and hasattr(os, "fork")
+        shapes = (self.rows, groups * trials, L), (self.rows, groups * trials)
+        if self.forks:
+            # imported here, so that setting up an experiment does not pay for it
+            from .producer import shared_arrays
+
+            self.x, self.d = shared_arrays(*shapes)
+        else:
+            self.x, self.d = map(np.empty, shapes)
+        piece = half if self.forks else self.chunk
         values = self._SCRATCH // 8
         self.span = min(piece, max(1, values // per_sample))
         self.batch = min(trials, max(1, values // (self.span * per_sample)))
@@ -257,11 +271,8 @@ class StreamProvider:
         self._mark = 0  # one past the last sample of the engine's piece
         self._latest = -1
         self._closed = False
-        # pieces to fill (None stops the producer), and one result per piece
-        self._todo = queue.SimpleQueue() if threaded else None
-        self._done = queue.SimpleQueue()
-        self._queued = 0  # pieces handed to the producer
-        self._thread = None
+        self._asked = 0  # pieces asked of the producer
+        self._producer = None
 
     def _fill(self, start: int, end: int, w_seg: np.ndarray) -> None:
         """Synthesize samples [start, end), which lie in one segment, into the ring."""
@@ -305,36 +316,32 @@ class StreamProvider:
                         out=(self.x[rows, cols].transpose(1, 0, 2), self.d[rows, cols].T),
                     )
 
-    def _produce(self) -> None:
-        """The producer thread: fill the queued pieces in order, until None."""
-        for piece in iter(self._todo.get, None):
-            try:
-                self._fill(*piece)
-            except BaseException as exc:  # raised again in the engine's thread
-                self._done.put(exc)
-                return
-            self._done.put(None)
-
     def _enter_piece(self) -> None:
-        """Make the engine's next piece ready: fill it, or take the producer's result."""
+        """Make the engine's next piece ready: fill it, or take the producer's answer."""
         if self._closed:
             raise RuntimeError("the stream provider is closed")
         start, end, w_seg = self.pieces[self._next]
         self._next += 1
         self._mark = end
-        if self._todo is None:
+        if not self.forks:
             self._fill(start, end, w_seg)
             return
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._produce, daemon=True)
-            self._thread.start()
-        while self._queued < len(self.pieces) and self.pieces[self._queued][1] <= start + self.chunk:
-            self._todo.put(self.pieces[self._queued])
-            self._queued += 1
-        error = self._done.get()
-        if error is not None:
+        try:
+            if self._producer is None:
+                from .producer import Producer
+
+                self._producer = Producer(lambda k: self._fill(*self.pieces[k]))
+            asked = self._asked
+            while self._asked < len(self.pieces) and self.pieces[self._asked][1] <= start + self.chunk:
+                self._asked += 1
+            if self._asked > asked:
+                self._producer.ask(self._asked - asked)
+            error = self._producer.answer()
+            if error is not None:
+                raise error
+        except BaseException:
             self.close()
-            raise error
+            raise
 
     def step(self, i: int):
         while i >= self._mark:
@@ -353,11 +360,11 @@ class StreamProvider:
         return self.x[row], self.d[row]
 
     def close(self) -> None:
-        """Stop and join the producer thread, if one runs."""
+        """Kill and reap the producer, if one was forked."""
         self._closed = True
-        if self._thread is not None:
-            self._todo.put(None)
-            self._thread.join()
+        if self._producer is not None:
+            self._producer.close()
+            self._producer = None
 
     def __enter__(self):
         return self

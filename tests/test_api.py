@@ -1,6 +1,9 @@
 """The package's public API resolves, and so do the benchmark's hooks."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import rtga
@@ -41,3 +44,19 @@ def test_ablation_script_imports():
     spec.loader.exec_module(script)
     assert script.PROPOSED_MU == 0.0098
     assert callable(script.main)
+
+
+def test_cli_import_leaves_the_producer_out():
+    # Set-up pays for every module `rtga.cli` loads; only a provider that
+    # forks loads its producer, which needs no multiprocessing.
+    src = str(Path(rtga.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, rtga.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing' "
+        "or m == 'rtga.producer'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -2,7 +2,8 @@
 
 import contextlib
 import io
-import threading
+import os
+import signal
 import warnings
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from rtga import cli, runner
 from rtga.cli import main
 from rtga.dataio import save_wav
+
+from fills import assert_reaped, fill_pids, record_fills
 
 FAST = ["--runs", "2", "--samples", "300", "--seed", "1"]
 
@@ -122,21 +125,40 @@ def test_out_of_memory_exits_1(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_fault_in_producer_thread_exits_1(monkeypatch, capsys):
-    # AEC's 512-tap fill runs on the provider's producer thread; a fault
-    # there reaches the engine's thread and exits like any runtime error.
-    threads = []
-
-    def failing(*args, **kwargs):
-        threads.append(threading.current_thread())
-        raise MemoryError("Unable to allocate 2.00 MiB for an array")
-
-    monkeypatch.setattr(runner, "synthesize_eiv_arrays", failing)
+def test_fault_in_producer_thread_exits_1(monkeypatch, tmp_path, capsys):
+    # AEC's 512-tap fill runs in the provider's forked producer; a fault
+    # there reaches the engine's process and exits like any runtime error.
+    log = tmp_path / "fills"
+    record_fills(monkeypatch, log, fault_at=1)
     assert main(["aec", "--runs", "2", "--samples", "1200", "--seed", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate 2.00 MiB")
     assert "Traceback" not in err
-    assert threads and threading.main_thread() not in threads
+    pids = fill_pids(log)
+    assert pids and os.getpid() not in pids
+    assert_reaped(pids)
+
+
+def test_killed_producer_exits_1(monkeypatch, capsys):
+    # SIGKILL the pass's producer mid-stream: one error line, no traceback.
+    step = runner.StreamProvider.step
+    killed = []
+
+    def stepping(self, i):
+        if i == 1500:
+            assert self.forks
+            killed.append(self._producer.pid)
+            os.kill(killed[0], signal.SIGKILL)
+        return step(self, i)
+
+    monkeypatch.setattr(runner.StreamProvider, "step", stepping)
+    assert main(["sysid", "--runs", "3", "--samples", "3000", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: the stream producer (pid {killed[0]}) ended without answering "
+        "(killed by signal 9)\n"
+    )
+    assert_reaped(killed)
 
 
 def test_short_far_end_wav_exits_1(tmp_path, capsys):

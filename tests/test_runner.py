@@ -1,8 +1,11 @@
 """Experiment runner: engine semantics, seed layout, and the mode drivers."""
 
+import os
 import re
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -38,6 +41,7 @@ from rtga.runner import (
 )
 from rtga.signal_model import clean_output, delay_line_matrix, synthesize_eiv_arrays
 
+from fills import assert_reaped, fill_pids, record_fills
 from keep_all import KeepAll, run_kept
 
 NO_CENSOR = CensorConfig(p_ce=0.0)
@@ -580,15 +584,15 @@ class TestStreamProvider:
         assert sum(calls) == 0
 
     @pytest.mark.parametrize("family", ["gaussian", "laplace"])
-    @pytest.mark.parametrize("threaded", [False, True])
+    @pytest.mark.parametrize("forked", [False, True])
     @pytest.mark.parametrize("chunk", [1, 37, 64])
-    def test_groups_serve_one_group_rows(self, monkeypatch, family, threaded, chunk):
+    def test_groups_serve_one_group_rows(self, monkeypatch, family, forked, chunk):
         # Three groups scale each trial's draws: group g's rows, served by
         # step and past, equal those of a provider of g's pair alone. The
         # idr window keeps 27 samples, so every ring (at most 27 + 64 rows)
         # wraps within the 300 samples.
-        if threaded:
-            monkeypatch.setattr(StreamProvider, "_THREADED", 1)
+        if forked:
+            monkeypatch.setattr(StreamProvider, "_FORKED", 1)
         monkeypatch.setattr(StreamProvider, "_CHUNK", chunk)
         cfg = ExperimentConfig(
             mode="sysid", order=4, n_samples=300, mc_runs=3, base_seed=5,
@@ -598,7 +602,7 @@ class TestStreamProvider:
         grouped = runner._trial_provider(cfg, pairs)
         alone = [runner._trial_provider(cfg, [pair]) for pair in pairs]
         assert grouped.rows < cfg.n_samples
-        assert (grouped._todo is not None) == threaded
+        assert grouped.forks == forked
         runs = cfg.mc_runs
         with grouped, alone[0], alone[1], alone[2]:
             for (_, _, w), (_, _, w_alone) in zip(grouped.segments, alone[0].segments):
@@ -640,10 +644,10 @@ def _kept_rows(cfg):
 
 
 class TestProducerThread:
-    """The producer thread fills the ring, and it ends with its pass."""
+    """The forked producer fills the ring, and it ends with its pass."""
 
     @pytest.mark.parametrize("ending", ["normal", "divergence", "fault"])
-    def test_pass_leaves_no_thread_behind(self, monkeypatch, ending):
+    def test_pass_leaves_no_thread_behind(self, monkeypatch, tmp_path, ending):
         # The blow-up of test_divergence_fails_fast, from noise of variance
         # 1e6 on both sides: the engine raises while the producer waits for
         # it. The fault hits the producer's third fill, mid-stream.
@@ -653,16 +657,8 @@ class TestProducerThread:
         )
         params = RtgaParams(b=2.0, c=1.0, mu=0.05, phi=1.0, family="tlmp")
         spec = NoiseSpec("gaussian", 1e6 if ending == "divergence" else 0.1)
-        fills = []
-        synthesize = runner.synthesize_eiv_arrays
-
-        def recording(*args, **kwargs):
-            fills.append(threading.current_thread())
-            if ending == "fault" and len(fills) == 3:
-                raise MemoryError("Unable to allocate 2.00 MiB for an array")
-            return synthesize(*args, **kwargs)
-
-        monkeypatch.setattr(runner, "synthesize_eiv_arrays", recording)
+        log = tmp_path / "fills"
+        record_fills(monkeypatch, log, fault_at=3 if ending == "fault" else None)
         before = threading.active_count()
         run = lambda: runner._run_trials(cfg, params, [(spec, spec)])  # noqa: E731
         if ending == "normal":
@@ -672,7 +668,9 @@ class TestProducerThread:
             with pytest.raises(error):
                 run()
         assert threading.active_count() == before
-        assert fills and threading.main_thread() not in fills
+        pids = fill_pids(log)
+        assert pids and os.getpid() not in pids
+        assert_reaped(pids)
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -686,7 +684,7 @@ class TestProducerThread:
     def test_rows_invariant_to_chunk_and_run_count(
         self, mode, chunk, runs, more, l_reused, window
     ):
-        # Through the threaded provider, each run's ratio row and the
+        # Through the forked producer, each run's ratio row and the
         # counts do not depend on the chunk size, and run r's row does not
         # depend on how many runs share its pass.
         cfg = ExperimentConfig(
@@ -696,7 +694,7 @@ class TestProducerThread:
             reuse=ReuseConfig(scheme="idr", l_reused=l_reused, window_cap=window),
         )
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(StreamProvider, "_THREADED", 0)
+            mp.setattr(StreamProvider, "_FORKED", 0)
             rows, counts = _kept_rows(cfg)
             wide, _ = _kept_rows(replace(cfg, mc_runs=runs + more))
             mp.setattr(StreamProvider, "_CHUNK", chunk)
@@ -706,9 +704,9 @@ class TestProducerThread:
         assert np.array_equal(wide[:runs], rows)
 
     def test_rows_hold_under_fast_thread_switching(self, monkeypatch):
-        # Four passes at once, each with its own producer, with the
-        # interpreter switching threads every microsecond: a piece filled
-        # too far ahead, or served before it is filled, changes a row.
+        # Four passes at once on four threads, each with its own producer,
+        # with the interpreter switching threads every microsecond: a piece
+        # filled too far ahead, or served before it is filled, changes a row.
         cfg = ExperimentConfig(
             mode="sysid", order=4, n_samples=600, mc_runs=2, case_id=2,
             algorithm=AlgorithmConfig(name="proposed"), censoring=CensorConfig(p_ce=0.3),
@@ -716,7 +714,7 @@ class TestProducerThread:
         )
         monkeypatch.setattr(StreamProvider, "_CHUNK", 16)
         inline, _ = _kept_rows(cfg)
-        monkeypatch.setattr(StreamProvider, "_THREADED", 0)
+        monkeypatch.setattr(StreamProvider, "_FORKED", 0)
         results = {}
 
         def work(k):
@@ -738,15 +736,15 @@ class TestProducerThread:
             assert np.array_equal(rows, inline)
 
     @staticmethod
-    def _threaded_provider(monkeypatch):
-        monkeypatch.setattr(StreamProvider, "_THREADED", 0)
+    def _forked_provider(monkeypatch):
+        monkeypatch.setattr(StreamProvider, "_FORKED", 0)
         cfg = ExperimentConfig(mode="sysid", order=4, n_samples=3000, mc_runs=2)
         return runner._trial_provider(cfg, [case_spec(1)])
 
     def test_step_after_close_raises(self, monkeypatch):
         # The producer has filled pieces ahead; an inline fill of the next
         # piece would draw the runs' generators a second time.
-        provider = self._threaded_provider(monkeypatch)
+        provider = self._forked_provider(monkeypatch)
         provider.step(0)
         provider.close()
         with pytest.raises(RuntimeError, match="closed"):
@@ -754,12 +752,94 @@ class TestProducerThread:
                 provider.step(i)
 
     def test_close_before_first_step_starts_no_thread(self, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
         before = threading.active_count()
-        provider = self._threaded_provider(monkeypatch)
+        provider = self._forked_provider(monkeypatch)
         provider.close()
         with pytest.raises(RuntimeError, match="closed"):
             provider.step(0)
         assert threading.active_count() == before
+        assert forks == []
+
+    def test_unpicklable_fault_exits_unanswered(self, monkeypatch, tmp_path):
+        # An exception that does not pickle cannot cross to the engine: the
+        # producer leaves through os._exit(1) without answering, and the
+        # engine raises ChildProcessError and reaps it. Had the producer
+        # returned into this test instead, it would log its pid below.
+        class LocalError(Exception):
+            pass
+
+        def failing(*args, **kwargs):
+            raise LocalError("defined in a test, so pickle cannot name it")
+
+        monkeypatch.setattr(runner, "synthesize_eiv_arrays", failing)
+        cfg = ExperimentConfig(mode="sysid", order=9, n_samples=3000, mc_runs=3)
+        log = tmp_path / "callers"
+        try:
+            with runner._trial_provider(cfg, [case_spec(1)]) as provider:
+                assert provider.forks
+                with pytest.raises(ChildProcessError, match=r"without answering \(exit status 1\)") as info:
+                    provider.step(0)
+        finally:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+        assert fill_pids(log) == {os.getpid()}
+        pid = int(re.search(r"pid (\d+)", str(info.value)).group(1))
+        assert_reaped([pid])
+
+    @pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside_a_second_pass"])
+    def test_killed_producer_raises_promptly(self, monkeypatch, beside):
+        # SIGKILL the pass's own producer mid-stream: the engine's next wait
+        # raises ChildProcessError instead of hanging. Beside it, a second
+        # pass on another thread forks its producer after the first pass
+        # made its pipes and before it forks, so that producer holds a copy
+        # of the first one's answer pipe, which then reports no end of file.
+        cfg = ExperimentConfig(mode="sysid", order=9, n_samples=3000, mc_runs=3)
+        first = runner._trial_provider(cfg, [case_spec(1)])
+        assert first.forks
+        forked, release, rows = threading.Event(), threading.Event(), []
+
+        def second_pass():
+            with runner._trial_provider(cfg, [case_spec(1)]) as second:
+                second.step(0)
+                forked.set()
+                release.wait(60)
+                rows.extend(second.step(i)[1].copy() for i in range(cfg.n_samples))
+
+        other = threading.Thread(target=second_pass)
+        fork = os.fork
+
+        def second_forks_first():
+            if not forked.is_set() and threading.current_thread() is not other:
+                other.start()
+                assert forked.wait(60)
+            return fork()
+
+        if beside:
+            monkeypatch.setattr(os, "fork", second_forks_first)
+        try:
+            with first:
+                for i in range(1500):
+                    first.step(i)
+                pid = first._producer.pid
+                os.kill(pid, signal.SIGKILL)
+                t0 = time.perf_counter()
+                with pytest.raises(ChildProcessError, match=rf"pid {pid}\).*signal 9"):
+                    for i in range(1500, cfg.n_samples):
+                        first.step(i)
+                assert time.perf_counter() - t0 < 10
+        finally:
+            release.set()
+            if beside:
+                other.join(120)
+        assert_reaped([pid])
+        if beside:
+            assert not other.is_alive()
+            with runner._trial_provider(cfg, [case_spec(1)]) as alone:
+                want = [alone.step(i)[1].copy() for i in range(cfg.n_samples)]
+            np.testing.assert_array_equal(rows, want)
 
 
 class TestTracking:
@@ -913,12 +993,12 @@ class TestTheoryAndSweep:
         block=st.integers(1, 64),
         family=st.sampled_from(["gaussian", "laplace"]),
         reuse=st.integers(0, 2),
-        threaded=st.sampled_from([0, 64, StreamProvider._THREADED]),
+        forked=st.sampled_from([0, 64, StreamProvider._FORKED]),
     )
     def test_merged_theory_is_batch_and_chunk_invariant(
-        self, variances, runs, chunk, block, family, reuse, threaded
+        self, variances, runs, chunk, block, family, reuse, forked
     ):
-        # The rows of a merged pass at any chunk, block size and threading
+        # The rows of a merged pass at any chunk, block size and forking
         # threshold equal the rows of one-variance runs at the default sizes.
         common = dict(
             mode="theory", order=4, n_samples=150, mc_runs=runs, base_seed=runs,
@@ -933,7 +1013,7 @@ class TestTheoryAndSweep:
         alone = [table([s2])[0] for s2 in variances]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(StreamProvider, "_CHUNK", chunk)
-            mp.setattr(StreamProvider, "_THREADED", threaded)
+            mp.setattr(StreamProvider, "_FORKED", forked)
             mp.setattr(runner, "_BLOCK", block)
             assert table(variances) == alone
 
