@@ -7,6 +7,7 @@ and the synthetic fallbacks used when no recorded assets are supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 import wave
 
 import numpy as np
@@ -40,6 +41,11 @@ class AecAssets:
         object.__setattr__(self, "echo_path", path)
         if far.size == 0:
             raise ValueError("far-end audio is empty")
+        # so that a non-finite value inside a pass can only be divergence
+        if not np.isfinite(far).all():
+            raise ValueError("far-end audio has a non-finite sample")
+        if not np.isfinite(path).all():
+            raise ValueError("echo path has a non-finite tap")
         if np.abs(far).max() > 1.0 + 1e-9:
             raise ValueError("far-end audio must be normalized to [-1, 1]")
         if path.shape != (ECHO_PATH_LEN,):
@@ -119,17 +125,20 @@ def save_wav(path: str, samples: np.ndarray, rate: int = 8000) -> None:
 
 
 def load_echo_path(path: str) -> np.ndarray:
-    """Read exactly 512 whitespace-separated reals."""
+    """Read exactly 512 whitespace-separated finite reals."""
     values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             for token in line.split():
                 try:
-                    values.append(float(token))
+                    value = float(token)
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: cannot parse {token!r} as a real number"
                     ) from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: tap {token!r} is not finite")
+                values.append(value)
     if len(values) != ECHO_PATH_LEN:
         raise ValueError(
             f"{path}: echo path must contain exactly {ECHO_PATH_LEN} values, "

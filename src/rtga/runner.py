@@ -117,7 +117,6 @@ class _ScaleTracker:
         return (part[:, lo] + part[:, hi]) / 2.0
 
     def update(self, e: np.ndarray) -> None:
-        # e is finite: the engine checks e^2 before it feeds the tracker
         cfg = self.cfg
         self.ring[:, self.count % cfg.window] = np.abs(e)
         self.count += 1
@@ -406,11 +405,11 @@ def run_engine(
     run order (none: one group). Per-run output fills (runs, _BLOCK // G)
     buffers, so they hold what one group's pass holds; a block ends when
     they are full, at a segment end and at n. A run whose squared deviation
-    then exceeds DIVERGENCE_FACTOR times its largest squared truth norm
-    raises ArithmeticError, which names the run by its group's label and
-    its index in the group; otherwise sink(start, ratio, censored, e)
-    receives the block's (runs, end - start) views, which the next block
-    overwrites.
+    then is non-finite or exceeds DIVERGENCE_FACTOR times its largest
+    squared truth norm raises ArithmeticError, which names the run by its
+    group's label and its index in the group; otherwise sink(start, ratio,
+    censored, e) receives the block's (runs, end - start) views, which the
+    next block overwrites.
     """
     runs, L = segments[0][2].shape
     W = np.zeros((runs, L))
@@ -423,11 +422,11 @@ def run_engine(
     mu, phi = params.mu, params.phi
     main_steps = main_censored = reuse_steps = reuse_censored = 0
     # Per-run scalars of one update: the two step coefficients, n2 and e^2.
-    # Rows of one array, so one finiteness check covers all four.
+    # Rows of one array, so one copyto zeroes a censored run's steps.
     scalars = np.empty((4, runs))
     step_x, step_w, n2, e2 = scalars
 
-    def update(W: np.ndarray, x: np.ndarray, d: np.ndarray, thr, i: int):
+    def update(W: np.ndarray, x: np.ndarray, d: np.ndarray, thr):
         """Gated step of every run on (x, d); W is updated in place.
 
         With k the per-run gradient coefficient the step is
@@ -442,13 +441,6 @@ def run_engine(
         k = mu * gradient(e, n2, params, step_w)
         np.multiply(k, e, out=step_x)
         np.multiply(step_w, k, out=step_w)
-        if not np.isfinite(scalars).all():
-            bad = np.nonzero(~np.isfinite(scalars).all(axis=0))[0]
-            raise ArithmeticError(
-                f"non-finite gradient at iteration {i} in "
-                f"{_name_runs(bad, groups, runs)}; "
-                f"the step size is likely beyond the stable range (mu={mu})"
-            )
         cen = None
         if thr is not None:
             cen = np.abs(e) < thr
@@ -461,8 +453,8 @@ def run_engine(
     # run's largest |w_o|^2, since a shift may leave a tiny truth
     dens = [np.sum(w * w, axis=1) for _, _, w in segments]
     limit = DIVERGENCE_FACTOR * np.max(dens, axis=0)
-    # One errstate per pass, not per update: the finiteness and divergence
-    # checks name the runs that overflow, so numpy's warnings stay quiet
+    # One errstate per pass, not per update: the divergence check names the
+    # runs that overflow, so numpy's warnings stay quiet
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for (seg_start, seg_end, seg_w), seg_den in zip(segments, dens):
             blown = limit / seg_den
@@ -476,11 +468,11 @@ def run_engine(
                         thr = kappa * tracker.sigma if gated else None
                         for idx in schedule(reuse_cfg, i, L):
                             x_r, d_r = provider.past(idx)
-                            _, cen = update(W, x_r, d_r, thr, i)
+                            _, cen = update(W, x_r, d_r, thr)
                             reuse_steps += runs
                             if gated:
                                 reuse_censored += int(np.count_nonzero(cen))
-                        e, cen = update(W, x_i, d_i, thr, i)
+                        e, cen = update(W, x_i, d_i, thr)
                         main_steps += runs
                         if gated:
                             cen_mask[:, j] = cen
@@ -504,32 +496,31 @@ def run_engine(
     )
 
 
-def _name_runs(bad: np.ndarray, groups: Sequence[str], runs: int) -> str:
-    """The runs at indices bad of the run axis, by group when it is grouped."""
-    if not groups:
-        return f"run(s) {bad.tolist()}"
-    group, run = np.divmod(bad, runs // len(groups))
-    return ", ".join(
-        f"{groups[g]} run(s) {run[group == g].tolist()}" for g in np.unique(group)
-    )
-
-
 def _check_divergence(
     ratio: np.ndarray, blown: np.ndarray, start: int, mu: float, groups: Sequence[str]
 ) -> None:
-    """Name the runs whose ratio in the block from `start` exceeds blown.
+    """Name the runs whose ratio in the block from `start` is not within blown.
 
-    The n2 = phi + |w|^2 normalization can keep a blown-up run finite.
+    A non-finite ratio counts: a non-finite step makes W non-finite in the
+    same update. A finite one counts too, since the n2 = phi + |w|^2
+    normalization can keep a blown-up run finite.
     """
-    over = ratio > blown[:, None]
-    if over.any():
+    within = ratio <= blown[:, None]
+    if not within.all():
+        over = ~within
         first = start + int(np.argmax(over.any(axis=0)))
         bad = np.nonzero(over.any(axis=1))[0]
+        if groups:
+            group, run = np.divmod(bad, len(ratio) // len(groups))
+            named = ", ".join(
+                f"{groups[g]} run(s) {run[group == g].tolist()}" for g in np.unique(group)
+            )
+        else:
+            named = f"run(s) {bad.tolist()}"
         raise ArithmeticError(
-            f"divergence at iteration {first} in "
-            f"{_name_runs(bad, groups, len(ratio))}; "
-            f"|W - w_o|^2 exceeds {DIVERGENCE_FACTOR:g} times the run's largest "
-            f"|w_o|^2, the step size is likely beyond the stable range (mu={mu})"
+            f"divergence at iteration {first} in {named}; |W - w_o|^2 is non-finite "
+            f"or exceeds {DIVERGENCE_FACTOR:g} times the run's largest |w_o|^2, "
+            f"the step size is likely beyond the stable range (mu={mu})"
         )
 
 

@@ -125,7 +125,7 @@ def test_out_of_memory_exits_1(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_fault_in_producer_thread_exits_1(monkeypatch, tmp_path, capsys):
+def test_fault_in_producer_exits_1(monkeypatch, tmp_path, capsys):
     # AEC's 512-tap fill runs in the provider's forked producer; a fault
     # there reaches the engine's process and exits like any runtime error.
     log = tmp_path / "fills"
@@ -172,6 +172,23 @@ def test_short_far_end_wav_exits_1(tmp_path, capsys):
     assert err == "error: far-end audio has 700 samples; 1000 requested\n"
 
 
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_non_finite_echo_tap_exits_1_with_one_line(tmp_path, capsys, token):
+    # rejected with its line, before it can pass for the filter's divergence
+    taps = tmp_path / "echo.txt"
+    rows = ["0.01"] * 512
+    rows[99] = token
+    taps.write_text("\n".join(rows) + "\n")
+    ini = tmp_path / "aec.ini"
+    ini.write_text(f"[aec]\necho_path = {taps}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["aec", "--config", str(ini), "--runs", "2", "--samples", "2000"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {taps}:100: tap {token!r} is not finite\n"
+
+
 def test_overflowing_step_exits_1_with_one_line(capsys):
     # numpy's overflow warnings stay quiet; the engine's own error names the runs
     with warnings.catch_warnings():
@@ -180,7 +197,9 @@ def test_overflowing_step_exits_1_with_one_line(capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("error: non-finite gradient at iteration 10 in run(s) [0, 1];")
+    assert err.startswith(
+        "error: divergence at iteration 9 in run(s) [0, 1]; |W - w_o|^2 is non-finite or"
+    )
 
 
 def test_overflowing_theory_variance_exits_1_with_one_line(tmp_path, capsys):

@@ -399,5 +399,13 @@ def test_aec_assets_validation():
     # the NMSD normalizes by the path's squared norm
     with pytest.raises(ValueError, match="no nonzero tap"):
         AecAssets(far_end=np.array([0.5]), echo_path=np.zeros(512))
+    # a non-finite value inside a pass is then only the filter's divergence
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="far-end audio has a non-finite sample"):
+            AecAssets(far_end=np.array([0.5, bad]), echo_path=path)
+        taps = path.copy()
+        taps[7] = bad
+        with pytest.raises(ValueError, match="echo path has a non-finite tap"):
+            AecAssets(far_end=np.array([0.5]), echo_path=taps)
     ok = AecAssets(far_end=np.array([0.5, -0.5]), echo_path=path)
     assert ok.far_end.dtype == float

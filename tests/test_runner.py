@@ -301,6 +301,32 @@ class TestEngineEquivalence:
                 ("calm", "wild"),
             )
 
+    def test_nan_sample_named_by_group(self):
+        # A NaN in one run's x~ mid-block makes that run's W NaN in the same
+        # update, and so its ratio, which no bound comparison passes: the
+        # block-end check names the run and the sample, and the block with
+        # the NaN never reaches the sink.
+        n, L = 600, 4
+        spec = NoiseSpec("gaussian", 0.1)
+        synth = [_synth_run(23, r, L, n, spec, spec) for r in range(3)]
+        WO = np.stack([s[0] for s in synth] * 2)
+        X = np.stack([s[1] for s in synth] * 2)
+        D = np.stack([s[2] for s in synth] * 2)
+        X[4, 300, 2] = np.nan  # run 1 of the second group
+        params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.01, phi=1.0)
+        kept = KeepAll()
+        with pytest.raises(
+            ArithmeticError,
+            match=r"^divergence at iteration 300 in wild run\(s\) \[1\]; "
+            r"\|W - w_o\|\^2 is non-finite or exceeds",
+        ):
+            run_engine(
+                ArrayProvider(X, D), n, params, CensorConfig(p_ce=0.5),
+                ReuseConfig(scheme="idr", l_reused=2), [(0, n, WO)], kept,
+                ("calm", "wild"),
+            )
+        assert kept.n == 256 and np.isfinite(kept.ratio).all()
+
     def test_noiseless_limit_filter_converges_monotonically(self):
         n, L = 800, 4
         zero = NoiseSpec("gaussian", 0.0)
@@ -647,7 +673,7 @@ class TestProducerThread:
     """The forked producer fills the ring, and it ends with its pass."""
 
     @pytest.mark.parametrize("ending", ["normal", "divergence", "fault"])
-    def test_pass_leaves_no_thread_behind(self, monkeypatch, tmp_path, ending):
+    def test_pass_leaves_no_producer_behind(self, monkeypatch, tmp_path, ending):
         # The blow-up of test_divergence_fails_fast, from noise of variance
         # 1e6 on both sides: the engine raises while the producer waits for
         # it. The fault hits the producer's third fill, mid-stream.
@@ -751,7 +777,7 @@ class TestProducerThread:
             for i in range(3000):
                 provider.step(i)
 
-    def test_close_before_first_step_starts_no_thread(self, monkeypatch):
+    def test_close_before_first_step_forks_nothing(self, monkeypatch):
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
