@@ -254,6 +254,11 @@ class ExperimentConfig:
                 )
             if not 0 < self.theory.alpha < math.inf:
                 errors.append(f"theory.alpha must be finite and > 0, got {self.theory.alpha}")
+            if self.reuse.active:
+                errors.append(
+                    "theory mode predicts the steady state without data reuse; "
+                    "set reuse.count = 0 (--reuse 0)"
+                )
         if self.mode == "sweep":
             if self.order != 2:
                 errors.append(f"sweep mode grids 2-tap weights; set order = 2, got {self.order}")

@@ -1,20 +1,25 @@
-"""A forked producer process that fills the stream provider's ring.
+"""Forked producer processes that fill the stream provider's ring.
 
 numpy releases the interpreter lock only inside its inner loops, so a
 producer thread spends most of its many short calls waiting for the
 engine's lock. A forked child has an interpreter of its own: it writes the
 ring, which lives in an anonymous shared mapping made before the fork,
-while the engine's process runs the updates. Only the caller's fill
-function runs in the child, and after the fork it alone touches the
-trials' generators, so nothing else crosses the process boundary.
+while the engine's process runs the updates. The provider forks one
+producer per CPU (cpu_count), each filling the ring's columns of its own
+range of trials. Only the caller's fill function runs in a child, and
+after the fork it alone touches its trials' generators, so nothing else
+crosses the process boundary.
 
 The protocol runs over two pipes. The engine writes one byte for each
 piece it wants filled; the producer fills the pieces in order and answers
 each with a 4-byte length, followed, when the fill raised, by the pickled
-exception. A fork elsewhere in the process (another pass's producer,
-forked from another thread) may inherit copies of either pipe's ends, so a
-closed pipe does not prove the other side gone: each side, while it
-waits, checks every _POLL_MS that the other still lives.
+exception. Each child closes the engine's ends of its own pipes and of
+the pipes of the producers forked before it, so a producer's input ends
+when the engine's process closes its end. A fork elsewhere in the process
+(another pass's producer, forked from another thread) may inherit copies
+of either pipe's ends, so a closed pipe does not prove the other side
+gone: each side, while it waits, checks every _POLL_MS that the other
+still lives.
 
 rtga.runner imports this module only when a provider forks, so setting up
 an experiment does not pay for it.
@@ -30,7 +35,7 @@ import pickle
 import select
 import signal
 import struct
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import NoReturn
 
 import numpy as np
@@ -40,6 +45,14 @@ _POLL_MS = 50
 
 # The length of an answer's pickled exception, 0 when the fill succeeded.
 _HEADER = struct.Struct("<I")
+
+
+def cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
 
 
 def shared_arrays(*shapes: tuple[int, ...]) -> list[np.ndarray]:
@@ -77,12 +90,18 @@ class Producer:
     caller's code. If it ends without answering a piece (it was killed, or
     its exception cannot be pickled), answer() raises ChildProcessError,
     an OSError. close() kills and reaps it.
+
+    earlier are the open producers forked before this one; the child
+    closes the engine's ends of their pipes, so that those producers still
+    see the end of their input once the engine's process closes it.
     """
 
-    def __init__(self, fill: Callable[[int], None]):
+    def __init__(self, fill: Callable[[int], None], earlier: Sequence[Producer] = ()):
         todo_r, todo_w = os.pipe()
         done_r, done_w = os.pipe()
         parent = os.getpid()
+        # the engine's ends, which the child closes
+        others = (todo_w, done_r, *(fd for p in earlier for fd in (p._todo, p._done)))
         try:
             pid = os.fork()
         except BaseException:
@@ -90,7 +109,7 @@ class Producer:
                 os.close(fd)
             raise
         if pid == 0:
-            _serve(fill, parent, todo_r, done_w, (todo_w, done_r))
+            _serve(fill, parent, todo_r, done_w, others)
         os.close(todo_r)
         os.close(done_w)
         self.pid = pid
@@ -159,7 +178,7 @@ class Producer:
 
 
 def _serve(
-    fill: Callable[[int], None], parent: int, todo: int, done: int, others: tuple[int, int]
+    fill: Callable[[int], None], parent: int, todo: int, done: int, others: tuple[int, ...]
 ) -> NoReturn:
     """The child: fill the pieces asked on todo in order, answering each on done.
 
@@ -168,7 +187,7 @@ def _serve(
     """
     code = 1
     try:
-        for fd in others:  # the parent's ends
+        for fd in others:  # the parent's ends, of this pipe pair and earlier ones
             os.close(fd)
         # the parent's unreachable objects are the parent's to finalize
         gc.freeze()

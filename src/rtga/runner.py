@@ -197,17 +197,23 @@ class StreamProvider:
     one-shot sequence, so the samples do not depend on the chunk or the
     batch.
 
-    When a trial draws at least _FORKED values per half chunk, a forked
-    producer process (rtga.producer) fills the ring, which then lives in an
-    anonymous shared mapping, in half-chunk pieces. Entering a piece, the
-    engine asks for those that end within a chunk of its start, so none
-    overwrites a row that past() may still serve. The producer answers each
-    with None or the exception it caught, which the engine raises; after
-    the fork only the producer touches the trials' generators. Smaller
+    When a trial draws at least _FORKED values per half chunk, forked
+    producer processes (rtga.producer) fill the ring, which then lives in
+    an anonymous shared mapping, in half-chunk pieces. There is one
+    producer per CPU the process may run on, and at most one per trial;
+    each owns a contiguous range of trials, draws only their generators and
+    writes only their columns, in every group. Entering a piece, the engine
+    asks every producer for the pieces that end within a chunk of its
+    start, so none overwrites a row that past() may still serve. Each
+    producer answers each piece with None or the exception it caught, and
+    the engine takes one answer from every producer before it serves the
+    piece, raising the first exception in producer order; after the fork
+    only a trial's producer touches its generators. A trial's draws do not
+    depend on the process that makes them, so neither do the rows. Smaller
     fills, and every fill where os.fork is missing, run in the engine's
     process a chunk at a time: for a short pass the fork costs more than
     the overlap saves. close(), or leaving a with-block, kills and reaps
-    the producer, and a later fill raises.
+    the producers, and a later fill raises.
     """
 
     _CHUNK = 1024
@@ -270,11 +276,12 @@ class StreamProvider:
         self._mark = 0  # one past the last sample of the engine's piece
         self._latest = -1
         self._closed = False
-        self._asked = 0  # pieces asked of the producer
-        self._producer = None
+        self._asked = 0  # pieces asked of the producers
+        self._producers = []
 
-    def _fill(self, start: int, end: int, w_seg: np.ndarray) -> None:
-        """Synthesize samples [start, end), which lie in one segment, into the ring."""
+    def _fill(self, start: int, end: int, w_seg: np.ndarray, lo: int, hi: int) -> None:
+        """Synthesize samples [start, end), which lie in one segment, of
+        trials [lo, hi) into the ring."""
         lag = self.carry.shape[1]
         trials = len(self.streams)
         # equal spans of at most self.span samples
@@ -286,8 +293,8 @@ class StreamProvider:
             shared_d = None
             if self.shared is not None:
                 x, shared_d = (a[t:t + m] for a in self.shared)
-            for r0 in range(0, trials, self.batch):
-                r1 = min(r0 + self.batch, trials)
+            for r0 in range(lo, hi, self.batch):
+                r1 = min(r0 + self.batch, hi)
                 k = r1 - r0
                 if self.shared is None:
                     self.line[:k, :lag] = self.carry[r0:r1]
@@ -315,29 +322,42 @@ class StreamProvider:
                         out=(self.x[rows, cols].transpose(1, 0, 2), self.d[rows, cols].T),
                     )
 
+    def _fork(self) -> None:
+        """Fork one producer per CPU, at most one per trial, each owning a trial range."""
+        from .producer import Producer, cpu_count
+
+        trials = len(self.streams)
+        count = min(trials, cpu_count())
+        bounds = [trials * k // count for k in range(count + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            def fill(k: int, lo: int = lo, hi: int = hi) -> None:
+                self._fill(*self.pieces[k], lo, hi)
+
+            self._producers.append(Producer(fill, self._producers))
+
     def _enter_piece(self) -> None:
-        """Make the engine's next piece ready: fill it, or take the producer's answer."""
+        """Make the engine's next piece ready: fill it, or take the producers' answers."""
         if self._closed:
             raise RuntimeError("the stream provider is closed")
         start, end, w_seg = self.pieces[self._next]
         self._next += 1
         self._mark = end
         if not self.forks:
-            self._fill(start, end, w_seg)
+            self._fill(start, end, w_seg, 0, len(self.streams))
             return
         try:
-            if self._producer is None:
-                from .producer import Producer
-
-                self._producer = Producer(lambda k: self._fill(*self.pieces[k]))
+            if not self._producers:
+                self._fork()
             asked = self._asked
             while self._asked < len(self.pieces) and self.pieces[self._asked][1] <= start + self.chunk:
                 self._asked += 1
             if self._asked > asked:
-                self._producer.ask(self._asked - asked)
-            error = self._producer.answer()
-            if error is not None:
-                raise error
+                for producer in self._producers:
+                    producer.ask(self._asked - asked)
+            for producer in self._producers:
+                error = producer.answer()
+                if error is not None:
+                    raise error
         except BaseException:
             self.close()
             raise
@@ -359,11 +379,10 @@ class StreamProvider:
         return self.x[row], self.d[row]
 
     def close(self) -> None:
-        """Kill and reap the producer, if one was forked."""
+        """Kill and reap the producers, if any were forked."""
         self._closed = True
-        if self._producer is not None:
-            self._producer.close()
-            self._producer = None
+        while self._producers:
+            self._producers.pop().close()
 
     def __enter__(self):
         return self

@@ -11,24 +11,25 @@ import pytest
 from rtga import runner
 
 
-def record_fills(monkeypatch, log, fault_at=None):
+def record_fills(monkeypatch, log, fault_at=None, trial=None):
     """Append the pid of every fill's process to the file log.
 
     The fault_at-th fill, counted in the process that runs it, raises
-    MemoryError instead of synthesizing.
+    MemoryError instead of synthesizing; given a trial, only in the
+    process whose fills draw that trial.
     """
     fills = []
-    synthesize = runner.synthesize_eiv_arrays
+    fill = runner.StreamProvider._fill
 
-    def recording(*args, **kwargs):
+    def recording(self, start, end, w_seg, lo, hi):
         fills.append(None)
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        if len(fills) == fault_at:
+        if len(fills) == fault_at and (trial is None or lo <= trial < hi):
             raise MemoryError("Unable to allocate 2.00 MiB for an array")
-        return synthesize(*args, **kwargs)
+        return fill(self, start, end, w_seg, lo, hi)
 
-    monkeypatch.setattr(runner, "synthesize_eiv_arrays", recording)
+    monkeypatch.setattr(runner.StreamProvider, "_fill", recording)
 
 
 def fill_pids(log):

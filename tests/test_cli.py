@@ -147,7 +147,7 @@ def test_killed_producer_exits_1(monkeypatch, capsys):
     def stepping(self, i):
         if i == 1500:
             assert self.forks
-            killed.append(self._producer.pid)
+            killed.append(self._producers[0].pid)
             os.kill(killed[0], signal.SIGKILL)
         return step(self, i)
 
@@ -270,6 +270,19 @@ def test_theory_rejects_limit_family(capsys, algo):
     err = capsys.readouterr().err
     assert f"theory mode analyses the full RTGA cost shape; {algo!r} is a limit family" in err
     assert "Traceback" not in err
+
+
+def test_theory_rejects_reuse(capsys):
+    # the prediction models no data reuse, so at --reuse 3 it would stand
+    # about 3 dB below the simulation it is printed next to
+    assert main(["theory", "--reuse", "3", "--runs", "5", "--samples", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "invalid configuration:\n"
+        "  theory mode predicts the steady state without data reuse; "
+        "set reuse.count = 0 (--reuse 0)\n"
+    )
 
 
 def test_theory_proposed_matches_rtga(capsys):

@@ -161,7 +161,14 @@ def test_readme_config_example_builds(tmp_path, mode):
     block = re.search(r"### Config file\n.*?```ini\n(.*?)```", readme, re.S).group(1)
     path = tmp_path / "readme.ini"
     path.write_text(block)
-    cfg = build_config(mode, read_config_file(str(path)), {})
+    values = read_config_file(str(path))
+    overrides = {}
+    if mode == "theory":
+        # theory mode rejects the example's data reuse; --reuse 0 turns it off
+        with pytest.raises(ConfigError, match="without data reuse"):
+            build_config(mode, values, {})
+        overrides = {"reuse": 0}
+    cfg = build_config(mode, values, overrides)
     assert (cfg.case_id, cfg.order, cfg.mc_runs) == (2, 9, 100)
     assert cfg.algorithm.name == "proposed" and cfg.algorithm.mu == 0.0098
     assert cfg.reuse.window_cap == 200 and cfg.theory.alpha == 2.0

@@ -11,10 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtga import runner, signal_model
+from rtga import producer, runner, signal_model
 from rtga.censoring import CensorConfig, ScaleState, censor_decision, update_scale
 from rtga.config import AlgorithmConfig, ExperimentConfig, TheoryConfig
 from rtga.dataio import AecAssets, synth_echo_path
@@ -517,11 +517,11 @@ class TestSeedLayout:
                 mode="tracking", shift_time=250, shift_amount=2,
                 reuse=ReuseConfig(scheme="idr", l_reused=2), **proposed, **common,
             )),
-            (run_theory_compare, ExperimentConfig(
+            (_theory_rows, ExperimentConfig(
                 mode="theory", theory=TheoryConfig(variances=(0.1,)), **common,
             )),
             # two variances in one pass: chunk and block 1 hit the max(1, .) floor
-            (run_theory_compare, ExperimentConfig(
+            (_theory_rows, ExperimentConfig(
                 mode="theory", theory=TheoryConfig(variances=(0.1, 0.02)),
                 reuse=ReuseConfig(scheme="idr", l_reused=2), **proposed, **common,
             )),
@@ -537,7 +537,7 @@ class TestSeedLayout:
             for (run, cfg), ref in zip(cases, whole):
                 split = run(cfg)
                 if cfg.mode == "theory":
-                    assert split.table == ref.table
+                    assert split == ref
                 else:
                     assert np.allclose(ref.curve.values_db, split.curve.values_db, atol=1e-10)
                     assert ref.counts == split.counts
@@ -657,6 +657,19 @@ class TestStreamProvider:
             assert str(spec) in str(info.value)
 
 
+def _theory_rows(cfg):
+    """A theory comparison's table rows, or, with reuse, which theory mode
+    rejects, each group's ratio sums and censored counts from the pass."""
+    if not cfg.reuse.active:
+        return run_theory_compare(cfg).table
+    L = cfg.order
+    labels = [f"variance {s2:g}" for s2 in cfg.theory.variances]
+    _, sums = runner._run_trials(
+        cfg, cfg.resolved_params(), cfg.noise_pairs(), np.ones(L) / np.sqrt(L), labels=labels
+    )
+    return [(group.ratio.tolist(), group.censored.tolist()) for group in sums]
+
+
 def _kept_rows(cfg):
     """Each run's ratio row and the update counts of a sysid or tracking pass."""
     params = cfg.resolved_params()
@@ -669,14 +682,16 @@ def _kept_rows(cfg):
     return kept.ratio, counts
 
 
-class TestProducerThread:
-    """The forked producer fills the ring, and it ends with its pass."""
+class TestProducer:
+    """The forked producers fill the ring, and they end with their pass."""
 
     @pytest.mark.parametrize("ending", ["normal", "divergence", "fault"])
     def test_pass_leaves_no_producer_behind(self, monkeypatch, tmp_path, ending):
         # The blow-up of test_divergence_fails_fast, from noise of variance
-        # 1e6 on both sides: the engine raises while the producer waits for
-        # it. The fault hits the producer's third fill, mid-stream.
+        # 1e6 on both sides: the engine raises while the producers wait for
+        # it. The fault hits the third fill of the last producer, whose
+        # trial range holds trial 2, mid-stream.
+        monkeypatch.setattr(producer, "cpu_count", lambda: 3)
         cfg = ExperimentConfig(
             mode="sysid", order=9, n_samples=3000, mc_runs=3,
             reuse=ReuseConfig(scheme="idr", l_reused=2),
@@ -684,7 +699,7 @@ class TestProducerThread:
         params = RtgaParams(b=2.0, c=1.0, mu=0.05, phi=1.0, family="tlmp")
         spec = NoiseSpec("gaussian", 1e6 if ending == "divergence" else 0.1)
         log = tmp_path / "fills"
-        record_fills(monkeypatch, log, fault_at=3 if ending == "fault" else None)
+        record_fills(monkeypatch, log, fault_at=3 if ending == "fault" else None, trial=2)
         before = threading.active_count()
         run = lambda: runner._run_trials(cfg, params, [(spec, spec)])  # noqa: E731
         if ending == "normal":
@@ -695,8 +710,27 @@ class TestProducerThread:
                 run()
         assert threading.active_count() == before
         pids = fill_pids(log)
-        assert pids and os.getpid() not in pids
+        assert len(pids) == 3 and os.getpid() not in pids
         assert_reaped(pids)
+
+    def test_a_pass_forks_at_most_one_producer_per_trial(self, monkeypatch):
+        # 64 CPUs and 3 trials: the pass forks 3 producers. A fourth fork
+        # raises in place of starting a process.
+        forks = []
+        fork = os.fork
+
+        def counting():
+            forks.append(None)
+            if len(forks) > 3:
+                raise OSError("a fourth producer for three trials")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting)
+        monkeypatch.setattr(producer, "cpu_count", lambda: 64)
+        monkeypatch.setattr(StreamProvider, "_FORKED", 0)
+        cfg = ExperimentConfig(mode="sysid", order=4, n_samples=600, mc_runs=3, case_id=2)
+        _kept_rows(cfg)
+        assert len(forks) == 3
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -728,6 +762,39 @@ class TestProducerThread:
         assert np.array_equal(chunked, rows)
         assert chunked_counts == counts
         assert np.array_equal(wide[:runs], rows)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        mode=st.sampled_from(["sysid", "tracking"]),
+        runs=st.integers(1, 5),
+        producers=st.integers(1, 3),
+        chunk=st.integers(16, 600),
+    )
+    @example(mode="sysid", runs=2, producers=3, chunk=64)
+    @example(mode="tracking", runs=5, producers=3, chunk=100)
+    def test_rows_invariant_to_producer_count(self, mode, runs, producers, chunk):
+        # Split over 1 to 3 producers, fewer runs than producers among
+        # them, each run's ratio row and the counts equal those of the
+        # inline fill, and the pass forks one producer per CPU, at most
+        # one per run.
+        cfg = ExperimentConfig(
+            mode=mode, order=4, n_samples=800, mc_runs=runs, case_id=2,
+            base_seed=chunk, shift_time=400, shift_amount=1,
+            algorithm=AlgorithmConfig(name="proposed"), censoring=CensorConfig(p_ce=0.3),
+            reuse=ReuseConfig(scheme="idr", l_reused=2, window_cap=50),
+        )
+        forks = []
+        fork = os.fork
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(StreamProvider, "_CHUNK", chunk)
+            inline, inline_counts = _kept_rows(cfg)
+            mp.setattr(StreamProvider, "_FORKED", 0)
+            mp.setattr(producer, "cpu_count", lambda: producers)
+            mp.setattr(os, "fork", lambda: forks.append(None) or fork())
+            rows, counts = _kept_rows(cfg)
+        assert len(forks) == min(runs, producers)
+        assert np.array_equal(rows, inline)
+        assert counts == inline_counts
 
     def test_rows_hold_under_fast_thread_switching(self, monkeypatch):
         # Four passes at once on four threads, each with its own producer,
@@ -849,7 +916,7 @@ class TestProducerThread:
             with first:
                 for i in range(1500):
                     first.step(i)
-                pid = first._producer.pid
+                pid = first._producers[0].pid
                 os.kill(pid, signal.SIGKILL)
                 t0 = time.perf_counter()
                 with pytest.raises(ChildProcessError, match=rf"pid {pid}\).*signal 9"):
@@ -866,6 +933,26 @@ class TestProducerThread:
             with runner._trial_provider(cfg, [case_spec(1)]) as alone:
                 want = [alone.step(i)[1].copy() for i in range(cfg.n_samples)]
             np.testing.assert_array_equal(rows, want)
+
+    def test_killed_second_producer_raises_promptly(self, monkeypatch):
+        # SIGKILL the second of three producers mid-stream: the engine's
+        # next wait on it raises ChildProcessError instead of hanging, and
+        # the provider reaps all three.
+        monkeypatch.setattr(producer, "cpu_count", lambda: 3)
+        cfg = ExperimentConfig(mode="sysid", order=9, n_samples=3000, mc_runs=3)
+        with runner._trial_provider(cfg, [case_spec(1)]) as provider:
+            assert provider.forks
+            for i in range(1500):
+                provider.step(i)
+            pids = [p.pid for p in provider._producers]
+            assert len(pids) == 3
+            os.kill(pids[1], signal.SIGKILL)
+            t0 = time.perf_counter()
+            with pytest.raises(ChildProcessError, match=rf"pid {pids[1]}\).*signal 9"):
+                for i in range(1500, cfg.n_samples):
+                    provider.step(i)
+            assert time.perf_counter() - t0 < 10
+        assert_reaped(pids)
 
 
 class TestTracking:
@@ -986,16 +1073,17 @@ class TestTheoryAndSweep:
     )
     def test_merged_variances_equal_separate_runs(self, monkeypatch, family, p_ce, reuse):
         # Every variance's trials run as one group of a single engine pass,
-        # and each table row equals the row of a one-variance run.
+        # and each table row (with reuse, each group's sums) equals the row
+        # of a one-variance run.
         variances = (0.1, 0.02, 0.5)
         common = dict(
             mode="theory", order=9, n_samples=700, mc_runs=4, base_seed=11,
             censoring=CensorConfig(p_ce=p_ce), reuse=reuse,
         )
         alone = [
-            run_theory_compare(ExperimentConfig(
+            _theory_rows(ExperimentConfig(
                 theory=TheoryConfig(variances=(s2,), output_family=family), **common
-            )).table[0]
+            ))[0]
             for s2 in variances
         ]
         passes = []
@@ -1005,11 +1093,11 @@ class TestTheoryAndSweep:
             return run_engine(*args)
 
         monkeypatch.setattr(runner, "run_engine", counting)
-        merged = run_theory_compare(ExperimentConfig(
+        merged = _theory_rows(ExperimentConfig(
             theory=TheoryConfig(variances=variances, output_family=family), **common
         ))
         assert len(passes) == 1
-        assert merged.table == alone
+        assert merged == alone
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -1034,7 +1122,7 @@ class TestTheoryAndSweep:
 
         def table(variances):
             theory = TheoryConfig(variances=tuple(variances), output_family=family)
-            return run_theory_compare(ExperimentConfig(theory=theory, **common)).table
+            return _theory_rows(ExperimentConfig(theory=theory, **common))
 
         alone = [table([s2])[0] for s2 in variances]
         with pytest.MonkeyPatch.context() as mp:
