@@ -5,10 +5,10 @@ producer thread spends most of its many short calls waiting for the
 engine's lock. A forked child has an interpreter of its own: it writes the
 ring, which lives in an anonymous shared mapping made before the fork,
 while the engine's process runs the updates. The provider forks one
-producer per CPU (cpu_count), each filling the ring's columns of its own
-range of trials. Only the caller's fill function runs in a child, and
-after the fork it alone touches its trials' generators, so nothing else
-crosses the process boundary.
+producer or more, at most one per CPU (cpu_count), each filling the
+ring's columns of its own range of trials. Only the caller's fill
+function runs in a child, and after the fork it alone touches its
+trials' generators, so nothing else crosses the process boundary.
 
 The protocol runs over two pipes. The engine writes one byte for each
 piece it wants filled; the producer fills the pieces in order and answers

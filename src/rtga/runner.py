@@ -175,7 +175,8 @@ class StreamProvider:
     own segments repeat the trial truths once per group, for the engine.
     shared, the clean (n, L) regressors and (n,) output of a source and
     truth that every run shares, replaces the source draws, the delay line
-    and the clean-output einsum.
+    and the clean-output einsum. updates is the engine's updates of a run
+    per sample: 1, and one per reused sample.
 
     One group draws its own pair. Several groups draw each trial's noise
     once, as the unit pair that noise.unit_scale finds for every group's
@@ -199,12 +200,20 @@ class StreamProvider:
 
     When a trial draws at least _FORKED values per half chunk, forked
     producer processes (rtga.producer) fill the ring, which then lives in
-    an anonymous shared mapping, in half-chunk pieces. There is one
-    producer per CPU the process may run on, and at most one per trial;
-    each owns a contiguous range of trials, draws only their generators and
-    writes only their columns, in every group. Entering a piece, the engine
-    asks every producer for the pieces that end within a chunk of its
-    start, so none overwrites a row that past() may still serve. Each
+    an anonymous shared mapping, in half-chunk pieces. Each producer owns a
+    contiguous range of trials, draws only their generators and writes only
+    their columns, in every group. A pass forks as many producers as it
+    takes for each one's share of the fill to be no more work than the
+    engine's, but no more than one per trial, one per CPU the process may
+    run on, or _PRODUCERS. The work is counted per trial and sample: the
+    fill draws L + 1 noise values, and a source value unless shared is
+    given; the engine makes `updates` updates of L taps in each group, and
+    a drawn value costs about _DRAW_COST taps of an update. So a pass
+    without reuse and with one group forks two producers, where the CPUs
+    allow, and every other pass one: there the engine is the slower side,
+    and a second producer would take CPU time from it. Entering a piece,
+    the engine asks every producer for the pieces that end within a chunk
+    of its start, so none overwrites a row that past() may still serve. Each
     producer answers each piece with None or the exception it caught, and
     the engine takes one answer from every producer before it serves the
     piece, raising the first exception in producer order; after the fork
@@ -219,6 +228,14 @@ class StreamProvider:
     _CHUNK = 1024
     _SCRATCH = 1 << 19
     _FORKED = 4096
+    # In-process fill against engine time, inline, on a 2-vCPU host:
+    # sysid-wide 1.50-1.60 (counted 1.22 at a _DRAW_COST of 1),
+    # sysid-reuse-censor 0.23-0.24 (0.31), aec-stream 0.52-0.54 (0.25) and
+    # theory-compare 0.62-0.69 (0.41): the count errs by up to 2x, but
+    # each pass lies on the same side of 1 as measured.
+    _DRAW_COST = 1.0
+    # the most producers measured: two, on that 2-vCPU host
+    _PRODUCERS = 2
 
     def __init__(
         self,
@@ -227,6 +244,7 @@ class StreamProvider:
         streams: list[tuple[np.random.Generator, tuple]],
         capacity: int,
         shared: tuple[np.ndarray, np.ndarray] | None = None,
+        updates: int = 1,
     ):
         groups = len(noise)
         if groups == 1:
@@ -245,6 +263,8 @@ class StreamProvider:
         per_sample = L + 1 + (shared is None)
         half = max(1, self.chunk // 2)
         self.forks = half * per_sample >= self._FORKED and hasattr(os, "fork")
+        # the fill's work per unit of the engine's (see the class docstring)
+        self.fill_share = self._DRAW_COST * per_sample / (groups * updates * L)
         shapes = (self.rows, groups * trials, L), (self.rows, groups * trials)
         if self.forks:
             # imported here, so that setting up an experiment does not pay for it
@@ -323,11 +343,11 @@ class StreamProvider:
                     )
 
     def _fork(self) -> None:
-        """Fork one producer per CPU, at most one per trial, each owning a trial range."""
+        """Fork the producers, each owning a trial range (see the class docstring)."""
         from .producer import Producer, cpu_count
 
         trials = len(self.streams)
-        count = min(trials, cpu_count())
+        count = min(trials, cpu_count(), self._PRODUCERS, math.ceil(self.fill_share))
         bounds = [trials * k // count for k in range(count + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             def fill(k: int, lo: int = lo, hi: int = hi) -> None:
@@ -677,7 +697,8 @@ def _trial_provider(
         streams.append(trial_streams)
     capacity = reach(cfg.reuse, n, L) + 1
     segments = wo_segments(WO, cfg.truth_shifts(), n)
-    return StreamProvider(segments, noise, streams, capacity, shared)
+    updates = 1 + (cfg.reuse.l_reused if cfg.reuse.active else 0)
+    return StreamProvider(segments, noise, streams, capacity, shared, updates)
 
 
 def _run_trials(

@@ -670,6 +670,14 @@ def _theory_rows(cfg):
     return [(group.ratio.tolist(), group.censored.tolist()) for group in sums]
 
 
+def _split_fill(monkeypatch, cpus):
+    """Let a forked pass split its fill over one producer per CPU, cpus of
+    them and at most one per trial, however light the fill."""
+    monkeypatch.setattr(producer, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(StreamProvider, "_PRODUCERS", cpus)
+    monkeypatch.setattr(StreamProvider, "_DRAW_COST", 1e6)
+
+
 def _kept_rows(cfg):
     """Each run's ratio row and the update counts of a sysid or tracking pass."""
     params = cfg.resolved_params()
@@ -691,7 +699,7 @@ class TestProducer:
         # 1e6 on both sides: the engine raises while the producers wait for
         # it. The fault hits the third fill of the last producer, whose
         # trial range holds trial 2, mid-stream.
-        monkeypatch.setattr(producer, "cpu_count", lambda: 3)
+        _split_fill(monkeypatch, 3)
         cfg = ExperimentConfig(
             mode="sysid", order=9, n_samples=3000, mc_runs=3,
             reuse=ReuseConfig(scheme="idr", l_reused=2),
@@ -713,24 +721,44 @@ class TestProducer:
         assert len(pids) == 3 and os.getpid() not in pids
         assert_reaped(pids)
 
-    def test_a_pass_forks_at_most_one_producer_per_trial(self, monkeypatch):
-        # 64 CPUs and 3 trials: the pass forks 3 producers. A fourth fork
-        # raises in place of starting a process.
+    @pytest.mark.parametrize(
+        ("cpus", "runs", "l_reused", "constants", "want"),
+        [
+            (64, 3, 0, {}, 2),
+            (64, 3, 0, {"_DRAW_COST": 1e6}, 2),
+            (64, 3, 2, {}, 1),
+            (1, 3, 0, {}, 1),
+            (64, 1, 0, {}, 1),
+            (64, 3, 0, {"_DRAW_COST": 1e6, "_PRODUCERS": 64}, 3),
+        ],
+        ids=["fill_heavy", "capped", "engine_heavy", "one_cpu", "one_trial", "one_per_trial"],
+    )
+    def test_forks_are_bounded(self, monkeypatch, cpus, runs, l_reused, constants, want):
+        # Without reuse the fill outweighs the engine (by 6 draws to 4
+        # taps), and 64 CPUs get two producers, the most measured, however
+        # heavy the fill; with reuse the engine is the slower side, and one
+        # producer keeps up. With the cap raised, 3 trials fork 3. A fork
+        # past the count raises in place of starting a process.
         forks = []
         fork = os.fork
 
         def counting():
             forks.append(None)
-            if len(forks) > 3:
-                raise OSError("a fourth producer for three trials")
+            if len(forks) > want:
+                raise OSError(f"producer {len(forks)} of a pass that needs {want}")
             return fork()
 
         monkeypatch.setattr(os, "fork", counting)
-        monkeypatch.setattr(producer, "cpu_count", lambda: 64)
+        monkeypatch.setattr(producer, "cpu_count", lambda: cpus)
         monkeypatch.setattr(StreamProvider, "_FORKED", 0)
-        cfg = ExperimentConfig(mode="sysid", order=4, n_samples=600, mc_runs=3, case_id=2)
+        for name, value in constants.items():
+            monkeypatch.setattr(StreamProvider, name, value)
+        cfg = ExperimentConfig(
+            mode="sysid", order=4, n_samples=600, mc_runs=runs, case_id=2,
+            reuse=ReuseConfig(scheme="idr", l_reused=l_reused),
+        )
         _kept_rows(cfg)
-        assert len(forks) == 3
+        assert len(forks) == want
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -776,7 +804,7 @@ class TestProducer:
         # Split over 1 to 3 producers, fewer runs than producers among
         # them, each run's ratio row and the counts equal those of the
         # inline fill, and the pass forks one producer per CPU, at most
-        # one per run.
+        # one per run, although its reuse leaves the engine the slower side.
         cfg = ExperimentConfig(
             mode=mode, order=4, n_samples=800, mc_runs=runs, case_id=2,
             base_seed=chunk, shift_time=400, shift_amount=1,
@@ -789,7 +817,7 @@ class TestProducer:
             mp.setattr(StreamProvider, "_CHUNK", chunk)
             inline, inline_counts = _kept_rows(cfg)
             mp.setattr(StreamProvider, "_FORKED", 0)
-            mp.setattr(producer, "cpu_count", lambda: producers)
+            _split_fill(mp, producers)
             mp.setattr(os, "fork", lambda: forks.append(None) or fork())
             rows, counts = _kept_rows(cfg)
         assert len(forks) == min(runs, producers)
@@ -938,7 +966,7 @@ class TestProducer:
         # SIGKILL the second of three producers mid-stream: the engine's
         # next wait on it raises ChildProcessError instead of hanging, and
         # the provider reaps all three.
-        monkeypatch.setattr(producer, "cpu_count", lambda: 3)
+        _split_fill(monkeypatch, 3)
         cfg = ExperimentConfig(mode="sysid", order=9, n_samples=3000, mc_runs=3)
         with runner._trial_provider(cfg, [case_spec(1)]) as provider:
             assert provider.forks
