@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         cfg = build_config(args.mode, file_values, overrides)
         result = _RUNNERS[args.mode](cfg)
     except ConfigError as exc:
-        print(exc, file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, ValueError, LookupError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

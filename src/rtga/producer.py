@@ -4,8 +4,9 @@ numpy releases the interpreter lock only inside its inner loops, so a
 producer thread spends most of its many short calls waiting for the
 engine's lock. A forked child has an interpreter of its own: it writes the
 ring, which lives in an anonymous shared mapping made before the fork,
-while the engine's process runs the updates. The provider forks one
-producer or more, at most one per CPU (cpu_count), each filling the
+while the engine's process runs the updates. The provider forks as many
+producers as the fill's share of the work takes, at most one per trial,
+one per CPU (cpu_count) and StreamProvider._PRODUCERS, each filling the
 ring's columns of its own range of trials. Only the caller's fill
 function runs in a child, and after the fork it alone touches its
 trials' generators, so nothing else crosses the process boundary.

@@ -186,8 +186,11 @@ class StreamProvider:
 
     The ring holds sample i in row i % rows of (rows, G * trials, L)
     regressors and (rows, G * trials) outputs, rows = min(n, capacity - 1
-    + chunk), where chunks are max(1, _CHUNK // G) samples; the latest
-    `capacity` samples stay available to past(). It is filled piece by
+    + chunk); the latest `capacity` samples stay available to past(). A
+    chunk is max(1, _CHUNK // G) samples, but at most n and at most two
+    spans, a span being the most samples whose draws of one trial fit the
+    scratch below: a long filter's fill draws a span at a time anyway, so
+    a larger chunk would only widen the ring. It is filled piece by
     piece, and a piece ends at a segment boundary (so it has one truth per
     trial) and at the ring's end. Each trial's source, input and output
     noise draws go into a trial-major scratch of _SCRATCH bytes, for a
@@ -257,10 +260,13 @@ class StreamProvider:
         self.cap = capacity
         trials, L = segments[0][2].shape
         n = segments[-1][1]
-        self.chunk = min(max(1, self._CHUNK // groups), n)
-        self.rows = min(n, capacity - 1 + self.chunk)
         # values a trial draws per sample: input and output noise, and source
         per_sample = L + 1 + (shared is None)
+        values = self._SCRATCH // 8
+        # a trial's span of scratch; a chunk holds at most two, one per half
+        span = max(1, values // per_sample)
+        self.chunk = min(max(1, self._CHUNK // groups), 2 * span, n)
+        self.rows = min(n, capacity - 1 + self.chunk)
         half = max(1, self.chunk // 2)
         self.forks = half * per_sample >= self._FORKED and hasattr(os, "fork")
         # the fill's work per unit of the engine's (see the class docstring)
@@ -274,8 +280,7 @@ class StreamProvider:
         else:
             self.x, self.d = map(np.empty, shapes)
         piece = half if self.forks else self.chunk
-        values = self._SCRATCH // 8
-        self.span = min(piece, max(1, values // per_sample))
+        self.span = min(piece, span)
         self.batch = min(trials, max(1, values // (self.span * per_sample)))
         self.u = np.empty((self.batch, self.span, L))
         self.v = np.empty((self.batch, self.span))

@@ -279,7 +279,7 @@ def test_theory_rejects_reuse(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "invalid configuration:\n"
+        "error: invalid configuration:\n"
         "  theory mode predicts the steady state without data reuse; "
         "set reuse.count = 0 (--reuse 0)\n"
     )

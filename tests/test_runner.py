@@ -611,17 +611,22 @@ class TestStreamProvider:
 
     @pytest.mark.parametrize("family", ["gaussian", "laplace"])
     @pytest.mark.parametrize("forked", [False, True])
-    @pytest.mark.parametrize("chunk", [1, 37, 64])
-    def test_groups_serve_one_group_rows(self, monkeypatch, family, forked, chunk):
+    @pytest.mark.parametrize(
+        ("order", "chunk"), [(4, 1), (4, 37), (4, 64), (512, 1024)],
+        ids=["1", "37", "64", "long"],
+    )
+    def test_groups_serve_one_group_rows(self, monkeypatch, family, forked, order, chunk):
         # Three groups scale each trial's draws: group g's rows, served by
         # step and past, equal those of a provider of g's pair alone. The
-        # idr window keeps 27 samples, so every ring (at most 27 + 64 rows)
-        # wraps within the 300 samples.
-        if forked:
-            monkeypatch.setattr(StreamProvider, "_FORKED", 1)
+        # idr window keeps 27 samples, so every ring wraps within the 300
+        # samples: at order 4 it has at most 27 + 64 rows; at order 512 a
+        # trial's 514 values a sample fit 127 samples into the scratch, so
+        # the chunk is two such spans, not 1024 // 3 samples, the ring has
+        # 27 + 254 rows and a forked piece is one span.
+        monkeypatch.setattr(StreamProvider, "_FORKED", 1 if forked else sys.maxsize)
         monkeypatch.setattr(StreamProvider, "_CHUNK", chunk)
         cfg = ExperimentConfig(
-            mode="sysid", order=4, n_samples=300, mc_runs=3, base_seed=5,
+            mode="sysid", order=order, n_samples=300, mc_runs=3, base_seed=5,
             reuse=ReuseConfig(scheme="idr", l_reused=2, window_cap=40),
         )
         pairs = [(NoiseSpec("gaussian", s2), NoiseSpec(family, s2)) for s2 in (0.01, 0.3, 2.0)]
@@ -629,6 +634,8 @@ class TestStreamProvider:
         alone = [runner._trial_provider(cfg, [pair]) for pair in pairs]
         assert grouped.rows < cfg.n_samples
         assert grouped.forks == forked
+        if order == 512:
+            assert grouped.chunk == 2 * (StreamProvider._SCRATCH // 8 // 514) < chunk // 3
         runs = cfg.mc_runs
         with grouped, alone[0], alone[1], alone[2]:
             for (_, _, w), (_, _, w_alone) in zip(grouped.segments, alone[0].segments):
@@ -641,6 +648,30 @@ class TestStreamProvider:
                     for (x, d), (x_g, d_g) in zip(rows, (provider.step(i), provider.past(oldest))):
                         np.testing.assert_array_equal(x[cols], x_g)
                         np.testing.assert_array_equal(d[cols], d_g)
+
+    def test_long_filter_chunk_is_two_scratch_spans(self):
+        # An aec-stream-shaped pass (512 taps, a shared source, 10 runs, idr
+        # 3 with window 200) draws 513 values per trial and sample, so its
+        # fill draws at most a span of _SCRATCH // 8 // 513 = 127 samples
+        # at a time, and its chunk is two spans: a 404-row ring, not 1174.
+        # Order-9 passes, whose spans are longer than 1024 samples, keep
+        # chunks of 1024 // G samples with one group and with three.
+        n, L = 4000, 512
+        cfg = ExperimentConfig(
+            mode="aec", order=L, n_samples=n, mc_runs=10,
+            algorithm=AlgorithmConfig(name="proposed"), censoring=CensorConfig(p_ce=0.3),
+            reuse=ReuseConfig(scheme="idr", l_reused=3, window_cap=200),
+        )
+        x = delay_line_matrix(np.random.default_rng(0).uniform(-0.9, 0.9, n), L)
+        echo = synth_echo_path()
+        with runner._trial_provider(cfg, [case_spec(1)], echo, (x, x @ echo)) as provider:
+            span = StreamProvider._SCRATCH // 8 // 513
+            assert provider.rows == provider.cap - 1 + 2 * span == 404
+        cfg = ExperimentConfig(mode="sysid", order=9, n_samples=3000, mc_runs=2)
+        pairs = [(NoiseSpec("gaussian", s2), NoiseSpec("gaussian", s2)) for s2 in (0.01, 0.05, 0.1)]
+        for groups in (1, 3):
+            with runner._trial_provider(cfg, pairs[:groups]) as provider:
+                assert provider.chunk == 1024 // groups
 
     @pytest.mark.parametrize("other", [
         (NoiseSpec("gaussian", 0.1), NoiseSpec("laplace", 0.1)),
