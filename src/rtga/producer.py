@@ -4,23 +4,22 @@ numpy releases the interpreter lock only inside its inner loops, so a
 producer thread spends most of its many short calls waiting for the
 engine's lock. A forked child has an interpreter of its own: it writes the
 ring, which lives in an anonymous shared mapping made before the fork,
-while the engine's process runs the updates. The provider forks as many
-producers as the fill's share of the work takes, at most one per trial,
-one per CPU (cpu_count) and StreamProvider._PRODUCERS, each filling the
-ring's columns of its own range of trials. Only the caller's fill
+while the engine's process runs the updates. The provider forks up to
+StreamProvider._PRODUCERS of them (see its docstring for the rule), at
+most one per trial and one per CPU (cpu_count), each filling the ring's
+columns of its own range of trials. Only the caller's fill
 function runs in a child, and after the fork it alone touches its
 trials' generators, so nothing else crosses the process boundary.
 
 The protocol runs over two pipes. The engine writes one byte for each
 piece it wants filled; the producer fills the pieces in order and answers
 each with a 4-byte length, followed, when the fill raised, by the pickled
-exception. Each child closes the engine's ends of its own pipes and of
-the pipes of the producers forked before it, so a producer's input ends
-when the engine's process closes its end. A fork elsewhere in the process
-(another pass's producer, forked from another thread) may inherit copies
-of either pipe's ends, so a closed pipe does not prove the other side
-gone: each side, while it waits, checks every _POLL_MS that the other
-still lives.
+exception. Each child closes the engine's ends of its own pipes. A later
+fork in the process (the next producer, or another pass's, forked from
+another thread) inherits copies of the engine's ends, so a closed pipe
+does not prove the other side gone: each side, while it waits, checks
+every _POLL_MS that the other still lives, and the engine ends a
+producer by killing it.
 
 rtga.runner imports this module only when a provider forks, so setting up
 an experiment does not pay for it.
@@ -36,7 +35,7 @@ import pickle
 import select
 import signal
 import struct
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import NoReturn
 
 import numpy as np
@@ -91,18 +90,12 @@ class Producer:
     caller's code. If it ends without answering a piece (it was killed, or
     its exception cannot be pickled), answer() raises ChildProcessError,
     an OSError. close() kills and reaps it.
-
-    earlier are the open producers forked before this one; the child
-    closes the engine's ends of their pipes, so that those producers still
-    see the end of their input once the engine's process closes it.
     """
 
-    def __init__(self, fill: Callable[[int], None], earlier: Sequence[Producer] = ()):
+    def __init__(self, fill: Callable[[int], None]):
         todo_r, todo_w = os.pipe()
         done_r, done_w = os.pipe()
         parent = os.getpid()
-        # the engine's ends, which the child closes
-        others = (todo_w, done_r, *(fd for p in earlier for fd in (p._todo, p._done)))
         try:
             pid = os.fork()
         except BaseException:
@@ -110,7 +103,7 @@ class Producer:
                 os.close(fd)
             raise
         if pid == 0:
-            _serve(fill, parent, todo_r, done_w, others)
+            _serve(fill, parent, todo_r, done_w, (todo_w, done_r))
         os.close(todo_r)
         os.close(done_w)
         self.pid = pid
@@ -188,7 +181,7 @@ def _serve(
     """
     code = 1
     try:
-        for fd in others:  # the parent's ends, of this pipe pair and earlier ones
+        for fd in others:  # the parent's ends of this pipe pair
             os.close(fd)
         # the parent's unreachable objects are the parent's to finalize
         gc.freeze()

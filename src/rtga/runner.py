@@ -187,57 +187,49 @@ class StreamProvider:
     The ring holds sample i in row i % rows of (rows, G * trials, L)
     regressors and (rows, G * trials) outputs, rows = min(n, capacity - 1
     + chunk); the latest `capacity` samples stay available to past(). A
-    chunk is max(1, _CHUNK // G) samples, but at most n and at most two
-    spans, a span being the most samples whose draws of one trial fit the
-    scratch below: a long filter's fill draws a span at a time anyway, so
-    a larger chunk would only widen the ring. It is filled piece by
-    piece, and a piece ends at a segment boundary (so it has one truth per
-    trial) and at the ring's end. Each trial's source, input and output
-    noise draws go into a trial-major scratch of _SCRATCH bytes, for a
-    batch of trials and samples at a time; the batch's delay line and clean
-    output are then computed once, and every group's x~ and d~ written
-    straight into the ring (several groups scale the noise into a copy of
-    its scratch first). Draws into consecutive pieces reproduce the
-    one-shot sequence, so the samples do not depend on the chunk or the
-    batch.
+    span is the most samples whose draws of one trial fit the scratch
+    below. A chunk is max(1, _CHUNK // G) samples, but at most n and at
+    most two spans: a longer one would only widen a long filter's ring.
+    The ring is filled piece by piece, and a piece is at most a span long
+    and ends at a segment boundary (so it has one truth per trial) and at
+    the ring's end. Each trial's source, input and output noise draws go
+    into a trial-major scratch of _SCRATCH bytes, a batch of trials and
+    the piece's samples at a time; the batch's delay line and clean output
+    are then computed once, and every group's x~ and d~ written straight
+    into the ring (several groups scale the noise into a copy of its
+    scratch first). Draws into consecutive pieces reproduce the one-shot
+    sequence, so the samples do not depend on the chunk or the batch. A
+    family whose draws do depend on it (ggd) raises ValueError.
 
     When a trial draws at least _FORKED values per half chunk, forked
     producer processes (rtga.producer) fill the ring, which then lives in
     an anonymous shared mapping, in half-chunk pieces. Each producer owns a
     contiguous range of trials, draws only their generators and writes only
-    their columns, in every group. A pass forks as many producers as it
-    takes for each one's share of the fill to be no more work than the
-    engine's, but no more than one per trial, one per CPU the process may
-    run on, or _PRODUCERS. The work is counted per trial and sample: the
-    fill draws L + 1 noise values, and a source value unless shared is
-    given; the engine makes `updates` updates of L taps in each group, and
-    a drawn value costs about _DRAW_COST taps of an update. So a pass
-    without reuse and with one group forks two producers, where the CPUs
-    allow, and every other pass one: there the engine is the slower side,
-    and a second producer would take CPU time from it. Entering a piece,
-    the engine asks every producer for the pieces that end within a chunk
-    of its start, so none overwrites a row that past() may still serve. Each
-    producer answers each piece with None or the exception it caught, and
-    the engine takes one answer from every producer before it serves the
-    piece, raising the first exception in producer order; after the fork
-    only a trial's producer touches its generators. A trial's draws do not
-    depend on the process that makes them, so neither do the rows. Smaller
-    fills, and every fill where os.fork is missing, run in the engine's
-    process a chunk at a time: for a short pass the fork costs more than
-    the overlap saves. close(), or leaving a with-block, kills and reaps
-    the producers, and a later fill raises.
+    their columns, in every group. A pass without reuse and with one group
+    forks _PRODUCERS of them, and every other pass one, but no more than
+    one per trial or one per CPU the process may run on. The rule is
+    measured: in-process on a 2-vCPU host, the fill took 1.50-1.60 times
+    the engine's time on sysid-wide (no reuse, one group) and 0.23-0.69
+    times on the other benchmark workloads (each with reuse or several
+    groups), where a second producer would take CPU time from the engine.
+    Entering a piece, the engine asks every producer for the pieces that
+    end within a chunk of its start, so none overwrites a row that past()
+    may still serve. Each producer answers each piece with None or the
+    exception it caught, and the engine takes one answer from every
+    producer before it serves the piece, raising the first exception in
+    producer order; after the fork only a trial's producer touches its
+    generators. A trial's draws do not depend on the process that makes
+    them, so neither do the rows. Smaller fills, and every fill where
+    os.fork is missing, run in the engine's process in pieces of up to a
+    chunk: for a short pass the fork costs more than the overlap saves.
+    close(), or leaving a with-block, kills and reaps the producers, and a
+    later fill raises.
     """
 
     _CHUNK = 1024
     _SCRATCH = 1 << 19
     _FORKED = 4096
-    # In-process fill against engine time, inline, on a 2-vCPU host:
-    # sysid-wide 1.50-1.60 (counted 1.22 at a _DRAW_COST of 1),
-    # sysid-reuse-censor 0.23-0.24 (0.31), aec-stream 0.52-0.54 (0.25) and
-    # theory-compare 0.62-0.69 (0.41): the count errs by up to 2x, but
-    # each pass lies on the same side of 1 as measured.
-    _DRAW_COST = 1.0
-    # the most producers measured: two, on that 2-vCPU host
+    # the most producers measured: two, on a 2-vCPU host
     _PRODUCERS = 2
 
     def __init__(
@@ -250,6 +242,13 @@ class StreamProvider:
         updates: int = 1,
     ):
         groups = len(noise)
+        for spec in (s for pair in noise for s in pair):
+            if spec.family == "ggd":
+                raise ValueError(
+                    f"the stream provider cannot draw {spec}: the ggd family draws a "
+                    "span's gamma magnitudes, then its signs, from one generator, so "
+                    "its samples would depend on how the stream is split into pieces"
+                )
         if groups == 1:
             self.unit, self.scales = noise[0], [(1.0, 1.0)]
         else:
@@ -269,8 +268,8 @@ class StreamProvider:
         self.rows = min(n, capacity - 1 + self.chunk)
         half = max(1, self.chunk // 2)
         self.forks = half * per_sample >= self._FORKED and hasattr(os, "fork")
-        # the fill's work per unit of the engine's (see the class docstring)
-        self.fill_share = self._DRAW_COST * per_sample / (groups * updates * L)
+        # the most producers the fill needs (see the class docstring)
+        self._most = self._PRODUCERS if groups * updates == 1 else 1
         shapes = (self.rows, groups * trials, L), (self.rows, groups * trials)
         if self.forks:
             # imported here, so that setting up an experiment does not pay for it
@@ -279,16 +278,15 @@ class StreamProvider:
             self.x, self.d = shared_arrays(*shapes)
         else:
             self.x, self.d = map(np.empty, shapes)
-        piece = half if self.forks else self.chunk
-        self.span = min(piece, span)
-        self.batch = min(trials, max(1, values // (self.span * per_sample)))
-        self.u = np.empty((self.batch, self.span, L))
-        self.v = np.empty((self.batch, self.span))
+        piece = min(half if self.forks else self.chunk, span)
+        self.batch = min(trials, max(1, values // (piece * per_sample)))
+        self.u = np.empty((self.batch, piece, L))
+        self.v = np.empty((self.batch, piece))
         # a group's scaled noise, when several groups scale the unit draws
         self.scaled = (np.empty_like(self.u), np.empty_like(self.v)) if groups > 1 else None
         # per-trial delay lines: the newest L-1 source samples, then the new ones
         self.carry = np.zeros((trials, L - 1))
-        self.line = np.empty((self.batch, L - 1 + self.span))
+        self.line = np.empty((self.batch, L - 1 + piece))
         self.windows = sliding_window_view(self.line, L, axis=1)[:, :, ::-1]
         self.pieces = []
         for seg_start, seg_end, w_seg in segments:
@@ -305,60 +303,55 @@ class StreamProvider:
         self._producers = []
 
     def _fill(self, start: int, end: int, w_seg: np.ndarray, lo: int, hi: int) -> None:
-        """Synthesize samples [start, end), which lie in one segment, of
-        trials [lo, hi) into the ring."""
+        """Synthesize the piece [start, end) of trials [lo, hi) into the ring."""
         lag = self.carry.shape[1]
         trials = len(self.streams)
-        # equal spans of at most self.span samples
-        parts = -(-(end - start) // self.span)
-        span = -(-(end - start) // parts)
-        for t in range(start, end, span):
-            m = min(span, end - t)
-            rows = slice(t % self.rows, t % self.rows + m)
-            shared_d = None
-            if self.shared is not None:
-                x, shared_d = (a[t:t + m] for a in self.shared)
-            for r0 in range(lo, hi, self.batch):
-                r1 = min(r0 + self.batch, hi)
-                k = r1 - r0
+        m = end - start
+        rows = slice(start % self.rows, start % self.rows + m)
+        shared_d = None
+        if self.shared is not None:
+            x, shared_d = (a[start:end] for a in self.shared)
+        for r0 in range(lo, hi, self.batch):
+            r1 = min(r0 + self.batch, hi)
+            k = r1 - r0
+            if self.shared is None:
+                self.line[:k, :lag] = self.carry[r0:r1]
+            for b, r in enumerate(range(r0, r1)):
+                source_rng, (u_rngs, v_rngs) = self.streams[r]
                 if self.shared is None:
-                    self.line[:k, :lag] = self.carry[r0:r1]
-                for b, r in enumerate(range(r0, r1)):
-                    source_rng, (u_rngs, v_rngs) = self.streams[r]
-                    if self.shared is None:
-                        source_rng.standard_normal(out=self.line[b, lag:lag + m])
-                    sample_mixture_split(self.unit[0], *u_rngs, out=self.u[b, :m])
-                    sample_mixture_split(self.unit[1], *v_rngs, out=self.v[b, :m])
-                if self.shared is None:
-                    self.carry[r0:r1] = self.line[:k, m:m + lag]
-                    x = self.windows[:k, :m]
-                d = shared_d
-                for g, scale in enumerate(self.scales):
-                    u, v = self.u[:k, :m], self.v[:k, :m]
-                    if self.scaled is not None:
-                        u, v = (
-                            np.multiply(a, s, out=c[:k, :m])
-                            for a, s, c in zip((u, v), scale, self.scaled)
-                        )
-                    cols = slice(g * trials + r0, g * trials + r1)
-                    # the first group's clean output serves every group
-                    _, _, d, _ = synthesize_eiv_arrays(
-                        w_seg[r0:r1], x, u, v, d,
-                        out=(self.x[rows, cols].transpose(1, 0, 2), self.d[rows, cols].T),
+                    source_rng.standard_normal(out=self.line[b, lag:lag + m])
+                sample_mixture_split(self.unit[0], *u_rngs, out=self.u[b, :m])
+                sample_mixture_split(self.unit[1], *v_rngs, out=self.v[b, :m])
+            if self.shared is None:
+                self.carry[r0:r1] = self.line[:k, m:m + lag]
+                x = self.windows[:k, :m]
+            d = shared_d
+            for g, scale in enumerate(self.scales):
+                u, v = self.u[:k, :m], self.v[:k, :m]
+                if self.scaled is not None:
+                    u, v = (
+                        np.multiply(a, s, out=c[:k, :m])
+                        for a, s, c in zip((u, v), scale, self.scaled)
                     )
+                cols = slice(g * trials + r0, g * trials + r1)
+                # the first group's clean output serves every group
+                _, _, d, _ = synthesize_eiv_arrays(
+                    w_seg[r0:r1], x, u, v, d,
+                    out=(self.x[rows, cols].transpose(1, 0, 2), self.d[rows, cols].T),
+                )
 
     def _fork(self) -> None:
         """Fork the producers, each owning a trial range (see the class docstring)."""
         from .producer import Producer, cpu_count
 
         trials = len(self.streams)
-        count = min(trials, cpu_count(), self._PRODUCERS, math.ceil(self.fill_share))
+        count = min(trials, cpu_count(), self._most)
         bounds = [trials * k // count for k in range(count + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             def fill(k: int, lo: int = lo, hi: int = hi) -> None:
                 self._fill(*self.pieces[k], lo, hi)
 
-            self._producers.append(Producer(fill, self._producers))
+            self._producers.append(Producer(fill))
 
     def _enter_piece(self) -> None:
         """Make the engine's next piece ready: fill it, or take the producers' answers."""

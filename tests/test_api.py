@@ -46,6 +46,19 @@ def test_ablation_script_imports():
     assert callable(script.main)
 
 
+def test_output_digest_configs_build():
+    # scripts/output_digests.py checks outputs on its configurations; a
+    # renamed key or preset would break it unseen. No experiment runs.
+    path = Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    configs = script.configs()
+    assert len(configs) == 13
+    for name, mode, ini, flags in configs:
+        assert config.build_config(mode, ini, flags).mode == mode, name
+
+
 def test_cli_import_leaves_the_producer_out():
     # Set-up pays for every module `rtga.cli` loads; only a provider that
     # forks loads its producer, which needs no multiprocessing.

@@ -622,7 +622,7 @@ class TestStreamProvider:
         # samples: at order 4 it has at most 27 + 64 rows; at order 512 a
         # trial's 514 values a sample fit 127 samples into the scratch, so
         # the chunk is two such spans, not 1024 // 3 samples, the ring has
-        # 27 + 254 rows and a forked piece is one span.
+        # 27 + 254 rows and every piece, forked or inline, is one span.
         monkeypatch.setattr(StreamProvider, "_FORKED", 1 if forked else sys.maxsize)
         monkeypatch.setattr(StreamProvider, "_CHUNK", chunk)
         cfg = ExperimentConfig(
@@ -634,6 +634,8 @@ class TestStreamProvider:
         alone = [runner._trial_provider(cfg, [pair]) for pair in pairs]
         assert grouped.rows < cfg.n_samples
         assert grouped.forks == forked
+        span = StreamProvider._SCRATCH // 8 // (order + 2)
+        assert max(b - a for a, b, _ in grouped.pieces) <= span
         if order == 512:
             assert grouped.chunk == 2 * (StreamProvider._SCRATCH // 8 // 514) < chunk // 3
         runs = cfg.mc_runs
@@ -701,18 +703,26 @@ def _theory_rows(cfg):
     return [(group.ratio.tolist(), group.censored.tolist()) for group in sums]
 
 
+class _OneUpdate(StreamProvider):
+    """A provider built as if each run made one update per sample."""
+
+    def __init__(self, segments, noise, streams, capacity, shared=None, updates=1):
+        super().__init__(segments, noise, streams, capacity, shared)
+
+
 def _split_fill(monkeypatch, cpus):
     """Let a forked pass split its fill over one producer per CPU, cpus of
-    them and at most one per trial, however light the fill."""
+    them and at most one per trial, whatever its reuse."""
     monkeypatch.setattr(producer, "cpu_count", lambda: cpus)
     monkeypatch.setattr(StreamProvider, "_PRODUCERS", cpus)
-    monkeypatch.setattr(StreamProvider, "_DRAW_COST", 1e6)
+    monkeypatch.setattr(runner, "StreamProvider", _OneUpdate)
 
 
-def _kept_rows(cfg):
-    """Each run's ratio row and the update counts of a sysid or tracking pass."""
+def _kept_rows(cfg, noise=None):
+    """Each run's ratio row and the update counts of a sysid or tracking
+    pass, of cfg's case or of the given (input, output) pairs."""
     params = cfg.resolved_params()
-    with runner._trial_provider(cfg, [case_spec(cfg.case_id)]) as provider:
+    with runner._trial_provider(cfg, noise or [case_spec(cfg.case_id)]) as provider:
         res, kept = run_kept(
             provider, cfg.n_samples, params, cfg.censoring, cfg.reuse,
             provider.segments,
@@ -753,23 +763,23 @@ class TestProducer:
         assert_reaped(pids)
 
     @pytest.mark.parametrize(
-        ("cpus", "runs", "l_reused", "constants", "want"),
+        ("cpus", "runs", "l_reused", "groups", "constants", "want"),
         [
-            (64, 3, 0, {}, 2),
-            (64, 3, 0, {"_DRAW_COST": 1e6}, 2),
-            (64, 3, 2, {}, 1),
-            (1, 3, 0, {}, 1),
-            (64, 1, 0, {}, 1),
-            (64, 3, 0, {"_DRAW_COST": 1e6, "_PRODUCERS": 64}, 3),
+            (64, 3, 0, 1, {}, 2),
+            (64, 3, 2, 1, {}, 1),
+            (64, 3, 0, 2, {}, 1),
+            (1, 3, 0, 1, {}, 1),
+            (64, 1, 0, 1, {}, 1),
+            (64, 3, 0, 1, {"_PRODUCERS": 64}, 3),
         ],
-        ids=["fill_heavy", "capped", "engine_heavy", "one_cpu", "one_trial", "one_per_trial"],
+        ids=["fill_heavy", "engine_heavy", "two_groups", "one_cpu", "one_trial", "one_per_trial"],
     )
-    def test_forks_are_bounded(self, monkeypatch, cpus, runs, l_reused, constants, want):
-        # Without reuse the fill outweighs the engine (by 6 draws to 4
-        # taps), and 64 CPUs get two producers, the most measured, however
-        # heavy the fill; with reuse the engine is the slower side, and one
-        # producer keeps up. With the cap raised, 3 trials fork 3. A fork
-        # past the count raises in place of starting a process.
+    def test_forks_are_bounded(self, monkeypatch, cpus, runs, l_reused, groups, constants, want):
+        # Without reuse and with one group the fill outweighs the engine,
+        # and 64 CPUs get two producers, the most measured; with reuse, or
+        # with two groups, the engine is the slower side, and one producer
+        # keeps up. With the cap raised, 3 trials fork 3. A fork past the
+        # count raises in place of starting a process.
         forks = []
         fork = os.fork
 
@@ -788,7 +798,8 @@ class TestProducer:
             mode="sysid", order=4, n_samples=600, mc_runs=runs, case_id=2,
             reuse=ReuseConfig(scheme="idr", l_reused=l_reused),
         )
-        _kept_rows(cfg)
+        pairs = [(NoiseSpec("gaussian", s2),) * 2 for s2 in (0.1, 0.2)]
+        _kept_rows(cfg, pairs if groups == 2 else None)
         assert len(forks) == want
 
     @settings(max_examples=12, deadline=None)
@@ -826,16 +837,18 @@ class TestProducer:
     @given(
         mode=st.sampled_from(["sysid", "tracking"]),
         runs=st.integers(1, 5),
-        producers=st.integers(1, 3),
+        producers=st.integers(0, 3),
         chunk=st.integers(16, 600),
     )
     @example(mode="sysid", runs=2, producers=3, chunk=64)
     @example(mode="tracking", runs=5, producers=3, chunk=100)
+    @example(mode="tracking", runs=3, producers=0, chunk=100)
     def test_rows_invariant_to_producer_count(self, mode, runs, producers, chunk):
         # Split over 1 to 3 producers, fewer runs than producers among
         # them, each run's ratio row and the counts equal those of the
         # inline fill, and the pass forks one producer per CPU, at most
-        # one per run, although its reuse leaves the engine the slower side.
+        # one per run. No producer stands for a host without os.fork: the
+        # pass, above _FORKED, fills inline, with the same rows and counts.
         cfg = ExperimentConfig(
             mode=mode, order=4, n_samples=800, mc_runs=runs, case_id=2,
             base_seed=chunk, shift_time=400, shift_amount=1,
@@ -848,8 +861,13 @@ class TestProducer:
             mp.setattr(StreamProvider, "_CHUNK", chunk)
             inline, inline_counts = _kept_rows(cfg)
             mp.setattr(StreamProvider, "_FORKED", 0)
-            _split_fill(mp, producers)
-            mp.setattr(os, "fork", lambda: forks.append(None) or fork())
+            if producers:
+                _split_fill(mp, producers)
+                mp.setattr(os, "fork", lambda: forks.append(None) or fork())
+            else:
+                mp.delattr(os, "fork")
+            with runner._trial_provider(cfg, [case_spec(cfg.case_id)]) as provider:
+                assert provider.forks == bool(producers)
             rows, counts = _kept_rows(cfg)
         assert len(forks) == min(runs, producers)
         assert np.array_equal(rows, inline)
@@ -886,6 +904,10 @@ class TestProducer:
         assert len(results) == 4
         for rows in results.values():
             assert np.array_equal(rows, inline)
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert producer.cpu_count() == os.cpu_count()
 
     @staticmethod
     def _forked_provider(monkeypatch):
@@ -1083,6 +1105,20 @@ class TestAec:
         assert res.curve.values_db.shape == (2000,)
         assert res.erle.values_db.shape == (2000,)
         assert any(note.startswith("case noises scaled by scene power") for note in res.notes)
+
+    def test_ggd_noise_is_refused(self):
+        # A ggd draw takes a span's gamma magnitudes, then its signs, from
+        # one generator, so its samples would depend on how the provider
+        # splits the stream (and on whether the host can fork).
+        far = np.random.default_rng(1).uniform(-0.9, 0.9, 600)
+        assets = AecAssets(far_end=far, echo_path=synth_echo_path())
+        cfg = ExperimentConfig(
+            mode="aec", order=512, n_samples=600, mc_runs=2,
+            algorithm=AlgorithmConfig(name="proposed", mu=0.05),
+        )
+        ggd = NoiseSpec("ggd", 1e-4, alpha=1.5)
+        with pytest.raises(ValueError, match="ggd family .* depend on how the stream is split"):
+            run_aec(cfg, assets, noise=(ggd, ggd))
 
     def test_short_far_end_rejected(self):
         far = np.full(100, 0.5)
