@@ -6,38 +6,17 @@ import argparse
 import sys
 
 from . import runner
-from .config import ALGORITHMS, ConfigError, build_config, read_config_file
+from .config import SETTINGS, ConfigError, build_config, read_config_file
 from .dataio import write_csv
 
-_RUNNERS = {
-    "sysid": runner.run_sysid,
-    "tracking": runner.run_tracking,
-    "aec": runner.run_aec,
-    "theory": runner.run_theory_compare,
-    "sweep": runner.run_sweep,
+# mode -> (runner, subcommand help)
+_SUBCOMMANDS = {
+    "sysid": (runner.run_sysid, "stationary system identification (benchmark cases 1-5)"),
+    "tracking": (runner.run_tracking, "identification with a mid-run shift of the true system"),
+    "aec": (runner.run_aec, "echo cancellation against a 512-tap path"),
+    "theory": (runner.run_theory_compare, "steady-state predictions next to simulation"),
+    "sweep": (runner.run_sweep, "Monte-Carlo mean cost over a two-tap weight grid"),
 }
-
-_HELP = {
-    "sysid": "stationary system identification (benchmark cases 1-5)",
-    "tracking": "identification with a mid-run shift of the true system",
-    "aec": "echo cancellation against a 512-tap path",
-    "theory": "steady-state predictions next to simulation",
-    "sweep": "Monte-Carlo mean cost over a two-tap weight grid",
-}
-
-
-def _add_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH", help="INI config file")
-    p.add_argument("--out", metavar="PATH", help="write curves as CSV here")
-    p.add_argument("--runs", type=int, metavar="N", help="Monte-Carlo trials")
-    p.add_argument("--samples", type=int, metavar="N", help="stream length")
-    p.add_argument("--seed", type=int, metavar="N", help="base seed (trial r adds r)")
-    p.add_argument("--case", type=int, choices=(1, 2, 3, 4, 5), help="noise case")
-    p.add_argument("--algo", choices=ALGORITHMS, help="algorithm preset")
-    p.add_argument("--mu", type=float, help="step-size override")
-    p.add_argument("--pce", type=float, metavar="RATIO", help="target censoring ratio")
-    p.add_argument("--reuse", type=int, metavar="N", help="reused samples per iteration")
-    p.add_argument("--window", type=int, metavar="N", help="reuse window cap")
 
 
 def main(argv=None) -> int:
@@ -46,14 +25,20 @@ def main(argv=None) -> int:
         description="Robust total-least-squares adaptive filtering experiments",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, text in _HELP.items():
-        _add_flags(sub.add_parser(mode, help=text))
+    for mode, (_, text) in _SUBCOMMANDS.items():
+        p = sub.add_parser(mode, help=text)
+        p.add_argument("--config", metavar="PATH", help="INI config file")
+        p.add_argument("--out", metavar="PATH", help="write curves as CSV here")
+        for s in SETTINGS.values():
+            if s.flag:
+                p.add_argument(f"--{s.flag}", type=s.conv, choices=s.choices,
+                               metavar=s.metavar, help=s.help)
     args = parser.parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k not in ("mode", "config")}
     try:
         file_values = read_config_file(args.config) if args.config else None
         cfg = build_config(args.mode, file_values, overrides)
-        result = _RUNNERS[args.mode](cfg)
+        result = _SUBCOMMANDS[args.mode][0](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

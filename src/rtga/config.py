@@ -1,9 +1,12 @@
-"""Experiment configuration: presets, INI parsing, total validation.
+"""Experiment configuration: presets, the settings table, total validation.
 
-Config files are strict INI: unknown sections or keys are hard errors,
-and validation collects every problem before reporting, so a bad file
-never starts a partial run. Command-line overrides are applied on top of
-file values before validation.
+Every setting is declared once, as a row of SETTINGS keyed by its INI
+(section, key): the config field it sets, the conversion of the file text
+and the command-line flag, if any, that wins over the file. Override names
+are those flags' names, plus ``out`` for the CSV path. build_config
+rejects unknown sections, keys and override names and collects every
+problem, with bad values and invalid settings, before reporting, so a bad
+config never starts a partial run.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import configparser
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .censoring import CensorConfig
 from .dataio import ECHO_PATH_LEN
@@ -20,7 +25,18 @@ from .noise import NoiseSpec, case_spec, noise_ratio
 from .reuse import ReuseConfig
 from .theory import MAX_THEORY_ORDER
 
-MODES = ("sysid", "tracking", "aec", "theory", "sweep")
+# Each mode's defaults where they differ from ExperimentConfig's, which are
+# sysid's: tracking runs 16000 samples, AEC a 512-tap filter over 200000
+# samples and 50 runs.
+_MODE_DEFAULTS = {
+    "sysid": {},
+    "tracking": dict(n_samples=16_000),
+    "aec": dict(order=ECHO_PATH_LEN, n_samples=200_000, mc_runs=50),
+    "theory": dict(n_samples=30_000, mc_runs=200),
+    "sweep": dict(order=2),
+}
+
+MODES = tuple(_MODE_DEFAULTS)
 
 ALGORITHMS = ("rtga", "proposed", "gdtls", "mtc", "mtgc", "tlmp", "tlmf", "ltls")
 
@@ -274,22 +290,65 @@ class ExperimentConfig:
         return errors
 
 
-_KNOWN_KEYS = {
-    "experiment": ("case", "order", "samples", "runs", "seed", "shift_time", "shift_amount"),
-    "algorithm": ("name", "a", "b", "c", "mu"),
-    "censoring": ("p_ce", "window", "tau", "estimator"),
-    "reuse": ("scheme", "count", "window"),
-    "aec": ("far_end", "echo_path"),
-    "theory": ("variances", "output_family", "alpha"),
-    "sweep": ("min", "max", "points", "draws"),
+def _float_list(raw: str) -> tuple[float, ...]:
+    parts = [p.strip() for p in raw.split(",") if p.strip()]
+    if not parts:
+        raise ValueError("empty list")
+    return tuple(float(p) for p in parts)
+
+
+class Setting(NamedTuple):
+    """One INI key: the field it sets, the conversion of its file text, and
+    the flag (override name) that wins over the file, with the flag's help,
+    metavar and choices."""
+
+    field: str
+    conv: Callable[[str], object]
+    flag: str | None = None
+    help: str | None = None
+    metavar: str | None = None
+    choices: tuple | None = None
+
+
+# A section's fields belong to the ExperimentConfig attribute of the same
+# name, [experiment]'s to ExperimentConfig itself. --help lists the flags
+# in this order.
+SETTINGS = {
+    ("experiment", "runs"): Setting("mc_runs", int, "runs", "Monte-Carlo trials", "N"),
+    ("experiment", "samples"): Setting("n_samples", int, "samples", "stream length", "N"),
+    ("experiment", "seed"): Setting("base_seed", int, "seed", "base seed (trial r adds r)", "N"),
+    ("experiment", "case"): Setting("case_id", int, "case", "noise case", choices=CASES),
+    ("experiment", "order"): Setting("order", int),
+    ("experiment", "shift_time"): Setting("shift_time", int),
+    ("experiment", "shift_amount"): Setting("shift_amount", int),
+    ("algorithm", "name"): Setting("name", str, "algo", "algorithm preset", choices=ALGORITHMS),
+    ("algorithm", "mu"): Setting("mu", float, "mu", "step-size override"),
+    ("algorithm", "a"): Setting("a", float),
+    ("algorithm", "b"): Setting("b", float),
+    ("algorithm", "c"): Setting("c", float),
+    ("censoring", "p_ce"): Setting("p_ce", float, "pce", "target censoring ratio", "RATIO"),
+    ("censoring", "window"): Setting("window", int),
+    ("censoring", "tau"): Setting("tau", float),
+    ("censoring", "estimator"): Setting("estimator", str),
+    ("reuse", "count"): Setting("l_reused", int, "reuse", "reused samples per iteration", "N"),
+    ("reuse", "window"): Setting("window_cap", int, "window", "reuse window cap", "N"),
+    ("reuse", "scheme"): Setting("scheme", str),
+    ("aec", "far_end"): Setting("far_end", str),
+    ("aec", "echo_path"): Setting("echo_path", str),
+    ("theory", "variances"): Setting("variances", _float_list),
+    ("theory", "output_family"): Setting("output_family", str),
+    ("theory", "alpha"): Setting("alpha", float),
+    ("sweep", "min"): Setting("grid_min", float),
+    ("sweep", "max"): Setting("grid_max", float),
+    ("sweep", "points"): Setting("points", int),
+    ("sweep", "draws"): Setting("draws", int),
 }
+
+_FLAGS = {s.flag: (section, s) for (section, _), s in SETTINGS.items() if s.flag}
 
 
 def read_config_file(path: str) -> dict[str, dict[str, str]]:
-    """Parse a strict INI file into raw string values.
-
-    Unknown sections or keys are collected and reported together.
-    """
+    """Parse an INI file into raw string values, {section: {key: text}}."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -298,54 +357,7 @@ def read_config_file(path: str) -> dict[str, dict[str, str]]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
-    errors = []
-    values: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            errors.append(
-                f"unknown section [{section}]; expected one of "
-                f"{sorted(_KNOWN_KEYS)}"
-            )
-            continue
-        values[section] = {}
-        for key, raw in parser.items(section):
-            if key not in _KNOWN_KEYS[section]:
-                errors.append(
-                    f"unknown key {key!r} in [{section}]; expected one of "
-                    f"{sorted(_KNOWN_KEYS[section])}"
-                )
-            else:
-                values[section][key] = raw
-    if errors:
-        raise ConfigError("invalid config file:\n  " + "\n  ".join(errors))
-    return values
-
-
-class _Builder:
-    """Converts raw strings with per-key error accounting."""
-
-    def __init__(self, values: dict[str, dict[str, str]]):
-        self.values = values
-        self.errors: list[str] = []
-
-    def get(self, section: str, key: str, conv, default):
-        raw = self.values.get(section, {}).get(key)
-        if raw is None:
-            return default
-        try:
-            return conv(raw)
-        except ValueError:
-            self.errors.append(
-                f"{section}.{key}: cannot interpret {raw!r} as {conv.__name__}"
-            )
-            return default
-
-
-def _float_list(raw: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+    return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def build_config(
@@ -355,104 +367,58 @@ def build_config(
 ) -> ExperimentConfig:
     """Assemble and validate an ExperimentConfig.
 
-    file_values comes from read_config_file; overrides (from CLI flags)
-    win over file values. Mode-dependent defaults: tracking runs 16000
-    samples, AEC uses a 512-tap filter over 200000 samples and 50 runs.
+    file_values maps INI sections to raw key text, as read_config_file
+    returns it. overrides maps flag names (the flags of SETTINGS, and
+    ``out``) to converted values; one that is not None wins over the file.
+    An unset setting takes its dataclass default, or its mode's
+    (_MODE_DEFAULTS). Unknown sections, keys and override names, values
+    that do not convert and invalid settings are reported together in one
+    ConfigError.
     """
-    b = _Builder(file_values or {})
-    ov = overrides or {}
+    errors: list[str] = []
+    given: dict[str, dict[str, object]] = {section: {} for section, _ in SETTINGS}
+    for section, raws in (file_values or {}).items():
+        if section not in given:
+            errors.append(f"unknown section [{section}]; expected one of {sorted(given)}")
+            continue
+        for key, raw in raws.items():
+            setting = SETTINGS.get((section, key))
+            if setting is None:
+                known = sorted(k for s, k in SETTINGS if s == section)
+                errors.append(f"unknown key {key!r} in [{section}]; expected one of {known}")
+                continue
+            try:
+                given[section][setting.field] = setting.conv(raw)
+            except ValueError:
+                errors.append(
+                    f"{section}.{key}: cannot interpret {raw!r} as {setting.conv.__name__}"
+                )
+    overrides = dict(overrides or {})
+    out_path = overrides.pop("out", None)
+    for name, value in overrides.items():
+        if name not in _FLAGS:
+            errors.append(
+                f"unknown override {name!r}; expected one of {sorted([*_FLAGS, 'out'])}"
+            )
+        elif value is not None:
+            section, setting = _FLAGS[name]
+            given[section][setting.field] = value
 
-    def pick(name, value):
-        return ov[name] if ov.get(name) is not None else value
+    experiment = {**_MODE_DEFAULTS.get(mode, {}), **given.pop("experiment")}
+    cfg = ExperimentConfig(mode=mode, out_path=out_path, **experiment)
+    censoring, reuse = given["censoring"], given["reuse"]
+    if censoring.get("estimator", "auto") == "auto":
+        censoring["estimator"] = "conventional" if cfg.case_id == 1 else "robust_median"
+    if reuse.get("l_reused") and reuse.get("scheme", "none") == "none":
+        reuse["scheme"] = "idr"
+    if mode in ("tracking", "aec") and reuse.get("scheme", "none") != "none":
+        reuse.setdefault("window_cap", 200)
+    for section, values in given.items():
+        try:
+            setattr(cfg, section, replace(getattr(cfg, section), **values))
+        except ValueError as exc:
+            errors.append(f"{section}: {exc}")
 
-    if mode == "aec":
-        default_order, default_samples, default_runs = 512, 200_000, 50
-    elif mode == "tracking":
-        default_order, default_samples, default_runs = 9, 16_000, 1000
-    elif mode == "sweep":
-        default_order, default_samples, default_runs = 2, 8000, 1000
-    elif mode == "theory":
-        default_order, default_samples, default_runs = 9, 30_000, 200
-    else:
-        default_order, default_samples, default_runs = 9, 8000, 1000
-
-    case_id = pick("case", b.get("experiment", "case", int, 1))
-    order = pick("order", b.get("experiment", "order", int, default_order))
-    samples = pick("samples", b.get("experiment", "samples", int, default_samples))
-    runs = pick("runs", b.get("experiment", "runs", int, default_runs))
-    seed = pick("seed", b.get("experiment", "seed", int, 0))
-    shift_time = b.get("experiment", "shift_time", int, ExperimentConfig.shift_time)
-    shift_amount = b.get("experiment", "shift_amount", int, ExperimentConfig.shift_amount)
-
-    algo = AlgorithmConfig(
-        name=pick("algo", b.get("algorithm", "name", str, "rtga")),
-        a=b.get("algorithm", "a", float, None),
-        b=b.get("algorithm", "b", float, None),
-        c=b.get("algorithm", "c", float, None),
-        mu=pick("mu", b.get("algorithm", "mu", float, None)),
-    )
-
-    p_ce = pick("pce", b.get("censoring", "p_ce", float, 0.0))
-    window = b.get("censoring", "window", int, CensorConfig.window)
-    tau = b.get("censoring", "tau", float, CensorConfig.tau)
-    estimator = b.get("censoring", "estimator", str, "auto")
-    if estimator == "auto":
-        estimator = "conventional" if case_id == 1 else "robust_median"
-
-    scheme = b.get("reuse", "scheme", str, "none")
-    count = pick("reuse", b.get("reuse", "count", int, 0))
-    cap = pick("window", b.get("reuse", "window", int, None))
-    if count and scheme == "none":
-        scheme = "idr"
-    if mode in ("tracking", "aec") and scheme != "none" and cap is None:
-        cap = 200
-
-    aec = AecConfig(
-        far_end=b.get("aec", "far_end", str, AecConfig.far_end),
-        echo_path=b.get("aec", "echo_path", str, AecConfig.echo_path),
-    )
-    theory = TheoryConfig(
-        variances=b.get("theory", "variances", _float_list, TheoryConfig.variances),
-        output_family=b.get("theory", "output_family", str, TheoryConfig.output_family),
-        alpha=b.get("theory", "alpha", float, TheoryConfig.alpha),
-    )
-    sweep = SweepConfig(
-        grid_min=b.get("sweep", "min", float, SweepConfig.grid_min),
-        grid_max=b.get("sweep", "max", float, SweepConfig.grid_max),
-        points=b.get("sweep", "points", int, SweepConfig.points),
-        draws=b.get("sweep", "draws", int, SweepConfig.draws),
-    )
-
-    errors = list(b.errors)
-    censor = reuse = None
-    try:
-        censor = CensorConfig(p_ce=p_ce, window=window, tau=tau, estimator=estimator)
-    except ValueError as exc:
-        errors.append(f"censoring: {exc}")
-        censor = CensorConfig(p_ce=0.0)
-    try:
-        reuse = ReuseConfig(scheme=scheme, l_reused=count, window_cap=cap)
-    except ValueError as exc:
-        errors.append(f"reuse: {exc}")
-        reuse = ReuseConfig()
-
-    cfg = ExperimentConfig(
-        mode=mode,
-        case_id=case_id,
-        order=order,
-        n_samples=samples,
-        mc_runs=runs,
-        base_seed=seed,
-        algorithm=algo,
-        censoring=censor,
-        reuse=reuse,
-        shift_time=shift_time,
-        shift_amount=shift_amount,
-        aec=aec,
-        theory=theory,
-        sweep=sweep,
-        out_path=ov.get("out"),
-    )
     errors.extend(cfg.validation_errors())
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from rtga import cli, runner
 from rtga.cli import main
+from rtga.config import SETTINGS, _float_list
 from rtga.dataio import save_wav
 
 from fills import assert_reaped, fill_pids, record_fills
@@ -118,7 +119,7 @@ def test_out_of_memory_exits_1(monkeypatch, capsys):
     def too_large(cfg):
         raise MemoryError("Unable to allocate 576. MiB for an array")
 
-    monkeypatch.setitem(cli._RUNNERS, "sysid", too_large)
+    monkeypatch.setitem(cli._SUBCOMMANDS, "sysid", (too_large, "sysid"))
     assert main(["sysid", *FAST]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate 576. MiB")
@@ -237,6 +238,19 @@ def test_limit_family_predicted_cost_has_no_a_term(capsys):
     assert "40.0 additions, 54.0 multiplications, 3 nonlinear" in out
 
 
+def test_config_file_reports_every_problem_together(tmp_path, capsys):
+    # an unknown key no longer hides the file's bad values
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[experiment]\nstep = 5\nruns = many\n[censoring]\np_ce = 2\n")
+    assert main(["sysid", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:\n")
+    assert "\n  unknown key 'step' in [experiment]; expected one of" in err
+    assert "\n  experiment.runs: cannot interpret 'many' as int\n" in err
+    assert "\n  censoring: p_ce must lie in [0, 1)\n" in err
+    assert "Traceback" not in err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = main(["sysid", "--config", str(tmp_path / "nope.ini")])
     assert rc == 2
@@ -337,12 +351,9 @@ _MODE_KEYS = {
     "theory": {"theory": ("variances", "output_family", "alpha")},
     "sweep": {"sweep": ("min", "max")},
 }
-_FLOAT_KEYS = {
-    ("algorithm", "a"), ("algorithm", "b"), ("algorithm", "c"), ("algorithm", "mu"),
-    ("censoring", "p_ce"), ("censoring", "tau"), ("theory", "variances"),
-    ("theory", "alpha"), ("sweep", "min"), ("sweep", "max"),
-}
-_FLAG_KEYS = {"--mu": ("algorithm", "mu"), "--pce": ("censoring", "p_ce")}
+_FLOAT_KEYS = {sk for sk, s in SETTINGS.items() if s.conv in (float, _float_list)}
+# the float flags: an int flag or a choice fails in argparse itself
+_FLAG_KEYS = {f"--{s.flag}": sk for sk, s in SETTINGS.items() if s.flag and sk in _FLOAT_KEYS}
 _POOL = ["nan", "inf", "-inf", "0", "-1", "1e300", "abc", ""]
 _NON_FINITE = {"nan", "inf", "-inf"}
 

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rtga import cli
 from rtga.censoring import CensorConfig
 from rtga.config import (
     MODES,
+    SETTINGS,
     AecConfig,
     AlgorithmConfig,
     ConfigError,
@@ -194,8 +196,48 @@ def test_theory_validation():
 
 
 def test_sweep_requires_two_taps():
-    with pytest.raises(ConfigError, match="order"):
-        build_config("sweep", None, {"runs": 2, "order": 3})
+    with pytest.raises(ConfigError, match="set order = 2, got 3"):
+        build_config("sweep", {"experiment": {"order": "3"}}, {"runs": 2})
+
+
+def test_unknown_override_names_are_errors():
+    with pytest.raises(ConfigError) as info:
+        build_config("sysid", None, {"windw": 3, "sample": 10})
+    msg = str(info.value)
+    assert "unknown override 'windw'" in msg and "unknown override 'sample'" in msg
+
+
+def test_unknown_file_names_are_errors():
+    with pytest.raises(ConfigError) as info:
+        build_config("sysid", {"experiment": {"sample": "10"}, "bogus": {"x": "1"}}, {})
+    msg = str(info.value)
+    assert "unknown key 'sample' in [experiment]" in msg and "unknown section [bogus]" in msg
+
+
+_FLAG_TEXT = {
+    "runs": "7", "samples": "9000", "seed": "11", "case": "3", "algo": "proposed",
+    "mu": "0.004", "pce": "0.5", "reuse": "2", "window": "150",
+}
+
+
+@pytest.mark.parametrize("section, key", [sk for sk, s in SETTINGS.items() if s.flag])
+def test_flag_sets_its_ini_key(monkeypatch, section, key):
+    # the flag and the file key are one setting: same value, same config
+    setting = SETTINGS[section, key]
+    raw = _FLAG_TEXT[setting.flag]
+    value = setting.conv(raw)
+    from_file = build_config("tracking", {section: {key: raw}}, {})
+    assert from_file == build_config("tracking", None, {setting.flag: value})
+    # and the CLI hands build_config the flag converted as the file text is
+    seen = {}
+
+    def capture(mode, file_values, overrides):
+        seen.update(overrides)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr(cli, "build_config", capture)
+    assert cli.main(["tracking", f"--{setting.flag}", raw]) == 2
+    assert seen[setting.flag] == value and type(seen[setting.flag]) is type(value)
 
 
 def test_config_file_round_trip(tmp_path):
