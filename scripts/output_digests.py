@@ -6,11 +6,12 @@ the exit code, and the SHA-256 of the CSV ("-" when none was written), of
 stdout without its `wrote PATH` line, and of stderr. Two source trees that
 print the same lines give byte-identical outputs on these configurations.
 
-The list holds nine CLI experiments (sysid, tracking, theory, AEC and
-sweep; tracking through INI files, since its shift is a file key) and the
-four benchmark workloads of bench/workloads.py, which this script only
-reads. The nine take a few minutes and up to about 0.7 GB (the case-2
-sysid run keeps its unbounded idr history).
+The list holds ten CLI experiments (sysid, tracking, theory with and
+without censoring, AEC and sweep; tracking through INI files, since its
+shift is a file key) and the four benchmark workloads of
+bench/workloads.py, which this script only reads. The ten take a few
+minutes and up to about 0.7 GB (the case-2 sysid run keeps its unbounded
+idr history).
 
     PYTHONPATH=src python scripts/output_digests.py
 """
@@ -44,6 +45,7 @@ CLI_CONFIGS = [
     ("tracking-shift3", "tracking", _tracking(3), {}),
     ("tracking-shift0", "tracking", _tracking(0), {}),
     ("theory-defaults", "theory", None, {}),
+    ("theory-pce", "theory", None, dict(pce=0.5, runs=100, samples=5000)),
     ("aec-proposed", "aec", None,
      dict(samples=20000, runs=10, algo="proposed", pce=0.3, reuse=3, window=200)),
     ("aec-rtga", "aec", None, dict(samples=20000, runs=5, algo="rtga")),

@@ -23,7 +23,6 @@ from .dataio import ECHO_PATH_LEN
 from .filters import RtgaParams
 from .noise import NoiseSpec, case_spec, noise_ratio
 from .reuse import ReuseConfig
-from .theory import MAX_THEORY_ORDER
 
 # Each mode's defaults where they differ from ExperimentConfig's, which are
 # sysid's: tracking runs 16000 samples, AEC a 512-tap filter over 200000
@@ -253,10 +252,6 @@ class ExperimentConfig:
                 if path != "synthetic" and not os.path.isfile(path):
                     errors.append(f"{label}: file not found: {path}")
         if self.mode == "theory":
-            if self.order > MAX_THEORY_ORDER:
-                errors.append(
-                    f"theory mode requires order <= {MAX_THEORY_ORDER}, got {self.order}"
-                )
             if any(v <= 0 for v in self.theory.variances):
                 errors.append("theory.variances must all be > 0")
             if not all(map(math.isfinite, self.theory.variances)):
@@ -345,6 +340,8 @@ SETTINGS = {
 }
 
 _FLAGS = {s.flag: (section, s) for (section, _), s in SETTINGS.items() if s.flag}
+# the types an override of each flagged row's conversion takes (not bool)
+_OVERRIDE_TYPES = {int: int, float: (int, float), str: str}
 
 
 def read_config_file(path: str) -> dict[str, dict[str, str]]:
@@ -369,11 +366,12 @@ def build_config(
 
     file_values maps INI sections to raw key text, as read_config_file
     returns it. overrides maps flag names (the flags of SETTINGS, and
-    ``out``) to converted values; one that is not None wins over the file.
-    An unset setting takes its dataclass default, or its mode's
-    (_MODE_DEFAULTS). Unknown sections, keys and override names, values
-    that do not convert and invalid settings are reported together in one
-    ConfigError.
+    ``out``) to values of their row's type (an int row takes an int, a
+    float row an int or a float, a str row a str); one that is not None
+    wins over the file. An unset setting takes its dataclass default, or
+    its mode's (_MODE_DEFAULTS). Unknown sections, keys and override
+    names, values that do not convert or have the wrong type and invalid
+    settings are reported together in one ConfigError.
     """
     errors: list[str] = []
     given: dict[str, dict[str, object]] = {section: {} for section, _ in SETTINGS}
@@ -402,7 +400,11 @@ def build_config(
             )
         elif value is not None:
             section, setting = _FLAGS[name]
-            given[section][setting.field] = value
+            kind = setting.conv.__name__
+            if isinstance(value, bool) or not isinstance(value, _OVERRIDE_TYPES[setting.conv]):
+                errors.append(f"override {name!r}: expected {kind}, got {value!r}")
+            else:
+                given[section][setting.field] = value
 
     experiment = {**_MODE_DEFAULTS.get(mode, {}), **given.pop("experiment")}
     cfg = ExperimentConfig(mode=mode, out_path=out_path, **experiment)

@@ -881,13 +881,15 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Monte-Carlo mean cost over a two-tap weight grid."""
     cfg.validate()
     params = cfg.resolved_params()
-    in_spec, out_spec = case_spec(cfg.case_id)
+    pair = case_spec(cfg.case_id)
     n = cfg.sweep.draws
-    _, source_rng, (u_rngs, v_rngs) = run_streams(cfg.base_seed, 0, (in_spec, out_spec))
-    x = delay_line_matrix(source_rng.standard_normal(n), SWEEP_TRUTH.size)
-    u = sample_mixture_split(in_spec, *u_rngs, x.shape)
-    v = sample_mixture_split(out_spec, *v_rngs, n)
-    _, x_tilde, _, d_tilde = synthesize_eiv_arrays(SWEEP_TRUTH, x, u, v)
+    x_tilde, d_tilde = np.empty((n, SWEEP_TRUTH.size)), np.empty(n)
+    # trial 0's stream, copied out a sample at a time, so the ring keeps no history
+    streams = [run_streams(cfg.base_seed, 0, pair)[1:]]
+    with StreamProvider([(0, n, SWEEP_TRUTH[None])], [pair], streams, 1) as provider:
+        for i in range(n):
+            x, d = provider.step(i)
+            x_tilde[i], d_tilde[i] = x[0], d[0]
     axis = np.linspace(cfg.sweep.grid_min, cfg.sweep.grid_max, cfg.sweep.points)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     Wg = np.column_stack([g1.ravel(), g2.ravel()])

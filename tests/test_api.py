@@ -54,7 +54,7 @@ def test_output_digest_configs_build():
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     configs = script.configs()
-    assert len(configs) == 13
+    assert len(configs) == 14
     for name, mode, ini, flags in configs:
         assert config.build_config(mode, ini, flags).mode == mode, name
 

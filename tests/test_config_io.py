@@ -195,6 +195,11 @@ def test_theory_validation():
         cfg.validate()
 
 
+def test_theory_takes_any_order():
+    # the steady state is one L x L solve, so theory mode caps no order
+    assert build_config("theory", {"experiment": {"order": "65"}}, {}).order == 65
+
+
 def test_sweep_requires_two_taps():
     with pytest.raises(ConfigError, match="set order = 2, got 3"):
         build_config("sweep", {"experiment": {"order": "3"}}, {"runs": 2})
@@ -212,6 +217,17 @@ def test_unknown_file_names_are_errors():
         build_config("sysid", {"experiment": {"sample": "10"}, "bogus": {"x": "1"}}, {})
     msg = str(info.value)
     assert "unknown key 'sample' in [experiment]" in msg and "unknown section [bogus]" in msg
+
+
+def test_wrong_typed_overrides_are_errors():
+    with pytest.raises(ConfigError) as info:
+        build_config("sysid", None, {"runs": "5", "mu": "0.1"})
+    msg = str(info.value)
+    assert "override 'runs': expected int, got '5'" in msg
+    assert "override 'mu': expected float, got '0.1'" in msg
+    with pytest.raises(ConfigError, match="override 'runs': expected int, got True"):
+        build_config("sysid", None, {"runs": True})
+    assert build_config("sysid", None, {"runs": 2, "mu": 1}).algorithm.mu == 1
 
 
 _FLAG_TEXT = {

@@ -8,7 +8,6 @@ import pytest
 from rtga.filters import RtgaParams
 from rtga.noise import NoiseSpec, sample_ggd
 from rtga.theory import (
-    MAX_THEORY_ORDER,
     TheoryInputs,
     empirical_gradient_at_optimum,
     ggd_abs_moment,
@@ -88,8 +87,8 @@ def test_inputs_validation():
         make_inputs(p_t=0.0)
     with pytest.raises(ValueError, match="alpha"):
         make_inputs(alpha=-1.0)
-    with pytest.raises(ValueError, match=str(MAX_THEORY_ORDER)):
-        make_inputs(w_o=np.zeros(65) + 0.1)
+    # any order: the steady state is one L x L solve
+    assert math.isfinite(steady_state_msd(make_inputs(w_o=np.zeros(65) + 0.1), 0.05))
     with pytest.raises(ValueError, match="full shape"):
         TheoryInputs(
             R=np.eye(2), w_o=np.array([1.0, 0.0]), sigma_i2=0.1, sigma_o2=0.1,
@@ -170,6 +169,45 @@ def test_msd_divergent_step_raises():
     t = make_inputs()
     with pytest.raises(ValueError, match="divergent"):
         steady_state_msd(t, 2.5 * max_step_size(t))
+
+
+def _random_inputs(L, b, p_t, seed=53):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((L, L))
+    R = G @ G.T / L + 0.5 * np.eye(L)
+    return make_inputs(w_o=rng.standard_normal(L), R=(R + R.T) / 2, b=b, p_t=p_t)
+
+
+def _kronecker_msd(t, mu):
+    # the L^2 x L^2 fixed point (I - A kron A) vec(Y) = vec(I), A = I - mu H
+    H = hessian_at_optimum(t)
+    L = H.shape[0]
+    A = np.eye(L) - mu * H
+    y = np.linalg.solve(np.eye(L * L) - np.kron(A, A), np.eye(L).ravel())
+    return mu * mu * float(gradient_noise_covariance(t).ravel() @ y)
+
+
+@pytest.mark.parametrize("L", [2, 5, 9])
+@pytest.mark.parametrize("b", [1.9, 2.0, 2.4])
+@pytest.mark.parametrize("p_t", [1.0, 0.7])
+def test_msd_matches_kronecker_fixed_point(L, b, p_t):
+    t = _random_inputs(L, b, p_t)
+    for mu in np.geomspace(1e-3, max_step_size(t) / 2, 6):
+        assert steady_state_msd(t, mu) == pytest.approx(_kronecker_msd(t, mu), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("L", [2, 5, 9])
+@pytest.mark.parametrize("b", [1.9, 2.0, 2.4])
+@pytest.mark.parametrize("p_t", [1.0, 0.7])
+def test_msd_matches_eigen_decomposition_at_tiny_step(L, b, p_t):
+    # in H's eigenbasis the MSD is mu sum_i (Q^T S Q)_ii / (lam_i (2 - mu lam_i));
+    # forming I - A^2 by subtraction, or the Kronecker solve, loses up to 3e-9 here
+    t = _random_inputs(L, b, p_t)
+    mu = 1e-5
+    lam, Q = np.linalg.eigh(hessian_at_optimum(t))
+    proj = np.diag(Q.T @ gradient_noise_covariance(t) @ Q)
+    expected = mu * float(np.sum(proj / (lam * (2.0 - mu * lam))))
+    assert steady_state_msd(t, mu) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_msd_scales_quadratically_for_tiny_steps():
