@@ -350,7 +350,7 @@ def read_config_file(path: str) -> dict[str, dict[str, str]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc

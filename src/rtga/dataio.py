@@ -91,7 +91,11 @@ def read_csv(path: str) -> dict[str, np.ndarray]:
 
 def load_wav(path: str) -> AudioClip:
     """Load a 16-bit mono linear PCM WAV file, scaled by 1/32768."""
-    with wave.open(path, "rb") as wav:
+    try:
+        wav = wave.open(path, "rb")
+    except (wave.Error, EOFError) as exc:  # not RIFF/WAVE, or cut short
+        raise ValueError(f"cannot read WAV file {path}: {str(exc) or 'it ends early'}") from exc
+    with wav:
         if wav.getcomptype() != "NONE":
             raise ValueError(
                 f"unsupported WAV compression type {wav.getcomptype()!r}; "
@@ -125,9 +129,9 @@ def save_wav(path: str, samples: np.ndarray, rate: int = 8000) -> None:
 
 
 def load_echo_path(path: str) -> np.ndarray:
-    """Read exactly 512 whitespace-separated finite reals."""
+    """Read exactly 512 whitespace-separated finite reals; a non-UTF-8 byte fails its token."""
     values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             for token in line.split():
                 try:

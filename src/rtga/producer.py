@@ -6,10 +6,10 @@ engine's lock. A forked child has an interpreter of its own: it writes the
 ring, which lives in an anonymous shared mapping made before the fork,
 while the engine's process runs the updates. The provider forks up to
 StreamProvider._PRODUCERS of them (see its docstring for the rule), at
-most one per trial and one per CPU (cpu_count), each filling the ring's
-columns of its own range of trials. Only the caller's fill
-function runs in a child, and after the fork it alone touches its
-trials' generators, so nothing else crosses the process boundary.
+most one per trial and one per CPU (cpu_count). Each fills the ring's
+columns of its own range of trials through its own trial cursor, which
+after the fork only it touches, so nothing else crosses the process
+boundary.
 
 The protocol runs over two pipes. The engine writes one byte for each
 piece it wants filled; the producer fills the pieces in order and answers
@@ -19,10 +19,8 @@ fork in the process (the next producer, or another pass's, forked from
 another thread) inherits copies of the engine's ends, so a closed pipe
 does not prove the other side gone: each side, while it waits, checks
 every _POLL_MS that the other still lives, and the engine ends a
-producer by killing it.
-
-rtga.runner imports this module only when a provider forks, so setting up
-an experiment does not pay for it.
+producer by killing it. rtga.runner imports this module only when a
+provider forks.
 """
 
 from __future__ import annotations

@@ -149,81 +149,135 @@ class ArrayProvider:
     past = step  # the arrays hold the whole stream
 
 
-def _unit_pair(
-    noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
-) -> tuple[tuple[NoiseSpec, NoiseSpec], list[tuple[float, float]]]:
-    """The unit (input, output) pair that scales to every group's pair, and
-    each group's (input, output) scales; ValueError when there is none."""
-    units, scales = zip(*(zip(*map(unit_scale, pair)) for pair in noise))
-    if len(set(units)) > 1:
-        raise ValueError(
-            "groups that share their trials' draws need noise pairs that scale "
-            "one unit pair; these do not: "
-            + "; ".join(f"{s_in} and {s_out}" for s_in, s_out in noise)
-        )
-    return units[0], list(scales)
+class _TrialCursor:
+    """Draws the noisy samples of the trials `trials` of streams, in order.
+
+    streams holds each trial's (source, (input, output)) generators from
+    run_streams, and noise one (input, output) pair per group. Several
+    groups draw each trial's noise once, as the unit pair that
+    noise.unit_scale finds for every group's pair, and scale it by each
+    group's (s_in, s_out); pairs that do not scale one unit pair raise
+    ValueError. shared, the clean (n, L) regressors and (n,) output of a
+    source and truth that every run shares, replaces the source draws, the
+    delay line and the clean-output einsum. The draws go into a
+    trial-major scratch of span samples, batch trials at a time, whose
+    delay line and clean output are computed once. Consecutive writes
+    reproduce the one-shot sequence, so the samples depend neither on how
+    the stream is split nor on the batch; a family whose draws would
+    (ggd) raises ValueError.
+    """
+
+    def __init__(
+        self,
+        noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
+        streams: list[tuple[np.random.Generator, tuple]],
+        order: int,
+        span: int,
+        batch: int,
+        shared: tuple[np.ndarray, np.ndarray] | None = None,
+        trials: slice = slice(None),
+    ):
+        for spec in (s for pair in noise for s in pair if s.family == "ggd"):
+            raise ValueError(
+                f"the stream provider cannot draw {spec}: the ggd family draws a "
+                "span's gamma magnitudes, then its signs, from one generator, so "
+                "its samples would depend on how the stream is split into pieces"
+            )
+        units, scales = zip(*(zip(*map(unit_scale, pair)) for pair in noise))
+        if len(set(units)) > 1:
+            raise ValueError(
+                "groups that share their trials' draws need noise pairs that scale "
+                "one unit pair; these do not: "
+                + "; ".join(f"{s_in} and {s_out}" for s_in, s_out in noise)
+            )
+        self.unit, self.scales = (units[0], scales) if len(noise) > 1 else (noise[0], [(1.0, 1.0)])
+        self.trials = trials
+        self.streams = streams[trials]
+        self.shared = shared
+        self.batch = min(len(self.streams), batch)
+        # np.empty: a producer's scratch, made before the fork, is the producer's to touch
+        self.u = np.empty((self.batch, span, order))
+        self.v = np.empty((self.batch, span))
+        self.scaled = (np.empty_like(self.u), np.empty_like(self.v)) if len(noise) > 1 else None
+        # per-trial delay lines: the newest L-1 source samples, then the new ones
+        self.carry = np.zeros((len(self.streams), order - 1))
+        self.line = np.empty((self.batch, order - 1 + span))
+        self.windows = sliding_window_view(self.line, order, axis=1)[:, :, ::-1]
+
+    def write(self, start: int, end: int, w: np.ndarray, outs) -> None:
+        """Draw the trials' next m = end - start samples, at most a span, of truth
+        w into outs: (x~, d~) views, (trials, m, L) and (trials, m), one pair per group."""
+        lag = self.carry.shape[1]
+        m = end - start
+        x, shared_d = (a[start:end] for a in self.shared) if self.shared is not None else (None, None)
+        for r0 in range(0, len(self.streams), self.batch):
+            r1 = min(r0 + self.batch, len(self.streams))
+            k = r1 - r0
+            if self.shared is None:
+                self.line[:k, :lag] = self.carry[r0:r1]
+                for b, (source_rng, _) in enumerate(self.streams[r0:r1]):
+                    source_rng.standard_normal(out=self.line[b, lag:lag + m])
+                self.carry[r0:r1] = self.line[:k, m:m + lag]
+                x = self.windows[:k, :m]
+            for b, (_, (u_rngs, v_rngs)) in enumerate(self.streams[r0:r1]):
+                sample_mixture_split(self.unit[0], *u_rngs, out=self.u[b, :m])
+                sample_mixture_split(self.unit[1], *v_rngs, out=self.v[b, :m])
+            d = shared_d
+            for (x_out, d_out), scale in zip(outs, self.scales):
+                u, v = self.u[:k, :m], self.v[:k, :m]
+                if self.scaled is not None:
+                    u, v = (
+                        np.multiply(a, s, out=c[:k, :m])
+                        for a, s, c in zip((u, v), scale, self.scaled)
+                    )
+                # the first group's clean output serves every group
+                _, _, d, _ = synthesize_eiv_arrays(
+                    w[r0:r1], x, u, v, d, out=(x_out[r0:r1], d_out[r0:r1])
+                )
 
 
 class StreamProvider:
     """Streams every run's noisy samples through a ring of time-major rows.
 
-    segments is the piecewise truth [(start, end, (trials, L))], streams
-    each trial's (source, (input, output)) generators from run_streams and
-    noise one (input, output) pair per group. Every group holds a run of
-    each trial, so the G groups share the trial's source and truth, and
-    group g's run k is column g * trials + k of the ring; the provider's
-    own segments repeat the trial truths once per group, for the engine.
-    shared, the clean (n, L) regressors and (n,) output of a source and
-    truth that every run shares, replaces the source draws, the delay line
-    and the clean-output einsum. updates is the engine's updates of a run
-    per sample: 1, and one per reused sample.
-
-    One group draws its own pair. Several groups draw each trial's noise
-    once, as the unit pair that noise.unit_scale finds for every group's
-    pair, and write x~ = x + s_in u and d~ = d + s_out v with each group's
-    scales (s_in, s_out); pairs that do not scale one unit pair raise
-    ValueError.
+    segments is the piecewise truth [(start, end, (trials, L))]; noise,
+    streams and shared are _TrialCursor's. Every group holds a run of each
+    trial, so the G groups share the trial's source and truth, and group
+    g's run k is column g * trials + k of the ring; the provider's own
+    segments repeat the trial truths once per group, for the engine.
+    updates is the engine's updates of a run per sample: 1, and one per
+    reused sample.
 
     The ring holds sample i in row i % rows of (rows, G * trials, L)
     regressors and (rows, G * trials) outputs, rows = min(n, capacity - 1
     + chunk); the latest `capacity` samples stay available to past(). A
-    span is the most samples whose draws of one trial fit the scratch
-    below. A chunk is max(1, _CHUNK // G) samples, but at most n and at
-    most two spans: a longer one would only widen a long filter's ring.
-    The ring is filled piece by piece, and a piece is at most a span long
-    and ends at a segment boundary (so it has one truth per trial) and at
-    the ring's end. Each trial's source, input and output noise draws go
-    into a trial-major scratch of _SCRATCH bytes, a batch of trials and
-    the piece's samples at a time; the batch's delay line and clean output
-    are then computed once, and every group's x~ and d~ written straight
-    into the ring (several groups scale the noise into a copy of its
-    scratch first). Draws into consecutive pieces reproduce the one-shot
-    sequence, so the samples do not depend on the chunk or the batch. A
-    family whose draws do depend on it (ggd) raises ValueError.
+    span is the most samples whose draws of one trial fit _SCRATCH bytes,
+    and a cursor draws as many trials at a time as fit them. A chunk is
+    max(1, _CHUNK // G) samples, but at most n and at most two spans: a
+    longer one would only widen a long filter's ring. The ring is filled
+    piece by piece, and a piece is at most a span long and ends at a
+    segment boundary (so it has one truth per trial) and at the ring's end.
 
     When a trial draws at least _FORKED values per half chunk, forked
     producer processes (rtga.producer) fill the ring, which then lives in
-    an anonymous shared mapping, in half-chunk pieces. Each producer owns a
-    contiguous range of trials, draws only their generators and writes only
-    their columns, in every group. A pass without reuse and with one group
-    forks _PRODUCERS of them, and every other pass one, but no more than
-    one per trial or one per CPU the process may run on. The rule is
-    measured: in-process on a 2-vCPU host, the fill took 1.50-1.60 times
-    the engine's time on sysid-wide (no reuse, one group) and 0.23-0.69
-    times on the other benchmark workloads (each with reuse or several
-    groups), where a second producer would take CPU time from the engine.
-    Entering a piece, the engine asks every producer for the pieces that
-    end within a chunk of its start, so none overwrites a row that past()
-    may still serve. Each producer answers each piece with None or the
-    exception it caught, and the engine takes one answer from every
-    producer before it serves the piece, raising the first exception in
-    producer order; after the fork only a trial's producer touches its
-    generators. A trial's draws do not depend on the process that makes
-    them, so neither do the rows. Smaller fills, and every fill where
-    os.fork is missing, run in the engine's process in pieces of up to a
-    chunk: for a short pass the fork costs more than the overlap saves.
-    close(), or leaving a with-block, kills and reaps the producers, and a
-    later fill raises.
+    an anonymous shared mapping, in half-chunk pieces. Each producer fills
+    the columns of a contiguous range of trials, in every group, through
+    its own cursor. A pass without reuse and with one group forks
+    _PRODUCERS of them, and every other pass one, but no more than one per
+    trial or one per CPU the process may run on. The rule is measured:
+    in-process on a 2-vCPU host, the fill took 1.50-1.60 times the
+    engine's time on sysid-wide (no reuse, one group) and 0.23-0.69 times
+    on the other benchmark workloads (each with reuse or several groups),
+    where a second producer would take CPU time from the engine. Entering
+    a piece, the engine asks every producer for the pieces that end within
+    a chunk of its start, so none overwrites a row that past() may still
+    serve. Each producer answers each piece with None or the exception it
+    caught, and the engine takes one answer from every producer before it
+    serves the piece, raising the first exception in producer order. A
+    trial's draws do not depend on the process that makes them, so neither
+    do the rows. Smaller fills, and every fill where os.fork is missing,
+    run inline through one cursor in pieces of up to a chunk: for a short
+    pass the fork costs more than the overlap saves. close(), or leaving a
+    with-block, kills and reaps the producers, and a later fill raises.
     """
 
     _CHUNK = 1024
@@ -242,20 +296,7 @@ class StreamProvider:
         updates: int = 1,
     ):
         groups = len(noise)
-        for spec in (s for pair in noise for s in pair):
-            if spec.family == "ggd":
-                raise ValueError(
-                    f"the stream provider cannot draw {spec}: the ggd family draws a "
-                    "span's gamma magnitudes, then its signs, from one generator, so "
-                    "its samples would depend on how the stream is split into pieces"
-                )
-        if groups == 1:
-            self.unit, self.scales = noise[0], [(1.0, 1.0)]
-        else:
-            self.unit, self.scales = _unit_pair(noise)
         self.segments = [(a, b, np.tile(w, (groups, 1))) for a, b, w in segments]
-        self.streams = streams
-        self.shared = shared
         self.cap = capacity
         trials, L = segments[0][2].shape
         n = segments[-1][1]
@@ -268,26 +309,29 @@ class StreamProvider:
         self.rows = min(n, capacity - 1 + self.chunk)
         half = max(1, self.chunk // 2)
         self.forks = half * per_sample >= self._FORKED and hasattr(os, "fork")
-        # the most producers the fill needs (see the class docstring)
-        self._most = self._PRODUCERS if groups * updates == 1 else 1
         shapes = (self.rows, groups * trials, L), (self.rows, groups * trials)
+        count = 1
         if self.forks:
             # imported here, so that setting up an experiment does not pay for it
-            from .producer import shared_arrays
+            from .producer import cpu_count, shared_arrays
 
             self.x, self.d = shared_arrays(*shapes)
+            # the producer count (see the class docstring)
+            count = min(trials, cpu_count(), self._PRODUCERS if groups * updates == 1 else 1)
         else:
             self.x, self.d = map(np.empty, shapes)
         piece = min(half if self.forks else self.chunk, span)
-        self.batch = min(trials, max(1, values // (piece * per_sample)))
-        self.u = np.empty((self.batch, piece, L))
-        self.v = np.empty((self.batch, piece))
-        # a group's scaled noise, when several groups scale the unit draws
-        self.scaled = (np.empty_like(self.u), np.empty_like(self.v)) if groups > 1 else None
-        # per-trial delay lines: the newest L-1 source samples, then the new ones
-        self.carry = np.zeros((trials, L - 1))
-        self.line = np.empty((self.batch, L - 1 + piece))
-        self.windows = sliding_window_view(self.line, L, axis=1)[:, :, ::-1]
+        batch = max(1, values // (piece * per_sample))
+        bounds = [trials * k // count for k in range(count + 1)]
+        self._cursors = [
+            _TrialCursor(noise, streams, L, piece, batch, shared, slice(*ends))
+            for ends in zip(bounds, bounds[1:])
+        ]
+        # the ring as the (G, trials, rows[, L]) views that the cursors write
+        self._views = [
+            np.moveaxis(a.reshape(self.rows, groups, trials, *a.shape[2:]), 0, 2)
+            for a in (self.x, self.d)
+        ]
         self.pieces = []
         for seg_start, seg_end, w_seg in segments:
             a = seg_start
@@ -302,56 +346,11 @@ class StreamProvider:
         self._asked = 0  # pieces asked of the producers
         self._producers = []
 
-    def _fill(self, start: int, end: int, w_seg: np.ndarray, lo: int, hi: int) -> None:
-        """Synthesize the piece [start, end) of trials [lo, hi) into the ring."""
-        lag = self.carry.shape[1]
-        trials = len(self.streams)
-        m = end - start
-        rows = slice(start % self.rows, start % self.rows + m)
-        shared_d = None
-        if self.shared is not None:
-            x, shared_d = (a[start:end] for a in self.shared)
-        for r0 in range(lo, hi, self.batch):
-            r1 = min(r0 + self.batch, hi)
-            k = r1 - r0
-            if self.shared is None:
-                self.line[:k, :lag] = self.carry[r0:r1]
-            for b, r in enumerate(range(r0, r1)):
-                source_rng, (u_rngs, v_rngs) = self.streams[r]
-                if self.shared is None:
-                    source_rng.standard_normal(out=self.line[b, lag:lag + m])
-                sample_mixture_split(self.unit[0], *u_rngs, out=self.u[b, :m])
-                sample_mixture_split(self.unit[1], *v_rngs, out=self.v[b, :m])
-            if self.shared is None:
-                self.carry[r0:r1] = self.line[:k, m:m + lag]
-                x = self.windows[:k, :m]
-            d = shared_d
-            for g, scale in enumerate(self.scales):
-                u, v = self.u[:k, :m], self.v[:k, :m]
-                if self.scaled is not None:
-                    u, v = (
-                        np.multiply(a, s, out=c[:k, :m])
-                        for a, s, c in zip((u, v), scale, self.scaled)
-                    )
-                cols = slice(g * trials + r0, g * trials + r1)
-                # the first group's clean output serves every group
-                _, _, d, _ = synthesize_eiv_arrays(
-                    w_seg[r0:r1], x, u, v, d,
-                    out=(self.x[rows, cols].transpose(1, 0, 2), self.d[rows, cols].T),
-                )
-
-    def _fork(self) -> None:
-        """Fork the producers, each owning a trial range (see the class docstring)."""
-        from .producer import Producer, cpu_count
-
-        trials = len(self.streams)
-        count = min(trials, cpu_count(), self._most)
-        bounds = [trials * k // count for k in range(count + 1)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            def fill(k: int, lo: int = lo, hi: int = hi) -> None:
-                self._fill(*self.pieces[k], lo, hi)
-
-            self._producers.append(Producer(fill))
+    def _fill(self, cursor: _TrialCursor, start: int, end: int, w_seg: np.ndarray) -> None:
+        """Write the piece [start, end) of cursor's trials into the ring."""
+        rows = slice(start % self.rows, start % self.rows + end - start)
+        x, d = (view[:, cursor.trials, rows] for view in self._views)
+        cursor.write(start, end, w_seg[cursor.trials], list(zip(x, d)))
 
     def _enter_piece(self) -> None:
         """Make the engine's next piece ready: fill it, or take the producers' answers."""
@@ -361,11 +360,14 @@ class StreamProvider:
         self._next += 1
         self._mark = end
         if not self.forks:
-            self._fill(start, end, w_seg, 0, len(self.streams))
+            self._fill(self._cursors[0], start, end, w_seg)
             return
         try:
             if not self._producers:
-                self._fork()
+                from .producer import Producer
+
+                for c in self._cursors:
+                    self._producers.append(Producer(lambda k, c=c: self._fill(c, *self.pieces[k])))
             asked = self._asked
             while self._asked < len(self.pieces) and self.pieces[self._asked][1] <= start + self.chunk:
                 self._asked += 1
@@ -676,20 +678,19 @@ def _trial_provider(
 ) -> StreamProvider:
     """The provider of every trial, holding the reuse schedule's reach.
 
-    noise holds one (input, output) pair per group of cfg.mc_runs runs;
-    run r of every group is trial r, which roots at
-    SeedSequence(base_seed + r), so the groups share the trial's
-    generators, and the provider draws each trial once. Trial r draws its
-    truth from its system stream unless w_o is given, and its source from
-    its source stream unless shared, the clean regressors and clean output
-    (through w_o) of a source every run shares, is given. The truth follows
-    cfg.truth_shifts().
+    noise holds one (input, output) pair per group of cfg.mc_runs runs.
+    Run r of every group is trial r, rooted at SeedSequence(base_seed + r),
+    so the groups share the trial's generators, which one cursor draws
+    once. Trial r draws its truth from its system stream unless w_o is
+    given, and its source from its source stream unless shared, the clean
+    regressors and clean output (through w_o) of a source every run shares,
+    is given. The truth follows cfg.truth_shifts().
     """
     n, L, runs = cfg.n_samples, cfg.order, cfg.mc_runs
     WO = np.empty((runs, L))
     streams = []
     for r in range(runs):
-        # groups that share draws build the same generators (see _unit_pair)
+        # groups that share draws build the same generators (see _TrialCursor)
         system_rng, *trial_streams = run_streams(cfg.base_seed, r, noise[0])
         WO[r] = draw_true_weights(system_rng, L) if w_o is None else w_o
         streams.append(trial_streams)
@@ -883,17 +884,14 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     params = cfg.resolved_params()
     pair = case_spec(cfg.case_id)
     n = cfg.sweep.draws
-    x_tilde, d_tilde = np.empty((n, SWEEP_TRUTH.size)), np.empty(n)
-    # trial 0's stream, copied out a sample at a time, so the ring keeps no history
-    streams = [run_streams(cfg.base_seed, 0, pair)[1:]]
-    with StreamProvider([(0, n, SWEEP_TRUTH[None])], [pair], streams, 1) as provider:
-        for i in range(n):
-            x, d = provider.step(i)
-            x_tilde[i], d_tilde[i] = x[0], d[0]
+    x_tilde, d_tilde = np.empty((1, n, SWEEP_TRUTH.size)), np.empty((1, n))
+    cursor = _TrialCursor([pair], [run_streams(cfg.base_seed, 0, pair)[1:]], SWEEP_TRUTH.size, n, 1)
+    cursor.write(0, n, SWEEP_TRUTH[None], [(x_tilde, d_tilde)])
+    del cursor  # its whole-stream scratch, before the grid's larger arrays
     axis = np.linspace(cfg.sweep.grid_min, cfg.sweep.grid_max, cfg.sweep.points)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     Wg = np.column_stack([g1.ravel(), g2.ravel()])
-    e = d_tilde[None, :] - Wg @ x_tilde.T
+    e = d_tilde - Wg @ x_tilde[0].T
     mean_cost = np.asarray(cost(e, Wg[:, None, :], params)).mean(axis=1)
     return ExperimentResult(
         mode="sweep",

@@ -1,4 +1,4 @@
-"""Records which process runs each of the stream provider's fills.
+"""Records which process runs each of the stream provider's cursor writes.
 
 A forked producer fills in a child process, whose memory is its own, so
 the record goes through a file, which crosses the fork.
@@ -12,24 +12,24 @@ from rtga import runner
 
 
 def record_fills(monkeypatch, log, fault_at=None, trial=None):
-    """Append the pid of every fill's process to the file log.
+    """Append the pid of every cursor write's process to the file log.
 
-    The fault_at-th fill, counted in the process that runs it, raises
+    The fault_at-th write, counted in the process that runs it, raises
     MemoryError instead of synthesizing; given a trial, only in the
-    process whose fills draw that trial.
+    process whose cursor draws that trial.
     """
     fills = []
-    fill = runner.StreamProvider._fill
+    write = runner._TrialCursor.write
 
-    def recording(self, start, end, w_seg, lo, hi):
+    def recording(self, start, end, w, outs):
         fills.append(None)
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        if len(fills) == fault_at and (trial is None or lo <= trial < hi):
+        if len(fills) == fault_at and (trial is None or self.trials.start <= trial < self.trials.stop):
             raise MemoryError("Unable to allocate 2.00 MiB for an array")
-        return fill(self, start, end, w_seg, lo, hi)
+        return write(self, start, end, w, outs)
 
-    monkeypatch.setattr(runner.StreamProvider, "_fill", recording)
+    monkeypatch.setattr(runner._TrialCursor, "write", recording)
 
 
 def fill_pids(log):

@@ -35,6 +35,31 @@ def test_benchmark_tracer_hooks_resolve(monkeypatch):
     assert set(seen) == set(spans.SPAN_NAMES)
 
 
+def test_benchmark_span_hooks_see_the_draws(monkeypatch):
+    # bench/spans.py times the noise draws and the synthesis by wrapping
+    # runner.sample_mixture_split and runner.synthesize_eiv_arrays; a draw
+    # path that called them under other names would time nothing. Both
+    # passes fill inline, so the calls happen in this process.
+    calls = {}
+    for name in ("sample_mixture_split", "synthesize_eiv_arrays"):
+        def counting(*args, _name=name, _fn=getattr(runner, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(runner, name, counting)
+    passes = [
+        (runner.run_sysid, config.ExperimentConfig(mode="sysid", n_samples=300, mc_runs=2)),
+        (runner.run_theory_compare, config.ExperimentConfig(
+            mode="theory", n_samples=300, mc_runs=2,
+            theory=config.TheoryConfig(variances=(0.1,)),
+        )),
+    ]
+    for run, cfg in passes:
+        calls.update(sample_mixture_split=0, synthesize_eiv_arrays=0)
+        run(cfg)
+        assert min(calls.values()) > 0, (cfg.mode, calls)
+
+
 def test_ablation_script_imports():
     # The README's ablation table comes from this script; it resolves a
     # preset at import time, so an API change would break it unseen.

@@ -173,6 +173,37 @@ def test_short_far_end_wav_exits_1(tmp_path, capsys):
     assert err == "error: far-end audio has 700 samples; 1000 requested\n"
 
 
+@pytest.mark.parametrize(
+    ("content", "reason"),
+    [
+        (b"this is a plain text file, not audio at all\n", "file does not start with RIFF id"),
+        (b"RIFF", "it ends early"),
+        (b"RIFF\x04\x00\x00\x00WAVE", "fmt chunk and/or data chunk missing"),
+    ],
+    ids=["text", "riff_only", "header_only"],
+)
+def test_malformed_far_end_wav_exits_1(tmp_path, capsys, content, reason):
+    wav = tmp_path / "far.wav"
+    wav.write_bytes(content)
+    ini = tmp_path / "aec.ini"
+    ini.write_text(f"[aec]\nfar_end = {wav}\n")
+    rc = main(["aec", "--config", str(ini), "--runs", "1", "--samples", "1000"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read WAV file {wav}: {reason}\n"
+
+
+def test_non_utf8_echo_path_exits_1_naming_the_file(tmp_path, capsys):
+    taps = tmp_path / "echo.txt"
+    taps.write_bytes(b"0.01\n" * 99 + b"0.01\xff\n" + b"0.01\n" * 412)
+    ini = tmp_path / "aec.ini"
+    ini.write_text(f"[aec]\necho_path = {taps}\n")
+    rc = main(["aec", "--config", str(ini), "--runs", "1", "--samples", "1000"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {taps}:100: cannot parse '0.01\\udcff' as a real number\n"
+
+
 @pytest.mark.parametrize("token", ["nan", "inf"])
 def test_non_finite_echo_tap_exits_1_with_one_line(tmp_path, capsys, token):
     # rejected with its line, before it can pass for the filter's divergence
@@ -255,6 +286,15 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = main(["sysid", "--config", str(tmp_path / "nope.ini")])
     assert rc == 2
     assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(b"[experiment]\nruns = 2\xff\n")
+    assert main(["sysid", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {ini}: 'utf-8' codec can't decode")
+    assert "Traceback" not in err
 
 
 def test_sweep_writes_grid_csv(tmp_path, capsys):

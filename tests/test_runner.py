@@ -20,7 +20,7 @@ from rtga.config import AlgorithmConfig, ExperimentConfig, TheoryConfig
 from rtga.dataio import AecAssets, synth_echo_path
 from rtga.filters import RtgaParams, gradient
 from rtga.metrics import iterations_to_level
-from rtga.noise import NoiseSpec, case_spec, sample_mixture_split
+from rtga.noise import NoiseSpec, case_spec, sample_mixture_split, unit_scale
 from rtga.reuse import ReuseConfig, schedule
 from rtga.runner import (
     DIVERGENCE_FACTOR,
@@ -688,6 +688,64 @@ class TestStreamProvider:
             runner._trial_provider(cfg, pairs)
         for spec in (*pairs[0], *other):
             assert str(spec) in str(info.value)
+
+
+def _scaled_pairs(pair, groups):
+    """groups pairs that scale pair's unit pair: each side that factors
+    (noise.unit_scale) takes a per-group variance, the others stay."""
+    factors = (1.0, 0.3, 2.0)[:groups]
+    return [
+        tuple(replace(s, variance=s.variance * f) if unit_scale(s)[0] != s else s for s in pair)
+        for f in factors
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case_id=st.integers(1, 5),
+    groups=st.sampled_from([1, 3]),
+    shared=st.booleans(),
+    span=st.integers(1, 70),
+    batch=st.integers(1, 3),
+    data=st.data(),
+)
+def test_cursor_writes_do_not_depend_on_the_split(case_id, groups, shared, span, batch, data):
+    # Trial cursors over any split of the trials, writing consecutive
+    # pieces of at most a span of [0, n), give the rows of one one-trial-
+    # batch cursor that writes [0, n) at once, as the sweep does.
+    n, L, trials, seed = 150, 4, 3, 7
+    pairs = _scaled_pairs(case_spec(case_id), groups)
+    rng = np.random.default_rng(case_id)
+    truths = rng.standard_normal((trials, L))
+    source = None
+    if shared:
+        truths[:] = truths[0]
+        x = delay_line_matrix(rng.standard_normal(n), L)
+        source = (x, clean_output(x, truths[0]))
+
+    def cursor(span, batch, cut=slice(None)):
+        streams = [run_streams(seed, r, pairs[0])[1:] for r in range(trials)]
+        return runner._TrialCursor(pairs, streams, L, span, batch, source, cut)
+
+    def rows():
+        return [(np.empty((trials, n, L)), np.empty((trials, n))) for _ in pairs]
+
+    whole = rows()
+    cursor(n, 1).write(0, n, truths, whole)
+    split = rows()
+    cut = data.draw(st.integers(0, trials), label="trial cut")
+    for part in (slice(0, cut), slice(cut, trials)):
+        if part.start == part.stop:
+            continue
+        piecewise = cursor(span, batch, part)
+        a = 0
+        while a < n:
+            b = a + data.draw(st.integers(1, min(span, n - a)), label="piece")
+            piecewise.write(a, b, truths[part], [(x[part, a:b], d[part, a:b]) for x, d in split])
+            a = b
+    for (x, d), (x_split, d_split) in zip(whole, split):
+        np.testing.assert_array_equal(x_split, x)
+        np.testing.assert_array_equal(d_split, d)
 
 
 def _theory_rows(cfg):
