@@ -6,7 +6,7 @@ and the synthetic fallbacks used when no recorded assets are supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 import math
 import wave
 
@@ -33,28 +33,31 @@ class AecAssets:
 
     far_end: np.ndarray
     echo_path: np.ndarray
+    # what the error messages call the two, such as the files they came from
+    names: InitVar[tuple[str, str]] = ("far-end audio", "echo path")
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, names: tuple[str, str]) -> None:
         far = np.asarray(self.far_end, dtype=float)
         path = np.asarray(self.echo_path, dtype=float)
         object.__setattr__(self, "far_end", far)
         object.__setattr__(self, "echo_path", path)
+        far_name, path_name = names
         if far.size == 0:
-            raise ValueError("far-end audio is empty")
+            raise ValueError(f"{far_name} is empty")
         # so that a non-finite value inside a pass can only be divergence
         if not np.isfinite(far).all():
-            raise ValueError("far-end audio has a non-finite sample")
+            raise ValueError(f"{far_name} has a non-finite sample")
         if not np.isfinite(path).all():
-            raise ValueError("echo path has a non-finite tap")
+            raise ValueError(f"{path_name} has a non-finite tap")
         if np.abs(far).max() > 1.0 + 1e-9:
-            raise ValueError("far-end audio must be normalized to [-1, 1]")
+            raise ValueError(f"{far_name} must be normalized to [-1, 1]")
         if path.shape != (ECHO_PATH_LEN,):
             raise ValueError(
-                f"echo path must have exactly {ECHO_PATH_LEN} taps, got {path.shape}"
+                f"{path_name} must have exactly {ECHO_PATH_LEN} taps, got {path.shape}"
             )
         if not path.any():
             # the NMSD divides by the path's squared norm
-            raise ValueError("echo path has no nonzero tap")
+            raise ValueError(f"{path_name} has no nonzero tap")
 
 
 def write_csv(curves: dict, path: str) -> None:
@@ -97,20 +100,15 @@ def load_wav(path: str) -> AudioClip:
         raise ValueError(f"cannot read WAV file {path}: {str(exc) or 'it ends early'}") from exc
     with wav:
         if wav.getcomptype() != "NONE":
-            raise ValueError(
-                f"unsupported WAV compression type {wav.getcomptype()!r}; "
-                "only linear PCM is supported"
-            )
-        if wav.getnchannels() != 1:
-            raise ValueError(
-                f"unsupported WAV channel count {wav.getnchannels()}; "
-                "only mono input is supported"
-            )
-        if wav.getsampwidth() != 2:
-            raise ValueError(
-                f"unsupported WAV sample width {8 * wav.getsampwidth()} bits; "
-                "only 16-bit PCM is supported"
-            )
+            problem = f"compression type {wav.getcomptype()!r}; only linear PCM is supported"
+        elif wav.getnchannels() != 1:
+            problem = f"channel count {wav.getnchannels()}; only mono input is supported"
+        elif wav.getsampwidth() != 2:
+            problem = f"sample width {8 * wav.getsampwidth()} bits; only 16-bit PCM is supported"
+        else:
+            problem = None
+        if problem:
+            raise ValueError(f"cannot read WAV file {path}: unsupported {problem}")
         raw = wav.readframes(wav.getnframes())
         rate = wav.getframerate()
     samples = np.frombuffer(raw, dtype="<i2").astype(float) / 32768.0

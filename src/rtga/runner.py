@@ -753,17 +753,20 @@ run_tracking = run_sysid
 def load_aec_assets(cfg: ExperimentConfig) -> tuple[AecAssets, list[str]]:
     """Resolve configured assets; synthetic substitutions are labeled."""
     notes = []
+    names = ["far-end audio", "echo path"]
     if cfg.aec.far_end == "synthetic":
         far = synth_far_end(cfg.n_samples)
         notes.append("far end: synthetic AR(1) process (pole 0.9), peak-normalized")
     else:
         far = load_wav(cfg.aec.far_end).samples[: cfg.n_samples]
+        names[0] = f"{cfg.aec.far_end}: far-end audio"
     if cfg.aec.echo_path == "synthetic":
         echo = synth_echo_path()
         notes.append("echo path: synthetic exponential-decay taps, unit norm")
     else:
         echo = load_echo_path(cfg.aec.echo_path)
-    return AecAssets(far_end=far, echo_path=echo), notes
+        names[1] = f"{cfg.aec.echo_path}: echo path"
+    return AecAssets(far_end=far, echo_path=echo, names=tuple(names)), notes
 
 
 def run_aec(
@@ -845,7 +848,6 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
             sigma_o2=s2,
             alpha=cfg.theory.alpha,
             params=params,
-            p_t=1.0 - cfg.censoring.p_ce,
         )
         theory.append(float(to_db(steady_state_msd(t, params.mu))))
     labels = [f"variance {s2:g}" for s2 in variances]

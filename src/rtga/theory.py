@@ -64,7 +64,6 @@ class TheoryInputs:
     sigma_i2 / sigma_o2: input/output noise variances.
     alpha: GGD shape attributed to the normalized optimal error.
     params: full-shape cost parameters; params.phi must equal sigma_o2 / sigma_i2.
-    p_t: update probability (1 - censoring ratio).
     """
 
     R: np.ndarray
@@ -73,7 +72,6 @@ class TheoryInputs:
     sigma_o2: float
     alpha: float
     params: RtgaParams
-    p_t: float = 1.0
 
     def __post_init__(self) -> None:
         self.R = np.asarray(self.R, dtype=float)
@@ -89,8 +87,6 @@ class TheoryInputs:
             raise ValueError("ggd shape alpha must be > 0")
         if self.sigma_i2 < 0 or self.sigma_o2 < 0:
             raise ValueError("noise variances must be non-negative")
-        if not 0.0 < self.p_t <= 1.0:
-            raise ValueError("p_t must lie in (0, 1]")
         if self.params.family is not None:
             raise ValueError("the steady-state analysis covers the full shape only")
         if self.sigma_i2 > 0:
@@ -134,21 +130,22 @@ def hessian_at_optimum(t: TheoryInputs) -> np.ndarray:
     h1a, h2a = _moment_coefficients(t)
     b1 = _input_noise_bracket(t)
     b2 = t.R / t.wbar2
-    return t.p_t * (h1a * b1 + h2a * b2)
+    return h1a * b1 + h2a * b2
 
 
 def max_step_size(t: TheoryInputs) -> float:
-    """Largest mean-stable step size predicted by the analysis."""
-    h1a, h2a = _moment_coefficients(t)
-    lam1 = float(np.linalg.eigvalsh(_input_noise_bracket(t)).max())
-    lam2 = float(np.linalg.eigvalsh(t.R / t.wbar2).max())
-    denom = t.p_t * (h1a * lam1 + h2a * lam2)
-    if denom <= 0:
+    """Largest mean-stable step size, 2 / lambda_max(H).
+
+    No step is stable when H has a non-positive eigenvalue, the rule
+    steady_state_msd applies too.
+    """
+    lam = np.linalg.eigvalsh(hessian_at_optimum(t))
+    if lam[0] <= 0:
         raise ValueError(
             "stability bound indeterminate: non-positive curvature estimate "
             "(parameters outside the first-order regime)"
         )
-    return 2.0 / denom
+    return 2.0 / float(lam[-1])
 
 
 def gradient_noise_covariance(t: TheoryInputs) -> np.ndarray:

@@ -193,6 +193,41 @@ def test_malformed_far_end_wav_exits_1(tmp_path, capsys, content, reason):
     assert err == f"error: cannot read WAV file {wav}: {reason}\n"
 
 
+def _wav(path, channels, width, frames):
+    import wave
+
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(channels)
+        fh.setsampwidth(width)
+        fh.setframerate(8000)
+        fh.writeframes(b"\x00" * channels * width * frames)
+
+
+@pytest.mark.parametrize(
+    ("key", "name", "write", "problem"),
+    [
+        ("far_end", "far.wav", lambda p: _wav(p, 2, 2, 10),
+         "cannot read WAV file {}: unsupported channel count 2; only mono input is supported"),
+        ("far_end", "far.wav", lambda p: _wav(p, 1, 1, 10),
+         "cannot read WAV file {}: unsupported sample width 8 bits; "
+         "only 16-bit PCM is supported"),
+        ("far_end", "far.wav", lambda p: _wav(p, 1, 2, 0), "{}: far-end audio is empty"),
+        ("echo_path", "echo.txt", lambda p: p.write_text("0.0\n" * 512),
+         "{}: echo path has no nonzero tap"),
+    ],
+    ids=["stereo_wav", "8_bit_wav", "empty_wav", "zero_echo_path"],
+)
+def test_unusable_aec_file_exits_1_naming_the_file(tmp_path, capsys, key, name, write, problem):
+    asset = tmp_path / name
+    write(asset)
+    ini = tmp_path / "aec.ini"
+    ini.write_text(f"[aec]\n{key} = {asset}\n")
+    rc = main(["aec", "--config", str(ini), "--runs", "1", "--samples", "1000"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {problem.format(asset)}\n"
+
+
 def test_non_utf8_echo_path_exits_1_naming_the_file(tmp_path, capsys):
     taps = tmp_path / "echo.txt"
     taps.write_bytes(b"0.01\n" * 99 + b"0.01\xff\n" + b"0.01\n" * 412)

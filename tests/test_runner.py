@@ -1214,6 +1214,30 @@ class TestTheoryAndSweep:
         for row in results.values():
             assert abs(row["gap_db"]) < 2.0
 
+    def test_theory_matches_simulation_under_censoring(self):
+        # The gate keeps the large errors, so it thins the curvature and the
+        # gradient noise alike and the first-order MSD does not move with
+        # p_ce. Gaussian output at variance 0.1, then criterion 5's Laplace
+        # setting.
+        cases = [
+            (AlgorithmConfig(name="rtga"), TheoryConfig(variances=(0.1,))),
+            (AlgorithmConfig(name="rtga", a=-100.0, b=1.9, c=0.1),
+             TheoryConfig(variances=(0.1,), output_family="laplace")),
+        ]
+        rows = []
+        for p_ce in (0.3, 0.7):
+            for algorithm, theory in cases:
+                res = run_theory_compare(ExperimentConfig(
+                    mode="theory", order=9, n_samples=20_000, mc_runs=100,
+                    algorithm=algorithm, theory=theory,
+                    censoring=CensorConfig(p_ce=p_ce),
+                ))
+                rows += [(p_ce, row) for row in res.table]
+        print(", ".join(
+            f"p_ce {p_ce} {row['label']}: gap {row['gap_db']:+.2f} dB" for p_ce, row in rows
+        ))
+        assert all(abs(row["gap_db"]) <= 1.0 for _, row in rows)
+
     @pytest.mark.parametrize(
         "family, p_ce, reuse",
         [

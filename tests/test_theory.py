@@ -26,7 +26,6 @@ def make_inputs(
     a=-100.0,
     b=2.0,
     c=0.1,
-    p_t=1.0,
     R=None,
 ):
     w_o = np.asarray(w_o, dtype=float)
@@ -36,7 +35,7 @@ def make_inputs(
     params = RtgaParams(a=a, b=b, c=c, mu=0.01, phi=phi)
     return TheoryInputs(
         R=R, w_o=w_o, sigma_i2=sigma_i2, sigma_o2=sigma_o2,
-        alpha=alpha, params=params, p_t=p_t,
+        alpha=alpha, params=params,
     )
 
 
@@ -83,8 +82,6 @@ def test_inputs_validation():
             R=np.eye(2), w_o=np.array([1.0, 0.0]), sigma_i2=0.1, sigma_o2=0.2,
             alpha=2.0, params=RtgaParams(a=-100.0, b=2.0, c=0.1, mu=0.01, phi=1.0),
         )
-    with pytest.raises(ValueError, match="p_t"):
-        make_inputs(p_t=0.0)
     with pytest.raises(ValueError, match="alpha"):
         make_inputs(alpha=-1.0)
     # any order: the steady state is one L x L solve
@@ -136,19 +133,19 @@ def test_moment_pole_is_reported():
         hessian_at_optimum(t)
 
 
-def test_max_step_size_halves_when_pt_doubles():
-    lo = make_inputs(p_t=0.5)
-    hi = make_inputs(p_t=1.0)
-    assert max_step_size(lo) == pytest.approx(2 * max_step_size(hi), rel=1e-12)
-
-
 def test_max_step_size_zero_input_noise_closed_form():
-    # sigma_i^2 = 0 leaves H = p_t c R / ||w_bar||^2, so the bound is
-    # 2 ||w_bar||^2 / (p_t c lambda_max(R)).
+    # sigma_i^2 = 0 leaves H = c R / ||w_bar||^2, so the bound is
+    # 2 ||w_bar||^2 / (c lambda_max(R)).
     R = np.diag([1.0, 2.0])
-    t = make_inputs(sigma_i2=0.0, sigma_o2=0.0, R=R, c=0.25, p_t=0.8)
-    expected = 2 * t.wbar2 / (0.8 * 0.25 * 2.0)
+    t = make_inputs(sigma_i2=0.0, sigma_o2=0.0, R=R, c=0.25)
+    expected = 2 * t.wbar2 / (0.25 * 2.0)
     assert max_step_size(t) == pytest.approx(expected, rel=1e-12)
+
+
+def test_max_step_size_rejects_non_positive_curvature():
+    # a Laplace-shaped error at b = 1.9 leaves H negative definite
+    with pytest.raises(ValueError, match="non-positive curvature"):
+        max_step_size(make_inputs(alpha=1.0, b=1.9))
 
 
 def test_covariance_vanishes_without_input_noise():
@@ -171,11 +168,27 @@ def test_msd_divergent_step_raises():
         steady_state_msd(t, 2.5 * max_step_size(t))
 
 
-def _random_inputs(L, b, p_t, seed=53):
+@pytest.mark.parametrize("b", [1.9, 2.0, 2.4])
+def test_step_bound_and_msd_share_one_stability_rule(b):
+    # theory mode's comparison inputs at L = 9: the bound is 2 / lambda_max(H),
+    # and the MSD is finite just below it and divergent just above it
+    L = 9
+    t = make_inputs(w_o=np.ones(L) / math.sqrt(L), b=b)
+    bound = max_step_size(t)
+    assert bound == pytest.approx(
+        2.0 / np.linalg.eigvalsh(hessian_at_optimum(t)).max(), rel=1e-12, abs=0
+    )
+    assert math.isfinite(steady_state_msd(t, 0.99 * bound))
+    with pytest.raises(ValueError, match="divergent"):
+        steady_state_msd(t, 1.01 * bound)
+
+
+def _random_inputs(L, b, power, seed=53):
+    # power scales R and leaves the noise terms of H and S as they are
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((L, L))
-    R = G @ G.T / L + 0.5 * np.eye(L)
-    return make_inputs(w_o=rng.standard_normal(L), R=(R + R.T) / 2, b=b, p_t=p_t)
+    R = power * (G @ G.T / L + 0.5 * np.eye(L))
+    return make_inputs(w_o=rng.standard_normal(L), R=(R + R.T) / 2, b=b)
 
 
 def _kronecker_msd(t, mu):
@@ -189,20 +202,20 @@ def _kronecker_msd(t, mu):
 
 @pytest.mark.parametrize("L", [2, 5, 9])
 @pytest.mark.parametrize("b", [1.9, 2.0, 2.4])
-@pytest.mark.parametrize("p_t", [1.0, 0.7])
-def test_msd_matches_kronecker_fixed_point(L, b, p_t):
-    t = _random_inputs(L, b, p_t)
+@pytest.mark.parametrize("power", [1.0, 0.7])
+def test_msd_matches_kronecker_fixed_point(L, b, power):
+    t = _random_inputs(L, b, power)
     for mu in np.geomspace(1e-3, max_step_size(t) / 2, 6):
         assert steady_state_msd(t, mu) == pytest.approx(_kronecker_msd(t, mu), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("L", [2, 5, 9])
 @pytest.mark.parametrize("b", [1.9, 2.0, 2.4])
-@pytest.mark.parametrize("p_t", [1.0, 0.7])
-def test_msd_matches_eigen_decomposition_at_tiny_step(L, b, p_t):
+@pytest.mark.parametrize("power", [1.0, 0.7])
+def test_msd_matches_eigen_decomposition_at_tiny_step(L, b, power):
     # in H's eigenbasis the MSD is mu sum_i (Q^T S Q)_ii / (lam_i (2 - mu lam_i));
     # forming I - A^2 by subtraction, or the Kronecker solve, loses up to 3e-9 here
-    t = _random_inputs(L, b, p_t)
+    t = _random_inputs(L, b, power)
     mu = 1e-5
     lam, Q = np.linalg.eigh(hessian_at_optimum(t))
     proj = np.diag(Q.T @ gradient_noise_covariance(t) @ Q)
