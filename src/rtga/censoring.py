@@ -25,39 +25,22 @@ MAD_FACTOR = 1.483
 def censor_threshold(p_ce: float) -> float:
     """Threshold multiple kappa with P(|N(0,1)| < kappa) = p_ce.
 
-    kappa = sqrt(2) * erfinv(p_ce), computed to at least 10 significant
-    digits.
+    kappa = sqrt(2) * x for the least float x in [0, 6] with
+    math.erf(x) >= p_ce, found by bisection; erf(6) rounds to 1.
     """
     if p_ce < 0:
         raise ValueError("censoring ratio must be >= 0")
     if p_ce >= 1:
         raise ValueError("censoring ratio must be < 1 (threshold diverges)")
-    return math.sqrt(2.0) * _erfinv_newton(p_ce)
-
-
-def _erfinv_newton(y: float) -> float:
-    """Inverse error function by Newton iteration on math.erf.
-
-    Winitzki's closed-form approximation seeds the iteration; accuracy is
-    ~1e-15 on (-1, 1). Keeps the package free of platform special-function
-    dependencies.
-    """
-    if not -1.0 < y < 1.0:
-        raise ValueError("erfinv argument must lie in (-1, 1)")
-    if y == 0.0:
+    if p_ce == 0:
         return 0.0
-    a = 0.147
-    ln1m = math.log(1.0 - y * y)
-    t = 2.0 / (math.pi * a) + ln1m / 2.0
-    x = math.copysign(math.sqrt(math.sqrt(t * t - ln1m / a) - t), y)
-    two_over_sqrt_pi = 2.0 / math.sqrt(math.pi)
-    for _ in range(60):
-        err = math.erf(x) - y
-        step = err / (two_over_sqrt_pi * math.exp(-x * x))
-        x -= step
-        if abs(step) < 1e-15 * max(1.0, abs(x)):
-            break
-    return x
+    lo, hi = 0.0, 6.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if math.erf(mid) >= p_ce:
+            hi = mid
+        else:
+            lo = mid
+    return math.sqrt(2.0) * hi
 
 
 @dataclass(frozen=True)

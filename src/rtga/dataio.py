@@ -96,12 +96,10 @@ def load_wav(path: str) -> AudioClip:
     """Load a 16-bit mono linear PCM WAV file, scaled by 1/32768."""
     try:
         wav = wave.open(path, "rb")
-    except (wave.Error, EOFError) as exc:  # not RIFF/WAVE, or cut short
+    except (wave.Error, EOFError) as exc:  # not RIFF/WAVE, not PCM, or cut short
         raise ValueError(f"cannot read WAV file {path}: {str(exc) or 'it ends early'}") from exc
     with wav:
-        if wav.getcomptype() != "NONE":
-            problem = f"compression type {wav.getcomptype()!r}; only linear PCM is supported"
-        elif wav.getnchannels() != 1:
+        if wav.getnchannels() != 1:
             problem = f"channel count {wav.getnchannels()}; only mono input is supported"
         elif wav.getsampwidth() != 2:
             problem = f"sample width {8 * wav.getsampwidth()} bits; only 16-bit PCM is supported"

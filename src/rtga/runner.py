@@ -41,7 +41,7 @@ from .metrics import (
 )
 from .noise import NoiseSpec, case_spec, sample_mixture_split, unit_scale
 from .reuse import ReuseConfig, reach, schedule
-from .signal_model import delay_line_matrix, synthesize_eiv_arrays, wo_segments
+from .signal_model import clean_output, delay_line_matrix, synthesize_eiv_arrays, wo_segments
 from .theory import TheoryInputs, steady_state_msd
 
 # Calibrated squared norm of the randomly drawn true weight vectors.
@@ -795,7 +795,7 @@ def run_aec(
         warnings.warn("far-end audio is silent; results are degenerate")
     echo = assets.echo_path
     x_far = delay_line_matrix(far, cfg.order)
-    d_clean = x_far @ echo
+    d_clean = clean_output(x_far, echo)
     if noise is None:
         p_x = float(np.mean(far**2))
         p_d = float(np.mean(d_clean**2))

@@ -136,8 +136,8 @@ def hessian_at_optimum(t: TheoryInputs) -> np.ndarray:
 def max_step_size(t: TheoryInputs) -> float:
     """Largest mean-stable step size, 2 / lambda_max(H).
 
-    No step is stable when H has a non-positive eigenvalue, the rule
-    steady_state_msd applies too.
+    No step is stable when H has a non-positive eigenvalue.
+    steady_state_msd takes its stable range (0, max_step_size) from here.
     """
     lam = np.linalg.eigvalsh(hessian_at_optimum(t))
     if lam[0] <= 0:
@@ -161,8 +161,10 @@ def steady_state_msd(t: TheoryInputs, mu: float) -> float:
     With A = I - mu H symmetric, the fixed point mu^2 sum_k A^k S A^k has
     trace mu^2 tr[(I - A^2)^-1 S], and I - A^2 = mu H (2I - mu H). The
     product keeps the small eigenvalues that forming I - A^2 cancels away
-    at small mu. A variance near the float range overflows sigma_i^4, and
-    ValueError says so in place of numpy's warnings.
+    at small mu. The fixed point exists for mu in (0, max_step_size(t)),
+    and max_step_size's own ValueError reaches the caller. A variance near
+    the float range overflows sigma_i^4, and ValueError says so in place
+    of numpy's warnings.
     """
     overflow = ValueError(
         f"steady-state analysis overflows at noise variance {t.sigma_i2:g}"
@@ -172,9 +174,11 @@ def steady_state_msd(t: TheoryInputs, mu: float) -> float:
         if not np.isfinite(H).all():
             raise overflow
         eye = np.eye(H.shape[0])
-        if np.abs(np.linalg.eigvalsh(eye - mu * H)).max() >= 1.0:
+        bound = max_step_size(t)
+        if not 0.0 < mu < bound:
             raise ValueError(
-                f"divergent regime: spectral radius of I - mu H is >= 1 at mu={mu}"
+                f"divergent regime: mu={mu} lies outside the stable range "
+                f"(0, 2/lambda_max(H)) = (0, {bound:.6g})"
             )
         S = gradient_noise_covariance(t)
         msd = float(mu * np.trace(np.linalg.solve(H @ (2.0 * eye - mu * H), S)))

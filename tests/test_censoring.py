@@ -14,13 +14,16 @@ from rtga.censoring import (
 )
 
 # kappa = sqrt(2) erfinv(p); the 0.5 value is the normal third quartile.
+KAPPA_03 = 0.3853204664075676
 KAPPA_05 = 0.6744897501960818
 KAPPA_07 = 1.0364333894937896
 
 
 def test_threshold_frozen_values():
-    assert censor_threshold(0.5) == pytest.approx(KAPPA_05, abs=1e-12)
-    assert censor_threshold(0.7) == pytest.approx(KAPPA_07, abs=1e-12)
+    # bitwise: the censoring gate and the output digests see these floats
+    assert censor_threshold(0.3) == KAPPA_03
+    assert censor_threshold(0.5) == KAPPA_05
+    assert censor_threshold(0.7) == KAPPA_07
     assert censor_threshold(0.0) == 0.0
 
 

@@ -203,6 +203,17 @@ def _wav(path, channels, width, frames):
         fh.writeframes(b"\x00" * channels * width * frames)
 
 
+def _float_wav(path, frames):
+    # wave writes PCM only, so the IEEE-float header (format tag 3) is packed by hand
+    import struct
+
+    data = b"\x00" * 4 * frames
+    fmt = struct.pack("<HHIIHH", 3, 1, 8000, 4 * 8000, 4, 32)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(data)) + data
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
 @pytest.mark.parametrize(
     ("key", "name", "write", "problem"),
     [
@@ -212,10 +223,12 @@ def _wav(path, channels, width, frames):
          "cannot read WAV file {}: unsupported sample width 8 bits; "
          "only 16-bit PCM is supported"),
         ("far_end", "far.wav", lambda p: _wav(p, 1, 2, 0), "{}: far-end audio is empty"),
+        ("far_end", "far.wav", lambda p: _float_wav(p, 10),
+         "cannot read WAV file {}: unknown format: 3"),
         ("echo_path", "echo.txt", lambda p: p.write_text("0.0\n" * 512),
          "{}: echo path has no nonzero tap"),
     ],
-    ids=["stereo_wav", "8_bit_wav", "empty_wav", "zero_echo_path"],
+    ids=["stereo_wav", "8_bit_wav", "empty_wav", "float_wav", "zero_echo_path"],
 )
 def test_unusable_aec_file_exits_1_naming_the_file(tmp_path, capsys, key, name, write, problem):
     asset = tmp_path / name
@@ -280,6 +293,18 @@ def test_overflowing_theory_variance_exits_1_with_one_line(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "error: steady-state analysis overflows at noise variance 1e+300\n"
+
+
+def test_theory_negative_curvature_exits_1_naming_it(tmp_path, capsys):
+    # a Laplace-shaped error at b = 1.9 leaves the first-order curvature
+    # negative definite, so no step is stable, not merely the configured one
+    ini = tmp_path / "theory.ini"
+    ini.write_text("[algorithm]\nb = 1.9\n[theory]\nalpha = 1\noutput_family = laplace\n")
+    rc = main(["theory", "--config", str(ini), "--runs", "2", "--samples", "500"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: ") and "non-positive curvature" in err
 
 
 def test_full_shape_a_zero_exits_2(tmp_path, capsys):

@@ -148,6 +148,18 @@ def test_max_step_size_rejects_non_positive_curvature():
         max_step_size(make_inputs(alpha=1.0, b=1.9))
 
 
+def test_msd_rejects_non_positive_curvature_as_the_step_bound_does():
+    # no step is stable, so the MSD does not call mu = 0.05 merely too large
+    with pytest.raises(ValueError, match="non-positive curvature"):
+        steady_state_msd(make_inputs(alpha=1.0, b=1.9), 0.05)
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.01])
+def test_msd_non_positive_step_raises(mu):
+    with pytest.raises(ValueError, match="divergent"):
+        steady_state_msd(make_inputs(), mu)
+
+
 def test_covariance_vanishes_without_input_noise():
     t = make_inputs(sigma_i2=0.0, sigma_o2=0.0)
     np.testing.assert_array_equal(gradient_noise_covariance(t), np.zeros((2, 2)))
