@@ -393,6 +393,13 @@ def build_config(
                 )
     overrides = dict(overrides or {})
     out_path = overrides.pop("out", None)
+    if out_path:
+        # so an unwritable path fails before the run, not after it
+        directory = os.path.dirname(out_path)
+        if os.path.isdir(out_path):
+            errors.append(f"out: {out_path} is a directory")
+        elif directory and not os.path.isdir(directory):
+            errors.append(f"out: directory not found: {directory}")
     for name, value in overrides.items():
         if name not in _FLAGS:
             errors.append(

@@ -6,7 +6,7 @@ and the synthetic fallbacks used when no recorded assets are supplied.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 import math
 import wave
 
@@ -34,14 +34,14 @@ class AecAssets:
     far_end: np.ndarray
     echo_path: np.ndarray
     # what the error messages call the two, such as the files they came from
-    names: InitVar[tuple[str, str]] = ("far-end audio", "echo path")
+    names: tuple[str, str] = ("far-end audio", "echo path")
 
-    def __post_init__(self, names: tuple[str, str]) -> None:
+    def __post_init__(self) -> None:
         far = np.asarray(self.far_end, dtype=float)
         path = np.asarray(self.echo_path, dtype=float)
         object.__setattr__(self, "far_end", far)
         object.__setattr__(self, "echo_path", path)
-        far_name, path_name = names
+        far_name, path_name = self.names
         if far.size == 0:
             raise ValueError(f"{far_name} is empty")
         # so that a non-finite value inside a pass can only be divergence

@@ -5,7 +5,8 @@ picks l_reused samples evenly spread over the stored past, which
 decorrelates the reused regressors; dr repeats the current sample; undr
 replays the most recent consecutive samples. An optional window cap bounds
 how far back the uniform schedule may reach, for tracking and
-echo-cancellation use where stale data misleads.
+echo-cancellation use where stale data misleads. schedule states each
+scheme once; reach, the history a pass must keep, reads it.
 """
 
 from __future__ import annotations
@@ -53,17 +54,6 @@ def idr_indices(i: int, L: int, l_reused: int, window_cap: int | None = None) ->
     return [anchor + (span * ii) // (l_reused + 1) for ii in range(1, l_reused + 1)]
 
 
-def dr_indices(i: int, l_reused: int) -> list[int]:
-    """Repeat the current sample."""
-    return [i] * l_reused
-
-
-def undr_indices(i: int, L: int, l_reused: int) -> list[int]:
-    """Most recent consecutive past samples, oldest first."""
-    start = max(L, i - l_reused)
-    return list(range(start, i))
-
-
 def schedule(cfg: ReuseConfig, i: int, L: int) -> list[int]:
     """Reuse indices for iteration i, empty while history is too short.
 
@@ -77,17 +67,14 @@ def schedule(cfg: ReuseConfig, i: int, L: int) -> list[int]:
             return []
         return idr_indices(i, L, cfg.l_reused, cfg.window_cap)
     if cfg.scheme == "dr":
-        return dr_indices(i, cfg.l_reused)
-    return undr_indices(i, L, cfg.l_reused)
+        return [i] * cfg.l_reused
+    # undr: the most recent past samples, oldest first, none before L
+    return list(range(max(L, i - cfg.l_reused), i))
 
 
 def reach(cfg: ReuseConfig, n: int, L: int) -> int:
-    """How far back schedule may reach in an n-sample run of order L: 0
-    without reuse and for dr, l_reused for undr; idr's oldest index lies
-    span // (l_reused + 1) into its span of i - L (at most the cap) samples."""
-    if not cfg.active or cfg.scheme == "dr":
-        return 0
-    if cfg.scheme == "undr":
-        return cfg.l_reused
-    span = max(0, n - 1 - L) if cfg.window_cap is None else cfg.window_cap
-    return span - span // (cfg.l_reused + 1)
+    """How far back schedule reaches in an n-sample run of order L: the
+    last sample's oldest offset. No scheme's oldest offset shrinks as i
+    grows, so no earlier sample reaches further back."""
+    i = n - 1
+    return i - min(schedule(cfg, i, L), default=i)

@@ -245,7 +245,7 @@ class StreamProvider:
     g's run k is column g * trials + k of the ring; the provider's own
     segments repeat the trial truths once per group, for the engine.
     updates is the engine's updates of a run per sample: 1, and one per
-    reused sample.
+    index the reuse schedule gives the last sample.
 
     The ring holds sample i in row i % rows of (rows, G * trials, L)
     regressors and (rows, G * trials) outputs, rows = min(n, capacity - 1
@@ -696,7 +696,7 @@ def _trial_provider(
         streams.append(trial_streams)
     capacity = reach(cfg.reuse, n, L) + 1
     segments = wo_segments(WO, cfg.truth_shifts(), n)
-    updates = 1 + (cfg.reuse.l_reused if cfg.reuse.active else 0)
+    updates = 1 + len(schedule(cfg.reuse, n - 1, L))
     return StreamProvider(segments, noise, streams, capacity, shared, updates)
 
 
@@ -789,7 +789,7 @@ def run_aec(
     far = assets.far_end[: cfg.n_samples]
     if far.size < cfg.n_samples:
         raise ValueError(
-            f"far-end audio has {far.size} samples; {cfg.n_samples} requested"
+            f"{assets.names[0]} has {far.size} samples; {cfg.n_samples} requested"
         )
     if np.abs(far).max() == 0:
         warnings.warn("far-end audio is silent; results are degenerate")

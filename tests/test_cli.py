@@ -47,6 +47,21 @@ def test_out_flag_writes_csv(tmp_path, capsys):
     assert len(lines) == 301
 
 
+@pytest.mark.parametrize(
+    ("out", "problem"),
+    [("missing/x.csv", "directory not found: {}/missing"), ("", "{} is a directory")],
+    ids=["missing_directory", "directory"],
+)
+def test_unusable_out_exits_2_before_the_run(monkeypatch, tmp_path, capsys, out, problem):
+    ran = []
+    monkeypatch.setitem(cli._SUBCOMMANDS, "sysid", (ran.append, "sysid"))
+    target = str(tmp_path / out)
+    assert main(["sysid", *FAST, "--out", target]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: invalid configuration:\n  out: {problem.format(tmp_path)}\n"
+    assert not ran
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sysid", *FAST, "--out", str(a)]) == 0
@@ -170,7 +185,7 @@ def test_short_far_end_wav_exits_1(tmp_path, capsys):
     rc = main(["aec", "--config", str(ini), "--runs", "1", "--samples", "1000"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == "error: far-end audio has 700 samples; 1000 requested\n"
+    assert err == f"error: {wav}: far-end audio has 700 samples; 1000 requested\n"
 
 
 @pytest.mark.parametrize(

@@ -7,14 +7,7 @@ import pytest
 
 from rtga.censoring import CensorConfig
 from rtga.filters import RtgaParams
-from rtga.reuse import (
-    ReuseConfig,
-    dr_indices,
-    idr_indices,
-    reach,
-    schedule,
-    undr_indices,
-)
+from rtga.reuse import ReuseConfig, idr_indices, reach, schedule
 from rtga.noise import NoiseSpec
 from rtga.runner import ArrayProvider, StreamProvider, run_streams
 from rtga.signal_model import clean_output, delay_line_matrix
@@ -45,14 +38,14 @@ def test_idr_indices_strictly_inside_history():
 
 
 def test_dr_repeats_current_index():
-    assert dr_indices(123, 3) == [123, 123, 123]
-    assert dr_indices(5, 0) == []
+    assert schedule(ReuseConfig(scheme="dr", l_reused=3), 123, 9) == [123] * 3
+    assert schedule(ReuseConfig(scheme="dr", l_reused=0), 5, 0) == []
 
 
 def test_undr_recent_block():
-    assert undr_indices(100, 9, 3) == [97, 98, 99]
+    assert schedule(ReuseConfig(scheme="undr", l_reused=3), 100, 9) == [97, 98, 99]
     # Early on the block clips at the first update index.
-    assert undr_indices(11, 9, 5) == [9, 10]
+    assert schedule(ReuseConfig(scheme="undr", l_reused=5), 11, 9) == [9, 10]
 
 
 def test_schedule_dispatch_and_guard():
@@ -83,9 +76,9 @@ def _deepest(cfg, n, L):
 
 
 def test_reach_bounds_every_schedule():
-    # The provider keeps reach + 1 samples; no schedule may look further back.
-    # idr's oldest index lies span // (l + 1) into its span of 295 samples
-    # (n - 1 - L), or of the 40-sample window.
+    # The provider keeps reach + 1 samples: exactly as far back as the
+    # pass's schedule looks. idr's oldest index lies span // (l + 1) into
+    # its span of 295 samples (n - 1 - L), or of the 40-sample window.
     n, L = 300, 4
     cases = {
         ReuseConfig(): 0,
@@ -97,17 +90,21 @@ def test_reach_bounds_every_schedule():
     for cfg, expect in cases.items():
         assert reach(cfg, n, L) == expect
         assert _deepest(cfg, n, L) == expect
-    # idr's oldest index is as old as the reach wherever the run's longest
-    # span, n - 1 - L, reaches the window (or, without one, holds the l + 1
-    # samples the schedule waits for), and never older, nor negative when
-    # the run is no longer than the order
-    for L, l_reused, cap in itertools.product((4, 9), (1, 2, 3, 5), (None, 6, 40)):
-        cfg = ReuseConfig(scheme="idr", l_reused=l_reused, window_cap=cap)
-        for n in range(1, L + 90):
-            deepest, bound = _deepest(cfg, n, L), reach(cfg, n, L)
-            assert 0 <= deepest <= bound
-            if n - 1 - L >= (cap or l_reused + 1):
-                assert deepest == bound
+    # a pass too short to fill the window reaches only as far as its span
+    assert reach(ReuseConfig(scheme="idr", l_reused=3, window_cap=40), 20, L) == 12
+    # every scheme reaches exactly as far back as its deepest sample, also
+    # while the history is shorter than the window, or than l + 1 samples,
+    # and when the run is no longer than the order
+    for scheme, L, l_reused, cap in itertools.product(
+        ("none", "idr", "dr", "undr"), (4, 9), (1, 2, 3, 5), (None, "l + 1", 6, 40)
+    ):
+        window = l_reused + 1 if cap == "l + 1" else cap
+        cfg = ReuseConfig(scheme=scheme, l_reused=l_reused, window_cap=window)
+        # deepest[n] is _deepest(cfg, n, L), scanned once up to n = 4000
+        offsets = (i - min(schedule(cfg, i, L), default=i) for i in range(L, 4000))
+        deepest = [0] * (L + 1) + list(itertools.accumulate(offsets, max))
+        for n in (*range(1, L + 120), L + 1000, 4000):
+            assert reach(cfg, n, L) == deepest[n]
 
 
 def test_history_ring_evicts_old_pairs(monkeypatch):
