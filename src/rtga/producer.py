@@ -1,26 +1,27 @@
-"""Forked producer processes that fill the stream provider's ring.
+"""Forked child processes that fill the stream provider's ring or run shards.
 
 numpy releases the interpreter lock only inside its inner loops, so a
-producer thread spends most of its many short calls waiting for the
-engine's lock. A forked child has an interpreter of its own: it writes the
-ring, which lives in an anonymous shared mapping made before the fork,
-while the engine's process runs the updates. The provider forks up to
-StreamProvider._PRODUCERS of them (see its docstring for the rule), at
-most one per trial and one per CPU (cpu_count). Each fills the ring's
-columns of its own range of trials through its own trial cursor, which
-after the fork only it touches, so nothing else crosses the process
-boundary.
+thread spends most of its many short calls waiting for the engine's lock.
+A forked child has an interpreter of its own. StreamProvider's rule (see
+its docstring) forks either one producer, which writes the ring, an
+anonymous shared mapping made before the fork, while the engine's process
+runs the updates; or, for a wide pass without reuse, one child per shard
+of trials but the first, which runs its own trials' fill and engine and
+writes each block's rows into shared block buffers (runner._run_shards). No pass forks more than one child per CPU
+(cpu_count) or per trial. Each child works through objects made before
+the fork that after it only the child touches, so nothing else crosses
+the process boundary.
 
-The protocol runs over two pipes. The engine writes one byte for each
-piece it wants filled; the producer fills the pieces in order and answers
-each with a 4-byte length, followed, when the fill raised, by the pickled
-exception. Each child closes the engine's ends of its own pipes. A later
-fork in the process (the next producer, or another pass's, forked from
-another thread) inherits copies of the engine's ends, so a closed pipe
+The protocol runs over two pipes. The parent writes one byte for each
+piece it wants done; the child does the pieces in order and answers each
+with a 4-byte length, followed, when the piece raised, by the pickled
+exception. Each child closes the parent's ends of its own pipes. A later
+fork in the process (the next child, or another pass's, forked from
+another thread) inherits copies of the parent's ends, so a closed pipe
 does not prove the other side gone: each side, while it waits, checks
-every _POLL_MS that the other still lives, and the engine ends a
-producer by killing it. rtga.runner imports this module only when a
-provider forks.
+every _POLL_MS that the other still lives, and the parent ends a child
+by killing it. rtga.runner imports this module only when a pass forks or
+its rule reads the CPU count.
 """
 
 from __future__ import annotations
@@ -53,17 +54,18 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def shared_arrays(*shapes: tuple[int, ...]) -> list[np.ndarray]:
-    """float64 arrays of the given shapes in one anonymous shared mapping.
+def shared_arrays(*shapes: tuple[int, ...], dtype=np.float64) -> list[np.ndarray]:
+    """Arrays of the given shapes and dtype in one anonymous shared mapping.
 
-    Made before the fork, the mapping is the same memory in the engine's
-    process and in the producer.
+    Made before the fork, the mapping is the same memory in the parent
+    and in its children.
     """
+    item = np.dtype(dtype).itemsize
     sizes = [math.prod(shape) for shape in shapes]
-    ring = mmap.mmap(-1, 8 * sum(sizes))
-    offsets = np.cumsum([0, *sizes[:-1]]) * 8
+    ring = mmap.mmap(-1, item * sum(sizes))
+    offsets = np.cumsum([0, *sizes[:-1]]) * item
     return [
-        np.frombuffer(ring, count=size, offset=int(offset)).reshape(shape)
+        np.frombuffer(ring, dtype, count=size, offset=int(offset)).reshape(shape)
         for shape, size, offset in zip(shapes, sizes, offsets)
     ]
 

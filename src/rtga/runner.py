@@ -150,7 +150,7 @@ class ArrayProvider:
 
 
 class _TrialCursor:
-    """Draws the noisy samples of the trials `trials` of streams, in order.
+    """Draws the noisy samples of the trials of streams, in order.
 
     streams holds each trial's (source, (input, output)) generators from
     run_streams, and noise one (input, output) pair per group. Several
@@ -175,7 +175,6 @@ class _TrialCursor:
         span: int,
         batch: int,
         shared: tuple[np.ndarray, np.ndarray] | None = None,
-        trials: slice = slice(None),
     ):
         for spec in (s for pair in noise for s in pair if s.family == "ggd"):
             raise ValueError(
@@ -191,11 +190,10 @@ class _TrialCursor:
                 + "; ".join(f"{s_in} and {s_out}" for s_in, s_out in noise)
             )
         self.unit, self.scales = (units[0], scales) if len(noise) > 1 else (noise[0], [(1.0, 1.0)])
-        self.trials = trials
-        self.streams = streams[trials]
+        self.streams = streams
         self.shared = shared
         self.batch = min(len(self.streams), batch)
-        # np.empty: a producer's scratch, made before the fork, is the producer's to touch
+        # np.empty: a forked process's scratch, made before the fork, is its own to touch
         self.u = np.empty((self.batch, span, order))
         self.v = np.empty((self.batch, span))
         self.scaled = (np.empty_like(self.u), np.empty_like(self.v)) if len(noise) > 1 else None
@@ -244,47 +242,57 @@ class StreamProvider:
     trial, so the G groups share the trial's source and truth, and group
     g's run k is column g * trials + k of the ring; the provider's own
     segments repeat the trial truths once per group, for the engine.
-    updates is the engine's updates of a run per sample: 1, and one per
-    index the reuse schedule gives the last sample.
+    inline keeps the fill in this process, as a shard's provider does.
 
     The ring holds sample i in row i % rows of (rows, G * trials, L)
     regressors and (rows, G * trials) outputs, rows = min(n, capacity - 1
     + chunk); the latest `capacity` samples stay available to past(). A
     span is the most samples whose draws of one trial fit _SCRATCH bytes,
-    and a cursor draws as many trials at a time as fit them. A chunk is
+    and the cursor draws as many trials at a time as fit them. A chunk is
     max(1, _CHUNK // G) samples, but at most n and at most two spans: a
     longer one would only widen a long filter's ring. The ring is filled
     piece by piece, and a piece is at most a span long and ends at a
     segment boundary (so it has one truth per trial) and at the ring's end.
 
-    When a trial draws at least _FORKED values per half chunk, forked
-    producer processes (rtga.producer) fill the ring, which then lives in
-    an anonymous shared mapping, in half-chunk pieces. Each producer fills
-    the columns of a contiguous range of trials, in every group, through
-    its own cursor. A pass without reuse and with one group forks
-    _PRODUCERS of them, and every other pass one, but no more than one per
-    trial or one per CPU the process may run on. The rule is measured:
-    in-process on a 2-vCPU host, the fill took 1.50-1.60 times the
-    engine's time on sysid-wide (no reuse, one group) and 0.23-0.69 times
-    on the other benchmark workloads (each with reuse or several groups),
-    where a second producer would take CPU time from the engine. Entering
-    a piece, the engine asks every producer for the pieces that end within
-    a chunk of its start, so none overwrites a row that past() may still
-    serve. Each producer answers each piece with None or the exception it
-    caught, and the engine takes one answer from every producer before it
-    serves the piece, raising the first exception in producer order. A
-    trial's draws do not depend on the process that makes them, so neither
-    do the rows. Smaller fills, and every fill where os.fork is missing,
-    run inline through one cursor in pieces of up to a chunk: for a short
-    pass the fork costs more than the overlap saves. close(), or leaving a
-    with-block, kills and reaps the producers, and a later fill raises.
+    A pass runs in one of three ways, by a rule that reads only its reuse,
+    its rows, its fill and the CPUs the process may run on
+    (producer.cpu_count):
+    - Shards (shards()). A pass without reuse of at least _SHARDED rows,
+      G * trials, splits its trials into min(trials, CPUs) contiguous
+      shards. Each draws and runs its own trials on an inline provider,
+      and _run_pass forks all but the first.
+    - One producer. Any other pass on more than one CPU, where a trial
+      draws at least _FORKED values per half chunk, has one forked
+      producer process (rtga.producer) fill the ring, which then lives in
+      an anonymous shared mapping, in half-chunk pieces.
+    - Inline, otherwise, and wherever os.fork is missing: one cursor fills
+      the ring in pieces of up to a chunk, in the engine's process.
+    So no pass forks more than one process per CPU or per trial, and a
+    one-CPU pass forks none. The rule is measured on a 2-vCPU host. A
+    shard makes as many numpy calls as the whole pass, so shards pay only
+    where rows, not calls, bound the engine; elsewhere the engine beside
+    one producer is faster. Without reuse, sysid at 8000 samples took
+    0.59-0.77 s with a producer and 0.71-0.93 s in shards at 100-200
+    rows, 0.96-1.10 against 1.13-1.18 s at 300, and shards won at 1000
+    rows (sysid-wide); a theory comparison of three variances, whose
+    170-sample half chunks stay inline, took 1.21-1.25 s inline and
+    0.96-0.98 s in shards at 300 rows (theory-compare's). With reuse the
+    engine makes several updates a sample, and shards were faster in only
+    1-2 of 8 pairs (sysid-reuse-censor, aec-stream).
+
+    Entering a piece, the engine asks the producer for the pieces that
+    end within a chunk of its start, so it overwrites no row that past()
+    may still serve, and takes its answer, None or the exception its fill
+    caught, before it serves the piece. A trial's draws do not depend on
+    the process that makes them, so neither do the rows. close(), or
+    leaving a with-block, kills and reaps the producer, and a later fill
+    raises.
     """
 
     _CHUNK = 1024
     _SCRATCH = 1 << 19
     _FORKED = 4096
-    # the most producers measured: two, on a 2-vCPU host
-    _PRODUCERS = 2
+    _SHARDED = 256
 
     def __init__(
         self,
@@ -293,7 +301,7 @@ class StreamProvider:
         streams: list[tuple[np.random.Generator, tuple]],
         capacity: int,
         shared: tuple[np.ndarray, np.ndarray] | None = None,
-        updates: int = 1,
+        inline: bool = False,
     ):
         groups = len(noise)
         self.segments = [(a, b, np.tile(w, (groups, 1))) for a, b, w in segments]
@@ -308,26 +316,18 @@ class StreamProvider:
         self.chunk = min(max(1, self._CHUNK // groups), 2 * span, n)
         self.rows = min(n, capacity - 1 + self.chunk)
         half = max(1, self.chunk // 2)
-        self.forks = half * per_sample >= self._FORKED and hasattr(os, "fork")
+        self.forks = not inline and half * per_sample >= self._FORKED and _cpus() > 1
         shapes = (self.rows, groups * trials, L), (self.rows, groups * trials)
-        count = 1
         if self.forks:
-            # imported here, so that setting up an experiment does not pay for it
-            from .producer import cpu_count, shared_arrays
+            from .producer import shared_arrays
 
             self.x, self.d = shared_arrays(*shapes)
-            # the producer count (see the class docstring)
-            count = min(trials, cpu_count(), self._PRODUCERS if groups * updates == 1 else 1)
         else:
             self.x, self.d = map(np.empty, shapes)
         piece = min(half if self.forks else self.chunk, span)
         batch = max(1, values // (piece * per_sample))
-        bounds = [trials * k // count for k in range(count + 1)]
-        self._cursors = [
-            _TrialCursor(noise, streams, L, piece, batch, shared, slice(*ends))
-            for ends in zip(bounds, bounds[1:])
-        ]
-        # the ring as the (G, trials, rows[, L]) views that the cursors write
+        self._cursor = _TrialCursor(noise, streams, L, piece, batch, shared)
+        # the ring as the (G, trials, rows[, L]) views that the cursor writes
         self._views = [
             np.moveaxis(a.reshape(self.rows, groups, trials, *a.shape[2:]), 0, 2)
             for a in (self.x, self.d)
@@ -343,41 +343,42 @@ class StreamProvider:
         self._mark = 0  # one past the last sample of the engine's piece
         self._latest = -1
         self._closed = False
-        self._asked = 0  # pieces asked of the producers
-        self._producers = []
+        self._asked = 0  # pieces asked of the producer
+        self._producer = None
 
-    def _fill(self, cursor: _TrialCursor, start: int, end: int, w_seg: np.ndarray) -> None:
-        """Write the piece [start, end) of cursor's trials into the ring."""
+    @classmethod
+    def shards(cls, groups: int, trials: int, reused: bool) -> int:
+        """The number of shards of a pass, by the rule in the class docstring."""
+        if reused or groups * trials < cls._SHARDED:
+            return 1
+        return min(trials, _cpus())
+
+    def _fill(self, start: int, end: int, w_seg: np.ndarray) -> None:
+        """Write the piece [start, end) of every trial into the ring."""
         rows = slice(start % self.rows, start % self.rows + end - start)
-        x, d = (view[:, cursor.trials, rows] for view in self._views)
-        cursor.write(start, end, w_seg[cursor.trials], list(zip(x, d)))
+        x, d = (view[:, :, rows] for view in self._views)
+        self._cursor.write(start, end, w_seg, list(zip(x, d)))
 
     def _enter_piece(self) -> None:
-        """Make the engine's next piece ready: fill it, or take the producers' answers."""
+        """Make the engine's next piece ready: fill it, or take the producer's answer."""
         if self._closed:
             raise RuntimeError("the stream provider is closed")
         start, end, w_seg = self.pieces[self._next]
         self._next += 1
         self._mark = end
         if not self.forks:
-            self._fill(self._cursors[0], start, end, w_seg)
+            self._fill(start, end, w_seg)
             return
         try:
-            if not self._producers:
+            if self._producer is None:
                 from .producer import Producer
 
-                for c in self._cursors:
-                    self._producers.append(Producer(lambda k, c=c: self._fill(c, *self.pieces[k])))
+                self._producer = Producer(lambda k: self._fill(*self.pieces[k]))
             asked = self._asked
             while self._asked < len(self.pieces) and self.pieces[self._asked][1] <= start + self.chunk:
                 self._asked += 1
-            if self._asked > asked:
-                for producer in self._producers:
-                    producer.ask(self._asked - asked)
-            for producer in self._producers:
-                error = producer.answer()
-                if error is not None:
-                    raise error
+            self._producer.ask(self._asked - asked)
+            _answers([self._producer])
         except BaseException:
             self.close()
             raise
@@ -399,16 +400,27 @@ class StreamProvider:
         return self.x[row], self.d[row]
 
     def close(self) -> None:
-        """Kill and reap the producers, if any were forked."""
+        """Kill and reap the producer, if one was forked."""
         self._closed = True
-        while self._producers:
-            self._producers.pop().close()
+        if self._producer is not None:
+            self._producer.close()
+            self._producer = None
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _cpus() -> int:
+    """The CPUs a forked process could run on: 1 where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    # imported here, so that setting up an experiment does not pay for it
+    from .producer import cpu_count
+
+    return cpu_count()
 
 
 @dataclass
@@ -443,18 +455,40 @@ def run_engine(
     groups labels the G equal groups of runs that a merged pass holds, in
     run order (none: one group). Per-run output fills (runs, _BLOCK // G)
     buffers, so they hold what one group's pass holds; a block ends when
-    they are full, at a segment end and at n. A run whose squared deviation
-    then is non-finite or exceeds DIVERGENCE_FACTOR times its largest
-    squared truth norm raises ArithmeticError, which names the run by its
-    group's label and its index in the group; otherwise sink(start, ratio,
+    they are full, at a segment end and at n. Then sink(start, ratio,
     censored, e) receives the block's (runs, end - start) views, which the
-    next block overwrites.
+    next block overwrites; _checked puts the divergence check in front of
+    a sink.
     """
+    blocks = _engine(provider, n, params, censor, reuse_cfg, segments, _width(groups))
+    while True:
+        try:
+            start, ratio, censored, e = next(blocks)
+        except StopIteration as done:
+            return done.value
+        sink(start, ratio, censored, e)
+
+
+def _width(groups: Sequence) -> int:
+    """The columns of a block of a pass of the given groups."""
+    return max(1, _BLOCK // max(1, len(groups)))
+
+
+def _engine(
+    provider,
+    n: int,
+    params: RtgaParams,
+    censor: CensorConfig,
+    reuse_cfg: ReuseConfig,
+    segments: list[tuple[int, int, np.ndarray]],
+    width: int,
+):
+    """run_engine's pass, one block at a time: yields each block's (start,
+    ratio, censored, e) and returns the EngineResult."""
     runs, L = segments[0][2].shape
     W = np.zeros((runs, L))
     tracker = _ScaleTracker(runs, censor) if censor.active else None
     kappa = censor.kappa if censor.active else 0.0
-    width = max(1, _BLOCK // max(1, len(groups)))
     ratio = np.empty((runs, width))
     cen_mask = np.empty((runs, width), dtype=bool)
     errors = np.empty((runs, width))
@@ -488,18 +522,14 @@ def run_engine(
         W += step_x[:, None] * x
         return e, cen
 
-    # |W - w_o|^2 (ratio times the segment's |w_o|^2) is compared with the
-    # run's largest |w_o|^2, since a shift may leave a tiny truth
-    dens = [np.sum(w * w, axis=1) for _, _, w in segments]
-    limit = DIVERGENCE_FACTOR * np.max(dens, axis=0)
-    # One errstate per pass, not per update: the divergence check names the
-    # runs that overflow, so numpy's warnings stay quiet
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for (seg_start, seg_end, seg_w), seg_den in zip(segments, dens):
-            blown = limit / seg_den
-            for start in range(seg_start, min(seg_end, n), width):
-                end = min(start + width, seg_end, n)
-                cen_mask.fill(False)
+    for seg_start, seg_end, seg_w in segments:
+        seg_den = np.sum(seg_w * seg_w, axis=1)
+        for start in range(seg_start, min(seg_end, n), width):
+            end = min(start + width, seg_end, n)
+            cen_mask.fill(False)
+            # One errstate per block, not per update: the divergence check
+            # names the runs that overflow, so numpy's warnings stay quiet
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for j, i in enumerate(range(start, end)):
                     x_i, d_i = provider.step(i)
                     if i >= L:
@@ -522,10 +552,9 @@ def run_engine(
                     errors[:, j] = e
                     dev = W - seg_w
                     ratio[:, j] = np.einsum("rl,rl->r", dev, dev) / seg_den
-                block = slice(0, end - start)
-                _check_divergence(ratio[:, block], blown, start, mu, groups)
-                main_censored += int(np.count_nonzero(cen_mask[:, block]))
-                sink(start, ratio[:, block], cen_mask[:, block], errors[:, block])
+            block = slice(0, end - start)
+            main_censored += int(np.count_nonzero(cen_mask[:, block]))
+            yield start, ratio[:, block], cen_mask[:, block], errors[:, block]
     return EngineResult(
         weights=W,
         main_steps=main_steps,
@@ -535,32 +564,48 @@ def run_engine(
     )
 
 
-def _check_divergence(
-    ratio: np.ndarray, blown: np.ndarray, start: int, mu: float, groups: Sequence[str]
-) -> None:
-    """Name the runs whose ratio in the block from `start` is not within blown.
+def _checked(
+    sink, segments: list[tuple[int, int, np.ndarray]], mu: float, groups: Sequence[str] = ()
+):
+    """sink behind the one divergence check, at each block end.
 
-    A non-finite ratio counts: a non-finite step makes W non-finite in the
-    same update. A finite one counts too, since the n2 = phi + |w|^2
-    normalization can keep a blown-up run finite.
+    A run whose ratio in a block (|W - w_o|^2 over its segment's |w_o|^2)
+    is non-finite or puts |W - w_o|^2 above DIVERGENCE_FACTOR times its
+    largest |w_o|^2 raises ArithmeticError, which names the run by its
+    group's label and its index in the group (segments and groups are
+    those of run_engine's whole pass), before sink sees the block. A
+    non-finite ratio counts, since a non-finite step makes W non-finite in
+    the same update; a finite one counts too, since the n2 = phi + |w|^2
+    normalization can keep a blown-up run finite. The largest truth norm
+    is the bound because a shift may leave a tiny truth.
     """
-    within = ratio <= blown[:, None]
-    if not within.all():
-        over = ~within
-        first = start + int(np.argmax(over.any(axis=0)))
-        bad = np.nonzero(over.any(axis=1))[0]
-        if groups:
-            group, run = np.divmod(bad, len(ratio) // len(groups))
-            named = ", ".join(
-                f"{groups[g]} run(s) {run[group == g].tolist()}" for g in np.unique(group)
+    dens = [np.sum(w * w, axis=1) for _, _, w in segments]
+    limit = DIVERGENCE_FACTOR * np.max(dens, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        blown = [(a, limit / den) for (a, _, _), den in zip(segments, dens)]
+
+    def checked(start: int, ratio, censored, e) -> None:
+        bound = next(b for a, b in reversed(blown) if a <= start)
+        within = ratio <= bound[:, None]
+        if not within.all():
+            over = ~within
+            first = start + int(np.argmax(over.any(axis=0)))
+            bad = np.nonzero(over.any(axis=1))[0]
+            if groups:
+                group, run = np.divmod(bad, len(ratio) // len(groups))
+                named = ", ".join(
+                    f"{groups[g]} run(s) {run[group == g].tolist()}" for g in np.unique(group)
+                )
+            else:
+                named = f"run(s) {bad.tolist()}"
+            raise ArithmeticError(
+                f"divergence at iteration {first} in {named}; |W - w_o|^2 is non-finite "
+                f"or exceeds {DIVERGENCE_FACTOR:g} times the run's largest |w_o|^2, "
+                f"the step size is likely beyond the stable range (mu={mu})"
             )
-        else:
-            named = f"run(s) {bad.tolist()}"
-        raise ArithmeticError(
-            f"divergence at iteration {first} in {named}; |W - w_o|^2 is non-finite "
-            f"or exceeds {DIVERGENCE_FACTOR:g} times the run's largest |w_o|^2, "
-            f"the step size is likely beyond the stable range (mu={mu})"
-        )
+        sink(start, ratio, censored, e)
+
+    return checked
 
 
 class RunSums:
@@ -675,8 +720,11 @@ def _trial_provider(
     noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
     w_o: np.ndarray | None = None,
     shared: tuple[np.ndarray, np.ndarray] | None = None,
+    trials: slice = slice(None),
+    inline: bool = False,
 ) -> StreamProvider:
-    """The provider of every trial, holding the reuse schedule's reach.
+    """The provider of the trials `trials` (every trial by default),
+    holding the reuse schedule's reach; inline is StreamProvider's.
 
     noise holds one (input, output) pair per group of cfg.mc_runs runs.
     Run r of every group is trial r, rooted at SeedSequence(base_seed + r),
@@ -686,18 +734,149 @@ def _trial_provider(
     regressors and clean output (through w_o) of a source every run shares,
     is given. The truth follows cfg.truth_shifts().
     """
-    n, L, runs = cfg.n_samples, cfg.order, cfg.mc_runs
-    WO = np.empty((runs, L))
+    n, L = cfg.n_samples, cfg.order
+    WO = []
     streams = []
-    for r in range(runs):
+    for r in range(cfg.mc_runs)[trials]:
         # groups that share draws build the same generators (see _TrialCursor)
         system_rng, *trial_streams = run_streams(cfg.base_seed, r, noise[0])
-        WO[r] = draw_true_weights(system_rng, L) if w_o is None else w_o
+        WO.append(draw_true_weights(system_rng, L) if w_o is None else w_o)
         streams.append(trial_streams)
     capacity = reach(cfg.reuse, n, L) + 1
-    segments = wo_segments(WO, cfg.truth_shifts(), n)
-    updates = 1 + len(schedule(cfg.reuse, n - 1, L))
-    return StreamProvider(segments, noise, streams, capacity, shared, updates)
+    segments = wo_segments(np.array(WO), cfg.truth_shifts(), n)
+    return StreamProvider(segments, noise, streams, capacity, shared, inline)
+
+
+def _run_pass(
+    cfg: ExperimentConfig,
+    params: RtgaParams,
+    noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
+    sink,
+    w_o: np.ndarray | None = None,
+    shared: tuple[np.ndarray, np.ndarray] | None = None,
+    labels: Sequence[str] = (),
+) -> EngineResult:
+    """Run the pass of every trial (see _trial_provider), inline, in shards
+    or with one producer, by StreamProvider's rule.
+
+    sink sees each block of every run, in run order, behind the divergence
+    check (_checked), whatever the way; the result's counts and weights
+    cover every run.
+    """
+    n, L, trials = cfg.n_samples, cfg.order, cfg.mc_runs
+    groups = len(noise)
+    # a pass reuses when the reuse schedule gives its last sample an index
+    reused = bool(schedule(cfg.reuse, n - 1, L))
+    count = StreamProvider.shards(groups, trials, reused)
+    bounds = [trials * k // count for k in range(count + 1)]
+    shards = [
+        (_trial_provider(cfg, noise, w_o, shared, slice(lo, hi), count > 1), lo, hi)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    # every run's truths, in run order, whose norms bound the check
+    segments = []
+    for j, (a, b, _) in enumerate(shards[0][0].segments):
+        parts = [_shard_rows(provider.segments[j][2], groups) for provider, _, _ in shards]
+        segments.append((a, b, np.concatenate(parts, axis=1).reshape(-1, L)))
+    checked = _checked(sink, segments, params.mu, labels)
+    args = n, params, cfg.censoring, cfg.reuse
+    if count == 1:
+        with shards[0][0] as provider:
+            return run_engine(provider, *args, provider.segments, checked, labels)
+    return _run_shards(shards, groups, args, checked, labels)
+
+
+def _shard_rows(a: np.ndarray, groups: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The (groups, hi - lo, ...) view of trials [lo, hi) in every group of
+    a (groups * trials, ...) array, whose run g * trials + k is trial k of group g."""
+    return a.reshape(groups, -1, *a.shape[1:])[:, lo:hi]
+
+
+def _run_shards(shards, groups: int, args, sink, labels: Sequence[str]) -> EngineResult:
+    """Run each shard's (provider, lo, hi) trials, the first shard in this
+    process and the others in forked children (rtga.producer), and hand
+    sink each block of every run, in run order.
+
+    A child's k-th piece is its engine's k-th block: it writes its rows of
+    the block into slot k % 2 of shared (2, rows, width) buffers of the
+    ratio, the censored mask and e. Its piece after the last block writes
+    its final weights and counts. This process runs the first shard
+    through run_engine, whose sink writes the shard's rows beside the
+    children's, takes every child's answer for the block, hands the whole
+    block to sink, and then asks for the block after next: a child runs up
+    to a block ahead and never writes a slot that sink may still read.
+    Every child is killed and reaped when the pass ends or fails.
+    """
+    from .producer import Producer, shared_arrays
+
+    n, params, censor, reuse_cfg = args
+    rows, L = groups * shards[-1][2], shards[0][0].segments[0][2].shape[1]
+    width = _width(labels)
+    ratio, errors, weights, counts = shared_arrays(
+        (2, rows, width), (2, rows, width), (rows, L), (len(shards), 4)
+    )
+    (censored,) = shared_arrays((2, rows, width), dtype=bool)
+    buffers = ratio, censored, errors
+
+    def write(s: int, k: int, block) -> None:
+        """Write shard s's rows of block k into its slot."""
+        _, lo, hi = shards[s]
+        for a, part in zip(buffers, block):
+            m = part.shape[1]
+            _shard_rows(a[k % 2], groups, lo, hi)[..., :m] = _shard_rows(part, groups)
+
+    def finish(s: int, res: EngineResult) -> None:
+        """Write shard s's final weights and counts."""
+        _, lo, hi = shards[s]
+        _shard_rows(weights, groups, lo, hi)[:] = _shard_rows(res.weights, groups)
+        counts[s] = res.main_steps, res.main_updates, res.reuse_steps, res.reuse_updates
+
+    def child(s: int):
+        provider = shards[s][0]
+        blocks = _engine(provider, n, params, censor, reuse_cfg, provider.segments, width)
+
+        def fill(k: int) -> None:
+            try:
+                write(s, k, next(blocks)[1:])
+            except StopIteration as done:
+                if done.value is not None:  # not a piece asked past the end
+                    finish(s, done.value)
+
+        return fill
+
+    children = []
+    k = 0
+
+    def merge(start: int, *block) -> None:
+        nonlocal k
+        write(0, k, block)
+        _answers(children)
+        m = block[0].shape[1]
+        sink(start, *(a[k % 2, :, :m] for a in buffers))
+        k += 1
+        for producer in children:
+            producer.ask(1)
+
+    try:
+        for s in range(1, len(shards)):
+            children.append(Producer(child(s)))
+            children[-1].ask(2)
+        with shards[0][0] as provider:
+            finish(0, run_engine(provider, *args, provider.segments, merge, labels))
+        _answers(children)
+    finally:
+        while children:
+            children.pop().close()
+    steps, updates, reuse_steps, reuse_updates = (int(c) for c in counts.sum(axis=0))
+    return EngineResult(weights.copy(), steps, updates, reuse_steps, reuse_updates)
+
+
+def _answers(producers) -> None:
+    """Take each producer's next answer, raising the first exception."""
+    for producer in producers:
+        error = producer.answer()
+        if error is not None:
+            raise error
 
 
 def _run_trials(
@@ -714,9 +893,9 @@ def _run_trials(
     noise holds one (input, output) pair per group of cfg.mc_runs runs,
     all run in this one engine pass on the same cfg.mc_runs trials, whose
     draws the groups share; labels names each group when there are
-    several. errors asks for the run sums of e^2. See _trial_provider for
-    the rest. Returns the engine result, whose counts cover every group,
-    and one RunSums per group.
+    several. errors asks for the run sums of e^2. See _run_pass for the
+    rest. Returns the engine result, whose counts cover every group, and
+    one RunSums per group.
     """
     if len(noise) > 1 and len(labels) != len(noise):
         raise ValueError("a merged pass needs one label per noise group")
@@ -728,11 +907,7 @@ def _run_trials(
             rows = slice(g * runs, (g + 1) * runs)
             group_sums(start, ratio[rows], censored[rows], e[rows])
 
-    with _trial_provider(cfg, noise, w_o, shared) as provider:
-        res = run_engine(
-            provider, cfg.n_samples, params, cfg.censoring, cfg.reuse,
-            provider.segments, sink, labels,
-        )
+    res = _run_pass(cfg, params, noise, sink, w_o, shared, labels)
     return res, sums
 
 

@@ -6,7 +6,7 @@ compare every run's curve, so they stitch the blocks back together.
 
 import numpy as np
 
-from rtga.runner import run_engine
+from rtga.runner import _checked, run_engine
 
 
 class KeepAll:
@@ -37,7 +37,9 @@ class KeepAll:
         return self._stitch(2)
 
 
-def run_kept(provider, n, *args):
-    """run_engine(provider, n, *args) with a KeepAll sink: (result, kept)."""
+def run_kept(provider, n, params, censor, reuse, segments, groups=()):
+    """run_engine with a KeepAll sink behind the divergence check, as the
+    experiments run it: (result, kept)."""
     kept = KeepAll()
-    return run_engine(provider, n, *args, kept), kept
+    sink = _checked(kept, segments, params.mu, groups)
+    return run_engine(provider, n, params, censor, reuse, segments, sink, groups), kept

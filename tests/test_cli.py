@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtga import cli, runner
+from rtga import cli, producer, runner
 from rtga.cli import main
 from rtga.config import SETTINGS, _float_list
 from rtga.dataio import save_wav
@@ -163,7 +163,7 @@ def test_killed_producer_exits_1(monkeypatch, capsys):
     def stepping(self, i):
         if i == 1500:
             assert self.forks
-            killed.append(self._producers[0].pid)
+            killed.append(self._producer.pid)
             os.kill(killed[0], signal.SIGKILL)
         return step(self, i)
 
@@ -295,6 +295,27 @@ def test_overflowing_step_exits_1_with_one_line(capsys):
     assert err.startswith(
         "error: divergence at iteration 9 in run(s) [0, 1]; |W - w_o|^2 is non-finite or"
     )
+
+
+def test_overflowing_sharded_step_names_iteration_9(monkeypatch, capsys):
+    # The default sysid pass (1000 runs, 8000 samples, no reuse) runs in
+    # two shards on two CPUs; the one check sees every run of each block,
+    # so the error still names iteration 9 and all 1000 runs.
+    monkeypatch.setattr(producer, "cpu_count", lambda: 2)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["sysid", "--mu", "1e300"])
+    assert rc == 1
+    assert len(forks) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(
+        "error: divergence at iteration 9 in run(s) [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,"
+    )
+    assert " 998, 999]; |W - w_o|^2 is non-finite or" in err
 
 
 def test_overflowing_theory_variance_exits_1_with_one_line(tmp_path, capsys):

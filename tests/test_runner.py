@@ -41,7 +41,7 @@ from rtga.runner import (
 )
 from rtga.signal_model import clean_output, delay_line_matrix, synthesize_eiv_arrays
 
-from fills import assert_reaped, fill_pids, record_fills
+from fills import assert_reaped, drawn_trials, fill_pids, record_fills
 from keep_all import KeepAll, run_kept
 
 NO_CENSOR = CensorConfig(p_ce=0.0)
@@ -263,7 +263,7 @@ class TestEngineEquivalence:
         with pytest.raises(
             ArithmeticError, match=rf"^divergence at iteration {first} in run\(s\) \[1\];"
         ):
-            run_engine(provider, n, params, NO_CENSOR, reuse, [(0, n, WO)], KeepAll())
+            run_kept(provider, n, params, NO_CENSOR, reuse, [(0, n, WO)])
         assert provider.latest == (first // 30 + 1) * 30 - 1 < n - 1
 
     @pytest.mark.parametrize(
@@ -296,10 +296,7 @@ class TestEngineEquivalence:
         with pytest.raises(
             ArithmeticError, match=rf"at iteration {first} in wild run\(s\) \[1\];"
         ):
-            run_engine(
-                merged, n, *args, [(0, n, np.concatenate([WO, WO]))], KeepAll(),
-                ("calm", "wild"),
-            )
+            run_kept(merged, n, *args, [(0, n, np.concatenate([WO, WO]))], ("calm", "wild"))
 
     def test_nan_sample_named_by_group(self):
         # A NaN in one run's x~ mid-block makes that run's W NaN in the same
@@ -315,6 +312,7 @@ class TestEngineEquivalence:
         X[4, 300, 2] = np.nan  # run 1 of the second group
         params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.01, phi=1.0)
         kept = KeepAll()
+        groups = ("calm", "wild")
         with pytest.raises(
             ArithmeticError,
             match=r"^divergence at iteration 300 in wild run\(s\) \[1\]; "
@@ -322,8 +320,8 @@ class TestEngineEquivalence:
         ):
             run_engine(
                 ArrayProvider(X, D), n, params, CensorConfig(p_ce=0.5),
-                ReuseConfig(scheme="idr", l_reused=2), [(0, n, WO)], kept,
-                ("calm", "wild"),
+                ReuseConfig(scheme="idr", l_reused=2), [(0, n, WO)],
+                runner._checked(kept, [(0, n, WO)], params.mu, groups), groups,
             )
         assert kept.n == 256 and np.isfinite(kept.ratio).all()
 
@@ -725,7 +723,7 @@ def test_cursor_writes_do_not_depend_on_the_split(case_id, groups, shared, span,
 
     def cursor(span, batch, cut=slice(None)):
         streams = [run_streams(seed, r, pairs[0])[1:] for r in range(trials)]
-        return runner._TrialCursor(pairs, streams, L, span, batch, source, cut)
+        return runner._TrialCursor(pairs, streams[cut], L, span, batch, source)
 
     def rows():
         return [(np.empty((trials, n, L)), np.empty((trials, n))) for _ in pairs]
@@ -761,103 +759,117 @@ def _theory_rows(cfg):
     return [(group.ratio.tolist(), group.censored.tolist()) for group in sums]
 
 
-class _OneUpdate(StreamProvider):
-    """A provider built as if each run made one update per sample."""
-
-    def __init__(self, segments, noise, streams, capacity, shared=None, updates=1):
-        super().__init__(segments, noise, streams, capacity, shared)
-
-
-def _split_fill(monkeypatch, cpus):
-    """Let a forked pass split its fill over one producer per CPU, cpus of
-    them and at most one per trial, whatever its reuse."""
+def _shard(monkeypatch, cpus):
+    """Let a pass without reuse split into shards, one per CPU on cpus of
+    them and at most one per trial, whatever its rows."""
     monkeypatch.setattr(producer, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(StreamProvider, "_PRODUCERS", cpus)
-    monkeypatch.setattr(runner, "StreamProvider", _OneUpdate)
+    monkeypatch.setattr(StreamProvider, "_SHARDED", 0)
+
+
+def _kept(cfg, noise=None, w_o=None, labels=()):
+    """The engine result and the KeepAll sink of a pass of cfg's case, or
+    of the given (input, output) pairs, run as the experiments run it."""
+    kept = KeepAll()
+    res = runner._run_pass(
+        cfg, cfg.resolved_params(), noise or [case_spec(cfg.case_id)], kept, w_o, labels=labels
+    )
+    return res, kept
 
 
 def _kept_rows(cfg, noise=None):
     """Each run's ratio row and the update counts of a sysid or tracking
     pass, of cfg's case or of the given (input, output) pairs."""
-    params = cfg.resolved_params()
-    with runner._trial_provider(cfg, noise or [case_spec(cfg.case_id)]) as provider:
-        res, kept = run_kept(
-            provider, cfg.n_samples, params, cfg.censoring, cfg.reuse,
-            provider.segments,
-        )
+    res, kept = _kept(cfg, noise)
     counts = (res.main_steps, res.main_updates, res.reuse_steps, res.reuse_updates)
     return kept.ratio, counts
 
 
+def _counting_forks(monkeypatch, most=None):
+    """The list that gets one entry per os.fork; a fork past most raises
+    in place of starting a process."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(None)
+        if most is not None and len(forks) > most:
+            raise OSError(f"fork {len(forks)} of a pass that needs {most}")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
 class TestProducer:
-    """The forked producers fill the ring, and they end with their pass."""
+    """The forked producer and shards do their share, and they end with their pass."""
 
     @pytest.mark.parametrize("ending", ["normal", "divergence", "fault"])
     def test_pass_leaves_no_producer_behind(self, monkeypatch, tmp_path, ending):
-        # The blow-up of test_divergence_fails_fast, from noise of variance
-        # 1e6 on both sides: the engine raises while the producers wait for
-        # it. The fault hits the third fill of the last producer, whose
-        # trial range holds trial 2, mid-stream.
-        _split_fill(monkeypatch, 3)
-        cfg = ExperimentConfig(
-            mode="sysid", order=9, n_samples=3000, mc_runs=3,
-            reuse=ReuseConfig(scheme="idr", l_reused=2),
-        )
+        # A pass with reuse and its one producer, then a pass without reuse
+        # in three shards, two of them forked. Divergence comes from noise
+        # of variance 1e6 on both sides, at iteration 9 while the children
+        # wait; the fault hits the third fill of the process whose cursor
+        # draws trial 2: the producer, or the last shard.
+        _shard(monkeypatch, 3)
         params = RtgaParams(b=2.0, c=1.0, mu=0.05, phi=1.0, family="tlmp")
         spec = NoiseSpec("gaussian", 1e6 if ending == "divergence" else 0.1)
-        log = tmp_path / "fills"
-        record_fills(monkeypatch, log, fault_at=3 if ending == "fault" else None, trial=2)
-        before = threading.active_count()
-        run = lambda: runner._run_trials(cfg, params, [(spec, spec)])  # noqa: E731
-        if ending == "normal":
-            run()
-        else:
-            error = ArithmeticError if ending == "divergence" else MemoryError
-            with pytest.raises(error):
-                run()
-        assert threading.active_count() == before
-        pids = fill_pids(log)
-        assert len(pids) == 3 and os.getpid() not in pids
-        assert_reaped(pids)
+        for l_reused, children in ((2, 1), (0, 2)):
+            cfg = ExperimentConfig(
+                mode="sysid", order=9, n_samples=3000, mc_runs=3,
+                reuse=ReuseConfig(scheme="idr", l_reused=l_reused),
+            )
+            log = tmp_path / f"fills{l_reused}"
+            with pytest.MonkeyPatch.context() as mp:
+                record_fills(mp, log, fault_at=3 if ending == "fault" else None, trial=2)
+                forks = _counting_forks(mp)
+                before = threading.active_count()
+                run = lambda: runner._run_trials(cfg, params, [(spec, spec)])  # noqa: E731
+                if ending == "normal":
+                    run()
+                else:
+                    error = ArithmeticError if ending == "divergence" else MemoryError
+                    with pytest.raises(error):
+                        run()
+            assert threading.active_count() == before
+            assert len(forks) == children
+            pids = fill_pids(log) - {os.getpid()}
+            assert len(pids) == children
+            assert_reaped(pids)
 
     @pytest.mark.parametrize(
-        ("cpus", "runs", "l_reused", "groups", "constants", "want"),
+        ("cpus", "runs", "l_reused", "groups", "want"),
         [
-            (64, 3, 0, 1, {}, 2),
-            (64, 3, 2, 1, {}, 1),
-            (64, 3, 0, 2, {}, 1),
-            (1, 3, 0, 1, {}, 1),
-            (64, 1, 0, 1, {}, 1),
-            (64, 3, 0, 1, {"_PRODUCERS": 64}, 3),
+            (2, 3, 0, 1, 1),
+            (64, 3, 2, 1, 1),
+            (2, 3, 0, 2, 1),
+            (1, 3, 0, 1, 0),
+            (1, 3, 2, 1, 0),
+            (64, 1, 0, 1, 1),
+            (64, 2, 0, 1, 1),
+            (64, 3, 0, 1, 2),
         ],
-        ids=["fill_heavy", "engine_heavy", "two_groups", "one_cpu", "one_trial", "one_per_trial"],
+        ids=[
+            "fill_heavy", "engine_heavy", "two_groups", "one_cpu", "one_cpu_reuse",
+            "one_trial", "few_rows", "one_per_trial",
+        ],
     )
-    def test_forks_are_bounded(self, monkeypatch, cpus, runs, l_reused, groups, constants, want):
-        # Without reuse and with one group the fill outweighs the engine,
-        # and 64 CPUs get two producers, the most measured; with reuse, or
-        # with two groups, the engine is the slower side, and one producer
-        # keeps up. With the cap raised, 3 trials fork 3. A fork past the
-        # count raises in place of starting a process.
-        forks = []
-        fork = os.fork
-
-        def counting():
-            forks.append(None)
-            if len(forks) > want:
-                raise OSError(f"producer {len(forks)} of a pass that needs {want}")
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting)
+    def test_forks_are_bounded(self, monkeypatch, cpus, runs, l_reused, groups, want):
+        # With shards from 3 rows on, a pass without reuse, of one group or
+        # two, splits into one shard per CPU, at most one per trial, and
+        # forks all but the first. A pass with reuse, or with fewer rows,
+        # forks one producer; so does a one-trial pass, one shard. One CPU
+        # forks nothing, and no pass forks a process per CPU or per trial.
+        # A fork past the count raises in place of starting a process.
+        forks = _counting_forks(monkeypatch, want)
         monkeypatch.setattr(producer, "cpu_count", lambda: cpus)
         monkeypatch.setattr(StreamProvider, "_FORKED", 0)
-        for name, value in constants.items():
-            monkeypatch.setattr(StreamProvider, name, value)
+        monkeypatch.setattr(StreamProvider, "_SHARDED", 3)
         cfg = ExperimentConfig(
             mode="sysid", order=4, n_samples=600, mc_runs=runs, case_id=2,
             reuse=ReuseConfig(scheme="idr", l_reused=l_reused),
         )
         pairs = [(NoiseSpec("gaussian", s2),) * 2 for s2 in (0.1, 0.2)]
-        _kept_rows(cfg, pairs if groups == 2 else None)
+        _kept(cfg, pairs if groups == 2 else None, labels=("a", "b") if groups == 2 else ())
         assert len(forks) == want
 
     @settings(max_examples=12, deadline=None)
@@ -895,39 +907,37 @@ class TestProducer:
     @given(
         mode=st.sampled_from(["sysid", "tracking"]),
         runs=st.integers(1, 5),
-        producers=st.integers(0, 3),
+        cpus=st.integers(0, 3),
         chunk=st.integers(16, 600),
     )
-    @example(mode="sysid", runs=2, producers=3, chunk=64)
-    @example(mode="tracking", runs=5, producers=3, chunk=100)
-    @example(mode="tracking", runs=3, producers=0, chunk=100)
-    def test_rows_invariant_to_producer_count(self, mode, runs, producers, chunk):
-        # Split over 1 to 3 producers, fewer runs than producers among
-        # them, each run's ratio row and the counts equal those of the
-        # inline fill, and the pass forks one producer per CPU, at most
-        # one per run. No producer stands for a host without os.fork: the
-        # pass, above _FORKED, fills inline, with the same rows and counts.
+    @example(mode="sysid", runs=2, cpus=3, chunk=64)
+    @example(mode="tracking", runs=5, cpus=1, chunk=100)
+    @example(mode="tracking", runs=3, cpus=0, chunk=100)
+    def test_rows_invariant_to_producer_count(self, mode, runs, cpus, chunk):
+        # A pass with reuse, above _FORKED, forks one producer on 2 or 3
+        # CPUs and none on one, and each run's ratio row and the counts
+        # equal those of the inline fill. No CPU count stands for a host
+        # without os.fork: the pass fills inline, with the same rows.
         cfg = ExperimentConfig(
             mode=mode, order=4, n_samples=800, mc_runs=runs, case_id=2,
             base_seed=chunk, shift_time=400, shift_amount=1,
             algorithm=AlgorithmConfig(name="proposed"), censoring=CensorConfig(p_ce=0.3),
             reuse=ReuseConfig(scheme="idr", l_reused=2, window_cap=50),
         )
-        forks = []
-        fork = os.fork
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(StreamProvider, "_CHUNK", chunk)
             inline, inline_counts = _kept_rows(cfg)
             mp.setattr(StreamProvider, "_FORKED", 0)
-            if producers:
-                _split_fill(mp, producers)
-                mp.setattr(os, "fork", lambda: forks.append(None) or fork())
+            if cpus:
+                mp.setattr(producer, "cpu_count", lambda: cpus)
+                forks = _counting_forks(mp)
             else:
+                forks = []
                 mp.delattr(os, "fork")
             with runner._trial_provider(cfg, [case_spec(cfg.case_id)]) as provider:
-                assert provider.forks == bool(producers)
+                assert provider.forks == (cpus > 1)
             rows, counts = _kept_rows(cfg)
-        assert len(forks) == min(runs, producers)
+        assert len(forks) == (cpus > 1)
         assert np.array_equal(rows, inline)
         assert counts == inline_counts
 
@@ -1055,7 +1065,7 @@ class TestProducer:
             with first:
                 for i in range(1500):
                     first.step(i)
-                pid = first._producers[0].pid
+                pid = first._producer.pid
                 os.kill(pid, signal.SIGKILL)
                 t0 = time.perf_counter()
                 with pytest.raises(ChildProcessError, match=rf"pid {pid}\).*signal 9"):
@@ -1074,24 +1084,147 @@ class TestProducer:
             np.testing.assert_array_equal(rows, want)
 
     def test_killed_second_producer_raises_promptly(self, monkeypatch):
-        # SIGKILL the second of three producers mid-stream: the engine's
-        # next wait on it raises ChildProcessError instead of hanging, and
-        # the provider reaps all three.
-        _split_fill(monkeypatch, 3)
+        # SIGKILL the second of three shards mid-pass: this process's next
+        # wait on it raises ChildProcessError instead of hanging, and the
+        # pass reaps both forked shards.
+        _shard(monkeypatch, 3)
+        pids = []
+
+        class Recording(producer.Producer):
+            def __init__(self, fill):
+                super().__init__(fill)
+                pids.append(self.pid)
+
+        monkeypatch.setattr(producer, "Producer", Recording)
+        killed = []
+
+        def sink(start, *block):
+            if start >= 1500 and not killed:
+                os.kill(pids[1], signal.SIGKILL)
+                killed.append(time.perf_counter())
+
         cfg = ExperimentConfig(mode="sysid", order=9, n_samples=3000, mc_runs=3)
-        with runner._trial_provider(cfg, [case_spec(1)]) as provider:
-            assert provider.forks
-            for i in range(1500):
-                provider.step(i)
-            pids = [p.pid for p in provider._producers]
-            assert len(pids) == 3
-            os.kill(pids[1], signal.SIGKILL)
-            t0 = time.perf_counter()
-            with pytest.raises(ChildProcessError, match=rf"pid {pids[1]}\).*signal 9"):
-                for i in range(1500, cfg.n_samples):
-                    provider.step(i)
-            assert time.perf_counter() - t0 < 10
+        with pytest.raises(ChildProcessError, match=r"without answering \(killed by signal 9\)") as info:
+            runner._run_pass(cfg, cfg.resolved_params(), [case_spec(1)], sink)
+        assert time.perf_counter() - killed[0] < 10
+        assert len(pids) == 2 and f"pid {pids[1]})" in str(info.value)
         assert_reaped(pids)
+
+
+class TestShards:
+    """A pass without reuse splits its trials into shards, one per CPU."""
+
+    @staticmethod
+    def _pass(mode, runs, p_ce):
+        """cfg, noise pairs, truth and labels of a short pass of mode."""
+        cfg = ExperimentConfig(
+            mode=mode, order=4, n_samples=700, mc_runs=runs, case_id=2, base_seed=runs,
+            shift_time=350, shift_amount=1, censoring=CensorConfig(p_ce=p_ce),
+            theory=TheoryConfig(variances=(0.1, 0.02, 0.5)),
+        )
+        if mode != "theory":
+            return cfg, [case_spec(cfg.case_id)], None, ()
+        labels = [f"variance {s2:g}" for s2 in cfg.theory.variances]
+        return cfg, cfg.noise_pairs(), np.ones(cfg.order) / 2.0, labels
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        mode=st.sampled_from(["sysid", "tracking", "theory"]),
+        cpus=st.integers(1, 3),
+        runs=st.integers(1, 4),
+        p_ce=st.sampled_from([0.0, 0.5]),
+        block=st.sampled_from([16, 512]),
+    )
+    @example(mode="theory", cpus=3, runs=2, p_ce=0.5, block=16)
+    @example(mode="tracking", cpus=3, runs=4, p_ce=0.5, block=16)
+    def test_sharded_rows_equal_inline_rows(self, mode, cpus, runs, p_ce, block):
+        # Split over 1 to 3 shards, fewer trials than shards among them,
+        # every run's ratio row, censored mask and errors (so its e^2), the
+        # update counts and the final weights equal the inline pass's
+        # bitwise, and the pass forks min(trials, CPUs) - 1 shards. Blocks
+        # of 16 samples (5 with three groups) cross the shift at 350 and
+        # cycle the block slots many times.
+        cfg, noise, w_o, labels = self._pass(mode, runs, p_ce)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(runner, "_BLOCK", block)
+            inline, kept = _kept(cfg, noise, w_o, labels)
+            _shard(mp, cpus)
+            forks = _counting_forks(mp)
+            sharded, split = _kept(cfg, noise, w_o, labels)
+        assert len(forks) == min(runs, cpus) - 1
+        for name in ("ratio", "censored", "errors"):
+            assert np.array_equal(getattr(split, name), getattr(kept, name)), name
+        assert [b[0].shape[1] for b in split.blocks] == [b[0].shape[1] for b in kept.blocks]
+        assert np.array_equal(sharded.weights, inline.weights)
+        assert sharded.main_steps == inline.main_steps > 0
+        assert sharded.main_updates == inline.main_updates
+        assert (sharded.reuse_steps, sharded.reuse_updates) == (0, 0)
+        if p_ce:
+            assert kept.censored.any()
+
+    def test_rows_hold_under_fast_thread_switching(self, monkeypatch):
+        # Four passes at once on four threads, each in three shards, so
+        # twelve processes on the host's cores, with the interpreter
+        # switching threads every microsecond and a block of 16 samples: a
+        # slot written before its block was handed on, or handed on before
+        # every shard wrote it, changes a row.
+        cfg, noise, _, _ = self._pass("sysid", 3, 0.5)
+        monkeypatch.setattr(runner, "_BLOCK", 16)
+        _, inline = _kept(cfg, noise)
+        _shard(monkeypatch, 3)
+        results = {}
+
+        def work(k):
+            results[k] = _kept(cfg, noise)[1]
+
+        passes = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in passes:
+                t.start()
+            for t in passes:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in passes)
+        assert len(results) == 4
+        for kept in results.values():
+            for name in ("ratio", "censored", "errors"):
+                assert np.array_equal(getattr(kept, name), getattr(inline, name)), name
+
+    @pytest.mark.parametrize("mode", ["sysid", "theory"])
+    def test_divergence_named_across_shards(self, monkeypatch, mode):
+        # Trial 2's draws, 1e3 times larger, blow up its run in the last of
+        # three shards (in every group of a merged pass, which share the
+        # draws): the check names the run by its index in the whole pass,
+        # and by its group's label, at the iteration the inline pass names.
+        write = runner._TrialCursor.write
+
+        def wild(self, start, end, w, outs):
+            write(self, start, end, w, outs)
+            for k, trial in enumerate(drawn_trials(self, base_seed=3)):
+                if trial == 2:
+                    for x, d in outs:
+                        x[k] *= 1e3
+                        d[k] *= 1e3
+
+        monkeypatch.setattr(runner._TrialCursor, "write", wild)
+        cfg, noise, w_o, labels = self._pass(mode, 3, 0.0)
+        algorithm = AlgorithmConfig(name="rtga", a=100.0, b=2.0, c=0.5, mu=0.01)
+        cfg = replace(cfg, case_id=1, algorithm=algorithm)
+        noise = noise if labels else [case_spec(1)]
+        with pytest.raises(ArithmeticError) as alone:
+            _kept(cfg, noise, w_o, labels)
+        message = str(alone.value)
+        named = [f"{label} run(s) [2]" for label in labels] or ["run(s) [2]"]
+        assert re.match(rf"divergence at iteration \d+ in {re.escape(', '.join(named))};", message)
+        _shard(monkeypatch, 3)
+        forks = _counting_forks(monkeypatch)
+        with pytest.raises(ArithmeticError) as sharded:
+            _kept(cfg, noise, w_o, labels)
+        assert len(forks) == 2
+        assert str(sharded.value) == message
 
 
 class TestTracking:
