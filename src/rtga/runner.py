@@ -259,8 +259,9 @@ class StreamProvider:
     (producer.cpu_count):
     - Shards (shards()). A pass without reuse of at least _SHARDED rows,
       G * trials, splits its trials into min(trials, CPUs) contiguous
-      shards. Each draws and runs its own trials on an inline provider,
-      and _run_pass forks all but the first.
+      shards. Each draws and runs its own trials on an inline provider
+      in a forked child, and the pass's process only checks and sums
+      their blocks (_run_shards).
     - One producer. Any other pass on more than one CPU, where a trial
       draws at least _FORKED values per half chunk, has one forked
       producer process (rtga.producer) fill the ring, which then lives in
@@ -454,11 +455,10 @@ def run_engine(
 
     groups labels the G equal groups of runs that a merged pass holds, in
     run order (none: one group). Per-run output fills (runs, _BLOCK // G)
-    buffers, so they hold what one group's pass holds; a block ends when
-    they are full, at a segment end and at n. Then sink(start, ratio,
-    censored, e) receives the block's (runs, end - start) views, which the
-    next block overwrites; _checked puts the divergence check in front of
-    a sink.
+    buffers, so they hold what one group's pass holds, one block of
+    _blocks at a time. After each block, sink(start, ratio, censored, e)
+    receives its (runs, end - start) views, which the next block
+    overwrites; _checked puts the divergence check in front of a sink.
     """
     blocks = _engine(provider, n, params, censor, reuse_cfg, segments, _width(groups))
     while True:
@@ -472,6 +472,14 @@ def run_engine(
 def _width(groups: Sequence) -> int:
     """The columns of a block of a pass of the given groups."""
     return max(1, _BLOCK // max(1, len(groups)))
+
+
+def _blocks(segments: list[tuple[int, int, np.ndarray]], n: int, width: int):
+    """The engine's blocks of a pass, as (start, end, truths): width columns,
+    ending early at a segment end and at n."""
+    for seg_start, seg_end, seg_w in segments:
+        for start in range(seg_start, min(seg_end, n), width):
+            yield start, min(start + width, seg_end, n), seg_w
 
 
 def _engine(
@@ -522,39 +530,37 @@ def _engine(
         W += step_x[:, None] * x
         return e, cen
 
-    for seg_start, seg_end, seg_w in segments:
+    for start, end, seg_w in _blocks(segments, n, width):
         seg_den = np.sum(seg_w * seg_w, axis=1)
-        for start in range(seg_start, min(seg_end, n), width):
-            end = min(start + width, seg_end, n)
-            cen_mask.fill(False)
-            # One errstate per block, not per update: the divergence check
-            # names the runs that overflow, so numpy's warnings stay quiet
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for j, i in enumerate(range(start, end)):
-                    x_i, d_i = provider.step(i)
-                    if i >= L:
-                        gated = censor.active and tracker.ready
-                        thr = kappa * tracker.sigma if gated else None
-                        for idx in schedule(reuse_cfg, i, L):
-                            x_r, d_r = provider.past(idx)
-                            _, cen = update(W, x_r, d_r, thr)
-                            reuse_steps += runs
-                            if gated:
-                                reuse_censored += int(np.count_nonzero(cen))
-                        e, cen = update(W, x_i, d_i, thr)
-                        main_steps += runs
+        cen_mask.fill(False)
+        # One errstate per block, not per update: the divergence check
+        # names the runs that overflow, so numpy's warnings stay quiet
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for j, i in enumerate(range(start, end)):
+                x_i, d_i = provider.step(i)
+                if i >= L:
+                    gated = censor.active and tracker.ready
+                    thr = kappa * tracker.sigma if gated else None
+                    for idx in schedule(reuse_cfg, i, L):
+                        x_r, d_r = provider.past(idx)
+                        _, cen = update(W, x_r, d_r, thr)
+                        reuse_steps += runs
                         if gated:
-                            cen_mask[:, j] = cen
-                        if censor.active:
-                            tracker.update(e)
-                    else:
-                        e = d_i - np.einsum("rl,rl->r", W, x_i)
-                    errors[:, j] = e
-                    dev = W - seg_w
-                    ratio[:, j] = np.einsum("rl,rl->r", dev, dev) / seg_den
-            block = slice(0, end - start)
-            main_censored += int(np.count_nonzero(cen_mask[:, block]))
-            yield start, ratio[:, block], cen_mask[:, block], errors[:, block]
+                            reuse_censored += int(np.count_nonzero(cen))
+                    e, cen = update(W, x_i, d_i, thr)
+                    main_steps += runs
+                    if gated:
+                        cen_mask[:, j] = cen
+                    if censor.active:
+                        tracker.update(e)
+                else:
+                    e = d_i - np.einsum("rl,rl->r", W, x_i)
+                errors[:, j] = e
+                dev = W - seg_w
+                ratio[:, j] = np.einsum("rl,rl->r", dev, dev) / seg_den
+        block = slice(0, end - start)
+        main_censored += int(np.count_nonzero(cen_mask[:, block]))
+        yield start, ratio[:, block], cen_mask[:, block], errors[:, block]
     return EngineResult(
         weights=W,
         main_steps=main_steps,
@@ -783,7 +789,7 @@ def _run_pass(
     if count == 1:
         with shards[0][0] as provider:
             return run_engine(provider, *args, provider.segments, checked, labels)
-    return _run_shards(shards, groups, args, checked, labels)
+    return _run_shards(shards, groups, segments, args, checked, _width(labels))
 
 
 def _shard_rows(a: np.ndarray, groups: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -792,77 +798,60 @@ def _shard_rows(a: np.ndarray, groups: int, lo: int = 0, hi: int | None = None) 
     return a.reshape(groups, -1, *a.shape[1:])[:, lo:hi]
 
 
-def _run_shards(shards, groups: int, args, sink, labels: Sequence[str]) -> EngineResult:
-    """Run each shard's (provider, lo, hi) trials, the first shard in this
-    process and the others in forked children (rtga.producer), and hand
-    sink each block of every run, in run order.
+def _run_shards(
+    shards, groups: int, segments: list[tuple[int, int, np.ndarray]], args, sink, width: int
+) -> EngineResult:
+    """Run each shard's (provider, lo, hi) trials in a forked child
+    (rtga.producer), and hand sink each block of every run, in run order.
 
-    A child's k-th piece is its engine's k-th block: it writes its rows of
-    the block into slot k % 2 of shared (2, rows, width) buffers of the
-    ratio, the censored mask and e. Its piece after the last block writes
-    its final weights and counts. This process runs the first shard
-    through run_engine, whose sink writes the shard's rows beside the
-    children's, takes every child's answer for the block, hands the whole
-    block to sink, and then asks for the block after next: a child runs up
-    to a block ahead and never writes a slot that sink may still read.
-    Every child is killed and reaped when the pass ends or fails.
+    A child's k-th piece is its engine's k-th block of the pass's
+    segments: it writes its rows of the block into slot k % 2 of shared
+    (2, rows, width) buffers of the ratio, the censored mask and e. Its
+    piece after the last block writes its final weights and counts. This
+    process only waits, checks and sums: for each block it asks every
+    child for the piece after it, takes every child's answer for the
+    block and hands the whole block to sink. So a child runs up to a
+    block ahead and never writes a slot that sink may still read. Every
+    child is killed and reaped when the pass ends or fails.
     """
     from .producer import Producer, shared_arrays
 
     n, params, censor, reuse_cfg = args
-    rows, L = groups * shards[-1][2], shards[0][0].segments[0][2].shape[1]
-    width = _width(labels)
+    rows, L = segments[0][2].shape
     ratio, errors, weights, counts = shared_arrays(
         (2, rows, width), (2, rows, width), (rows, L), (len(shards), 4)
     )
     (censored,) = shared_arrays((2, rows, width), dtype=bool)
     buffers = ratio, censored, errors
 
-    def write(s: int, k: int, block) -> None:
-        """Write shard s's rows of block k into its slot."""
-        _, lo, hi = shards[s]
-        for a, part in zip(buffers, block):
-            m = part.shape[1]
-            _shard_rows(a[k % 2], groups, lo, hi)[..., :m] = _shard_rows(part, groups)
-
-    def finish(s: int, res: EngineResult) -> None:
-        """Write shard s's final weights and counts."""
-        _, lo, hi = shards[s]
-        _shard_rows(weights, groups, lo, hi)[:] = _shard_rows(res.weights, groups)
-        counts[s] = res.main_steps, res.main_updates, res.reuse_steps, res.reuse_updates
-
     def child(s: int):
-        provider = shards[s][0]
+        provider, lo, hi = shards[s]
         blocks = _engine(provider, n, params, censor, reuse_cfg, provider.segments, width)
 
         def fill(k: int) -> None:
             try:
-                write(s, k, next(blocks)[1:])
+                block = next(blocks)[1:]
             except StopIteration as done:
-                if done.value is not None:  # not a piece asked past the end
-                    finish(s, done.value)
+                res = done.value
+                _shard_rows(weights, groups, lo, hi)[:] = _shard_rows(res.weights, groups)
+                counts[s] = res.main_steps, res.main_updates, res.reuse_steps, res.reuse_updates
+                return
+            for a, part in zip(buffers, block):
+                m = part.shape[1]
+                _shard_rows(a[k % 2], groups, lo, hi)[..., :m] = _shard_rows(part, groups)
 
         return fill
 
     children = []
-    k = 0
-
-    def merge(start: int, *block) -> None:
-        nonlocal k
-        write(0, k, block)
-        _answers(children)
-        m = block[0].shape[1]
-        sink(start, *(a[k % 2, :, :m] for a in buffers))
-        k += 1
-        for producer in children:
-            producer.ask(1)
-
     try:
-        for s in range(1, len(shards)):
+        for s in range(len(shards)):
             children.append(Producer(child(s)))
-            children[-1].ask(2)
-        with shards[0][0] as provider:
-            finish(0, run_engine(provider, *args, provider.segments, merge, labels))
+            children[-1].ask(1)
+        for k, (start, end, _) in enumerate(_blocks(segments, n, width)):
+            for producer in children:
+                producer.ask(1)
+            _answers(children)
+            sink(start, *(a[k % 2, :, :end - start] for a in buffers))
         _answers(children)
     finally:
         while children:

@@ -299,8 +299,8 @@ def test_overflowing_step_exits_1_with_one_line(capsys):
 
 def test_overflowing_sharded_step_names_iteration_9(monkeypatch, capsys):
     # The default sysid pass (1000 runs, 8000 samples, no reuse) runs in
-    # two shards on two CPUs; the one check sees every run of each block,
-    # so the error still names iteration 9 and all 1000 runs.
+    # two forked shards on two CPUs; the one check sees every run of each
+    # block, so the error still names iteration 9 and all 1000 runs.
     monkeypatch.setattr(producer, "cpu_count", lambda: 2)
     forks = []
     fork = os.fork
@@ -309,7 +309,7 @@ def test_overflowing_sharded_step_names_iteration_9(monkeypatch, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         rc = main(["sysid", "--mu", "1e300"])
     assert rc == 1
-    assert len(forks) == 1
+    assert len(forks) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(

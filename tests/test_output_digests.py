@@ -25,8 +25,9 @@ CONFIGS = [
     ("sysid-inline", "sysid", None, dict(runs=2, samples=300, seed=1)),
     ("sysid-reuse-one-producer", "sysid", None,
      dict(case=2, algo="proposed", pce=0.7, reuse=3, samples=3000, runs=20)),
-    ("sysid-two-producers", "sysid", None, dict(case=1, samples=3000, runs=50)),
+    ("sysid-one-producer", "sysid", None, dict(case=1, samples=3000, runs=50)),
     ("theory-pce", "theory", None, dict(pce=0.5, runs=10, samples=2000)),
+    ("theory-sharded", "theory", None, dict(runs=100, samples=600)),
     ("tracking-ini", "tracking", {
         "experiment": {"samples": "3000", "runs": "5", "shift_time": "1500",
                        "shift_amount": "3"},

@@ -806,14 +806,15 @@ class TestProducer:
     @pytest.mark.parametrize("ending", ["normal", "divergence", "fault"])
     def test_pass_leaves_no_producer_behind(self, monkeypatch, tmp_path, ending):
         # A pass with reuse and its one producer, then a pass without reuse
-        # in three shards, two of them forked. Divergence comes from noise
+        # in three shards, all three forked. Divergence comes from noise
         # of variance 1e6 on both sides, at iteration 9 while the children
         # wait; the fault hits the third fill of the process whose cursor
-        # draws trial 2: the producer, or the last shard.
+        # draws trial 2: the producer, or the last shard. The pass's own
+        # process makes no cursor write either way.
         _shard(monkeypatch, 3)
         params = RtgaParams(b=2.0, c=1.0, mu=0.05, phi=1.0, family="tlmp")
         spec = NoiseSpec("gaussian", 1e6 if ending == "divergence" else 0.1)
-        for l_reused, children in ((2, 1), (0, 2)):
+        for l_reused, children in ((2, 1), (0, 3)):
             cfg = ExperimentConfig(
                 mode="sysid", order=9, n_samples=3000, mc_runs=3,
                 reuse=ReuseConfig(scheme="idr", l_reused=l_reused),
@@ -832,21 +833,22 @@ class TestProducer:
                         run()
             assert threading.active_count() == before
             assert len(forks) == children
-            pids = fill_pids(log) - {os.getpid()}
+            pids = fill_pids(log)
+            assert os.getpid() not in pids
             assert len(pids) == children
             assert_reaped(pids)
 
     @pytest.mark.parametrize(
         ("cpus", "runs", "l_reused", "groups", "want"),
         [
-            (2, 3, 0, 1, 1),
+            (2, 3, 0, 1, 2),
             (64, 3, 2, 1, 1),
-            (2, 3, 0, 2, 1),
+            (2, 3, 0, 2, 2),
             (1, 3, 0, 1, 0),
             (1, 3, 2, 1, 0),
             (64, 1, 0, 1, 1),
             (64, 2, 0, 1, 1),
-            (64, 3, 0, 1, 2),
+            (64, 3, 0, 1, 3),
         ],
         ids=[
             "fill_heavy", "engine_heavy", "two_groups", "one_cpu", "one_cpu_reuse",
@@ -856,7 +858,7 @@ class TestProducer:
     def test_forks_are_bounded(self, monkeypatch, cpus, runs, l_reused, groups, want):
         # With shards from 3 rows on, a pass without reuse, of one group or
         # two, splits into one shard per CPU, at most one per trial, and
-        # forks all but the first. A pass with reuse, or with fewer rows,
+        # forks every shard. A pass with reuse, or with fewer rows,
         # forks one producer; so does a one-trial pass, one shard. One CPU
         # forks nothing, and no pass forks a process per CPU or per trial.
         # A fork past the count raises in place of starting a process.
@@ -1086,7 +1088,7 @@ class TestProducer:
     def test_killed_second_producer_raises_promptly(self, monkeypatch):
         # SIGKILL the second of three shards mid-pass: this process's next
         # wait on it raises ChildProcessError instead of hanging, and the
-        # pass reaps both forked shards.
+        # pass reaps all three forked shards.
         _shard(monkeypatch, 3)
         pids = []
 
@@ -1107,7 +1109,7 @@ class TestProducer:
         with pytest.raises(ChildProcessError, match=r"without answering \(killed by signal 9\)") as info:
             runner._run_pass(cfg, cfg.resolved_params(), [case_spec(1)], sink)
         assert time.perf_counter() - killed[0] < 10
-        assert len(pids) == 2 and f"pid {pids[1]})" in str(info.value)
+        assert len(pids) == 3 and f"pid {pids[1]})" in str(info.value)
         assert_reaped(pids)
 
 
@@ -1141,7 +1143,8 @@ class TestShards:
         # Split over 1 to 3 shards, fewer trials than shards among them,
         # every run's ratio row, censored mask and errors (so its e^2), the
         # update counts and the final weights equal the inline pass's
-        # bitwise, and the pass forks min(trials, CPUs) - 1 shards. Blocks
+        # bitwise, and a pass of two or more shards forks every one of its
+        # min(trials, CPUs) shards, where one shard forks nothing. Blocks
         # of 16 samples (5 with three groups) cross the shift at 350 and
         # cycle the block slots many times.
         cfg, noise, w_o, labels = self._pass(mode, runs, p_ce)
@@ -1151,7 +1154,8 @@ class TestShards:
             _shard(mp, cpus)
             forks = _counting_forks(mp)
             sharded, split = _kept(cfg, noise, w_o, labels)
-        assert len(forks) == min(runs, cpus) - 1
+        shards = min(runs, cpus)
+        assert len(forks) == (shards if shards > 1 else 0)
         for name in ("ratio", "censored", "errors"):
             assert np.array_equal(getattr(split, name), getattr(kept, name)), name
         assert [b[0].shape[1] for b in split.blocks] == [b[0].shape[1] for b in kept.blocks]
@@ -1163,8 +1167,8 @@ class TestShards:
             assert kept.censored.any()
 
     def test_rows_hold_under_fast_thread_switching(self, monkeypatch):
-        # Four passes at once on four threads, each in three shards, so
-        # twelve processes on the host's cores, with the interpreter
+        # Four passes at once on four threads, each in three forked shards,
+        # so twelve children on the host's cores, with the interpreter
         # switching threads every microsecond and a block of 16 samples: a
         # slot written before its block was handed on, or handed on before
         # every shard wrote it, changes a row.
@@ -1223,7 +1227,7 @@ class TestShards:
         forks = _counting_forks(monkeypatch)
         with pytest.raises(ArithmeticError) as sharded:
             _kept(cfg, noise, w_o, labels)
-        assert len(forks) == 2
+        assert len(forks) == 3
         assert str(sharded.value) == message
 
 
