@@ -5,14 +5,16 @@ docstrings (the string that opens a module, class or function body) are
 left out; a statement or string that spans several lines counts each of
 them. tokenize finds the tokens and ast finds the docstrings.
 
-    python scripts/code_lines.py [SOURCE_DIR]
+    python scripts/code_lines.py [--defs] [SOURCE_DIR]
 
-SOURCE_DIR defaults to the src/rtga of this checkout.
+SOURCE_DIR defaults to the src/rtga of this checkout. --defs also prints,
+under each module, the code lines of each of its top-level functions and
+classes, decorators included.
 """
 
+import argparse
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -23,12 +25,14 @@ _NOT_CODE = {
     tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
 }
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
 
 def _docstrings(tree: ast.AST) -> set[int]:
     """The lines of every docstring in tree."""
     lines = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.Module, *_DEFS)):
             first = node.body[0] if node.body else None
             if (
                 isinstance(first, ast.Expr)
@@ -39,23 +43,48 @@ def _docstrings(tree: ast.AST) -> set[int]:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """The number of code lines of a module's source."""
-    skipped = _docstrings(ast.parse(source))
+def _code_line_numbers(source: str, tree: ast.AST) -> set[int]:
+    """The numbers of the code lines of a module's source, parsed as tree."""
     lines = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in _NOT_CODE:
             lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines - skipped)
+    return lines - _docstrings(tree)
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines of a module's source."""
+    return len(_code_line_numbers(source, ast.parse(source)))
+
+
+def _defs(tree: ast.Module) -> list[tuple[str, range]]:
+    """Each top-level function and class of a module with its lines,
+    decorators included."""
+    return [
+        (node.name, range(min(d.lineno for d in [node, *node.decorator_list]), node.end_lineno + 1))
+        for node in tree.body
+        if isinstance(node, _DEFS)
+    ]
 
 
 def main() -> None:
-    src = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "src" / "rtga"
+    parser = argparse.ArgumentParser(description="Code lines of each rtga module.")
+    parser.add_argument("source", nargs="?", type=Path, default=ROOT / "src" / "rtga")
+    parser.add_argument(
+        "--defs", action="store_true",
+        help="also print the code lines of each top-level function and class",
+    )
+    args = parser.parse_args()
     total = 0
-    for path in sorted(src.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6,d}  {path.name}")
+    for path in sorted(args.source.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        lines = _code_line_numbers(source, tree)
+        total += len(lines)
+        print(f"{len(lines):6,d}  {path.name}")
+        if args.defs:
+            for name, span in _defs(tree):
+                print(f"{len(lines.intersection(span)):14,d}  {name}")
     print(f"{total:6,d}  total")
 
 

@@ -2,15 +2,14 @@
 
 numpy releases the interpreter lock only inside its inner loops, so a
 thread spends most of its many short calls waiting for the engine's lock.
-A forked child has an interpreter of its own. StreamProvider's rule (see
-its docstring) forks either one producer, which writes the ring, an
-anonymous shared mapping made before the fork, while the engine's process
-runs the updates; or, for a wide pass without reuse, one child per shard
-of trials, which runs its own trials' fill and engine and writes each
-block's rows into shared block buffers (runner._run_shards). No pass
-forks more than one child per CPU (cpu_count) or per trial. Each child
-works through objects made before the fork that after it only the child
-touches, so nothing else crosses the process boundary.
+A forked child has an interpreter of its own. A pass runs inline, with
+one producer or in shards, by the rule that the runner.StreamProvider
+docstring states. One producer writes the ring, an anonymous shared
+mapping made before the fork, while the engine's process runs the
+updates; each shard's child runs its own trials' fill and engine and
+writes each block's rows into shared block buffers (runner._run_shards).
+Each child works through objects made before the fork that after it only
+the child touches, so nothing else crosses the process boundary.
 
 The protocol runs over two pipes. The parent writes one byte for each
 piece it wants done; the child does the pieces in order and answers each

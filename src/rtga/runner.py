@@ -256,7 +256,8 @@ class StreamProvider:
 
     A pass runs in one of three ways, by a rule that reads only its reuse,
     its rows, its fill and the CPUs the process may run on
-    (producer.cpu_count):
+    (producer.cpu_count: the affinity mask, which a cgroup CPU quota does
+    not narrow):
     - Shards (shards()). A pass without reuse of at least _SHARDED rows,
       G * trials, splits its trials into min(trials, CPUs) contiguous
       shards. Each draws and runs its own trials on an inline provider
@@ -615,30 +616,37 @@ def _checked(
 
 
 class RunSums:
-    """An experiment's sink: per-iteration run sums of the ratio (and e^2).
+    """An experiment's sink: per-iteration run sums of the ratio (and e^2)
+    of each of the groups of runs that a pass holds, in run order.
 
-    Rows are added one run after another, the order of mean(axis=0) on a
-    (runs, n) array, so the means are bit-identical; censored counts the
-    censored runs per iteration. The e^2 sums are kept only with errors
-    (e2 is None otherwise).
+    ratio, censored and e2 are (groups, n). A block's rows are viewed as
+    (groups, runs, m), and each group's rows are added one run after
+    another, the order of mean(axis=0) on a (runs, n) array, so the means
+    are bit-identical; censored counts the censored runs per iteration.
+    The e^2 sums are kept only with errors (e2 is None otherwise).
     """
 
-    def __init__(self, runs: int, n: int, errors: bool = False):
+    def __init__(self, groups: int, runs: int, n: int, errors: bool = False):
         self.runs = runs
-        self.ratio = np.zeros(n)
-        self.e2 = np.zeros(n) if errors else None
-        self.censored = np.zeros(n, dtype=np.int64)
+        self.ratio = np.zeros((groups, n))
+        self.e2 = np.zeros((groups, n)) if errors else None
+        self.censored = np.zeros((groups, n), dtype=np.int64)
+
+    def _runs(self, a: np.ndarray) -> np.ndarray:
+        """A block's (groups * runs, m) rows as (runs, groups, m): item k
+        holds run k of every group."""
+        return a.reshape(len(self.ratio), self.runs, a.shape[1]).swapaxes(0, 1)
 
     def __call__(self, start: int, ratio, censored, e) -> None:
         cols = slice(start, start + ratio.shape[1])
-        ratio_sum = self.ratio[cols]
-        for ratio_row in ratio:
-            ratio_sum += ratio_row
+        ratio_sum = self.ratio[:, cols]
+        for rows in self._runs(ratio):
+            ratio_sum += rows
         if self.e2 is not None:
-            e2_sum = self.e2[cols]
-            for e_row in e:
-                e2_sum += e_row * e_row
-        self.censored[cols] = np.count_nonzero(censored, axis=0)
+            e2_sum = self.e2[:, cols]
+            for rows in self._runs(e):
+                e2_sum += rows * rows
+        self.censored[:, cols] = np.count_nonzero(self._runs(censored), axis=0)
 
 
 @dataclass
@@ -696,7 +704,7 @@ class ExperimentResult:
 def _aggregate(
     cfg: ExperimentConfig, params: RtgaParams, res: EngineResult, sums: RunSums
 ) -> ExperimentResult:
-    mean_ratio = sums.ratio / sums.runs
+    mean_ratio = sums.ratio[0] / sums.runs
     keys = ("main_steps", "main_updates", "reuse_steps", "reuse_updates")
     counts = {k: getattr(res, k) for k in keys}
     curve = LearningCurve(to_db(mean_ratio), runs=sums.runs)
@@ -714,7 +722,7 @@ def _aggregate(
     if cfg.censoring.active:
         steps = counts["main_steps"]
         out.censor_overall = (steps - counts["main_updates"]) / steps
-        steady = sums.censored[max(cfg.n_samples // 2, cfg.order):]
+        steady = sums.censored[0, max(cfg.n_samples // 2, cfg.order):]
         out.censor_steady = int(steady.sum()) / (sums.runs * steady.size)
     if counts["reuse_steps"]:
         out.reuse_censor = 1.0 - counts["reuse_updates"] / counts["reuse_steps"]
@@ -762,15 +770,21 @@ def _run_pass(
     shared: tuple[np.ndarray, np.ndarray] | None = None,
     labels: Sequence[str] = (),
 ) -> EngineResult:
-    """Run the pass of every trial (see _trial_provider), inline, in shards
-    or with one producer, by StreamProvider's rule.
+    """The one driver of every engine mode: every trial (see
+    _trial_provider) in one time-major pass, inline, in shards or with one
+    producer, by StreamProvider's rule.
 
-    sink sees each block of every run, in run order, behind the divergence
+    noise holds one (input, output) pair per group of cfg.mc_runs runs,
+    all run in this pass on the same cfg.mc_runs trials, whose draws the
+    groups share; labels names each group when there are several. sink
+    sees each block of every run, in run order, behind the divergence
     check (_checked), whatever the way; the result's counts and weights
     cover every run.
     """
     n, L, trials = cfg.n_samples, cfg.order, cfg.mc_runs
     groups = len(noise)
+    if groups > 1 and len(labels) != groups:
+        raise ValueError("a merged pass needs one label per noise group")
     # a pass reuses when the reuse schedule gives its last sample an index
     reused = bool(schedule(cfg.reuse, n - 1, L))
     count = StreamProvider.shards(groups, trials, reused)
@@ -868,38 +882,6 @@ def _answers(producers) -> None:
             raise error
 
 
-def _run_trials(
-    cfg: ExperimentConfig,
-    params: RtgaParams,
-    noise: Sequence[tuple[NoiseSpec, NoiseSpec]],
-    w_o: np.ndarray | None = None,
-    shared: tuple[np.ndarray, np.ndarray] | None = None,
-    labels: Sequence[str] = (),
-    errors: bool = False,
-) -> tuple[EngineResult, list[RunSums]]:
-    """The one driver of every engine mode: all trials in one time-major batch.
-
-    noise holds one (input, output) pair per group of cfg.mc_runs runs,
-    all run in this one engine pass on the same cfg.mc_runs trials, whose
-    draws the groups share; labels names each group when there are
-    several. errors asks for the run sums of e^2. See _run_pass for the
-    rest. Returns the engine result, whose counts cover every group, and
-    one RunSums per group.
-    """
-    if len(noise) > 1 and len(labels) != len(noise):
-        raise ValueError("a merged pass needs one label per noise group")
-    runs = cfg.mc_runs
-    sums = [RunSums(runs, cfg.n_samples, errors) for _ in noise]
-
-    def sink(start: int, ratio, censored, e) -> None:
-        for g, group_sums in enumerate(sums):
-            rows = slice(g * runs, (g + 1) * runs)
-            group_sums(start, ratio[rows], censored[rows], e[rows])
-
-    res = _run_pass(cfg, params, noise, sink, w_o, shared, labels)
-    return res, sums
-
-
 def run_sysid(cfg: ExperimentConfig) -> ExperimentResult:
     """System identification under the configured case.
 
@@ -907,7 +889,8 @@ def run_sysid(cfg: ExperimentConfig) -> ExperimentResult:
     """
     cfg.validate()
     params = cfg.resolved_params()
-    res, (sums,) = _run_trials(cfg, params, cfg.noise_pairs())
+    sums = RunSums(1, cfg.mc_runs, cfg.n_samples)
+    res = _run_pass(cfg, params, cfg.noise_pairs(), sums)
     return _aggregate(cfg, params, res, sums)
 
 
@@ -971,12 +954,11 @@ def run_aec(
             f"case noises scaled by scene power: input x{p_x:.4g}, output x{p_d:.4g}"
         )
     params = cfg.resolved_params(noise)
-    res, (sums,) = _run_trials(
-        cfg, params, [noise], w_o=echo, shared=(x_far, d_clean), errors=True
-    )
+    sums = RunSums(1, cfg.mc_runs, cfg.n_samples, errors=True)
+    res = _run_pass(cfg, params, [noise], sums, w_o=echo, shared=(x_far, d_clean))
     out = _aggregate(cfg, params, res, sums)
     out.mode = "aec"
-    out.erle = erle_db(d_clean * d_clean, sums.e2 / sums.runs, sums.runs)
+    out.erle = erle_db(d_clean * d_clean, sums.e2[0] / sums.runs, sums.runs)
     out.csv_columns = {"nmsd_db": out.curve.values_db, "erle_db": out.erle.values_db}
     out.notes.extend(notes)
     return out
@@ -1015,10 +997,11 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
         )
         theory.append(float(to_db(steady_state_msd(t, params.mu))))
     labels = [f"variance {s2:g}" for s2 in variances]
-    _, sums = _run_trials(cfg, params, cfg.noise_pairs(), w_o, labels=labels)
+    sums = RunSums(len(variances), cfg.mc_runs, cfg.n_samples)
+    _run_pass(cfg, params, cfg.noise_pairs(), sums, w_o, labels=labels)
     rows = []
-    for s2, theory_db, group in zip(variances, theory, sums):
-        sim_db = tail_mean_db(group.ratio / group.runs)
+    for s2, theory_db, ratio in zip(variances, theory, sums.ratio):
+        sim_db = tail_mean_db(ratio / sums.runs)
         rows.append(
             {
                 "label": f"{cfg.theory.output_family}, variance {s2:g}",

@@ -370,20 +370,24 @@ class TestEngineBlocks:
         # the last block is one column wide. A one-column block is where a
         # sum over the run axis leaves the order of mean(axis=0) (numpy
         # sums a contiguous axis pairwise), so width 1 has only those. The
-        # run sums must equal the kept curves' means exactly.
+        # run sums must equal the kept curves' means exactly, both as one
+        # group of 12 runs and as a merged input of 3 groups of 4 runs.
         monkeypatch.setattr(runner, "_BLOCK", block)
         n, L, runs, shift = 41, 4, 12, 24
+        groups = 3
         rng = np.random.default_rng(8)
         X = rng.standard_normal((runs, n, L))
         D = rng.standard_normal((runs, n))
         WO = rng.standard_normal((runs, L))
         segments = [(0, shift, WO), (shift, n, np.roll(WO, 1, axis=1))]
-        kept, sums, plain = KeepAll(), RunSums(runs, n, errors=True), RunSums(runs, n)
+        kept, sums, plain = KeepAll(), RunSums(1, runs, n, errors=True), RunSums(1, runs, n)
+        merged = RunSums(groups, runs // groups, n, errors=True)
 
         def both(*out):
             kept(*out)
             sums(*out)
             plain(*out)
+            merged(*out)
 
         params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.05, phi=1.0)
         censor = CensorConfig(p_ce=0.5)
@@ -391,14 +395,20 @@ class TestEngineBlocks:
         run_engine(ArrayProvider(X, D), n, params, censor, reuse, segments, both)
 
         assert [b[0].shape[1] for b in kept.blocks] == widths
-        assert np.array_equal(sums.ratio / runs, kept.ratio.mean(axis=0))
+        assert np.array_equal(sums.ratio[0] / runs, kept.ratio.mean(axis=0))
         e = kept.errors
-        assert np.array_equal(sums.e2 / runs, (e * e).mean(axis=0))
-        assert np.array_equal(sums.censored, kept.censored.sum(axis=0))
-        assert sums.censored[-1] > 0
+        assert np.array_equal(sums.e2[0] / runs, (e * e).mean(axis=0))
+        assert np.array_equal(sums.censored[0], kept.censored.sum(axis=0))
+        assert sums.censored[0, -1] > 0
         # without errors the sink keeps no e^2 sums and the same ratio sums
         assert plain.e2 is None
         assert np.array_equal(plain.ratio, sums.ratio)
+        # group g of the merged input is runs [4 g, 4 g + 4)
+        for g, rows in enumerate(np.split(np.arange(runs), groups)):
+            assert np.array_equal(merged.ratio[g] / merged.runs, kept.ratio[rows].mean(axis=0))
+            e = kept.errors[rows]
+            assert np.array_equal(merged.e2[g] / merged.runs, (e * e).mean(axis=0))
+            assert np.array_equal(merged.censored[g], kept.censored[rows].sum(axis=0))
 
     def test_merged_pass_divides_the_block_width(self, monkeypatch):
         # A pass of G groups fills _BLOCK // G columns (at least one), so
@@ -753,10 +763,12 @@ def _theory_rows(cfg):
         return run_theory_compare(cfg).table
     L = cfg.order
     labels = [f"variance {s2:g}" for s2 in cfg.theory.variances]
-    _, sums = runner._run_trials(
-        cfg, cfg.resolved_params(), cfg.noise_pairs(), np.ones(L) / np.sqrt(L), labels=labels
+    sums = RunSums(len(labels), cfg.mc_runs, cfg.n_samples)
+    runner._run_pass(
+        cfg, cfg.resolved_params(), cfg.noise_pairs(), sums, np.ones(L) / np.sqrt(L),
+        labels=labels,
     )
-    return [(group.ratio.tolist(), group.censored.tolist()) for group in sums]
+    return [(ratio.tolist(), counts.tolist()) for ratio, counts in zip(sums.ratio, sums.censored)]
 
 
 def _shard(monkeypatch, cpus):
@@ -824,7 +836,8 @@ class TestProducer:
                 record_fills(mp, log, fault_at=3 if ending == "fault" else None, trial=2)
                 forks = _counting_forks(mp)
                 before = threading.active_count()
-                run = lambda: runner._run_trials(cfg, params, [(spec, spec)])  # noqa: E731
+                sums = RunSums(1, cfg.mc_runs, cfg.n_samples)
+                run = lambda: runner._run_pass(cfg, params, [(spec, spec)], sums)  # noqa: E731
                 if ending == "normal":
                     run()
                 else:
@@ -915,7 +928,7 @@ class TestProducer:
     @example(mode="sysid", runs=2, cpus=3, chunk=64)
     @example(mode="tracking", runs=5, cpus=1, chunk=100)
     @example(mode="tracking", runs=3, cpus=0, chunk=100)
-    def test_rows_invariant_to_producer_count(self, mode, runs, cpus, chunk):
+    def test_rows_invariant_to_cpu_count(self, mode, runs, cpus, chunk):
         # A pass with reuse, above _FORKED, forks one producer on 2 or 3
         # CPUs and none on one, and each run's ratio row and the counts
         # equal those of the inline fill. No CPU count stands for a host
@@ -1444,6 +1457,16 @@ class TestTheoryAndSweep:
             mp.setattr(StreamProvider, "_FORKED", forked)
             mp.setattr(runner, "_BLOCK", block)
             assert table(variances) == alone
+
+    def test_merged_pass_needs_a_label_per_group(self):
+        # A divergence in a merged pass is named by its group's label, so a
+        # pass of two noise pairs without labels is refused before it runs.
+        cfg = ExperimentConfig(mode="theory", order=4, n_samples=150, mc_runs=2)
+        pairs = [(NoiseSpec("gaussian", s2),) * 2 for s2 in (0.1, 0.2)]
+        kept = KeepAll()
+        with pytest.raises(ValueError, match="one label per noise group"):
+            runner._run_pass(cfg, cfg.resolved_params(), pairs, kept)
+        assert not kept.blocks
 
     def test_sweep_minimum_lands_on_truth(self):
         cfg = ExperimentConfig(mode="sweep", case_id=1, order=2, mc_runs=1)
