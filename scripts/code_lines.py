@@ -43,18 +43,13 @@ def _docstrings(tree: ast.AST) -> set[int]:
     return lines
 
 
-def _code_line_numbers(source: str, tree: ast.AST) -> set[int]:
+def _code_lines(source: str, tree: ast.AST) -> set[int]:
     """The numbers of the code lines of a module's source, parsed as tree."""
     lines = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in _NOT_CODE:
             lines.update(range(token.start[0], token.end[0] + 1))
     return lines - _docstrings(tree)
-
-
-def code_lines(source: str) -> int:
-    """The number of code lines of a module's source."""
-    return len(_code_line_numbers(source, ast.parse(source)))
 
 
 def _defs(tree: ast.Module) -> list[tuple[str, range]]:
@@ -79,7 +74,7 @@ def main() -> None:
     for path in sorted(args.source.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source)
-        lines = _code_line_numbers(source, tree)
+        lines = _code_lines(source, tree)
         total += len(lines)
         print(f"{len(lines):6,d}  {path.name}")
         if args.defs:
