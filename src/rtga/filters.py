@@ -99,24 +99,32 @@ def cost(e, w, p: RtgaParams):
     return out if np.ndim(out) else float(out)
 
 
-def _suppression(eb, p: RtgaParams):
-    """Suppression coefficient as a function of eb = |e~|^b.
+def _suppression(eb, p: RtgaParams, out=None):
+    """Suppression coefficient as a function of eb = |e~|^b, written into
+    out (a new array by default; out may be eb itself).
 
     The full shape's is (c eb/|a-b| + 1)^((a-b)/b); a limit family's is
-    that coefficient's limit (tlmp gives the scalar 1).
+    that coefficient's limit (tlmp gives 1).
     """
-    if p.family is None:
-        z = eb * (p.c / abs(p.a - p.b))
-        return np.exp(((p.a - p.b) / p.b) * np.log1p(z))
+    if out is None:
+        out = np.empty(np.shape(eb))
     if p.family == "tlmp":
-        return 1.0
-    z = eb * (p.c / p.b)
+        out[...] = 1.0
+        return out
+    if p.family is None:
+        np.multiply(eb, p.c / abs(p.a - p.b), out=out)
+        np.log1p(out, out=out)
+        np.multiply(out, (p.a - p.b) / p.b, out=out)
+        return np.exp(out, out=out)
+    np.multiply(eb, p.c / p.b, out=out)
     if p.family == "ltls":
-        return 1.0 / (1.0 + z)
-    return np.exp(-z)
+        np.add(out, 1.0, out=out)
+        return np.divide(1.0, out, out=out)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
 
 
-def gradient_coefficient(e, n2, p: RtgaParams, q=None):
+def gradient_coefficient(e, n2, p: RtgaParams, q=None, out=None):
     """Per-run scalar k of the gradient -k (x~ e + (e^2 / n2) w).
 
     k = c f(|e~|) |e~|^(b-2) / n2, with e~ = e / sqrt(n2), n2 = phi + ||w||^2
@@ -124,19 +132,35 @@ def gradient_coefficient(e, n2, p: RtgaParams, q=None):
     gradient enter linearly, so a batched update needs only this
     coefficient per run. q is |e~|^2 = e^2 / n2 when the caller already
     has it; it is not modified. Broadcasts e against n2.
+
+    k is written into out (a new array by default) and out is returned.
+    The chain runs in out, so at b = 2 it allocates nothing; b != 2 keeps
+    its |e~|^(b-2) kernel beside out, and b < 2 its guard masks.
     """
     e = np.asarray(e, dtype=float)
     if q is None:
         q = e * e / n2  # |e~|^2
+    if out is None:
+        out = np.empty(np.broadcast_shapes(e.shape, np.shape(n2)))
     if p.b == 2.0:
-        return p.c * _suppression(q, p) / n2
+        _suppression(q, p, out)
+        np.multiply(out, p.c, out=out)
+        return np.divide(out, n2, out=out)
     if p.b < 2.0:
         # |e|^(b-2) diverges at zero error; the update it scales vanishes
-        safe = np.abs(e) >= GRADIENT_GUARD
-        q = np.where(safe, q, 1.0)
+        safe = np.abs(e, out=out) >= GRADIENT_GUARD
+        out[...] = 1.0
+        np.copyto(out, q, where=safe)
+        q = out  # q where safe, else 1
     kernel = q ** (0.5 * (p.b - 2.0))  # |e~|^(b-2)
-    k = p.c * _suppression(kernel * q, p) * kernel / n2
-    return np.where(safe, k, 0.0) if p.b < 2.0 else k
+    np.multiply(kernel, q, out=out)
+    _suppression(out, p, out)
+    np.multiply(out, p.c, out=out)
+    np.multiply(out, kernel, out=out)
+    np.divide(out, n2, out=out)
+    if p.b < 2.0:
+        np.copyto(out, 0.0, where=~safe)
+    return out
 
 
 def gradient(e, x_tilde, w, p: RtgaParams):

@@ -55,6 +55,14 @@ DIVERGENCE_FACTOR = 1e6
 # that merges G groups of runs fills _BLOCK // G columns.
 _BLOCK = 512
 
+try:
+    # np.einsum without optimize only forwards to this entry; calling it
+    # skips the array-function dispatch and einsum's Python wrapper
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
+
+
 def run_streams(base_seed: int, r: int, noise: tuple[NoiseSpec, NoiseSpec]):
     """Random generators for trial r: (system, source, (input, output)).
 
@@ -96,7 +104,10 @@ def draw_true_weights(system_rng, order: int):
 
 
 class _ScaleTracker:
-    """Vectorized port of censoring.update_scale across the run axis."""
+    """Vectorized port of censoring.update_scale across the run axis.
+
+    sigma is updated in place, so a caller's reference stays current.
+    """
 
     def __init__(self, runs: int, cfg: CensorConfig):
         self.cfg = cfg
@@ -106,6 +117,7 @@ class _ScaleTracker:
         self.ready = False
         half = cfg.window // 2
         self._mid = half if cfg.window % 2 else (half - 1, half)
+        self._row = np.empty(runs)  # the conventional estimator's (1 - tau) e^2
 
     def _median(self) -> np.ndarray:
         # np.median's own selection: the middle element, or the mean of the
@@ -118,19 +130,26 @@ class _ScaleTracker:
 
     def update(self, e: np.ndarray) -> None:
         cfg = self.cfg
-        self.ring[:, self.count % cfg.window] = np.abs(e)
+        sigma = self.sigma
+        np.abs(e, out=self.ring[:, self.count % cfg.window])
         self.count += 1
         if not self.ready:
             if self.count >= cfg.window:
-                self.sigma = MAD_FACTOR * self._median()
+                np.multiply(self._median(), MAD_FACTOR, out=sigma)
                 self.ready = True
             return
+        # tau sigma + MAD (1 - tau) med, or sqrt(tau sigma^2 + (1 - tau) e^2)
         if cfg.estimator == "robust_median":
-            med = self._median()
-            self.sigma = cfg.tau * self.sigma + MAD_FACTOR * (1.0 - cfg.tau) * med
+            med = self._median()  # a new array's view, ours to overwrite
+            sigma *= cfg.tau
+            sigma += np.multiply(med, MAD_FACTOR * (1.0 - cfg.tau), out=med)
         else:
-            var = cfg.tau * self.sigma**2 + (1.0 - cfg.tau) * e * e
-            self.sigma = np.sqrt(var)
+            np.multiply(sigma, sigma, out=sigma)
+            sigma *= cfg.tau
+            row = np.multiply(e, 1.0 - cfg.tau, out=self._row)
+            row *= e
+            sigma += row
+            np.sqrt(sigma, out=sigma)
 
 
 class ArrayProvider:
@@ -501,35 +520,41 @@ def _engine(
     ratio = np.empty((runs, width))
     cen_mask = np.empty((runs, width), dtype=bool)
     errors = np.empty((runs, width))
+    # the censored flags of each column's reuse updates, counted at block end
+    slots = reuse_cfg.l_reused if reuse_cfg.active else 0
+    reuse_cen = np.zeros((width, slots, runs), dtype=bool)
     mu, phi = params.mu, params.phi
     main_steps = main_censored = reuse_steps = reuse_censored = 0
-    # Per-run scalars of one update: the two step coefficients, n2 and e^2.
-    # Rows of one array, so one copyto zeroes a censored run's steps.
-    scalars = np.empty((4, runs))
-    step_x, step_w, n2, e2 = scalars
+    # Every per-run row of one update, and a (runs, L) scratch, so an
+    # update allocates nothing (the coefficient does only at b != 2).
+    # step_x and step_w are the first two rows, so one copyto zeroes a
+    # censored run's steps.
+    rows = np.empty((7, runs))
+    step_x, step_w, n2, k, e, thr, dot = rows
+    steps, step_x_col, step_w_col = rows[:2], step_x[:, None], step_w[:, None]
+    scratch = np.empty((runs, L))
 
-    def update(W: np.ndarray, x: np.ndarray, d: np.ndarray, thr):
-        """Gated step of every run on (x, d); W is updated in place.
+    def update(x: np.ndarray, d: np.ndarray, cen) -> None:
+        """Gated step of every run on (x, d); W and e are updated in place.
 
         With k the per-run gradient coefficient the step is
         W <- W (1 + mu k e^2/n2) + (mu k e) x; a censored run (|e| < thr)
-        takes a zero step. Returns the error and the censored mask (None
-        when ungated).
+        takes a zero step. cen receives the censored mask (None when ungated).
         """
-        e = d - np.einsum("rl,rl->r", W, x)
-        np.add(np.einsum("rl,rl->r", W, W), phi, out=n2)
-        np.multiply(e, e, out=e2)
-        np.divide(e2, n2, out=step_w)  # |e~|^2, scaled by k below
-        k = mu * gradient(e, n2, params, step_w)
+        np.subtract(d, _einsum("rl,rl->r", W, x, out=e), out=e)
+        np.add(_einsum("rl,rl->r", W, W, out=n2), phi, out=n2)
+        np.multiply(e, e, out=step_w)
+        np.divide(step_w, n2, out=step_w)  # |e~|^2, scaled by k below
+        gradient(e, n2, params, step_w, out=k)
+        np.multiply(k, mu, out=k)
         np.multiply(k, e, out=step_x)
         np.multiply(step_w, k, out=step_w)
-        cen = None
-        if thr is not None:
-            cen = np.abs(e) < thr
-            np.copyto(scalars[:2], 0.0, where=cen)
-        W *= (step_w + 1.0)[:, None]
-        W += step_x[:, None] * x
-        return e, cen
+        if cen is not None:
+            np.less(np.abs(e, out=k), thr, out=cen)  # k is spent
+            np.copyto(steps, 0.0, where=cen)
+        np.add(step_w, 1.0, out=step_w)
+        np.multiply(W, step_w_col, out=W)
+        np.add(W, np.multiply(step_x_col, x, out=scratch), out=W)
 
     for start, end, seg_w in _blocks(segments, n, width):
         seg_den = np.sum(seg_w * seg_w, axis=1)
@@ -541,26 +566,26 @@ def _engine(
                 x_i, d_i = provider.step(i)
                 if i >= L:
                     gated = censor.active and tracker.ready
-                    thr = kappa * tracker.sigma if gated else None
-                    for idx in schedule(reuse_cfg, i, L):
-                        x_r, d_r = provider.past(idx)
-                        _, cen = update(W, x_r, d_r, thr)
-                        reuse_steps += runs
-                        if gated:
-                            reuse_censored += int(np.count_nonzero(cen))
-                    e, cen = update(W, x_i, d_i, thr)
-                    main_steps += runs
                     if gated:
-                        cen_mask[:, j] = cen
+                        np.multiply(tracker.sigma, kappa, out=thr)
+                    for slot, idx in enumerate(schedule(reuse_cfg, i, L)):
+                        x_r, d_r = provider.past(idx)
+                        update(x_r, d_r, reuse_cen[j, slot] if gated else None)
+                        reuse_steps += runs
+                    update(x_i, d_i, cen_mask[:, j] if gated else None)
+                    main_steps += runs
                     if censor.active:
                         tracker.update(e)
                 else:
-                    e = d_i - np.einsum("rl,rl->r", W, x_i)
+                    np.subtract(d_i, _einsum("rl,rl->r", W, x_i, out=e), out=e)
                 errors[:, j] = e
-                dev = W - seg_w
-                ratio[:, j] = np.einsum("rl,rl->r", dev, dev) / seg_den
+                np.subtract(W, seg_w, out=scratch)
+                _einsum("rl,rl->r", scratch, scratch, out=dot)
+                np.divide(dot, seg_den, out=ratio[:, j])
         block = slice(0, end - start)
         main_censored += int(np.count_nonzero(cen_mask[:, block]))
+        reuse_censored += int(np.count_nonzero(reuse_cen))
+        reuse_cen.fill(False)
         yield start, ratio[:, block], cen_mask[:, block], errors[:, block]
     return EngineResult(
         weights=W,

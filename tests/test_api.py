@@ -8,6 +8,8 @@ from pathlib import Path
 
 import rtga
 from rtga import config, dataio, runner, signal_model
+from rtga.censoring import CensorConfig
+from rtga.reuse import ReuseConfig
 
 
 def test_star_import_resolves_every_public_name():
@@ -58,6 +60,32 @@ def test_benchmark_span_hooks_see_the_draws(monkeypatch):
         calls.update(sample_mixture_split=0, synthesize_eiv_arrays=0)
         run(cfg)
         assert min(calls.values()) > 0, (cfg.mode, calls)
+
+
+def test_benchmark_gradient_hook_sees_every_update(monkeypatch):
+    # bench/spans.py times the engine's per-run coefficient by wrapping
+    # runner.gradient before a pass starts, so the engine must look the
+    # name up no earlier than the pass's start and call it on every
+    # update: each reuse and main update, censored or not. A pass with
+    # reuse runs no shards, so every call happens in this process.
+    calls = []
+
+    def counting(*args, _fn=runner.gradient, **kwargs):
+        calls.append(args[0].shape)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "gradient", counting)
+    cfg = config.ExperimentConfig(
+        mode="sysid", case_id=2, n_samples=300, mc_runs=3,
+        algorithm=config.AlgorithmConfig(name="proposed"),
+        censoring=CensorConfig(p_ce=0.5),
+        reuse=ReuseConfig(scheme="idr", l_reused=3),
+    )
+    c = runner.run_sysid(cfg).counts
+    assert 0 < c["main_updates"] < c["main_steps"]
+    assert 0 < c["reuse_updates"] < c["reuse_steps"]
+    assert len(calls) == (c["main_steps"] + c["reuse_steps"]) // cfg.mc_runs
+    assert set(calls) == {(cfg.mc_runs,)}
 
 
 def test_ablation_script_imports():

@@ -6,7 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rtga.filters import RtgaParams, _suppression, cost, gradient, norm2_bar
+from rtga.filters import (
+    RtgaParams,
+    _suppression,
+    cost,
+    gradient,
+    gradient_coefficient,
+    norm2_bar,
+)
 
 # Hand-derived from the closed form with a = -100, b = 2, c = 0.2, phi = 1,
 # w = [0], e = 1, x = [1]: g = -c (1 + c/102)^(-51).
@@ -196,3 +203,57 @@ def test_gradient_batched_rows_match_scalar():
     for k in range(5):
         row = gradient(float(e[k]), X[k], W[k], p)
         np.testing.assert_allclose(batched[k], row, rtol=1e-13)
+
+
+def _allocating_coefficient(e, n2, p, q):
+    """gradient_coefficient as a chain of allocating expressions: the
+    operations, in the order, that the in-place chain must reproduce."""
+    if p.family is None:
+        def f(eb):
+            return np.exp(((p.a - p.b) / p.b) * np.log1p(eb * (p.c / abs(p.a - p.b))))
+    else:
+        f = {
+            "tlmp": lambda eb: 1.0,
+            "ltls": lambda eb: 1.0 / (1.0 + eb * (p.c / p.b)),
+            "exp": lambda eb: np.exp(-(eb * (p.c / p.b))),
+        }[p.family]
+    if p.b == 2.0:
+        return p.c * f(q) / n2
+    safe = np.abs(e) >= 1e-12 if p.b < 2.0 else True
+    q = np.where(safe, q, 1.0)
+    kernel = q ** (0.5 * (p.b - 2.0))
+    return np.where(safe, p.c * f(kernel * q) * kernel / n2, 0.0)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        params(a=-100.0, b=1.5, c=0.1, mu=0.155),
+        params(a=-1000.0, b=8.0, c=0.6, mu=0.025),
+        params(b=4.0, c=1.0, family="tlmp"),
+        params(b=2.0, c=1.0, family="ltls"),
+        params(b=1.56, c=1.0, mu=0.05, family="exp"),
+        params(a=-100.0, b=2.0, c=0.2),
+    ],
+    ids=["b1.5-guard", "b8", "tlmp-b4", "ltls-b2", "exp-b1.56", "full-b2"],
+)
+def test_gradient_coefficient_into_out_is_bitwise(p):
+    # The engine runs the chain in its own per-pass row; it must give the
+    # allocating call's bits, including the b < 2 guard's zero errors.
+    rng = np.random.default_rng(11)
+    e = rng.standard_normal(40) * 2.0
+    e[::5] = 0.0
+    e[1::7] = 1e-13
+    n2 = 1.0 + rng.random(40)
+    q = e * e / n2
+    q_before = q.copy()
+    out = np.full(40, np.nan)
+    got = gradient_coefficient(e, n2, p, q, out=out)
+    want = gradient_coefficient(e, n2, p, q)
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == _allocating_coefficient(e, n2, p, q).tobytes()
+    assert want.tobytes() == gradient_coefficient(e, n2, p).tobytes()
+    assert q.tobytes() == q_before.tobytes()
+    if p.b < 2.0:
+        assert np.all(out[::5] == 0.0) and np.all(out[1::7] == 0.0)

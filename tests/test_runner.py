@@ -176,6 +176,58 @@ class TestEngineEquivalence:
         assert res.reuse_updates == reuse_updates
         assert 0 < reuse_updates < reuse_steps
 
+    @pytest.mark.parametrize(
+        "reuse",
+        [
+            ReuseConfig(scheme="idr", l_reused=3),
+            ReuseConfig(scheme="idr", l_reused=3, window_cap=20),
+            ReuseConfig(scheme="dr", l_reused=2),
+            ReuseConfig(scheme="undr", l_reused=3),
+        ],
+        ids=["idr", "idr-window", "dr", "undr"],
+    )
+    def test_reuse_schemes_match_per_sample_loop_across_blocks(self, monkeypatch, reuse):
+        # Blocks of 64 columns end four times within the pass, so every
+        # reuse scheme's censored updates are counted across block ends.
+        monkeypatch.setattr(runner, "_BLOCK", 64)
+        n, L, runs = 300, 5, 3
+        in_spec = NoiseSpec("gaussian", 0.1)
+        out_spec = NoiseSpec("gaussian", 0.1, impulse_prob=0.01, impulse_variance=10.0)
+        synth = [_synth_run(31, r, L, n, in_spec, out_spec) for r in range(runs)]
+        WO, X, D = (np.stack(a) for a in zip(*synth))
+        params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.01)
+        censor = CensorConfig(p_ce=0.5)
+
+        res, kept = run_kept(ArrayProvider(X, D), n, params, censor, reuse, [(0, n, WO)])
+
+        totals = dict(main_updates=0, reuse_steps=0, reuse_updates=0)
+        for r in range(runs):
+            w, ratio, cen_mask, counts = _per_sample_run(
+                X[r], D[r], WO[r], params, censor, reuse
+            )
+            assert np.allclose(res.weights[r], w, rtol=0.0, atol=1e-13)
+            assert np.allclose(kept.ratio[r], ratio, rtol=0.0, atol=1e-13)
+            assert np.array_equal(kept.censored[r], cen_mask)
+            for key in totals:
+                totals[key] += counts[key]
+        assert res.main_steps == runs * (n - L)
+        assert res.main_updates == totals["main_updates"]
+        assert res.reuse_steps == totals["reuse_steps"]
+        assert res.reuse_updates == totals["reuse_updates"]
+        assert 0 < res.reuse_updates < res.reuse_steps
+
+    @pytest.mark.parametrize("shape", [(150, 9), (600, 9), (10, 512)])
+    def test_bound_einsum_is_numpy_einsum(self, shape):
+        # The engine calls einsum's C entry without np.einsum's dispatch;
+        # the two must give the same bits, into a new array or into out.
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((2, *shape))
+        want = np.einsum("rl,rl->r", a, b)
+        out = np.empty(shape[0])
+        assert runner._einsum("rl,rl->r", a, b).tobytes() == want.tobytes()
+        assert runner._einsum("rl,rl->r", a, b, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
     def test_divergence_error_names_runs(self):
         n, L = 200, 4
         spec = NoiseSpec("gaussian", 0.1)
