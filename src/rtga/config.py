@@ -230,8 +230,9 @@ class ExperimentConfig:
         if self.mode == "tracking":
             if not 0 < self.shift_time < self.n_samples:
                 errors.append(
-                    f"experiment.shift_time must lie inside the sample range, "
-                    f"got {self.shift_time}"
+                    f"experiment.shift_time must lie inside the sample range, in "
+                    f"[1, {self.n_samples - 1}], got {self.shift_time}; no flag sets "
+                    f"it: set [experiment] shift_time in a --config file"
                 )
             if not 0 <= self.shift_amount < self.order:
                 errors.append(

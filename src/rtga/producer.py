@@ -1,26 +1,23 @@
-"""Forked child processes that fill the stream provider's ring or run shards.
+"""The fork protocol: a forked child that fills the pieces its parent asks for.
 
 numpy releases the interpreter lock only inside its inner loops, so a
 thread spends most of its many short calls waiting for the engine's lock.
-A forked child has an interpreter of its own. A pass runs inline, with
-one producer or in shards, by the rule that the runner.StreamProvider
-docstring states. One producer writes the ring, an anonymous shared
-mapping made before the fork, while the engine's process runs the
-updates; each shard's child runs its own trials' fill and engine and
-writes each block's rows into shared block buffers (runner._run_shards).
-Each child works through objects made before the fork that after it only
-the child touches, so nothing else crosses the process boundary.
+A forked child has an interpreter of its own. The child works through
+objects made before the fork that after it only the child touches, and
+through arrays in an anonymous shared mapping made before the fork
+(shared_arrays), so nothing else crosses the process boundary.
 
 The protocol runs over two pipes. The parent writes one byte for each
-piece it wants done; the child does the pieces in order and answers each
-with a 4-byte length, followed, when the piece raised, by the pickled
-exception. Each child closes the parent's ends of its own pipes. A later
-fork in the process (the next child, or another pass's, forked from
-another thread) inherits copies of the parent's ends, so a closed pipe
-does not prove the other side gone: each side, while it waits, checks
-every _POLL_MS that the other still lives, and the parent ends a child
-by killing it. rtga.runner imports this module only when a pass forks or
-its rule reads the CPU count.
+piece it wants done; the child calls fill(k) for the pieces in order and
+answers each with a header, the length of its pickle and whether the
+fill raised, followed by the pickled value the fill returned (nothing for
+None) or the exception it raised. Each child closes the parent's ends of
+its own pipes. A later fork in the process (the next child, or another
+pass's, forked from another thread) inherits copies of the parent's ends,
+so a closed pipe does not prove the other side gone: each side, while it
+waits, checks every _POLL_MS that the other still lives, and the parent
+ends a child by killing it. rtga.runner imports this module only when a
+pass forks.
 """
 
 from __future__ import annotations
@@ -41,16 +38,8 @@ import numpy as np
 # How often, in milliseconds, a waiting side checks that the other lives.
 _POLL_MS = 50
 
-# The length of an answer's pickled exception, 0 when the fill succeeded.
-_HEADER = struct.Struct("<I")
-
-
-def cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
+# An answer's header: the length of its pickle (0 for None) and whether the fill raised.
+_HEADER = struct.Struct("<I?")
 
 
 def shared_arrays(*shapes: tuple[int, ...], dtype=np.float64) -> list[np.ndarray]:
@@ -87,11 +76,11 @@ class Producer:
 
     The child ends in os._exit on every path and never returns into the
     caller's code. If it ends without answering a piece (it was killed, or
-    its exception cannot be pickled), answer() raises ChildProcessError,
-    an OSError. close() kills and reaps it.
+    what its fill returned or raised cannot be pickled), answer() raises
+    ChildProcessError, an OSError. close() kills and reaps it.
     """
 
-    def __init__(self, fill: Callable[[int], None]):
+    def __init__(self, fill: Callable[[int], object]):
         todo_r, todo_w = os.pipe()
         done_r, done_w = os.pipe()
         parent = os.getpid()
@@ -118,10 +107,13 @@ class Producer:
         except BrokenPipeError:  # it has ended: answer() reads what it left
             pass
 
-    def answer(self) -> BaseException | None:
-        """The answer to the oldest piece asked: None, or the fill's exception."""
-        (size,) = _HEADER.unpack(self._read(_HEADER.size))
-        return pickle.loads(self._read(size)) if size else None
+    def answer(self) -> object:
+        """What the fill of the oldest piece asked returned; raises what it raised."""
+        size, raised = _HEADER.unpack(self._read(_HEADER.size))
+        value = pickle.loads(self._read(size)) if size else None
+        if raised:
+            raise value
+        return value
 
     def _read(self, size: int) -> bytes:
         data = b""
@@ -171,12 +163,12 @@ class Producer:
 
 
 def _serve(
-    fill: Callable[[int], None], parent: int, todo: int, done: int, others: tuple[int, ...]
+    fill: Callable[[int], object], parent: int, todo: int, done: int, others: tuple[int, ...]
 ) -> NoReturn:
     """The child: fill the pieces asked on todo in order, answering each on done.
 
     It stops at the end of todo's input, when its parent is gone, or after
-    answering a failed fill.
+    answering a failed fill; with exit status 1 when an answer does not pickle.
     """
     code = 1
     try:
@@ -196,13 +188,14 @@ def _serve(
                 break
             for _ in requests:
                 try:
-                    fill(k)
-                except BaseException as exc:  # raised again in the engine's process
-                    error = pickle.dumps(exc)
-                    _write(done, _HEADER.pack(len(error)) + error)
+                    value, raised = fill(k), False
+                except BaseException as exc:  # raised again in the parent
+                    value, raised = exc, True
+                data = b"" if value is None else pickle.dumps(value)
+                _write(done, _HEADER.pack(len(data), raised) + data)
+                if raised:
                     code = 0
                     return
-                _write(done, _HEADER.pack(0))
                 k += 1
         code = 0
     finally:

@@ -15,7 +15,7 @@ import math
 import os
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -118,11 +118,15 @@ class _ScaleTracker:
         half = cfg.window // 2
         self._mid = half if cfg.window % 2 else (half - 1, half)
         self._row = np.empty(runs)  # the conventional estimator's (1 - tau) e^2
+        self._part = np.empty_like(self.ring)  # the ring's copy that _median partitions
 
     def _median(self) -> np.ndarray:
         # np.median's own selection: the middle element, or the mean of the
-        # two middle elements of an even window, so the result is identical
-        part = np.partition(self.ring, self._mid, axis=1)
+        # two middle elements of an even window, so the result is identical;
+        # np.partition would partition a fresh copy of the ring the same way
+        part = self._part
+        part[...] = self.ring
+        part.partition(self._mid, axis=1)
         if isinstance(self._mid, int):
             return part[:, self._mid]
         lo, hi = self._mid
@@ -140,7 +144,7 @@ class _ScaleTracker:
             return
         # tau sigma + MAD (1 - tau) med, or sqrt(tau sigma^2 + (1 - tau) e^2)
         if cfg.estimator == "robust_median":
-            med = self._median()  # a new array's view, ours to overwrite
+            med = self._median()  # a view of the partitioned copy, ours to overwrite
             sigma *= cfg.tau
             sigma += np.multiply(med, MAD_FACTOR * (1.0 - cfg.tau), out=med)
         else:
@@ -274,9 +278,8 @@ class StreamProvider:
     segment boundary (so it has one truth per trial) and at the ring's end.
 
     A pass runs in one of three ways, by a rule that reads only its reuse,
-    its rows, its fill and the CPUs the process may run on
-    (producer.cpu_count: the affinity mask, which a cgroup CPU quota does
-    not narrow):
+    its rows, its fill and the CPUs the process may run on (_cpus: the
+    affinity mask, which a cgroup CPU quota does not narrow):
     - Shards (shards()). A pass without reuse of at least _SHARDED rows,
       G * trials, splits its trials into min(trials, CPUs) contiguous
       shards. Each draws and runs its own trials on an inline provider
@@ -303,8 +306,8 @@ class StreamProvider:
 
     Entering a piece, the engine asks the producer for the pieces that
     end within a chunk of its start, so it overwrites no row that past()
-    may still serve, and takes its answer, None or the exception its fill
-    caught, before it serves the piece. A trial's draws do not depend on
+    may still serve, and takes its answer, which raises what the fill
+    raised, before it serves the piece. A trial's draws do not depend on
     the process that makes them, so neither do the rows. close(), or
     leaving a with-block, kills and reaps the producer, and a later fill
     raises.
@@ -399,7 +402,7 @@ class StreamProvider:
             while self._asked < len(self.pieces) and self.pieces[self._asked][1] <= start + self.chunk:
                 self._asked += 1
             self._producer.ask(self._asked - asked)
-            _answers([self._producer])
+            self._producer.answer()
         except BaseException:
             self.close()
             raise
@@ -438,10 +441,10 @@ def _cpus() -> int:
     """The CPUs a forked process could run on: 1 where os.fork is missing."""
     if not hasattr(os, "fork"):
         return 1
-    # imported here, so that setting up an experiment does not pay for it
-    from .producer import cpu_count
-
-    return cpu_count()
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -455,9 +458,12 @@ class EngineResult:
     reuse_updates: int
 
 
+# the names of EngineResult's update counts: every field after the weights
+_COUNTS = tuple(f.name for f in fields(EngineResult)[1:])
+
+
 def run_engine(
     provider,
-    n: int,
     params: RtgaParams,
     censor: CensorConfig,
     reuse_cfg: ReuseConfig,
@@ -465,11 +471,12 @@ def run_engine(
     sink,
     groups: Sequence[str] = (),
 ) -> EngineResult:
-    """Run all trials in lockstep for n iterations.
+    """Run all trials in lockstep over the samples that segments cover.
 
     segments is the piecewise-constant truth [(start, end, (runs, L))]
-    covering [0, n). Updates begin once the delay line is full (i >= L);
-    earlier iterations only record the zero-weight deviation. Per
+    covering the stream's n samples, [0, n), so n is segments[-1][1].
+    Updates begin once the delay line is full (i >= L); earlier
+    iterations only record the zero-weight deviation. Per
     iteration: scheduled reuse updates (each individually censored), then
     the gated main update, then the scale update on the main error.
 
@@ -480,7 +487,7 @@ def run_engine(
     receives its (runs, end - start) views, which the next block
     overwrites; _checked puts the divergence check in front of a sink.
     """
-    blocks = _engine(provider, n, params, censor, reuse_cfg, segments, _width(groups))
+    blocks = _engine(provider, params, censor, reuse_cfg, segments, _width(groups))
     while True:
         try:
             start, ratio, censored, e = next(blocks)
@@ -494,17 +501,16 @@ def _width(groups: Sequence) -> int:
     return max(1, _BLOCK // max(1, len(groups)))
 
 
-def _blocks(segments: list[tuple[int, int, np.ndarray]], n: int, width: int):
+def _blocks(segments: list[tuple[int, int, np.ndarray]], width: int):
     """The engine's blocks of a pass, as (start, end, truths): width columns,
-    ending early at a segment end and at n."""
+    ending early at a segment end."""
     for seg_start, seg_end, seg_w in segments:
-        for start in range(seg_start, min(seg_end, n), width):
-            yield start, min(start + width, seg_end, n), seg_w
+        for start in range(seg_start, seg_end, width):
+            yield start, min(start + width, seg_end), seg_w
 
 
 def _engine(
     provider,
-    n: int,
     params: RtgaParams,
     censor: CensorConfig,
     reuse_cfg: ReuseConfig,
@@ -556,7 +562,7 @@ def _engine(
         np.multiply(W, step_w_col, out=W)
         np.add(W, np.multiply(step_x_col, x, out=scratch), out=W)
 
-    for start, end, seg_w in _blocks(segments, n, width):
+    for start, end, seg_w in _blocks(segments, width):
         seg_den = np.sum(seg_w * seg_w, axis=1)
         cen_mask.fill(False)
         # One errstate per block, not per update: the divergence check
@@ -588,11 +594,7 @@ def _engine(
         reuse_cen.fill(False)
         yield start, ratio[:, block], cen_mask[:, block], errors[:, block]
     return EngineResult(
-        weights=W,
-        main_steps=main_steps,
-        main_updates=main_steps - main_censored,
-        reuse_steps=reuse_steps,
-        reuse_updates=reuse_steps - reuse_censored,
+        W, main_steps, main_steps - main_censored, reuse_steps, reuse_steps - reuse_censored
     )
 
 
@@ -730,8 +732,7 @@ def _aggregate(
     cfg: ExperimentConfig, params: RtgaParams, res: EngineResult, sums: RunSums
 ) -> ExperimentResult:
     mean_ratio = sums.ratio[0] / sums.runs
-    keys = ("main_steps", "main_updates", "reuse_steps", "reuse_updates")
-    counts = {k: getattr(res, k) for k in keys}
+    counts = {k: getattr(res, k) for k in _COUNTS}
     curve = LearningCurve(to_db(mean_ratio), runs=sums.runs)
     out = ExperimentResult(
         mode=cfg.mode,
@@ -819,12 +820,12 @@ def _run_pass(
         for lo, hi in zip(bounds, bounds[1:])
     ]
     # every run's truths, in run order, whose norms bound the check
-    segments = []
-    for j, (a, b, _) in enumerate(shards[0][0].segments):
-        parts = [_shard_rows(provider.segments[j][2], groups) for provider, _, _ in shards]
-        segments.append((a, b, np.concatenate(parts, axis=1).reshape(-1, L)))
+    segments = [
+        (a, b, _merged([provider.segments[j][2] for provider, _, _ in shards], groups))
+        for j, (a, b, _) in enumerate(shards[0][0].segments)
+    ]
     checked = _checked(sink, segments, params.mu, labels)
-    args = n, params, cfg.censoring, cfg.reuse
+    args = params, cfg.censoring, cfg.reuse
     if count == 1:
         with shards[0][0] as provider:
             return run_engine(provider, *args, provider.segments, checked, labels)
@@ -837,6 +838,13 @@ def _shard_rows(a: np.ndarray, groups: int, lo: int = 0, hi: int | None = None) 
     return a.reshape(groups, -1, *a.shape[1:])[:, lo:hi]
 
 
+def _merged(parts: list[np.ndarray], groups: int) -> np.ndarray:
+    """The (groups * trials, ...) array, in run order, of the shards'
+    (groups * shard trials, ...) parts, in trial order."""
+    whole = np.concatenate([_shard_rows(a, groups) for a in parts], axis=1)
+    return whole.reshape(-1, *parts[0].shape[1:])
+
+
 def _run_shards(
     shards, groups: int, segments: list[tuple[int, int, np.ndarray]], args, sink, width: int
 ) -> EngineResult:
@@ -846,35 +854,30 @@ def _run_shards(
     A child's k-th piece is its engine's k-th block of the pass's
     segments: it writes its rows of the block into slot k % 2 of shared
     (2, rows, width) buffers of the ratio, the censored mask and e. Its
-    piece after the last block writes its final weights and counts. This
-    process only waits, checks and sums: for each block it asks every
-    child for the piece after it, takes every child's answer for the
-    block and hands the whole block to sink. So a child runs up to a
-    block ahead and never writes a slot that sink may still read. Every
-    child is killed and reaped when the pass ends or fails.
+    piece after the last block returns its shard's EngineResult, and the
+    pass's result joins their weights and sums their counts. This process
+    only waits, checks and sums: for each block it asks every child for
+    the piece after it, takes every child's answer for the block and
+    hands the whole block to sink. So a child runs up to a block ahead
+    and never writes a slot that sink may still read. Every child is
+    killed and reaped when the pass ends or fails.
     """
     from .producer import Producer, shared_arrays
 
-    n, params, censor, reuse_cfg = args
-    rows, L = segments[0][2].shape
-    ratio, errors, weights, counts = shared_arrays(
-        (2, rows, width), (2, rows, width), (rows, L), (len(shards), 4)
-    )
+    params, censor, reuse_cfg = args
+    rows = len(segments[0][2])
+    ratio, errors = shared_arrays((2, rows, width), (2, rows, width))
     (censored,) = shared_arrays((2, rows, width), dtype=bool)
     buffers = ratio, censored, errors
 
-    def child(s: int):
-        provider, lo, hi = shards[s]
-        blocks = _engine(provider, n, params, censor, reuse_cfg, provider.segments, width)
+    def child(provider, lo: int, hi: int):
+        blocks = _engine(provider, params, censor, reuse_cfg, provider.segments, width)
 
-        def fill(k: int) -> None:
+        def fill(k: int) -> EngineResult | None:
             try:
                 block = next(blocks)[1:]
             except StopIteration as done:
-                res = done.value
-                _shard_rows(weights, groups, lo, hi)[:] = _shard_rows(res.weights, groups)
-                counts[s] = res.main_steps, res.main_updates, res.reuse_steps, res.reuse_updates
-                return
+                return done.value
             for a, part in zip(buffers, block):
                 m = part.shape[1]
                 _shard_rows(a[k % 2], groups, lo, hi)[..., :m] = _shard_rows(part, groups)
@@ -883,28 +886,21 @@ def _run_shards(
 
     children = []
     try:
-        for s in range(len(shards)):
-            children.append(Producer(child(s)))
+        for shard in shards:
+            children.append(Producer(child(*shard)))
             children[-1].ask(1)
-        for k, (start, end, _) in enumerate(_blocks(segments, n, width)):
+        for k, (start, end, _) in enumerate(_blocks(segments, width)):
             for producer in children:
                 producer.ask(1)
-            _answers(children)
+            for producer in children:
+                producer.answer()
             sink(start, *(a[k % 2, :, :end - start] for a in buffers))
-        _answers(children)
+        results = [producer.answer() for producer in children]
     finally:
         while children:
             children.pop().close()
-    steps, updates, reuse_steps, reuse_updates = (int(c) for c in counts.sum(axis=0))
-    return EngineResult(weights.copy(), steps, updates, reuse_steps, reuse_updates)
-
-
-def _answers(producers) -> None:
-    """Take each producer's next answer, raising the first exception."""
-    for producer in producers:
-        error = producer.answer()
-        if error is not None:
-            raise error
+    counts = {k: sum(getattr(res, k) for res in results) for k in _COUNTS}
+    return EngineResult(_merged([res.weights for res in results], groups), **counts)
 
 
 def run_sysid(cfg: ExperimentConfig) -> ExperimentResult:

@@ -37,9 +37,9 @@ class KeepAll:
         return self._stitch(2)
 
 
-def run_kept(provider, n, params, censor, reuse, segments, groups=()):
+def run_kept(provider, params, censor, reuse, segments, groups=()):
     """run_engine with a KeepAll sink behind the divergence check, as the
     experiments run it: (result, kept)."""
     kept = KeepAll()
     sink = _checked(kept, segments, params.mu, groups)
-    return run_engine(provider, n, params, censor, reuse, segments, sink, groups), kept
+    return run_engine(provider, params, censor, reuse, segments, sink, groups), kept

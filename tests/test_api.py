@@ -112,17 +112,35 @@ def test_output_digest_configs_build():
         assert config.build_config(mode, ini, flags).mode == mode, name
 
 
+def _python(code: str) -> str:
+    """The stdout of code run in a fresh interpreter on this checkout's package."""
+    src = str(Path(rtga.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 def test_cli_import_leaves_the_producer_out():
     # Set-up pays for every module `rtga.cli` loads; only a provider that
     # forks loads its producer, which needs no multiprocessing.
-    src = str(Path(rtga.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = (
+    out = _python(
         "import sys, rtga.cli; "
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing' "
         "or m == 'rtga.producer'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
     assert out.strip() == "[]"
+
+
+def test_routing_on_one_cpu_leaves_the_producer_out():
+    # Routing a pass reads the CPU count, which needs no fork module: on
+    # one CPU a pass that would fork on two runs inline and never loads it.
+    out = _python(
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "from rtga.config import ExperimentConfig\n"
+        "from rtga.runner import run_sysid\n"
+        "run_sysid(ExperimentConfig(mode='sysid', n_samples=3000, mc_runs=3))\n"
+        "print('rtga.producer' in sys.modules)\n"
+    )
+    assert out.strip() == "False"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtga import cli, producer, runner
+from rtga import cli, runner
 from rtga.cli import main
 from rtga.config import SETTINGS, _float_list
 from rtga.dataio import save_wav
@@ -79,6 +79,17 @@ def test_bad_censor_ratio_exits_2(capsys):
 def test_negative_step_exits_2(capsys):
     assert main(["sysid", "--mu", "-0.5"]) == 2
     assert capsys.readouterr().err
+
+
+def test_default_shift_past_the_samples_exits_2(capsys):
+    # No flag sets the shift time, so the message names the valid range
+    # and the config-file key that sets it.
+    assert main(["tracking", "--samples", "4000", "--runs", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid configuration:\n  experiment.shift_time must lie inside the "
+        "sample range, in [1, 3999], got 8000; no flag sets it: set [experiment] "
+        "shift_time in a --config file\n"
+    )
 
 
 def test_bad_case_rejected_by_parser():
@@ -301,7 +312,7 @@ def test_overflowing_sharded_step_names_iteration_9(monkeypatch, capsys):
     # The default sysid pass (1000 runs, 8000 samples, no reuse) runs in
     # two forked shards on two CPUs; the one check sees every run of each
     # block, so the error still names iteration 9 and all 1000 runs.
-    monkeypatch.setattr(producer, "cpu_count", lambda: 2)
+    monkeypatch.setattr(runner, "_cpus", lambda: 2)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())

@@ -160,7 +160,7 @@ def test_reuse_pass_each_step_individually_censored():
     censor = CensorConfig(p_ce=0.7)
     d[0, L:L + censor.window] = 1e6
     cfg = ReuseConfig(scheme="idr", l_reused=3)
-    res, kept = run_kept(ArrayProvider(x, d), n, params(), censor, cfg, segments)
+    res, kept = run_kept(ArrayProvider(x, d), params(), censor, cfg, segments)
     gated_from = L + censor.window  # the tracker is ready after `window` errors
     assert res.main_updates == censor.window
     assert not kept.censored[0, :gated_from].any()
@@ -178,7 +178,7 @@ def test_reuse_pass_updates_when_scale_not_ready():
     n = L + censor.window - 1  # one error short of a ready tracker
     x, d, segments = _seeded_run(n, L)
     cfg = ReuseConfig(scheme="idr", l_reused=2)
-    res, kept = run_kept(ArrayProvider(x, d), n, params(), censor, cfg, segments)
+    res, kept = run_kept(ArrayProvider(x, d), params(), censor, cfg, segments)
     assert res.reuse_steps == _reuse_steps(cfg, n, L) > 0
     assert res.reuse_updates == res.reuse_steps
     assert res.main_updates == res.main_steps == n - L
@@ -192,7 +192,7 @@ def test_executed_update_identity():
     cfg = ReuseConfig(scheme="idr", l_reused=2)
     censor = CensorConfig(p_ce=0.5)
     res, kept = run_kept(
-        ArrayProvider(x, d), n, params(mu=0.01), censor, cfg, segments
+        ArrayProvider(x, d), params(mu=0.01), censor, cfg, segments
     )
     assert res.main_steps == runs * (n - L)
     assert res.reuse_steps == runs * _reuse_steps(cfg, n, L)

@@ -111,7 +111,7 @@ class TestEngineEquivalence:
         reuse = ReuseConfig(scheme="idr", l_reused=2)
 
         res, kept = run_kept(
-            ArrayProvider(x_tilde[None], d_tilde[None]), n, params,
+            ArrayProvider(x_tilde[None], d_tilde[None]), params,
             censor, reuse, [(0, n, wo[None])],
         )
 
@@ -156,7 +156,7 @@ class TestEngineEquivalence:
         reuse = ReuseConfig(scheme="idr", l_reused=2)
 
         res, kept = run_kept(
-            ArrayProvider(X, D), n, params, censor, reuse, [(0, n, WO)],
+            ArrayProvider(X, D), params, censor, reuse, [(0, n, WO)],
         )
 
         main_updates = reuse_steps = reuse_updates = 0
@@ -198,7 +198,7 @@ class TestEngineEquivalence:
         params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.01)
         censor = CensorConfig(p_ce=0.5)
 
-        res, kept = run_kept(ArrayProvider(X, D), n, params, censor, reuse, [(0, n, WO)])
+        res, kept = run_kept(ArrayProvider(X, D), params, censor, reuse, [(0, n, WO)])
 
         totals = dict(main_updates=0, reuse_steps=0, reuse_updates=0)
         for r in range(runs):
@@ -235,7 +235,7 @@ class TestEngineEquivalence:
         params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=1e300, phi=1.0)
         with pytest.raises(ArithmeticError, match=r"run\(s\) \[0\].*mu=1e\+300"):
             run_kept(
-                ArrayProvider(x_tilde[None], d_tilde[None]), n, params,
+                ArrayProvider(x_tilde[None], d_tilde[None]), params,
                 NO_CENSOR, NO_REUSE, [(0, n, wo[None])],
             )
 
@@ -252,13 +252,13 @@ class TestEngineEquivalence:
         censor = CensorConfig(p_ce=0.5)
         reuse = ReuseConfig(scheme="idr", l_reused=2)
         args = (params, censor, reuse, [(0, n, WO)])
-        _, calm = run_kept(ArrayProvider(X, D), n, *args)
+        _, calm = run_kept(ArrayProvider(X, D), *args)
         assert np.all(calm.ratio[:, -1] < 0.05)
 
         X[1] *= 1e3
         D[1] *= 1e3
         with pytest.raises(ArithmeticError, match=r"at iteration \d+ in run\(s\) \[1\];"):
-            run_kept(ArrayProvider(X, D), n, *args)
+            run_kept(ArrayProvider(X, D), *args)
 
     def test_finite_divergence_named_among_several_runs(self):
         # The n2 = phi + |w|^2 normalization keeps this blown-up run finite
@@ -272,7 +272,7 @@ class TestEngineEquivalence:
         params = RtgaParams(b=2.0, c=1.0, mu=0.05, phi=1.0, family="tlmp")
         reuse = ReuseConfig(scheme="idr", l_reused=2)
         args = (params, NO_CENSOR, reuse, [(0, n, WO)])
-        _, calm = run_kept(ArrayProvider(X, D), n, *args)
+        _, calm = run_kept(ArrayProvider(X, D), *args)
         assert np.all(calm.ratio[:, -1] < 0.05)
 
         X[1] *= 1e3
@@ -280,7 +280,7 @@ class TestEngineEquivalence:
         with pytest.raises(
             ArithmeticError, match=r"^divergence at iteration \d+ in run\(s\) \[1\];"
         ):
-            run_kept(ArrayProvider(X, D), n, *args)
+            run_kept(ArrayProvider(X, D), *args)
 
     def test_divergence_fails_fast(self, monkeypatch):
         # The finite blow-up above, from sample 100 of a stream of ten
@@ -315,7 +315,7 @@ class TestEngineEquivalence:
         with pytest.raises(
             ArithmeticError, match=rf"^divergence at iteration {first} in run\(s\) \[1\];"
         ):
-            run_kept(provider, n, params, NO_CENSOR, reuse, [(0, n, WO)])
+            run_kept(provider, params, NO_CENSOR, reuse, [(0, n, WO)])
         assert provider.latest == (first // 30 + 1) * 30 - 1 < n - 1
 
     @pytest.mark.parametrize(
@@ -342,13 +342,13 @@ class TestEngineEquivalence:
         wild_D[1] *= 1e3
         args = (params, censor, ReuseConfig(scheme="idr", l_reused=2))
         with pytest.raises(ArithmeticError, match=r" in run\(s\) \[1\];") as alone:
-            run_kept(ArrayProvider(wild_X, wild_D), n, *args, [(0, n, WO)])
+            run_kept(ArrayProvider(wild_X, wild_D), *args, [(0, n, WO)])
         first = re.search(r"at iteration (\d+) in", str(alone.value)).group(1)
         merged = ArrayProvider(np.concatenate([X, wild_X]), np.concatenate([D, wild_D]))
         with pytest.raises(
             ArithmeticError, match=rf"at iteration {first} in wild run\(s\) \[1\];"
         ):
-            run_kept(merged, n, *args, [(0, n, np.concatenate([WO, WO]))], ("calm", "wild"))
+            run_kept(merged, *args, [(0, n, np.concatenate([WO, WO]))], ("calm", "wild"))
 
     def test_nan_sample_named_by_group(self):
         # A NaN in one run's x~ mid-block makes that run's W NaN in the same
@@ -371,7 +371,7 @@ class TestEngineEquivalence:
             r"\|W - w_o\|\^2 is non-finite or exceeds",
         ):
             run_engine(
-                ArrayProvider(X, D), n, params, CensorConfig(p_ce=0.5),
+                ArrayProvider(X, D), params, CensorConfig(p_ce=0.5),
                 ReuseConfig(scheme="idr", l_reused=2), [(0, n, WO)],
                 runner._checked(kept, [(0, n, WO)], params.mu, groups), groups,
             )
@@ -383,7 +383,7 @@ class TestEngineEquivalence:
         wo, x_tilde, d_tilde = _synth_run(11, 0, L, n, zero, zero)
         params = RtgaParams(b=2.0, c=1.0, mu=0.05, phi=1.0, family="tlmp")
         _, kept = run_kept(
-            ArrayProvider(x_tilde[None], d_tilde[None]), n, params,
+            ArrayProvider(x_tilde[None], d_tilde[None]), params,
             NO_CENSOR, NO_REUSE, [(0, n, wo[None])],
         )
         curve = kept.ratio[0]
@@ -403,7 +403,7 @@ class TestEngineEquivalence:
         d_tilde = x @ wo + noise[0]
         params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.05, phi=1.0)
         res, _ = run_kept(
-            ArrayProvider(x_tilde[None], d_tilde[None]), n, params,
+            ArrayProvider(x_tilde[None], d_tilde[None]), params,
             NO_CENSOR, NO_REUSE, [(0, n, wo[None])],
         )
         w = res.weights[0]
@@ -444,7 +444,7 @@ class TestEngineBlocks:
         params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.05, phi=1.0)
         censor = CensorConfig(p_ce=0.5)
         reuse = ReuseConfig(scheme="idr", l_reused=2)
-        run_engine(ArrayProvider(X, D), n, params, censor, reuse, segments, both)
+        run_engine(ArrayProvider(X, D), params, censor, reuse, segments, both)
 
         assert [b[0].shape[1] for b in kept.blocks] == widths
         assert np.array_equal(sums.ratio[0] / runs, kept.ratio.mean(axis=0))
@@ -475,7 +475,7 @@ class TestEngineBlocks:
         segments = [(0, n, rng.standard_normal((runs, L)))]
         for groups, widths in (((), [16, 14]), (("a", "b", "c"), [5] * 6), (("a",) * 6, [2] * 15)):
             kept = KeepAll()
-            run_engine(provider, n, params, NO_CENSOR, NO_REUSE, segments, kept, groups)
+            run_engine(provider, params, NO_CENSOR, NO_REUSE, segments, kept, groups)
             assert [b[0].shape[1] for b in kept.blocks] == widths
 
     def test_memory_flat_in_stream_length(self, monkeypatch):
@@ -494,7 +494,7 @@ class TestEngineBlocks:
             segments = [(0, n, rng.standard_normal((runs, L)))]
             tracemalloc.start()
             try:
-                run_engine(provider, n, params, censor, reuse, segments, lambda *b: None)
+                run_engine(provider, params, censor, reuse, segments, lambda *b: None)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -519,6 +519,24 @@ class TestScaleTracker:
             assert [s.ready for s in states] == [tracker.ready] * runs
             assert tracker.sigma.tolist() == [s.sigma_e for s in states]
         assert tracker.ready
+
+    def test_update_allocates_no_ring_copy(self):
+        # The median partitions a copy of the ring made with the tracker, so
+        # 100 updates at (150, 9) allocate no (runs, window) array.
+        runs, window = 150, 9
+        tracker = _ScaleTracker(runs, CensorConfig(p_ce=0.5, window=window))
+        errors = np.random.default_rng(0).standard_normal((window + 100, runs))
+        for e in errors[:window]:
+            tracker.update(e)
+        assert tracker.ready
+        tracemalloc.start()
+        try:
+            for e in errors[window:]:
+                tracker.update(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < runs * window * 8
 
 
 class TestReuse:
@@ -826,7 +844,7 @@ def _theory_rows(cfg):
 def _shard(monkeypatch, cpus):
     """Let a pass without reuse split into shards, one per CPU on cpus of
     them and at most one per trial, whatever its rows."""
-    monkeypatch.setattr(producer, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(runner, "_cpus", lambda: cpus)
     monkeypatch.setattr(StreamProvider, "_SHARDED", 0)
 
 
@@ -928,7 +946,7 @@ class TestProducer:
         # forks nothing, and no pass forks a process per CPU or per trial.
         # A fork past the count raises in place of starting a process.
         forks = _counting_forks(monkeypatch, want)
-        monkeypatch.setattr(producer, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(runner, "_cpus", lambda: cpus)
         monkeypatch.setattr(StreamProvider, "_FORKED", 0)
         monkeypatch.setattr(StreamProvider, "_SHARDED", 3)
         cfg = ExperimentConfig(
@@ -996,7 +1014,7 @@ class TestProducer:
             inline, inline_counts = _kept_rows(cfg)
             mp.setattr(StreamProvider, "_FORKED", 0)
             if cpus:
-                mp.setattr(producer, "cpu_count", lambda: cpus)
+                mp.setattr(runner, "_cpus", lambda: cpus)
                 forks = _counting_forks(mp)
             else:
                 forks = []
@@ -1042,7 +1060,7 @@ class TestProducer:
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert producer.cpu_count() == os.cpu_count()
+        assert runner._cpus() == os.cpu_count()
 
     @staticmethod
     def _forked_provider(monkeypatch):
@@ -1072,31 +1090,77 @@ class TestProducer:
         assert threading.active_count() == before
         assert forks == []
 
-    def test_unpicklable_fault_exits_unanswered(self, monkeypatch, tmp_path):
-        # An exception that does not pickle cannot cross to the engine: the
-        # producer leaves through os._exit(1) without answering, and the
-        # engine raises ChildProcessError and reaps it. Had the producer
-        # returned into this test instead, it would log its pid below.
+    def test_answer_is_what_the_fill_returned(self):
+        # Each answer carries its piece's fill result, None included.
+        child = producer.Producer(lambda k: (k, np.arange(3.0) * k) if k else None)
+        try:
+            child.ask(3)
+            answers = [child.answer() for _ in range(3)]
+        finally:
+            child.close()
+        assert answers[0] is None
+        for k, (piece, values) in enumerate(answers[1:], start=1):
+            assert piece == k
+            np.testing.assert_array_equal(values, np.arange(3.0) * k)
+        assert_reaped([child.pid])
+
+    def test_answer_raises_what_the_fill_raised(self):
+        # The fill's exception crosses with its type and message, and the
+        # child answers nothing after it.
+        def fill(k):
+            if k == 1:
+                raise LookupError(f"piece {k} has no rows")
+            return k
+
+        child = producer.Producer(fill)
+        try:
+            child.ask(3)
+            assert child.answer() == 0
+            with pytest.raises(LookupError, match=r"^piece 1 has no rows$"):
+                child.answer()
+            with pytest.raises(ChildProcessError, match=r"without answering \(exit status 0\)"):
+                child.answer()
+        finally:
+            child.close()
+        assert_reaped([child.pid])
+
+    def test_unpicklable_fault_exits_unanswered(self, tmp_path):
+        # An exception that does not pickle, raised or returned by the
+        # fill, cannot cross to the engine: the producer leaves through
+        # os._exit(1) without answering, and the engine raises
+        # ChildProcessError and reaps it. Had the producer returned into
+        # this test instead, it would log its pid below.
         class LocalError(Exception):
             pass
 
-        def failing(*args, **kwargs):
-            raise LocalError("defined in a test, so pickle cannot name it")
-
-        monkeypatch.setattr(runner, "synthesize_eiv_arrays", failing)
         cfg = ExperimentConfig(mode="sysid", order=9, n_samples=3000, mc_runs=3)
         log = tmp_path / "callers"
-        try:
-            with runner._trial_provider(cfg, [case_spec(1)]) as provider:
-                assert provider.forks
-                with pytest.raises(ChildProcessError, match=r"without answering \(exit status 1\)") as info:
-                    provider.step(0)
-        finally:
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-        assert fill_pids(log) == {os.getpid()}
-        pid = int(re.search(r"pid (\d+)", str(info.value)).group(1))
-        assert_reaped([pid])
+        for how in ("raised", "returned"):
+
+            def failing(*args, **kwargs):
+                error = LocalError("defined in a test, so pickle cannot name it")
+                if how == "returned":
+                    return error
+                raise error
+
+            with pytest.MonkeyPatch.context() as mp:
+                if how == "returned":
+                    mp.setattr(StreamProvider, "_fill", failing)
+                else:
+                    mp.setattr(runner, "synthesize_eiv_arrays", failing)
+                try:
+                    with runner._trial_provider(cfg, [case_spec(1)]) as provider:
+                        assert provider.forks
+                        with pytest.raises(
+                            ChildProcessError, match=r"without answering \(exit status 1\)"
+                        ) as info:
+                            provider.step(0)
+                finally:
+                    with open(log, "a", encoding="utf-8") as fh:
+                        fh.write(f"{os.getpid()}\n")
+            assert fill_pids(log) == {os.getpid()}, how
+            pid = int(re.search(r"pid (\d+)", str(info.value)).group(1))
+            assert_reaped([pid])
 
     @pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside_a_second_pass"])
     def test_killed_producer_raises_promptly(self, monkeypatch, beside):
