@@ -29,10 +29,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(mode, help=text)
         p.add_argument("--config", metavar="PATH", help="INI config file")
         p.add_argument("--out", metavar="PATH", help="write curves as CSV here")
-        for s in SETTINGS.values():
+        for (section, key), s in SETTINGS.items():
             if s.flag:
                 p.add_argument(f"--{s.flag}", type=s.conv, choices=s.choices,
-                               metavar=s.metavar, help=s.help)
+                               metavar=s.metavar, help=f"{s.help} ([{section}] {key})")
     args = parser.parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k not in ("mode", "config")}
     try:

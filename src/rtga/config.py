@@ -2,11 +2,12 @@
 
 Every setting is declared once, as a row of SETTINGS keyed by its INI
 (section, key): the config field it sets, the conversion of the file text
-and the command-line flag, if any, that wins over the file. Override names
-are those flags' names, plus ``out`` for the CSV path. build_config
-rejects unknown sections, keys and override names and collects every
-problem, with bad values and invalid settings, before reporting, so a bad
-config never starts a partial run.
+and the command-line flag, if any, that wins over the file; each flag's
+--help line ends with its [section] key. Override names are those flags'
+names, plus ``out`` for the CSV path. build_config rejects unknown
+sections, keys and override names and collects every problem, with bad
+values and invalid settings, before reporting, so a bad config never
+starts a partial run.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ class Setting(NamedTuple):
 SETTINGS = {
     ("experiment", "runs"): Setting("mc_runs", int, "runs", "Monte-Carlo trials", "N"),
     ("experiment", "samples"): Setting("n_samples", int, "samples", "stream length", "N"),
-    ("experiment", "seed"): Setting("base_seed", int, "seed", "base seed (trial r adds r)", "N"),
+    ("experiment", "seed"): Setting("base_seed", int, "seed", "base seed, plus r for trial r", "N"),
     ("experiment", "case"): Setting("case_id", int, "case", "noise case", choices=CASES),
     ("experiment", "order"): Setting("order", int),
     ("experiment", "shift_time"): Setting("shift_time", int),

@@ -11,13 +11,22 @@ The protocol runs over two pipes. The parent writes one byte for each
 piece it wants done; the child calls fill(k) for the pieces in order and
 answers each with a header, the length of its pickle and whether the
 fill raised, followed by the pickled value the fill returned (nothing for
-None) or the exception it raised. Each child closes the parent's ends of
-its own pipes. A later fork in the process (the next child, or another
-pass's, forked from another thread) inherits copies of the parent's ends,
-so a closed pipe does not prove the other side gone: each side, while it
-waits, checks every _POLL_MS that the other still lives, and the parent
-ends a child by killing it. rtga.runner imports this module only when a
-pass forks.
+None) or the exception it raised.
+
+A child runs at most one piece ahead of its consumer. The consumer asks
+for piece 0 when it forks the child, and for piece k + 1, if there is
+one, just before it takes the answer of piece k; so while it reads what
+piece k wrote, the child fills piece k + 1 and no later piece. The
+consumer therefore keeps room for two pieces, so that piece k + 1 writes
+nothing it still reads: the stream ring's rows (runner.StreamProvider)
+and the two block slots (runner._run_shards).
+
+Each child closes the parent's ends of its own pipes. A later fork in
+the process (the next child, or another pass's, forked from another
+thread) inherits copies of the parent's ends, so a closed pipe does not
+prove the other side gone: each side, while it waits, checks every
+_POLL_MS that the other still lives, and the parent ends a child by
+killing it. rtga.runner imports this module only when a pass forks.
 """
 
 from __future__ import annotations

@@ -272,7 +272,7 @@ class StreamProvider:
     + chunk); the latest `capacity` samples stay available to past(). A
     span is the most samples whose draws of one trial fit _SCRATCH bytes,
     and the cursor draws as many trials at a time as fit them. A chunk is
-    max(1, _CHUNK // G) samples, but at most n and at most two spans: a
+    max(2, _CHUNK // G) samples, but at most n and at most two spans: a
     longer one would only widen a long filter's ring. The ring is filled
     piece by piece, and a piece is at most a span long and ends at a
     segment boundary (so it has one truth per trial) and at the ring's end.
@@ -300,17 +300,30 @@ class StreamProvider:
     rows, 0.96-1.10 against 1.13-1.18 s at 300, and shards won at 1000
     rows (sysid-wide); a theory comparison of three variances, whose
     170-sample half chunks stay inline, took 1.21-1.25 s inline and
-    0.96-0.98 s in shards at 300 rows (theory-compare's). With reuse the
-    engine makes several updates a sample, and shards were faster in only
-    1-2 of 8 pairs (sysid-reuse-censor, aec-stream).
+    0.96-0.98 s in shards at 300 rows (theory-compare's). Where the rule
+    picks one producer, each way still wins on some pass (one fresh
+    process per run, shards forced by patching shards(), outputs
+    identical):
+    - aec-stream's config: shards took a median 0.666 s against 0.698 s
+      and were faster in 5 of 6 pairs, but their children spent
+      1.25-1.41 s of CPU against the producer's 0.41-0.49 s;
+    - AEC rtga, 5 runs x 8000 samples: the producer took 0.36-0.42 s and
+      shards 0.45-0.56 s, the producer faster in 4 of 4 pairs;
+    - sysid case 2 proposed, idr 3 at 70 %, 300 runs x 4000 samples: even,
+      shards 0.73-0.86 s and the producer 0.84-0.86 s, each faster in 2
+      of 4 pairs.
+    So a rule that counted the update's size (G * trials * L >= 2304)
+    would send the 5-run AEC pass to shards and lose about 30 % there.
 
-    Entering a piece, the engine asks the producer for the pieces that
-    end within a chunk of its start, so it overwrites no row that past()
-    may still serve, and takes its answer, which raises what the fill
-    raised, before it serves the piece. A trial's draws do not depend on
-    the process that makes them, so neither do the rows. close(), or
-    leaving a with-block, kills and reaps the producer, and a later fill
-    raises.
+    A producer fills half-chunk pieces, and 2 * half <= chunk wherever a
+    pass has more than one piece, so the piece that rtga.producer's
+    look-ahead fills beside the engine's ends within a chunk of the start
+    of the engine's piece, and overwrites no row that past() may still
+    serve. Entering a piece, the engine takes the producer's answer,
+    which raises what the fill raised, before it serves the piece. A
+    trial's draws do not depend on the process that makes them, so
+    neither do the rows. close(), or leaving a with-block, kills and
+    reaps the producer, and a later fill raises.
     """
 
     _CHUNK = 1024
@@ -337,7 +350,7 @@ class StreamProvider:
         values = self._SCRATCH // 8
         # a trial's span of scratch; a chunk holds at most two, one per half
         span = max(1, values // per_sample)
-        self.chunk = min(max(1, self._CHUNK // groups), 2 * span, n)
+        self.chunk = min(max(2, self._CHUNK // groups), 2 * span, n)
         self.rows = min(n, capacity - 1 + self.chunk)
         half = max(1, self.chunk // 2)
         self.forks = not inline and half * per_sample >= self._FORKED and _cpus() > 1
@@ -367,7 +380,6 @@ class StreamProvider:
         self._mark = 0  # one past the last sample of the engine's piece
         self._latest = -1
         self._closed = False
-        self._asked = 0  # pieces asked of the producer
         self._producer = None
 
     @classmethod
@@ -398,10 +410,9 @@ class StreamProvider:
                 from .producer import Producer
 
                 self._producer = Producer(lambda k: self._fill(*self.pieces[k]))
-            asked = self._asked
-            while self._asked < len(self.pieces) and self.pieces[self._asked][1] <= start + self.chunk:
-                self._asked += 1
-            self._producer.ask(self._asked - asked)
+                self._producer.ask(1)
+            if self._next < len(self.pieces):
+                self._producer.ask(1)
             self._producer.answer()
         except BaseException:
             self.close()
@@ -518,7 +529,21 @@ def _engine(
     width: int,
 ):
     """run_engine's pass, one block at a time: yields each block's (start,
-    ratio, censored, e) and returns the EngineResult."""
+    ratio, censored, e) and returns the EngineResult.
+
+    An update allocates no array data (gradient_coefficient does, at
+    b != 2 only). Every per-run row of an update (e, n2, k, the two step
+    coefficients and the threshold kappa sigma) and one (runs, L) scratch,
+    for the product (mu k e) x and for the deviation W - w_o, are made
+    once per pass. Each operation writes into them with out=, the same
+    operations in the same order as the plain numpy expressions, so the
+    bits are theirs. The rl,rl->r einsums call numpy's C entry c_einsum.
+    A censor mask goes straight to its destination: the main update's
+    column of the block's censor buffer, or a reuse update's row of the
+    (width, l, runs) flags, which are counted and cleared at the block
+    end. The scale tracker writes |e| into its ring and updates sigma in
+    place.
+    """
     runs, L = segments[0][2].shape
     W = np.zeros((runs, L))
     tracker = _ScaleTracker(runs, censor) if censor.active else None
@@ -531,10 +556,8 @@ def _engine(
     reuse_cen = np.zeros((width, slots, runs), dtype=bool)
     mu, phi = params.mu, params.phi
     main_steps = main_censored = reuse_steps = reuse_censored = 0
-    # Every per-run row of one update, and a (runs, L) scratch, so an
-    # update allocates nothing (the coefficient does only at b != 2).
     # step_x and step_w are the first two rows, so one copyto zeroes a
-    # censored run's steps.
+    # censored run's steps
     rows = np.empty((7, runs))
     step_x, step_w, n2, k, e, thr, dot = rows
     steps, step_x_col, step_w_col = rows[:2], step_x[:, None], step_w[:, None]
@@ -607,7 +630,8 @@ def _checked(
     is non-finite or puts |W - w_o|^2 above DIVERGENCE_FACTOR times its
     largest |w_o|^2 raises ArithmeticError, which names the run by its
     group's label and its index in the group (segments and groups are
-    those of run_engine's whole pass), before sink sees the block. A
+    those of run_engine's whole pass), before sink sees the block, so no
+    non-finite value reaches the run sums, the CSV or the counts. A
     non-finite ratio counts, since a non-finite step makes W non-finite in
     the same update; a finite one counts too, since the n2 = phi + |w|^2
     normalization can keep a blown-up run finite. The largest truth norm
@@ -649,8 +673,10 @@ class RunSums:
     ratio, censored and e2 are (groups, n). A block's rows are viewed as
     (groups, runs, m), and each group's rows are added one run after
     another, the order of mean(axis=0) on a (runs, n) array, so the means
-    are bit-identical; censored counts the censored runs per iteration.
-    The e^2 sums are kept only with errors (e2 is None otherwise).
+    are bit-identical and each group's sums equal those of a pass of that
+    group alone; censored counts the censored runs per iteration. The e^2
+    sums are kept only with errors (e2 is None otherwise). The NMSD curve,
+    the censoring ratios and AEC's ERLE come from these sums.
     """
 
     def __init__(self, groups: int, runs: int, n: int, errors: bool = False):
@@ -856,11 +882,10 @@ def _run_shards(
     (2, rows, width) buffers of the ratio, the censored mask and e. Its
     piece after the last block returns its shard's EngineResult, and the
     pass's result joins their weights and sums their counts. This process
-    only waits, checks and sums: for each block it asks every child for
-    the piece after it, takes every child's answer for the block and
-    hands the whole block to sink. So a child runs up to a block ahead
-    and never writes a slot that sink may still read. Every child is
-    killed and reaped when the pass ends or fails.
+    only waits, checks and sums: for each block it takes every child's
+    answer for the block and hands the whole block to sink, so by
+    rtga.producer's look-ahead no child writes a slot that sink may still
+    read. Every child is killed and reaped when the pass ends or fails.
     """
     from .producer import Producer, shared_arrays
 
@@ -1035,12 +1060,7 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         mode="theory",
         table=rows,
-        csv_columns={
-            "sigma2": [r["sigma2"] for r in rows],
-            "theory_db": [r["theory_db"] for r in rows],
-            "sim_db": [r["sim_db"] for r in rows],
-            "gap_db": [r["gap_db"] for r in rows],
-        },
+        csv_columns={k: [r[k] for r in rows] for k in ("sigma2", "theory_db", "sim_db", "gap_db")},
     )
 
 
@@ -1049,7 +1069,11 @@ SWEEP_TRUTH = np.array([-0.6, 0.8])
 
 
 def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    """Monte-Carlo mean cost over a two-tap weight grid."""
+    """Monte-Carlo mean cost over a two-tap weight grid.
+
+    The draws are trial 0's whole stream, written by a one-trial cursor in
+    one call, with no ring.
+    """
     cfg.validate()
     params = cfg.resolved_params()
     pair = case_spec(cfg.case_id)

@@ -110,6 +110,18 @@ def test_help_exits_0():
     assert exc.value.code == 0
 
 
+def test_flag_help_ends_with_its_config_key(capsys):
+    # --help holds the flag -> config-key table: each flag's line ends with
+    # the [section] key of its SETTINGS row
+    with pytest.raises(SystemExit) as exc:
+        main(["sysid", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    for (section, key), s in SETTINGS.items():
+        if s.flag:
+            assert f"{s.help} ([{section}] {key})" in out, s.flag
+
+
 def test_wrong_echo_path_length_exits_1(tmp_path, capsys):
     # a path of 512 zeros has the right length but nothing to identify:
     # the NMSD would divide by its zero norm

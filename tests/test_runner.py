@@ -598,7 +598,7 @@ class TestSeedLayout:
             (_theory_rows, ExperimentConfig(
                 mode="theory", theory=TheoryConfig(variances=(0.1,)), **common,
             )),
-            # two variances in one pass: chunk and block 1 hit the max(1, .) floor
+            # two variances in one pass: chunk 2 and block 1 hit their floors
             (_theory_rows, ExperimentConfig(
                 mode="theory", theory=TheoryConfig(variances=(0.1, 0.02)),
                 reuse=ReuseConfig(scheme="idr", l_reused=2), **proposed, **common,
