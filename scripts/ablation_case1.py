@@ -35,9 +35,8 @@ def main() -> None:
         cfg = ExperimentConfig(
             mode="sysid", case_id=1, order=9, n_samples=8000, mc_runs=100,
             base_seed=0, algorithm=algorithm,
-            censoring=CensorConfig(p_ce=p_ce),
-            reuse=ReuseConfig(scheme="idr", l_reused=l_reused) if l_reused
-            else ReuseConfig(scheme="none"),
+            censoring=CensorConfig(p_ce=p_ce, estimator="robust_median"),
+            reuse=ReuseConfig(l_reused=l_reused),
         )
         params = cfg.resolved_params()
         res = run_sysid(cfg)

@@ -4,7 +4,9 @@ A sample is censored (discarded without an update) when its error
 magnitude falls below kappa * sigma_e, where kappa is calibrated so that a
 target fraction p_ce of Gaussian errors is censored and sigma_e tracks the
 error scale online. Two trackers are provided: a robust sliding-median
-tracker and a conventional smoothed-power tracker.
+tracker and a conventional smoothed-power tracker. The estimator "auto"
+names the experiment's choice (config.ExperimentConfig.resolved_censoring);
+a tracker handed "auto" runs the robust median.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-ESTIMATORS = ("robust_median", "conventional")
+ESTIMATORS = ("auto", "robust_median", "conventional")
 
 # consistency factor relating the median absolute deviation of a Gaussian
 # to its standard deviation, 1/Phi^-1(3/4)
@@ -45,22 +47,23 @@ def censor_threshold(p_ce: float) -> float:
 
 @dataclass(frozen=True)
 class CensorConfig:
-    """Censoring policy: target ratio, scale-tracker settings, estimator."""
+    """Censoring policy: target ratio, scale-tracker settings, estimator.
+    The messages name the INI keys of [censoring]."""
 
     p_ce: float
     window: int = 9
     tau: float = 0.99
-    estimator: str = "robust_median"
+    estimator: str = "auto"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_ce < 1.0:
-            raise ValueError("p_ce must lie in [0, 1)")
+            raise ValueError(f"censoring.p_ce must lie in [0, 1), got {self.p_ce}")
         if not 7 <= self.window <= 15:
-            raise ValueError("window must lie in [7, 15]")
+            raise ValueError(f"censoring.window must lie in [7, 15], got {self.window}")
         if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
+            raise ValueError(f"censoring.tau must lie in (0, 1], got {self.tau}")
         if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+            raise ValueError(f"unknown censoring.estimator {self.estimator!r}")
 
     @cached_property
     def kappa(self) -> float:
@@ -100,13 +103,13 @@ def update_scale(state: ScaleState, e: float, cfg: CensorConfig) -> ScaleState:
             state.sigma_e = MAD_FACTOR * float(np.median(state.error_window))
             state.ready = True
         return state
-    if cfg.estimator == "robust_median":
-        med = float(np.median(state.error_window))
-        state.sigma_e = cfg.tau * state.sigma_e + MAD_FACTOR * (1.0 - cfg.tau) * med
-    else:
+    if cfg.estimator == "conventional":
         # squared by multiplication, as the vectorized tracker does
         var = cfg.tau * (state.sigma_e * state.sigma_e) + (1.0 - cfg.tau) * e * e
         state.sigma_e = math.sqrt(var)
+    else:
+        med = float(np.median(state.error_window))
+        state.sigma_e = cfg.tau * state.sigma_e + MAD_FACTOR * (1.0 - cfg.tau) * med
     return state
 
 

@@ -25,11 +25,11 @@ from .filters import RtgaParams
 from .noise import NoiseSpec, case_spec, noise_ratio
 from .reuse import ReuseConfig
 
-# Each mode's defaults where they differ from ExperimentConfig's, which are
-# sysid's: tracking runs 16000 samples, AEC a 512-tap filter over 200000
-# samples and 50 runs.
+# Each mode's sizes, which ExperimentConfig takes when unset; a mode takes
+# sysid's where its row has none. Tracking runs 16000 samples, AEC a
+# 512-tap filter over 200000 samples and 50 runs.
 _MODE_DEFAULTS = {
-    "sysid": {},
+    "sysid": dict(order=9, n_samples=8000, mc_runs=1000),
     "tracking": dict(n_samples=16_000),
     "aec": dict(order=ECHO_PATH_LEN, n_samples=200_000, mc_runs=50),
     "theory": dict(n_samples=30_000, mc_runs=200),
@@ -146,23 +146,33 @@ class SweepConfig:
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment description."""
+    """One experiment. Each default has one owner, the setting it belongs
+    to, so a library config and build_config resolve the same experiment
+    from the same settings: unset sizes (order, n_samples, mc_runs) take
+    the mode's (_MODE_DEFAULTS), an unset shift_time means mid-stream
+    (truth_shifts), the estimator "auto" is the case's
+    (resolved_censoring), and a reuse count alone means idr (ReuseConfig)."""
 
     mode: str = "sysid"
     case_id: int = 1
-    order: int = 9
-    n_samples: int = 8000
-    mc_runs: int = 1000
+    order: int | None = None
+    n_samples: int | None = None
+    mc_runs: int | None = None
     base_seed: int = 0
     algorithm: AlgorithmConfig = field(default_factory=AlgorithmConfig)
     censoring: CensorConfig = field(default_factory=lambda: CensorConfig(p_ce=0.0))
-    reuse: ReuseConfig = field(default_factory=lambda: ReuseConfig(scheme="none"))
-    shift_time: int = 8000
+    reuse: ReuseConfig = field(default_factory=ReuseConfig)
+    shift_time: int | None = None
     shift_amount: int = 3
     aec: AecConfig = field(default_factory=AecConfig)
     theory: TheoryConfig = field(default_factory=TheoryConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     out_path: str | None = None
+
+    def __post_init__(self) -> None:
+        for name, value in {**_MODE_DEFAULTS["sysid"], **_MODE_DEFAULTS.get(self.mode, {})}.items():
+            if getattr(self, name) is None:
+                setattr(self, name, value)
 
     def noise_pairs(self) -> list[tuple[NoiseSpec, NoiseSpec]]:
         """The (input, output) noise pair of each group of runs: the case's, or
@@ -173,10 +183,20 @@ class ExperimentConfig:
         return [(NoiseSpec("gaussian", s2), NoiseSpec(family, s2)) for s2 in self.theory.variances]
 
     def truth_shifts(self) -> list[tuple[int, int]]:
-        """The truth's (time, right_shift) schedule: tracking mode's one shift."""
+        """The truth's (time, right_shift) schedule: tracking mode's one
+        shift, at shift_time, or mid-stream (n_samples // 2) when unset."""
         if self.mode == "tracking" and self.shift_amount:
-            return [(self.shift_time, self.shift_amount)]
+            time = self.n_samples // 2 if self.shift_time is None else self.shift_time
+            return [(time, self.shift_amount)]
         return []
+
+    def resolved_censoring(self) -> CensorConfig:
+        """The censoring the engine runs: the estimator "auto" is
+        conventional on case 1 and robust_median on the other cases.
+        Resolved at use, so replace(cfg, case_id=...) reads no stale choice."""
+        auto = "conventional" if self.case_id == 1 else "robust_median"
+        estimator = auto if self.censoring.estimator == "auto" else self.censoring.estimator
+        return replace(self.censoring, estimator=estimator)
 
     def resolved_params(self, noise: tuple[NoiseSpec, NoiseSpec] | None = None) -> RtgaParams:
         """The run's filter: every mode and validation build it here.
@@ -229,12 +249,9 @@ class ExperimentConfig:
             except (ConfigError, ValueError) as exc:
                 errors.append(str(exc))
         if self.mode == "tracking":
-            if not 0 < self.shift_time < self.n_samples:
-                errors.append(
-                    f"experiment.shift_time must lie inside the sample range, in "
-                    f"[1, {self.n_samples - 1}], got {self.shift_time}; no flag sets "
-                    f"it: set [experiment] shift_time in a --config file"
-                )
+            if self.shift_time is not None and not 0 < self.shift_time < self.n_samples:
+                errors.append(f"experiment.shift_time must lie inside the sample range, "
+                              f"in [1, {self.n_samples - 1}], got {self.shift_time}")
             if not 0 <= self.shift_amount < self.order:
                 errors.append(
                     f"experiment.shift_amount must be in [0, order), got {self.shift_amount}"
@@ -370,10 +387,11 @@ def build_config(
     returns it. overrides maps flag names (the flags of SETTINGS, and
     ``out``) to values of their row's type (an int row takes an int, a
     float row an int or a float, a str row a str); one that is not None
-    wins over the file. An unset setting takes its dataclass default, or
-    its mode's (_MODE_DEFAULTS). Unknown sections, keys and override
-    names, values that do not convert or have the wrong type and invalid
-    settings are reported together in one ConfigError.
+    wins over the file. An unset setting takes its dataclass default
+    (ExperimentConfig names their owners); the one default that only this
+    function sets is the stream modes' reuse window. Unknown sections, keys
+    and override names, values that do not convert or have the wrong type
+    and invalid settings are reported together in one ConfigError.
     """
     errors: list[str] = []
     given: dict[str, dict[str, object]] = {section: {} for section, _ in SETTINGS}
@@ -415,20 +433,18 @@ def build_config(
             else:
                 given[section][setting.field] = value
 
-    experiment = {**_MODE_DEFAULTS.get(mode, {}), **given.pop("experiment")}
-    cfg = ExperimentConfig(mode=mode, out_path=out_path, **experiment)
-    censoring, reuse = given["censoring"], given["reuse"]
-    if censoring.get("estimator", "auto") == "auto":
-        censoring["estimator"] = "conventional" if cfg.case_id == 1 else "robust_median"
-    if reuse.get("l_reused") and reuse.get("scheme", "none") == "none":
-        reuse["scheme"] = "idr"
-    if mode in ("tracking", "aec") and reuse.get("scheme", "none") != "none":
+    cfg = ExperimentConfig(mode=mode, out_path=out_path, **given.pop("experiment"))
+    reuse = given["reuse"]
+    # The CLI's one default of its own: a streamed pass that reuses caps its
+    # window at 200 samples. A library pass may run uncapped, so the cap is
+    # not ReuseConfig's default.
+    if mode in ("tracking", "aec") and reuse.get("l_reused") and reuse.get("scheme") != "none":
         reuse.setdefault("window_cap", 200)
     for section, values in given.items():
         try:
             setattr(cfg, section, replace(getattr(cfg, section), **values))
         except ValueError as exc:
-            errors.append(f"{section}: {exc}")
+            errors.append(str(exc))
 
     errors.extend(cfg.validation_errors())
     if errors:

@@ -18,17 +18,22 @@ SCHEMES = ("none", "idr", "dr", "undr")
 
 @dataclass(frozen=True)
 class ReuseConfig:
-    scheme: str = "none"
+    """A reuse count alone means idr; scheme "none" turns reuse off. The
+    messages name the INI keys: reuse.scheme, reuse.count (l_reused) and
+    reuse.window (window_cap)."""
+
+    scheme: str = "idr"
     l_reused: int = 0
     window_cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown reuse scheme {self.scheme!r}")
+            raise ValueError(f"unknown reuse.scheme {self.scheme!r}")
         if self.l_reused < 0:
-            raise ValueError("l_reused must be >= 0")
+            raise ValueError(f"reuse.count must be >= 0, got {self.l_reused}")
         if self.window_cap is not None and self.window_cap < self.l_reused + 1:
-            raise ValueError("window_cap must be >= l_reused + 1")
+            raise ValueError(f"reuse.window ({self.window_cap}) must be at least "
+                             f"reuse.count + 1 ({self.l_reused + 1})")
 
     @property
     def active(self) -> bool:

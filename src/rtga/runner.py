@@ -142,18 +142,18 @@ class _ScaleTracker:
                 np.multiply(self._median(), MAD_FACTOR, out=sigma)
                 self.ready = True
             return
-        # tau sigma + MAD (1 - tau) med, or sqrt(tau sigma^2 + (1 - tau) e^2)
-        if cfg.estimator == "robust_median":
-            med = self._median()  # a view of the partitioned copy, ours to overwrite
-            sigma *= cfg.tau
-            sigma += np.multiply(med, MAD_FACTOR * (1.0 - cfg.tau), out=med)
-        else:
+        # sqrt(tau sigma^2 + (1 - tau) e^2), or tau sigma + MAD (1 - tau) med
+        if cfg.estimator == "conventional":
             np.multiply(sigma, sigma, out=sigma)
             sigma *= cfg.tau
             row = np.multiply(e, 1.0 - cfg.tau, out=self._row)
             row *= e
             sigma += row
             np.sqrt(sigma, out=sigma)
+        else:
+            med = self._median()  # a view of the partitioned copy, ours to overwrite
+            sigma *= cfg.tau
+            sigma += np.multiply(med, MAD_FACTOR * (1.0 - cfg.tau), out=med)
 
 
 class ArrayProvider:
@@ -851,7 +851,7 @@ def _run_pass(
         for j, (a, b, _) in enumerate(shards[0][0].segments)
     ]
     checked = _checked(sink, segments, params.mu, labels)
-    args = params, cfg.censoring, cfg.reuse
+    args = params, cfg.resolved_censoring(), cfg.reuse
     if count == 1:
         with shards[0][0] as provider:
             return run_engine(provider, *args, provider.segments, checked, labels)
@@ -1086,7 +1086,9 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     Wg = np.column_stack([g1.ravel(), g2.ravel()])
     e = d_tilde - Wg @ x_tilde[0].T
-    mean_cost = np.asarray(cost(e, Wg[:, None, :], params)).mean(axis=1)
+    # a large b overflows |e~|^b to inf, whose cost is the shape's finite ceiling
+    with np.errstate(over="ignore"):
+        mean_cost = np.asarray(cost(e, Wg[:, None, :], params)).mean(axis=1)
     return ExperimentResult(
         mode="sweep",
         csv_columns={"w1": Wg[:, 0], "w2": Wg[:, 1], "mean_cost": mean_cost},

@@ -26,6 +26,13 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
+def _robust(p_ce):
+    """Censoring at p_ce by the robust-median tracker, which every censored
+    arm measures, case 1 included, where the estimator "auto" would run
+    the conventional one."""
+    return CensorConfig(p_ce=p_ce, estimator="robust_median")
+
+
 def _sysid(algorithm, censoring=None, reuse=None):
     return run_sysid(
         ExperimentConfig(
@@ -55,14 +62,14 @@ def case1_runs():
     return {
         "rtga": _sysid(AlgorithmConfig(name="rtga")),
         "no_reuse": _sysid(prop_l3),
-        "l1_30": _sysid(prop_l1, CensorConfig(p_ce=0.3), l1),
-        "l1_50": _sysid(prop_l1, CensorConfig(p_ce=0.5), l1),
-        "l1_70": _sysid(prop_l1, CensorConfig(p_ce=0.7), l1),
-        "l3_70": _sysid(prop_l3, CensorConfig(p_ce=0.7), l3),
-        "l3_30": _sysid(prop_l3, CensorConfig(p_ce=0.3), l3),
+        "l1_30": _sysid(prop_l1, _robust(0.3), l1),
+        "l1_50": _sysid(prop_l1, _robust(0.5), l1),
+        "l1_70": _sysid(prop_l1, _robust(0.7), l1),
+        "l3_70": _sysid(prop_l3, _robust(0.7), l3),
+        "l3_30": _sysid(prop_l3, _robust(0.3), l3),
         "l3_matched": _sysid(
             AlgorithmConfig(name="proposed", mu=0.016, c=0.1),
-            CensorConfig(p_ce=0.7), l3,
+            _robust(0.7), l3,
         ),
     }
 
@@ -290,7 +297,7 @@ def test_criterion_10_robustness_under_impulses():
     prop = run_sysid(
         ExperimentConfig(
             algorithm=AlgorithmConfig(name="proposed"),
-            censoring=CensorConfig(p_ce=0.7),
+            censoring=_robust(0.7),
             reuse=ReuseConfig(scheme="idr", l_reused=3),
             **common,
         )
@@ -319,7 +326,7 @@ def test_criterion_11_aec_desk_scale():
     prop = run_aec(
         ExperimentConfig(
             algorithm=AlgorithmConfig(name="proposed", mu=0.05),
-            censoring=CensorConfig(p_ce=0.3),
+            censoring=_robust(0.3),
             reuse=ReuseConfig(scheme="idr", l_reused=3, window_cap=200),
             **common,
         ),

@@ -81,14 +81,24 @@ def test_negative_step_exits_2(capsys):
     assert capsys.readouterr().err
 
 
-def test_default_shift_past_the_samples_exits_2(capsys):
-    # No flag sets the shift time, so the message names the valid range
-    # and the config-file key that sets it.
-    assert main(["tracking", "--samples", "4000", "--runs", "2"]) == 2
+def test_explicit_shift_past_the_samples_exits_2(tmp_path, capsys):
+    # An unset shift is mid-stream, so only a set one can leave the range;
+    # the message names the valid range.
+    ini = tmp_path / "shift.ini"
+    ini.write_text("[experiment]\nshift_time = 8000\n")
+    assert main(["tracking", "--config", str(ini), "--samples", "4000", "--runs", "2"]) == 2
     assert capsys.readouterr().err == (
         "error: invalid configuration:\n  experiment.shift_time must lie inside the "
-        "sample range, in [1, 3999], got 8000; no flag sets it: set [experiment] "
-        "shift_time in a --config file\n"
+        "sample range, in [1, 3999], got 8000\n"
+    )
+
+
+def test_reuse_window_below_the_count_exits_2(capsys):
+    # the message names the INI keys and their values
+    assert main(["sysid", "--reuse", "3", "--window", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid configuration:\n  reuse.window (3) must be at least "
+        "reuse.count + 1 (4)\n"
     )
 
 
@@ -397,7 +407,7 @@ def test_config_file_reports_every_problem_together(tmp_path, capsys):
     assert err.startswith("error: invalid configuration:\n")
     assert "\n  unknown key 'step' in [experiment]; expected one of" in err
     assert "\n  experiment.runs: cannot interpret 'many' as int\n" in err
-    assert "\n  censoring: p_ce must lie in [0, 1)\n" in err
+    assert "\n  censoring.p_ce must lie in [0, 1), got 2.0\n" in err
     assert "Traceback" not in err
 
 
@@ -425,6 +435,14 @@ def test_sweep_writes_grid_csv(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0] == "iteration,w1,w2,mean_cost"
     assert len(lines) == 26
+
+
+def test_sweep_with_a_huge_b_exits_0_without_warnings(tmp_path, capsys):
+    # |e~|^b overflows to inf on the way to the cost's finite ceiling
+    ini = tmp_path / "b.ini"
+    ini.write_text("[algorithm]\nb = 1e300\n[sweep]\npoints = 5\ndraws = 50\n")
+    assert main(["sweep", "--config", str(ini)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_theory_prints_table(capsys):

@@ -1,6 +1,7 @@
 """Strict config ingestion and file formats (CSV, WAV, echo path)."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from rtga.dataio import (
     synth_far_end,
     write_csv,
 )
+from rtga.reuse import ReuseConfig
 
 
 def test_build_defaults_per_mode():
@@ -60,15 +62,73 @@ def test_build_defaults_per_mode():
 
 
 def test_estimator_auto_rule():
+    # "auto" is the case's estimator, resolved at use; a named one wins
     c1 = build_config("sysid", None, {"runs": 2, "pce": 0.5})
-    assert c1.censoring.estimator == "conventional"
+    assert c1.censoring.estimator == "auto"
+    assert c1.resolved_censoring().estimator == "conventional"
     c2 = build_config("sysid", None, {"runs": 2, "pce": 0.5, "case": 2})
-    assert c2.censoring.estimator == "robust_median"
+    assert c2.resolved_censoring().estimator == "robust_median"
+    assert replace(c1, case_id=2).resolved_censoring() == c2.resolved_censoring()
+    named = build_config("sysid", {"censoring": {"estimator": "robust_median"}}, {"runs": 2})
+    assert named.resolved_censoring().estimator == "robust_median"
 
 
 def test_reuse_flag_implies_idr():
     cfg = build_config("sysid", None, {"runs": 2, "reuse": 3})
-    assert cfg.reuse.scheme == "idr" and cfg.reuse.l_reused == 3
+    assert cfg.reuse == ReuseConfig(l_reused=3) and cfg.reuse.scheme == "idr"
+    # an explicit scheme = none wins over the count
+    off = build_config("sysid", {"reuse": {"scheme": "none", "count": "3"}}, {"runs": 2})
+    assert not off.reuse.active
+
+
+def test_unset_shift_is_mid_stream():
+    cfg = build_config("tracking", None, {"runs": 2, "samples": 4000})
+    assert cfg.shift_time is None and cfg.truth_shifts() == [(2000, 3)]
+    assert ExperimentConfig(mode="tracking").truth_shifts() == [(8000, 3)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_library_defaults_are_the_cli_defaults(mode):
+    library = ExperimentConfig(mode=mode)
+    library.validate()
+    assert build_config(mode, None, {}) == library
+
+
+# [reuse] keys and the ReuseConfig fields they set: none, a count alone,
+# a count with a scheme, and a count that scheme = none turns off
+_REUSE_GRID = [
+    ({}, {}),
+    ({"count": "3"}, dict(l_reused=3)),
+    ({"count": "3", "scheme": "undr"}, dict(scheme="undr", l_reused=3)),
+    ({"count": "3", "scheme": "none"}, dict(scheme="none", l_reused=3)),
+]
+
+
+@pytest.mark.parametrize("reuse", _REUSE_GRID, ids=["unset", "count", "undr", "none"])
+@pytest.mark.parametrize("p_ce", [0.0, 0.5])
+@pytest.mark.parametrize("case", [1, 2])
+@pytest.mark.parametrize("mode", MODES)
+def test_library_and_cli_build_the_same_experiment(mode, case, p_ce, reuse):
+    keys, fields = reuse
+    library = ExperimentConfig(
+        mode=mode, case_id=case, mc_runs=2,
+        censoring=CensorConfig(p_ce=p_ce), reuse=ReuseConfig(**fields),
+    )
+    # The one exception, a default only build_config sets: a tracking or
+    # aec pass that reuses caps its window at 200 samples.
+    if mode in ("tracking", "aec") and library.reuse.active:
+        library.reuse = replace(library.reuse, window_cap=200)
+    ini = {"censoring": {"p_ce": str(p_ce)}, "reuse": keys}
+    if mode == "theory" and library.reuse.active:
+        # theory mode rejects data reuse, from either entry point
+        assert library.validation_errors()
+        with pytest.raises(ConfigError, match="without data reuse"):
+            build_config(mode, ini, {"case": case, "runs": 2})
+        return
+    library.validate()
+    cfg = build_config(mode, ini, {"case": case, "runs": 2})
+    assert cfg == library
+    assert cfg.resolved_censoring() == library.resolved_censoring()
 
 
 def test_tracking_reuse_window_defaults_to_200():

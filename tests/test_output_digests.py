@@ -34,6 +34,8 @@ CONFIGS = [
         "algorithm": {"name": "proposed"},
         "reuse": {"count": "3", "window": "200"},
     }, {}),
+    ("tracking-mid", "tracking", None,
+     dict(samples=3000, runs=5, algo="proposed", reuse=3, window=200)),
     ("aec-forked", "aec", None,
      dict(samples=3000, runs=3, algo="proposed", reuse=3, window=200)),
     ("sweep", "sweep", None, {}),
@@ -61,6 +63,12 @@ def _golden() -> dict[str, str]:
 def test_outputs_match_golden_digests(config, tmp_path):
     golden = _golden()
     assert _script().digest(*config, tmp_path) == golden[config[0]]
+
+
+def test_unset_shift_runs_mid_stream():
+    # tracking-ini sets shift_time = 1500, 3000 // 2; tracking-mid leaves it unset
+    golden = _golden()
+    assert golden["tracking-mid"].split()[1:4] == golden["tracking-ini"].split()[1:4]
 
 
 def test_golden_file_covers_the_configurations():

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import rtga
+from rtga.config import build_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -51,5 +52,9 @@ def test_cited_names_resolve_and_owners_have_docstrings():
 
 def test_library_example_runs_as_written(capsys):
     block = re.search(r"## Library\n+```python\n(.*?)```", README, re.S).group(1)
-    exec(compile(block, "README.md", "exec"), {})
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
     assert capsys.readouterr().out.startswith("mode: sysid\n")
+    # the command README names after the example builds the same experiment
+    flags = {"case": 1, "algo": "proposed", "pce": 0.7, "reuse": 3, "runs": 100}
+    assert scope["cfg"] == build_config("sysid", None, flags)
