@@ -48,7 +48,8 @@ def censor_threshold(p_ce: float) -> float:
 @dataclass(frozen=True)
 class CensorConfig:
     """Censoring policy: target ratio, scale-tracker settings, estimator.
-    The messages name the INI keys of [censoring]."""
+    Every field is checked; one ValueError lists each problem on a line of
+    its own, named by its INI key in [censoring]."""
 
     p_ce: float
     window: int = 9
@@ -56,14 +57,17 @@ class CensorConfig:
     estimator: str = "auto"
 
     def __post_init__(self) -> None:
+        problems = []
         if not 0.0 <= self.p_ce < 1.0:
-            raise ValueError(f"censoring.p_ce must lie in [0, 1), got {self.p_ce}")
+            problems.append(f"censoring.p_ce must lie in [0, 1), got {self.p_ce}")
         if not 7 <= self.window <= 15:
-            raise ValueError(f"censoring.window must lie in [7, 15], got {self.window}")
+            problems.append(f"censoring.window must lie in [7, 15], got {self.window}")
         if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"censoring.tau must lie in (0, 1], got {self.tau}")
+            problems.append(f"censoring.tau must lie in (0, 1], got {self.tau}")
         if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown censoring.estimator {self.estimator!r}")
+            problems.append(f"unknown censoring.estimator {self.estimator!r}")
+        if problems:
+            raise ValueError("\n".join(problems))
 
     @cached_property
     def kappa(self) -> float:

@@ -93,7 +93,9 @@ class AlgorithmConfig:
     mu: float | None = None
 
     def resolve(self, case_id: int, phi: float, require_mu: bool = True) -> RtgaParams:
-        """Concrete RtgaParams for one case."""
+        """Concrete RtgaParams for one case. One ConfigError lists every
+        problem on a line of its own, a field's named by its INI key
+        (algorithm.a, algorithm.b, algorithm.c, algorithm.mu)."""
         if self.name not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.name!r}; expected one of {ALGORITHMS}")
         preset = dict(_FULL_COST.get((self.name, case_id), {}))
@@ -103,19 +105,26 @@ class AlgorithmConfig:
             if getattr(self, key) is not None:
                 preset[key] = getattr(self, key)
         preset = {key: val for key, val in preset.items() if val is not None}
-        if "mu" not in preset:
-            if require_mu:
-                raise ConfigError(
-                    f"algorithm {self.name!r} has no preset step size for case "
-                    f"{case_id}; set mu explicitly"
-                )
-            preset["mu"] = 0.0
-        if require_mu and preset["mu"] <= 0:
-            raise ConfigError(f"algorithm.mu must be > 0, got {preset['mu']}")
+        problems = []
+        mu = preset.get("mu")
+        if require_mu and mu is None:
+            problems.append(f"algorithm {self.name!r} has no preset step size for case "
+                            f"{case_id}; set mu explicitly")
+        elif require_mu and mu <= 0:
+            problems.append(f"algorithm.mu must be > 0, got {mu}")
+        if mu is None or problems:
+            preset["mu"] = 0.0  # unset or reported above; RtgaParams checks the rest
         missing = [k for k in ("b", "c") if k not in preset]
         if missing:
-            raise ConfigError(f"algorithm {self.name!r} is missing {missing}; set them explicitly")
-        return RtgaParams(**preset, phi=phi)
+            problems.append(f"algorithm {self.name!r} is missing {missing}; set them explicitly")
+        else:
+            try:
+                params = RtgaParams(**preset, phi=phi)
+            except ValueError as exc:
+                problems += [f"algorithm.{line}" for line in str(exc).splitlines()]
+        if problems:
+            raise ConfigError("\n".join(problems))
+        return params
 
 
 @dataclass(frozen=True)
@@ -151,7 +160,11 @@ class ExperimentConfig:
     from the same settings: unset sizes (order, n_samples, mc_runs) take
     the mode's (_MODE_DEFAULTS), an unset shift_time means mid-stream
     (truth_shifts), the estimator "auto" is the case's
-    (resolved_censoring), and a reuse count alone means idr (ReuseConfig)."""
+    (resolved_censoring), and a reuse count alone means idr (ReuseConfig).
+
+    The sizes are written into their fields when the config is made, so
+    replace(cfg, mode=...) keeps the old mode's sizes: a config for another
+    mode is built new, ExperimentConfig(mode=...), not made with replace."""
 
     mode: str = "sysid"
     case_id: int = 1
@@ -246,8 +259,8 @@ class ExperimentConfig:
             # below: a valid pair's phi is always a valid phi
             try:
                 self.resolved_params(case_spec(self.case_id))
-            except (ConfigError, ValueError) as exc:
-                errors.append(str(exc))
+            except ValueError as exc:
+                errors.extend(str(exc).splitlines())
         if self.mode == "tracking":
             if self.shift_time is not None and not 0 < self.shift_time < self.n_samples:
                 errors.append(f"experiment.shift_time must lie inside the sample range, "
@@ -309,6 +322,10 @@ def _float_list(raw: str) -> tuple[float, ...]:
     if not parts:
         raise ValueError("empty list")
     return tuple(float(p) for p in parts)
+
+
+# what a conversion expects, where its name does not say
+_KINDS = {_float_list: "a comma-separated list of numbers"}
 
 
 class Setting(NamedTuple):
@@ -408,9 +425,8 @@ def build_config(
             try:
                 given[section][setting.field] = setting.conv(raw)
             except ValueError:
-                errors.append(
-                    f"{section}.{key}: cannot interpret {raw!r} as {setting.conv.__name__}"
-                )
+                kind = _KINDS.get(setting.conv, setting.conv.__name__)
+                errors.append(f"{section}.{key}: cannot interpret {raw!r} as {kind}")
     overrides = dict(overrides or {})
     out_path = overrides.pop("out", None)
     if out_path:
@@ -444,7 +460,7 @@ def build_config(
         try:
             setattr(cfg, section, replace(getattr(cfg, section), **values))
         except ValueError as exc:
-            errors.append(str(exc))
+            errors.extend(str(exc).splitlines())
 
     errors.extend(cfg.validation_errors())
     if errors:

@@ -12,6 +12,8 @@ import wave
 
 import numpy as np
 
+from .signal_model import one_pole
+
 ECHO_PATH_LEN = 512
 
 # Fixed seeds for the synthetic assets so every run sees the same scene.
@@ -165,13 +167,7 @@ def synth_far_end(n: int, seed: int = _FAR_END_SEED) -> np.ndarray:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     burn = 200
-    w = rng.standard_normal(n + burn)
-    x = np.empty(n + burn)
-    acc = 0.0
-    for t in range(n + burn):
-        acc = 0.9 * acc + w[t]
-        x[t] = acc
-    x = x[burn:]
+    x = one_pole(rng.standard_normal(n + burn), 0.9, 1.0)[burn:]
     peak = np.abs(x).max()
     return x / peak if peak > 0 else x
 

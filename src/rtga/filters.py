@@ -40,6 +40,9 @@ class RtgaParams:
     c: scale, > 0.
     mu: step size, >= 0 (0 is a legal no-op step).
     phi: output-to-input noise-variance ratio in the augmented norm, > 0.
+
+    Every field is checked; one ValueError lists each problem on a line of
+    its own, which begins with the field's name.
     """
 
     a: float | None = None
@@ -50,29 +53,32 @@ class RtgaParams:
     family: str | None = None
 
     def __post_init__(self) -> None:
+        problems = []
         if self.family is not None and self.family not in LIMIT_FAMILIES:
-            raise ValueError(
-                f"unknown limit family {self.family!r}; expected one of {LIMIT_FAMILIES}"
+            problems.append(
+                f"family {self.family!r} is an unknown limit family; "
+                f"expected one of {LIMIT_FAMILIES}"
             )
-        for name in ("a", "b", "c", "mu", "phi"):
+        a = self.a
+        if a is not None and not math.isfinite(a):
+            problems.append(f"a must be finite, got {a}")
+        elif self.family is None:
+            if a is None:
+                problems.append("a is missing; the full shape needs a (or a limit family)")
+            elif a == self.b:
+                problems.append("a must differ from b (use the tlmp limit family)")
+            elif a == 0:
+                problems.append("a = 0 is the logarithmic limit (use the ltls limit family)")
+        for name in ("b", "c", "mu", "phi"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.b <= 0:
-            raise ValueError("b must be > 0")
-        if self.c <= 0:
-            raise ValueError("c must be > 0")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-        if self.phi <= 0:
-            raise ValueError("phi must be > 0")
-        if self.family is None:
-            if self.a is None:
-                raise ValueError("the full shape needs a (or a limit family)")
-            if self.a == self.b:
-                raise ValueError("a must differ from b (use the tlmp limit family)")
-            if self.a == 0:
-                raise ValueError("a = 0 is the logarithmic limit (use the ltls limit family)")
+            if not math.isfinite(value):
+                problems.append(f"{name} must be finite, got {value}")
+            elif name == "mu" and value < 0:
+                problems.append(f"mu must be >= 0, got {value}")
+            elif name != "mu" and value <= 0:
+                problems.append(f"{name} must be > 0, got {value}")
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 def norm2_bar(w, phi: float):

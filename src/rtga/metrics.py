@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signal_model import one_pole
+
 DB_CLAMP = 300.0
 
 
@@ -44,14 +46,7 @@ def smoothed_power(p_inst: np.ndarray, rho: float = 0.999) -> np.ndarray:
 
     p_inst is an (n,) instantaneous power; P starts at its first sample.
     """
-    p_inst = np.asarray(p_inst, dtype=float)
-    out = np.empty_like(p_inst)
-    acc = p_inst[0]
-    out[0] = acc
-    for i in range(1, p_inst.size):
-        acc = rho * acc + (1.0 - rho) * p_inst[i]
-        out[i] = acc
-    return out
+    return one_pole(p_inst, rho, 1.0 - rho)
 
 
 def erle_db(echo_power, error_power, runs: int = 1, rho: float = 0.999) -> LearningCurve:

@@ -18,22 +18,26 @@ SCHEMES = ("none", "idr", "dr", "undr")
 
 @dataclass(frozen=True)
 class ReuseConfig:
-    """A reuse count alone means idr; scheme "none" turns reuse off. The
-    messages name the INI keys: reuse.scheme, reuse.count (l_reused) and
-    reuse.window (window_cap)."""
+    """A reuse count alone means idr; scheme "none" turns reuse off. Every
+    field is checked, the window against a valid count; one ValueError
+    lists each problem on a line of its own, named by its INI key:
+    reuse.scheme, reuse.count (l_reused) and reuse.window (window_cap)."""
 
     scheme: str = "idr"
     l_reused: int = 0
     window_cap: int | None = None
 
     def __post_init__(self) -> None:
+        problems = []
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown reuse.scheme {self.scheme!r}")
+            problems.append(f"unknown reuse.scheme {self.scheme!r}")
         if self.l_reused < 0:
-            raise ValueError(f"reuse.count must be >= 0, got {self.l_reused}")
-        if self.window_cap is not None and self.window_cap < self.l_reused + 1:
-            raise ValueError(f"reuse.window ({self.window_cap}) must be at least "
-                             f"reuse.count + 1 ({self.l_reused + 1})")
+            problems.append(f"reuse.count must be >= 0, got {self.l_reused}")
+        elif self.window_cap is not None and self.window_cap < self.l_reused + 1:
+            problems.append(f"reuse.window ({self.window_cap}) must be at least "
+                            f"reuse.count + 1 ({self.l_reused + 1})")
+        if problems:
+            raise ValueError("\n".join(problems))
 
     @property
     def active(self) -> bool:

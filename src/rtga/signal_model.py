@@ -52,6 +52,17 @@ def wo_segments(
     return segments
 
 
+def one_pole(x, a: float, b: float) -> np.ndarray:
+    """The first-order recursion y[i] = a y[i-1] + b x[i] over an (n,) x,
+    from y[0] = x[0]."""
+    x = np.asarray(x, dtype=float)
+    y = np.empty_like(x)
+    acc = y[0] = x[0]
+    for i in range(1, x.size):
+        acc = y[i] = a * acc + b * x[i]
+    return y
+
+
 def delay_line_matrix(source: np.ndarray, order: int) -> np.ndarray:
     """Regressor matrix of a scalar source, newest sample first.
 

@@ -411,6 +411,33 @@ def test_config_file_reports_every_problem_together(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode, text, problems", [
+    ("sysid", "[censoring]\np_ce = 2\nwindow = 3\ntau = 5\n[reuse]\ncount = -1\nscheme = x\n", [
+        "censoring.p_ce must lie in [0, 1), got 2.0",
+        "censoring.window must lie in [7, 15], got 3",
+        "censoring.tau must lie in (0, 1], got 5.0",
+        "unknown reuse.scheme 'x'",
+        "reuse.count must be >= 0, got -1",
+    ]),
+    ("sysid", "[algorithm]\nb = -1\nc = -1\nmu = -1\n", [
+        "algorithm.mu must be > 0, got -1.0",
+        "algorithm.b must be > 0, got -1.0",
+        "algorithm.c must be > 0, got -1.0",
+    ]),
+    ("sysid", "[algorithm]\na = inf\n", ["algorithm.a must be finite, got inf"]),
+    ("theory", "[theory]\nvariances = a, b\n", [
+        "theory.variances: cannot interpret 'a, b' as a comma-separated list of numbers",
+    ]),
+], ids=["censoring-reuse", "algorithm-b-c-mu", "algorithm-a", "theory-variances"])
+def test_config_file_lists_each_problem_by_its_key(tmp_path, capsys, mode, text, problems):
+    # every problem is listed, each once and named by its INI key
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    assert main([mode, "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid configuration:\n" + "".join(f"  {p}\n" for p in problems)
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = main(["sysid", "--config", str(tmp_path / "nope.ini")])
     assert rc == 2

@@ -43,6 +43,18 @@ def test_params_validation():
         params(a=2.0, b=2.0)
 
 
+def test_params_list_every_problem():
+    with pytest.raises(ValueError) as exc:
+        RtgaParams(a=math.inf, b=-1.0, c=0.0, mu=-1.0, phi=math.nan)
+    assert str(exc.value).splitlines() == [
+        "a must be finite, got inf",
+        "b must be > 0, got -1.0",
+        "c must be > 0, got 0.0",
+        "mu must be >= 0, got -1.0",
+        "phi must be finite, got nan",
+    ]
+
+
 def test_params_family_rules():
     with pytest.raises(ValueError, match="a = 0"):
         params(a=0.0)

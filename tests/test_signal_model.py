@@ -10,10 +10,29 @@ from rtga.noise import NoiseSpec, sample_mixture_split
 from rtga.runner import _trial_provider, run_streams
 from rtga.signal_model import (
     delay_line_matrix,
+    one_pole,
     shift_right,
     synthesize_eiv_arrays,
     wo_segments,
 )
+
+
+def test_one_pole_is_both_first_order_loops():
+    # The far end's AR(1) loop, from a zero state, and the power smoother's
+    # loop, from the first sample, each give one_pole's output bit for bit.
+    x = np.random.default_rng(3).standard_normal(500)
+    ar, acc = np.empty_like(x), 0.0
+    for i in range(x.size):
+        acc = 0.9 * acc + x[i]
+        ar[i] = acc
+    rho = 0.999
+    smooth, acc = np.empty_like(x), x[0]
+    smooth[0] = acc
+    for i in range(1, x.size):
+        acc = rho * acc + (1.0 - rho) * x[i]
+        smooth[i] = acc
+    assert one_pole(x, 0.9, 1.0).tobytes() == ar.tobytes()
+    assert one_pole(x, rho, 1.0 - rho).tobytes() == smooth.tobytes()
 
 
 def _synthesize(w_o, X, in_spec, out_spec, sides):
