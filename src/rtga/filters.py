@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,10 @@ LIMIT_FAMILIES = ("tlmp", "ltls", "exp")
 # below this magnitude the |e|^(b-2) factor is treated as a vanishing
 # update when b < 2 (the true gradient limit is zero in direction psi)
 GRADIENT_GUARD = 1e-12
+
+# the ltls coefficient's 1.0, as a 0-d operand (gradient_coefficient)
+_ONE = np.array(1.0)
+_ONE.flags.writeable = False
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -80,6 +85,20 @@ class RtgaParams:
         if problems:
             raise ValueError("\n".join(problems))
 
+    @cached_property
+    def operands(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """gradient_coefficient's float operands as 0-d float64 arrays:
+        (scale, power, c). scale multiplies eb in the suppression
+        coefficient, c/|a-b| for the full shape and c/b for a limit family;
+        power is the full shape's exponent (a-b)/b, None for a limit family.
+        Made on first use and kept by this object; dataclasses.replace makes
+        a new object, which makes its own."""
+        if self.family is None:
+            scale, power = self.c / abs(self.a - self.b), np.array((self.a - self.b) / self.b)
+        else:
+            scale, power = self.c / self.b, None
+        return np.array(scale), power, np.array(self.c)
+
 
 def norm2_bar(w, phi: float):
     """Squared augmented-weight norm phi + ||w||^2 along the last axis."""
@@ -117,17 +136,17 @@ def _suppression(eb, p: RtgaParams, out=None):
     if p.family == "tlmp":
         out[...] = 1.0
         return out
+    scale, power, _ = p.operands
+    np.multiply(eb, scale, out)
     if p.family is None:
-        np.multiply(eb, p.c / abs(p.a - p.b), out=out)
-        np.log1p(out, out=out)
-        np.multiply(out, (p.a - p.b) / p.b, out=out)
-        return np.exp(out, out=out)
-    np.multiply(eb, p.c / p.b, out=out)
+        np.log1p(out, out)
+        np.multiply(out, power, out)
+        return np.exp(out, out)
     if p.family == "ltls":
-        np.add(out, 1.0, out=out)
-        return np.divide(1.0, out, out=out)
-    np.negative(out, out=out)
-    return np.exp(out, out=out)
+        np.add(out, _ONE, out)
+        return np.divide(_ONE, out, out)
+    np.negative(out, out)
+    return np.exp(out, out)
 
 
 def gradient_coefficient(e, n2, p: RtgaParams, q=None, out=None):
@@ -141,29 +160,35 @@ def gradient_coefficient(e, n2, p: RtgaParams, q=None, out=None):
 
     k is written into out (a new array by default) and out is returned.
     The chain runs in out, so at b = 2 it allocates nothing; b != 2 keeps
-    its |e~|^(b-2) kernel beside out, and b < 2 its guard masks.
+    its |e~|^(b-2) kernel beside out, and b < 2 its guard masks. The
+    chain keeps the engine's operand rule (the runner._engine docstring):
+    its scale, power and c are the 0-d arrays of p.operands, made once
+    per params object, and each ufunc takes out by position, since numpy
+    converts a Python float operand and parses an out keyword on every
+    call, which costs more than the arithmetic on the engine's small rows.
     """
     e = np.asarray(e, dtype=float)
     if q is None:
         q = e * e / n2  # |e~|^2
     if out is None:
         out = np.empty(np.broadcast_shapes(e.shape, np.shape(n2)))
+    c = p.operands[2]
     if p.b == 2.0:
         _suppression(q, p, out)
-        np.multiply(out, p.c, out=out)
-        return np.divide(out, n2, out=out)
+        np.multiply(out, c, out)
+        return np.divide(out, n2, out)
     if p.b < 2.0:
         # |e|^(b-2) diverges at zero error; the update it scales vanishes
-        safe = np.abs(e, out=out) >= GRADIENT_GUARD
+        safe = np.abs(e, out) >= GRADIENT_GUARD
         out[...] = 1.0
         np.copyto(out, q, where=safe)
         q = out  # q where safe, else 1
     kernel = q ** (0.5 * (p.b - 2.0))  # |e~|^(b-2)
-    np.multiply(kernel, q, out=out)
+    np.multiply(kernel, q, out)
     _suppression(out, p, out)
-    np.multiply(out, p.c, out=out)
-    np.multiply(out, kernel, out=out)
-    np.divide(out, n2, out=out)
+    np.multiply(out, c, out)
+    np.multiply(out, kernel, out)
+    np.divide(out, n2, out)
     if p.b < 2.0:
         np.copyto(out, 0.0, where=~safe)
     return out

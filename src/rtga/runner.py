@@ -106,7 +106,9 @@ def draw_true_weights(system_rng, order: int):
 class _ScaleTracker:
     """Vectorized port of censoring.update_scale across the run axis.
 
-    sigma is updated in place, so a caller's reference stays current.
+    sigma is updated in place, so a caller's reference stays current. The
+    update's float operands (tau, 1 - tau, MAD (1 - tau)) are 0-d arrays
+    made here, by the engine's operand rule (the _engine docstring).
     """
 
     def __init__(self, runs: int, cfg: CensorConfig):
@@ -119,6 +121,9 @@ class _ScaleTracker:
         self._mid = half if cfg.window % 2 else (half - 1, half)
         self._row = np.empty(runs)  # the conventional estimator's (1 - tau) e^2
         self._part = np.empty_like(self.ring)  # the ring's copy that _median partitions
+        self._tau = np.array(cfg.tau)
+        self._rest = np.array(1.0 - cfg.tau)
+        self._mad_rest = np.array(MAD_FACTOR * (1.0 - cfg.tau))
 
     def _median(self) -> np.ndarray:
         # np.median's own selection: the middle element, or the mean of the
@@ -135,25 +140,25 @@ class _ScaleTracker:
     def update(self, e: np.ndarray) -> None:
         cfg = self.cfg
         sigma = self.sigma
-        np.abs(e, out=self.ring[:, self.count % cfg.window])
+        np.abs(e, self.ring[:, self.count % cfg.window])
         self.count += 1
         if not self.ready:
             if self.count >= cfg.window:
-                np.multiply(self._median(), MAD_FACTOR, out=sigma)
+                np.multiply(self._median(), MAD_FACTOR, sigma)
                 self.ready = True
             return
         # sqrt(tau sigma^2 + (1 - tau) e^2), or tau sigma + MAD (1 - tau) med
         if cfg.estimator == "conventional":
-            np.multiply(sigma, sigma, out=sigma)
-            sigma *= cfg.tau
-            row = np.multiply(e, 1.0 - cfg.tau, out=self._row)
-            row *= e
-            sigma += row
-            np.sqrt(sigma, out=sigma)
+            np.multiply(sigma, sigma, sigma)
+            np.multiply(sigma, self._tau, sigma)
+            row = np.multiply(e, self._rest, self._row)
+            np.multiply(row, e, row)
+            np.add(sigma, row, sigma)
+            np.sqrt(sigma, sigma)
         else:
             med = self._median()  # a view of the partitioned copy, ours to overwrite
-            sigma *= cfg.tau
-            sigma += np.multiply(med, MAD_FACTOR * (1.0 - cfg.tau), out=med)
+            np.multiply(sigma, self._tau, sigma)
+            np.add(sigma, np.multiply(med, self._mad_rest, med), sigma)
 
 
 class ArrayProvider:
@@ -535,9 +540,23 @@ def _engine(
     b != 2 only). Every per-run row of an update (e, n2, k, the two step
     coefficients and the threshold kappa sigma) and one (runs, L) scratch,
     for the product (mu k e) x and for the deviation W - w_o, are made
-    once per pass. Each operation writes into them with out=, the same
-    operations in the same order as the plain numpy expressions, so the
-    bits are theirs. The rl,rl->r einsums call numpy's C entry c_einsum.
+    once per pass. Each operation writes into them, the same operations
+    in the same order as the plain numpy expressions, so the bits are
+    theirs. The rl,rl->r einsums call numpy's C entry c_einsum.
+
+    The operand rule: every operand and callable of the hot loop is made
+    once per pass. The float operands (mu, phi, kappa, 0 and 1) are 0-d
+    float64 arrays, the ufuncs are bound to local names and each takes out
+    by position. A multiply of a (150,) row into out took 590 ns with a
+    Python float operand, which numpy converts on every call, 410 ns with
+    a 0-d array and 330 ns with the local name and a positional out; the
+    arithmetic on 150 values is about 10 ns of that (timeit, min of 15,
+    numpy 2.4.6 on a 2-vCPU x86-64 host). gradient_coefficient keeps
+    the rule with the operands of its params (RtgaParams.operands), and
+    the scale tracker with operands it makes when the pass makes it.
+    gradient itself is looked up on each update, so a caller that
+    replaces runner.gradient sees every call.
+
     A censor mask goes straight to its destination: the main update's
     column of the block's censor buffer, or a reuse update's row of the
     (width, l, runs) flags, which are counted and cleared at the block
@@ -546,15 +565,19 @@ def _engine(
     """
     runs, L = segments[0][2].shape
     W = np.zeros((runs, L))
-    tracker = _ScaleTracker(runs, censor) if censor.active else None
-    kappa = censor.kappa if censor.active else 0.0
+    active = censor.active
+    tracker = _ScaleTracker(runs, censor) if active else None
     ratio = np.empty((runs, width))
     cen_mask = np.empty((runs, width), dtype=bool)
     errors = np.empty((runs, width))
     # the censored flags of each column's reuse updates, counted at block end
     slots = reuse_cfg.l_reused if reuse_cfg.active else 0
     reuse_cen = np.zeros((width, slots, runs), dtype=bool)
-    mu, phi = params.mu, params.phi
+    mu, phi, kappa, zero, one = (
+        np.array(v) for v in (params.mu, params.phi, censor.kappa, 0.0, 1.0)
+    )
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    absolute, less, copyto, einsum = np.absolute, np.less, np.copyto, _einsum
     main_steps = main_censored = reuse_steps = reuse_censored = 0
     # step_x and step_w are the first two rows, so one copyto zeroes a
     # censored run's steps
@@ -570,20 +593,20 @@ def _engine(
         W <- W (1 + mu k e^2/n2) + (mu k e) x; a censored run (|e| < thr)
         takes a zero step. cen receives the censored mask (None when ungated).
         """
-        np.subtract(d, _einsum("rl,rl->r", W, x, out=e), out=e)
-        np.add(_einsum("rl,rl->r", W, W, out=n2), phi, out=n2)
-        np.multiply(e, e, out=step_w)
-        np.divide(step_w, n2, out=step_w)  # |e~|^2, scaled by k below
+        subtract(d, einsum("rl,rl->r", W, x, out=e), e)
+        add(einsum("rl,rl->r", W, W, out=n2), phi, n2)
+        multiply(e, e, step_w)
+        divide(step_w, n2, step_w)  # |e~|^2, scaled by k below
         gradient(e, n2, params, step_w, out=k)
-        np.multiply(k, mu, out=k)
-        np.multiply(k, e, out=step_x)
-        np.multiply(step_w, k, out=step_w)
+        multiply(k, mu, k)
+        multiply(k, e, step_x)
+        multiply(step_w, k, step_w)
         if cen is not None:
-            np.less(np.abs(e, out=k), thr, out=cen)  # k is spent
-            np.copyto(steps, 0.0, where=cen)
-        np.add(step_w, 1.0, out=step_w)
-        np.multiply(W, step_w_col, out=W)
-        np.add(W, np.multiply(step_x_col, x, out=scratch), out=W)
+            less(absolute(e, k), thr, cen)  # k is spent
+            copyto(steps, zero, where=cen)
+        add(step_w, one, step_w)
+        multiply(W, step_w_col, W)
+        add(W, multiply(step_x_col, x, scratch), W)
 
     for start, end, seg_w in _blocks(segments, width):
         seg_den = np.sum(seg_w * seg_w, axis=1)
@@ -594,23 +617,23 @@ def _engine(
             for j, i in enumerate(range(start, end)):
                 x_i, d_i = provider.step(i)
                 if i >= L:
-                    gated = censor.active and tracker.ready
+                    gated = active and tracker.ready
                     if gated:
-                        np.multiply(tracker.sigma, kappa, out=thr)
+                        multiply(tracker.sigma, kappa, thr)
                     for slot, idx in enumerate(schedule(reuse_cfg, i, L)):
                         x_r, d_r = provider.past(idx)
                         update(x_r, d_r, reuse_cen[j, slot] if gated else None)
                         reuse_steps += runs
                     update(x_i, d_i, cen_mask[:, j] if gated else None)
                     main_steps += runs
-                    if censor.active:
+                    if active:
                         tracker.update(e)
                 else:
-                    np.subtract(d_i, _einsum("rl,rl->r", W, x_i, out=e), out=e)
+                    subtract(d_i, einsum("rl,rl->r", W, x_i, out=e), e)
                 errors[:, j] = e
-                np.subtract(W, seg_w, out=scratch)
-                _einsum("rl,rl->r", scratch, scratch, out=dot)
-                np.divide(dot, seg_den, out=ratio[:, j])
+                subtract(W, seg_w, scratch)
+                einsum("rl,rl->r", scratch, scratch, out=dot)
+                divide(dot, seg_den, ratio[:, j])
         block = slice(0, end - start)
         main_censored += int(np.count_nonzero(cen_mask[:, block]))
         reuse_censored += int(np.count_nonzero(reuse_cen))

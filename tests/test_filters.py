@@ -269,3 +269,26 @@ def test_gradient_coefficient_into_out_is_bitwise(p):
     assert q.tobytes() == q_before.tobytes()
     if p.b < 2.0:
         assert np.all(out[::5] == 0.0) and np.all(out[1::7] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [dict(a=-10.0), dict(b=1.5), dict(c=0.7), dict(family="ltls", a=None), dict(family="exp")],
+    ids=["a", "b", "c", "family-ltls", "family-exp"],
+)
+def test_replaced_params_make_their_own_operands(change):
+    # The 0-d operands are kept by the params object that made them; a
+    # replace of a used params computes the new params' bits, and using a
+    # params object changes neither its equality nor its hash.
+    rng = np.random.default_rng(3)
+    e = rng.standard_normal(30)
+    e[::6] = 0.0
+    n2 = 1.0 + rng.random(30)
+    q = e * e / n2
+    used = params(a=-100.0, b=2.0, c=0.2)
+    gradient_coefficient(e, n2, used, q)
+    assert used == params(a=-100.0, b=2.0, c=0.2)
+    assert hash(used) == hash(params(a=-100.0, b=2.0, c=0.2))
+    new = replace(used, **change)
+    got = gradient_coefficient(e, n2, new, q)
+    assert got.tobytes() == _allocating_coefficient(e, n2, new, q).tobytes()

@@ -510,15 +510,20 @@ class TestScaleTracker:
         rng = np.random.default_rng(window)
         errors = rng.standard_normal((steps, runs)) * rng.uniform(0.1, 3.0, runs)
         errors[rng.random((steps, runs)) < 0.05] *= 50.0  # impulses
-        cfg = CensorConfig(p_ce=0.5, window=window, estimator=estimator)
-        tracker = _ScaleTracker(runs, cfg)
-        states = [ScaleState() for _ in range(runs)]
-        for e in errors:
-            tracker.update(e)
-            states = [update_scale(s, float(v), cfg) for s, v in zip(states, e)]
-            assert [s.ready for s in states] == [tracker.ready] * runs
-            assert tracker.sigma.tolist() == [s.sigma_e for s in states]
-        assert tracker.ready
+        for tau in (0.5, 0.99, 1.0):
+            cfg = CensorConfig(p_ce=0.5, window=window, tau=tau, estimator=estimator)
+            tracker = _ScaleTracker(runs, cfg)
+            if tau == 1.0:
+                # the tracker's 0-d (1 - tau) operands are exactly 0, so past
+                # the warm-up no new error moves sigma
+                assert tracker._rest == 0.0 and tracker._mad_rest == 0.0
+            states = [ScaleState() for _ in range(runs)]
+            for e in errors:
+                tracker.update(e)
+                states = [update_scale(s, float(v), cfg) for s, v in zip(states, e)]
+                assert [s.ready for s in states] == [tracker.ready] * runs
+                assert tracker.sigma.tolist() == [s.sigma_e for s in states]
+            assert tracker.ready
 
     def test_update_allocates_no_ring_copy(self):
         # The median partitions a copy of the ring made with the tracker, so
