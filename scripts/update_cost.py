@@ -9,10 +9,9 @@ updates the long pass adds, so the zero-weight start and the warm-up of
 the scale tracker cancel. Each timeit round runs every shape once, and
 the printed value is each shape's minimum over the rounds.
 
-    PYTHONPATH=src python scripts/update_cost.py [--rounds N] [--samples N]
+    PYTHONPATH=src python scripts/update_cost.py
 """
 
-import argparse
 import timeit
 
 import numpy as np
@@ -23,6 +22,8 @@ from rtga.reuse import ReuseConfig
 from rtga.runner import run_engine
 
 SHAPES = ((150, 9), (500, 9), (10, 512))
+ROUNDS = 15  # timeit rounds
+SAMPLES = 400  # samples that the long pass adds to the short one
 
 
 class RowProvider:
@@ -59,13 +60,6 @@ def _pass(cfg: ExperimentConfig, runs: int, L: int, n: int):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description="Microseconds per run_engine update.")
-    parser.add_argument("--rounds", type=int, default=15, help="timeit rounds (default 15)")
-    parser.add_argument(
-        "--samples", type=int, default=400,
-        help="samples that the long pass adds to the short one (default 400)",
-    )
-    args = parser.parse_args()
     cfg = ExperimentConfig(
         mode="sysid", case_id=2, algorithm=AlgorithmConfig(name="proposed"),
         censoring=CensorConfig(p_ce=0.7), reuse=ReuseConfig(l_reused=3),
@@ -73,9 +67,9 @@ def main() -> None:
     passes = {}
     for runs, L in SHAPES:
         short = L + 2 * cfg.censoring.window
-        passes[runs, L] = (_pass(cfg, runs, L, short), _pass(cfg, runs, L, short + args.samples))
+        passes[runs, L] = (_pass(cfg, runs, L, short), _pass(cfg, runs, L, short + SAMPLES))
     best = {key: [np.inf, np.inf] for key in passes}
-    for _ in range(args.rounds):
+    for _ in range(ROUNDS):
         for key, pair in passes.items():
             for side, (run, _updates) in enumerate(pair):
                 best[key][side] = min(best[key][side], timeit.timeit(run, number=1))

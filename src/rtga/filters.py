@@ -27,9 +27,17 @@ LIMIT_FAMILIES = ("tlmp", "ltls", "exp")
 # update when b < 2 (the true gradient limit is zero in direction psi)
 GRADIENT_GUARD = 1e-12
 
-# the ltls coefficient's 1.0, as a 0-d operand (gradient_coefficient)
-_ONE = np.array(1.0)
-_ONE.flags.writeable = False
+
+def operand(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array: an operand that a ufunc
+    does not convert on each call (the runner._engine docstring) and that
+    no caller can write into."""
+    a = np.array(value, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+ZERO, ONE = operand(0.0), operand(1.0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -87,17 +95,17 @@ class RtgaParams:
 
     @cached_property
     def operands(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """gradient_coefficient's float operands as 0-d float64 arrays:
+        """gradient_coefficient's float operands as read-only 0-d arrays:
         (scale, power, c). scale multiplies eb in the suppression
         coefficient, c/|a-b| for the full shape and c/b for a limit family;
         power is the full shape's exponent (a-b)/b, None for a limit family.
         Made on first use and kept by this object; dataclasses.replace makes
         a new object, which makes its own."""
         if self.family is None:
-            scale, power = self.c / abs(self.a - self.b), np.array((self.a - self.b) / self.b)
+            scale, power = self.c / abs(self.a - self.b), operand((self.a - self.b) / self.b)
         else:
             scale, power = self.c / self.b, None
-        return np.array(scale), power, np.array(self.c)
+        return operand(scale), power, operand(self.c)
 
 
 def norm2_bar(w, phi: float):
@@ -143,8 +151,8 @@ def _suppression(eb, p: RtgaParams, out=None):
         np.multiply(out, power, out)
         return np.exp(out, out)
     if p.family == "ltls":
-        np.add(out, _ONE, out)
-        return np.divide(_ONE, out, out)
+        np.add(out, ONE, out)
+        return np.divide(ONE, out, out)
     np.negative(out, out)
     return np.exp(out, out)
 

@@ -29,7 +29,7 @@ from .dataio import (
     synth_echo_path,
     synth_far_end,
 )
-from .filters import RtgaParams, cost
+from .filters import ONE, ZERO, RtgaParams, cost, operand
 # bench/spans.py times the engine's per-run coefficient by this name
 from .filters import gradient_coefficient as gradient
 from .metrics import (
@@ -107,8 +107,9 @@ class _ScaleTracker:
     """Vectorized port of censoring.update_scale across the run axis.
 
     sigma is updated in place, so a caller's reference stays current. The
-    update's float operands (tau, 1 - tau, MAD (1 - tau)) are 0-d arrays
-    made here, by the engine's operand rule (the _engine docstring).
+    update's float operands (tau, 1 - tau, MAD (1 - tau)) are read-only
+    0-d arrays made here, by the engine's operand rule (the _engine
+    docstring).
     """
 
     def __init__(self, runs: int, cfg: CensorConfig):
@@ -121,9 +122,9 @@ class _ScaleTracker:
         self._mid = half if cfg.window % 2 else (half - 1, half)
         self._row = np.empty(runs)  # the conventional estimator's (1 - tau) e^2
         self._part = np.empty_like(self.ring)  # the ring's copy that _median partitions
-        self._tau = np.array(cfg.tau)
-        self._rest = np.array(1.0 - cfg.tau)
-        self._mad_rest = np.array(MAD_FACTOR * (1.0 - cfg.tau))
+        self._tau = operand(cfg.tau)
+        self._rest = operand(1.0 - cfg.tau)
+        self._mad_rest = operand(MAD_FACTOR * (1.0 - cfg.tau))
 
     def _median(self) -> np.ndarray:
         # np.median's own selection: the middle element, or the mean of the
@@ -545,9 +546,10 @@ def _engine(
     theirs. The rl,rl->r einsums call numpy's C entry c_einsum.
 
     The operand rule: every operand and callable of the hot loop is made
-    once per pass. The float operands (mu, phi, kappa, 0 and 1) are 0-d
-    float64 arrays, the ufuncs are bound to local names and each takes out
-    by position. A multiply of a (150,) row into out took 590 ns with a
+    before the loop. The float operands are read-only 0-d float64 arrays
+    (filters.operand): mu, phi and kappa made once per pass, 0 and 1 the
+    module constants filters.ZERO and filters.ONE. The ufuncs are bound
+    to local names and each takes out by position. A multiply of a (150,) row into out took 590 ns with a
     Python float operand, which numpy converts on every call, 410 ns with
     a 0-d array and 330 ns with the local name and a positional out; the
     arithmetic on 150 values is about 10 ns of that (timeit, min of 15,
@@ -573,9 +575,7 @@ def _engine(
     # the censored flags of each column's reuse updates, counted at block end
     slots = reuse_cfg.l_reused if reuse_cfg.active else 0
     reuse_cen = np.zeros((width, slots, runs), dtype=bool)
-    mu, phi, kappa, zero, one = (
-        np.array(v) for v in (params.mu, params.phi, censor.kappa, 0.0, 1.0)
-    )
+    mu, phi, kappa = operand(params.mu), operand(params.phi), operand(censor.kappa)
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     absolute, less, copyto, einsum = np.absolute, np.less, np.copyto, _einsum
     main_steps = main_censored = reuse_steps = reuse_censored = 0
@@ -603,8 +603,8 @@ def _engine(
         multiply(step_w, k, step_w)
         if cen is not None:
             less(absolute(e, k), thr, cen)  # k is spent
-            copyto(steps, zero, where=cen)
-        add(step_w, one, step_w)
+            copyto(steps, ZERO, where=cen)
+        add(step_w, ONE, step_w)
         multiply(W, step_w_col, W)
         add(W, multiply(step_x_col, x, scratch), W)
 

@@ -292,3 +292,5 @@ def test_replaced_params_make_their_own_operands(change):
     new = replace(used, **change)
     got = gradient_coefficient(e, n2, new, q)
     assert got.tobytes() == _allocating_coefficient(e, n2, new, q).tobytes()
+    # no caller can write into the kept operands
+    assert not any(a.flags.writeable for a in used.operands if a is not None)

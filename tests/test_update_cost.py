@@ -3,7 +3,6 @@ at each of its shapes."""
 
 import importlib.util
 import re
-import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "update_cost.py"
@@ -14,7 +13,8 @@ _spec.loader.exec_module(update_cost)
 
 def test_prints_a_cost_per_shape(monkeypatch, capsys):
     monkeypatch.setattr(update_cost, "SHAPES", ((3, 4), (2, 16)))
-    monkeypatch.setattr(sys, "argv", ["update_cost.py", "--rounds", "2", "--samples", "20"])
+    monkeypatch.setattr(update_cost, "ROUNDS", 2)
+    monkeypatch.setattr(update_cost, "SAMPLES", 20)
     update_cost.main()
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["(3, 4)", "(2, 16)"]
