@@ -230,8 +230,13 @@ class ExperimentConfig:
         phi = noise_ratio(*(noise or self.noise_pairs()[0]))
         return algo.resolve(self.case_id, phi, require_mu=self.mode != "sweep")
 
-    def validate(self) -> None:
-        """Check every field; report all problems in a single error."""
+    def validate(self, *modes: str) -> None:
+        """Check every field; report all problems in a single error. An
+        experiment names the modes it runs, and a config of another mode
+        is refused first."""
+        if modes and self.mode not in modes:
+            raise ConfigError(f"the {' or '.join(modes)} experiment cannot run a config "
+                              f"of mode {self.mode!r}")
         errors = self.validation_errors()
         if errors:
             raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))

@@ -94,18 +94,19 @@ class RtgaParams:
             raise ValueError("\n".join(problems))
 
     @cached_property
-    def operands(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    def operands(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
         """gradient_coefficient's float operands as read-only 0-d arrays:
-        (scale, power, c). scale multiplies eb in the suppression
+        (scale, power, c, kernel). scale multiplies eb in the suppression
         coefficient, c/|a-b| for the full shape and c/b for a limit family;
-        power is the full shape's exponent (a-b)/b, None for a limit family.
+        power is the full shape's exponent (a-b)/b, None for a limit family;
+        kernel is the exponent (b-2)/2 of |e~|^2 in |e~|^(b-2).
         Made on first use and kept by this object; dataclasses.replace makes
         a new object, which makes its own."""
         if self.family is None:
             scale, power = self.c / abs(self.a - self.b), operand((self.a - self.b) / self.b)
         else:
             scale, power = self.c / self.b, None
-        return operand(scale), power, operand(self.c)
+        return operand(scale), power, operand(self.c), operand(0.5 * (self.b - 2.0))
 
 
 def norm2_bar(w, phi: float):
@@ -144,7 +145,7 @@ def _suppression(eb, p: RtgaParams, out=None):
     if p.family == "tlmp":
         out[...] = 1.0
         return out
-    scale, power, _ = p.operands
+    scale, power = p.operands[:2]
     np.multiply(eb, scale, out)
     if p.family is None:
         np.log1p(out, out)
@@ -170,17 +171,18 @@ def gradient_coefficient(e, n2, p: RtgaParams, q=None, out=None):
     The chain runs in out, so at b = 2 it allocates nothing; b != 2 keeps
     its |e~|^(b-2) kernel beside out, and b < 2 its guard masks. The
     chain keeps the engine's operand rule (the runner._engine docstring):
-    its scale, power and c are the 0-d arrays of p.operands, made once
-    per params object, and each ufunc takes out by position, since numpy
-    converts a Python float operand and parses an out keyword on every
-    call, which costs more than the arithmetic on the engine's small rows.
+    its scale, power, c and kernel exponent are the 0-d arrays of
+    p.operands, made once per params object, and each ufunc takes out by
+    position, since numpy converts a Python float operand and parses an
+    out keyword on every call, which costs more than the arithmetic on the
+    engine's small rows.
     """
     e = np.asarray(e, dtype=float)
     if q is None:
         q = e * e / n2  # |e~|^2
     if out is None:
         out = np.empty(np.broadcast_shapes(e.shape, np.shape(n2)))
-    c = p.operands[2]
+    c, exponent = p.operands[2:]
     if p.b == 2.0:
         _suppression(q, p, out)
         np.multiply(out, c, out)
@@ -191,7 +193,7 @@ def gradient_coefficient(e, n2, p: RtgaParams, q=None, out=None):
         out[...] = 1.0
         np.copyto(out, q, where=safe)
         q = out  # q where safe, else 1
-    kernel = q ** (0.5 * (p.b - 2.0))  # |e~|^(b-2)
+    kernel = np.power(q, exponent)  # |e~|^(b-2)
     np.multiply(kernel, q, out)
     _suppression(out, p, out)
     np.multiply(out, c, out)

@@ -156,7 +156,7 @@ class Producer:
         except ChildProcessError:  # reaped elsewhere
             how = "status unknown"
         return ChildProcessError(
-            f"the stream producer (pid {self.pid}) ended without answering ({how})"
+            f"the forked child process (pid {self.pid}) ended without answering ({how})"
         )
 
     def close(self) -> None:

@@ -268,13 +268,15 @@ class StreamProvider:
 
     segments is the piecewise truth [(start, end, (trials, L))]; noise,
     streams and shared are _TrialCursor's. Every group holds a run of each
-    trial, so the G groups share the trial's source and truth, and group
-    g's run k is column g * trials + k of the ring; the provider's own
-    segments repeat the trial truths once per group, for the engine.
-    inline keeps the fill in this process, as a shard's provider does.
+    trial, so the G groups share the trial's source and truth. The runs
+    of a pass are in trial-major order, which every consumer of its rows
+    follows: run k * G + g is trial k's run in group g, so a trial's G
+    runs, and a shard's trials, are contiguous rows. The provider's own
+    segments repeat each trial truth G times, for the engine. inline
+    keeps the fill in this process, as a shard's provider does.
 
-    The ring holds sample i in row i % rows of (rows, G * trials, L)
-    regressors and (rows, G * trials) outputs, rows = min(n, capacity - 1
+    The ring holds sample i in row i % rows of (rows, trials * G, L)
+    regressors and (rows, trials * G) outputs, rows = min(n, capacity - 1
     + chunk); the latest `capacity` samples stay available to past(). A
     span is the most samples whose draws of one trial fit _SCRATCH bytes,
     and the cursor draws as many trials at a time as fit them. A chunk is
@@ -347,7 +349,7 @@ class StreamProvider:
         inline: bool = False,
     ):
         groups = len(noise)
-        self.segments = [(a, b, np.tile(w, (groups, 1))) for a, b, w in segments]
+        self.segments = [(a, b, np.repeat(w, groups, axis=0)) for a, b, w in segments]
         self.cap = capacity
         trials, L = segments[0][2].shape
         n = segments[-1][1]
@@ -360,7 +362,7 @@ class StreamProvider:
         self.rows = min(n, capacity - 1 + self.chunk)
         half = max(1, self.chunk // 2)
         self.forks = not inline and half * per_sample >= self._FORKED and _cpus() > 1
-        shapes = (self.rows, groups * trials, L), (self.rows, groups * trials)
+        shapes = (self.rows, trials * groups, L), (self.rows, trials * groups)
         if self.forks:
             from .producer import shared_arrays
 
@@ -372,7 +374,7 @@ class StreamProvider:
         self._cursor = _TrialCursor(noise, streams, L, piece, batch, shared)
         # the ring as the (G, trials, rows[, L]) views that the cursor writes
         self._views = [
-            np.moveaxis(a.reshape(self.rows, groups, trials, *a.shape[2:]), 0, 2)
+            a.reshape(self.rows, trials, groups, *a.shape[2:]).swapaxes(0, 2)
             for a in (self.x, self.d)
         ]
         self.pieces = []
@@ -497,12 +499,13 @@ def run_engine(
     iteration: scheduled reuse updates (each individually censored), then
     the gated main update, then the scale update on the main error.
 
-    groups labels the G equal groups of runs that a merged pass holds, in
-    run order (none: one group). Per-run output fills (runs, _BLOCK // G)
-    buffers, so they hold what one group's pass holds, one block of
-    _blocks at a time. After each block, sink(start, ratio, censored, e)
-    receives its (runs, end - start) views, which the next block
-    overwrites; _checked puts the divergence check in front of a sink.
+    groups labels the G equal groups of runs that a merged pass holds,
+    whose rows are in StreamProvider's trial-major run order (none: one
+    group). Per-run output fills (runs, _BLOCK // G) buffers, so they hold
+    what one group's pass holds, one block of _blocks at a time. After
+    each block, sink(start, ratio, censored, e) receives its (runs,
+    end - start) views, which the next block overwrites; _checked puts
+    the divergence check in front of a sink.
     """
     blocks = _engine(provider, params, censor, reuse_cfg, segments, _width(groups))
     while True:
@@ -651,8 +654,8 @@ def _checked(
 
     A run whose ratio in a block (|W - w_o|^2 over its segment's |w_o|^2)
     is non-finite or puts |W - w_o|^2 above DIVERGENCE_FACTOR times its
-    largest |w_o|^2 raises ArithmeticError, which names the run by its
-    group's label and its index in the group (segments and groups are
+    largest |w_o|^2 raises ArithmeticError, which names row r as run
+    r // G of the group labelled groups[r % G] (segments and groups are
     those of run_engine's whole pass), before sink sees the block, so no
     non-finite value reaches the run sums, the CSV or the counts. A
     non-finite ratio counts, since a non-finite step makes W non-finite in
@@ -673,7 +676,7 @@ def _checked(
             first = start + int(np.argmax(over.any(axis=0)))
             bad = np.nonzero(over.any(axis=1))[0]
             if groups:
-                group, run = np.divmod(bad, len(ratio) // len(groups))
+                run, group = np.divmod(bad, len(groups))
                 named = ", ".join(
                     f"{groups[g]} run(s) {run[group == g].tolist()}" for g in np.unique(group)
                 )
@@ -693,8 +696,9 @@ class RunSums:
     """An experiment's sink: per-iteration run sums of the ratio (and e^2)
     of each of the groups of runs that a pass holds, in run order.
 
-    ratio, censored and e2 are (groups, n). A block's rows are viewed as
-    (groups, runs, m), and each group's rows are added one run after
+    ratio, censored and e2 are (groups, n). A block's rows, in the pass's
+    trial-major run order (StreamProvider), are viewed as (runs, groups,
+    m) with no copy, and each group's rows are added one run after
     another, the order of mean(axis=0) on a (runs, n) array, so the means
     are bit-identical and each group's sums equal those of a pass of that
     group alone; censored counts the censored runs per iteration. The e^2
@@ -709,9 +713,9 @@ class RunSums:
         self.censored = np.zeros((groups, n), dtype=np.int64)
 
     def _runs(self, a: np.ndarray) -> np.ndarray:
-        """A block's (groups * runs, m) rows as (runs, groups, m): item k
+        """A block's (runs * groups, m) rows as (runs, groups, m): item k
         holds run k of every group."""
-        return a.reshape(len(self.ratio), self.runs, a.shape[1]).swapaxes(0, 1)
+        return a.reshape(self.runs, len(self.ratio), a.shape[1])
 
     def __call__(self, start: int, ratio, censored, e) -> None:
         cols = slice(start, start + ratio.shape[1])
@@ -864,49 +868,38 @@ def _run_pass(
     reused = bool(schedule(cfg.reuse, n - 1, L))
     count = StreamProvider.shards(groups, trials, reused)
     bounds = [trials * k // count for k in range(count + 1)]
-    shards = [
-        (_trial_provider(cfg, noise, w_o, shared, slice(lo, hi), count > 1), lo, hi)
+    providers = [
+        _trial_provider(cfg, noise, w_o, shared, slice(lo, hi), count > 1)
         for lo, hi in zip(bounds, bounds[1:])
     ]
     # every run's truths, in run order, whose norms bound the check
     segments = [
-        (a, b, _merged([provider.segments[j][2] for provider, _, _ in shards], groups))
-        for j, (a, b, _) in enumerate(shards[0][0].segments)
+        (a, b, np.concatenate([provider.segments[j][2] for provider in providers]))
+        for j, (a, b, _) in enumerate(providers[0].segments)
     ]
     checked = _checked(sink, segments, params.mu, labels)
     args = params, cfg.resolved_censoring(), cfg.reuse
     if count == 1:
-        with shards[0][0] as provider:
+        with providers[0] as provider:
             return run_engine(provider, *args, provider.segments, checked, labels)
-    return _run_shards(shards, groups, segments, args, checked, _width(labels))
-
-
-def _shard_rows(a: np.ndarray, groups: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """The (groups, hi - lo, ...) view of trials [lo, hi) in every group of
-    a (groups * trials, ...) array, whose run g * trials + k is trial k of group g."""
-    return a.reshape(groups, -1, *a.shape[1:])[:, lo:hi]
-
-
-def _merged(parts: list[np.ndarray], groups: int) -> np.ndarray:
-    """The (groups * trials, ...) array, in run order, of the shards'
-    (groups * shard trials, ...) parts, in trial order."""
-    whole = np.concatenate([_shard_rows(a, groups) for a in parts], axis=1)
-    return whole.reshape(-1, *parts[0].shape[1:])
+    return _run_shards(providers, segments, args, checked, _width(labels))
 
 
 def _run_shards(
-    shards, groups: int, segments: list[tuple[int, int, np.ndarray]], args, sink, width: int
+    providers, segments: list[tuple[int, int, np.ndarray]], args, sink, width: int
 ) -> EngineResult:
-    """Run each shard's (provider, lo, hi) trials in a forked child
-    (rtga.producer), and hand sink each block of every run, in run order.
+    """Run each shard's provider in a forked child (rtga.producer), and
+    hand sink each block of every run, in run order.
 
-    A child's k-th piece is its engine's k-th block of the pass's
-    segments: it writes its rows of the block into slot k % 2 of shared
-    (2, rows, width) buffers of the ratio, the censored mask and e. Its
-    piece after the last block returns its shard's EngineResult, and the
-    pass's result joins their weights and sums their counts. This process
-    only waits, checks and sums: for each block it takes every child's
-    answer for the block and hands the whole block to sink, so by
+    The providers hold consecutive trials, so by StreamProvider's
+    trial-major run order each shard's runs are one contiguous row range
+    of the pass. A child's k-th piece is its engine's k-th block of the
+    pass's segments: it writes its block into its row range of slot k % 2
+    of shared (2, rows, width) buffers of the ratio, the censored mask and
+    e. Its piece after the last block returns its shard's EngineResult,
+    and the pass's result joins their weights and sums their counts. This
+    process only waits, checks and sums: for each block it takes every
+    child's answer for the block and hands the whole block to sink, so by
     rtga.producer's look-ahead no child writes a slot that sink may still
     read. Every child is killed and reaped when the pass ends or fails.
     """
@@ -918,7 +911,7 @@ def _run_shards(
     (censored,) = shared_arrays((2, rows, width), dtype=bool)
     buffers = ratio, censored, errors
 
-    def child(provider, lo: int, hi: int):
+    def child(provider, rows: slice):
         blocks = _engine(provider, params, censor, reuse_cfg, provider.segments, width)
 
         def fill(k: int) -> EngineResult | None:
@@ -927,15 +920,16 @@ def _run_shards(
             except StopIteration as done:
                 return done.value
             for a, part in zip(buffers, block):
-                m = part.shape[1]
-                _shard_rows(a[k % 2], groups, lo, hi)[..., :m] = _shard_rows(part, groups)
+                a[k % 2, rows, :part.shape[1]] = part
 
         return fill
 
     children = []
     try:
-        for shard in shards:
-            children.append(Producer(child(*shard)))
+        hi = 0
+        for provider in providers:
+            lo, hi = hi, hi + len(provider.segments[0][2])
+            children.append(Producer(child(provider, slice(lo, hi))))
             children[-1].ask(1)
         for k, (start, end, _) in enumerate(_blocks(segments, width)):
             for producer in children:
@@ -948,7 +942,7 @@ def _run_shards(
         while children:
             children.pop().close()
     counts = {k: sum(getattr(res, k) for res in results) for k in _COUNTS}
-    return EngineResult(_merged([res.weights for res in results], groups), **counts)
+    return EngineResult(np.concatenate([res.weights for res in results]), **counts)
 
 
 def run_sysid(cfg: ExperimentConfig) -> ExperimentResult:
@@ -956,7 +950,7 @@ def run_sysid(cfg: ExperimentConfig) -> ExperimentResult:
 
     In tracking mode the truth shifts right mid-run (cfg.truth_shifts()).
     """
-    cfg.validate()
+    cfg.validate("sysid", "tracking")
     params = cfg.resolved_params()
     sums = RunSums(1, cfg.mc_runs, cfg.n_samples)
     res = _run_pass(cfg, params, cfg.noise_pairs(), sums)
@@ -998,7 +992,7 @@ def run_aec(
     structure of the case are preserved. Pass an explicit (input, output)
     noise pair to bypass the case table, taken as absolute variances.
     """
-    cfg.validate()
+    cfg.validate("aec")
     notes: list[str] = []
     if assets is None:
         assets, notes = load_aec_assets(cfg)
@@ -1026,7 +1020,6 @@ def run_aec(
     sums = RunSums(1, cfg.mc_runs, cfg.n_samples, errors=True)
     res = _run_pass(cfg, params, [noise], sums, w_o=echo, shared=(x_far, d_clean))
     out = _aggregate(cfg, params, res, sums)
-    out.mode = "aec"
     out.erle = erle_db(d_clean * d_clean, sums.e2[0] / sums.runs, sums.runs)
     out.csv_columns = {"nmsd_db": out.curve.values_db, "erle_db": out.erle.values_db}
     out.notes.extend(notes)
@@ -1049,7 +1042,7 @@ def run_theory_compare(cfg: ExperimentConfig) -> ExperimentResult:
     are one group of a single engine pass, and the groups share each
     trial's source and unit noise draws, scaled per variance.
     """
-    cfg.validate()
+    cfg.validate("theory")
     params = cfg.resolved_params()
     L = cfg.order
     w_o = np.ones(L) / math.sqrt(L)
@@ -1097,7 +1090,7 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     The draws are trial 0's whole stream, written by a one-trial cursor in
     one call, with no ring.
     """
-    cfg.validate()
+    cfg.validate("sweep")
     params = cfg.resolved_params()
     pair = case_spec(cfg.case_id)
     n = cfg.sweep.draws

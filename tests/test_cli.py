@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtga import cli, runner
+from rtga import cli, producer, runner
 from rtga.cli import main
 from rtga.config import SETTINGS, _float_list
 from rtga.dataio import save_wav
@@ -204,10 +204,43 @@ def test_killed_producer_exits_1(monkeypatch, capsys):
     assert main(["sysid", "--runs", "3", "--samples", "3000", "--seed", "1"]) == 1
     err = capsys.readouterr().err
     assert err == (
-        f"error: the stream producer (pid {killed[0]}) ended without answering "
+        f"error: the forked child process (pid {killed[0]}) ended without answering "
         "(killed by signal 9)\n"
     )
     assert_reaped(killed)
+
+
+def test_killed_shard_exits_1(monkeypatch, capsys):
+    # A sysid pass of 256 runs without reuse runs in two forked shards on
+    # two CPUs; SIGKILL the second mid-pass: one error line, no traceback,
+    # and both children reaped.
+    monkeypatch.setattr(runner, "_cpus", lambda: 2)
+    pids = []
+
+    class Recording(producer.Producer):
+        def __init__(self, fill):
+            super().__init__(fill)
+            pids.append(self.pid)
+
+    monkeypatch.setattr(producer, "Producer", Recording)
+    summing = runner.RunSums.__call__
+    killed = []
+
+    def killing(self, start, *block):
+        if start >= 1000 and not killed:
+            killed.append(pids[1])
+            os.kill(pids[1], signal.SIGKILL)
+        summing(self, start, *block)
+
+    monkeypatch.setattr(runner.RunSums, "__call__", killing)
+    assert main(["sysid", "--runs", "256", "--samples", "3000", "--seed", "1"]) == 1
+    assert len(pids) == 2 and killed == pids[1:]
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: the forked child process (pid {pids[1]}) ended without answering "
+        "(killed by signal 9)\n"
+    )
+    assert_reaped(pids)
 
 
 def test_short_far_end_wav_exits_1(tmp_path, capsys):

@@ -246,12 +246,20 @@ def _allocating_coefficient(e, n2, p, q):
         params(b=2.0, c=1.0, family="ltls"),
         params(b=1.56, c=1.0, mu=0.05, family="exp"),
         params(a=-100.0, b=2.0, c=0.2),
+        params(a=-100.0, b=2.29, c=1.2, mu=0.01),
+        params(a=-100.0, b=2.3, c=1.5, mu=0.02),
+        params(b=2.34, c=1.0, mu=0.05, family="exp"),
+        params(b=6.0, c=1.0, mu=0.055, family="exp"),
     ],
-    ids=["b1.5-guard", "b8", "tlmp-b4", "ltls-b2", "exp-b1.56", "full-b2"],
+    ids=["b1.5-guard", "b8", "tlmp-b4", "ltls-b2", "exp-b1.56", "full-b2",
+         "b2.29", "b2.3", "exp-b2.34", "exp-b6"],
 )
 def test_gradient_coefficient_into_out_is_bitwise(p):
     # The engine runs the chain in its own per-pass row; it must give the
     # allocating call's bits, including the b < 2 guard's zero errors.
+    # The inputs cover every b of the shipped presets (config._FULL_COST
+    # and config._LIMIT_PRESETS), whose |e~|^(b-2) kernel takes its
+    # exponent as a kept 0-d operand.
     rng = np.random.default_rng(11)
     e = rng.standard_normal(40) * 2.0
     e[::5] = 0.0

@@ -26,6 +26,7 @@ CONFIGS = [
     ("sysid-reuse-one-producer", "sysid", None,
      dict(case=2, algo="proposed", pce=0.7, reuse=3, samples=3000, runs=20)),
     ("sysid-one-producer", "sysid", None, dict(case=1, samples=3000, runs=50)),
+    ("sysid-sharded", "sysid", None, dict(runs=300, samples=400)),
     ("theory-pce", "theory", None, dict(pce=0.5, runs=10, samples=2000)),
     ("theory-sharded", "theory", None, dict(runs=100, samples=600)),
     ("tracking-ini", "tracking", {

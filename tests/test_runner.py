@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from rtga import producer, runner, signal_model
 from rtga.censoring import CensorConfig, ScaleState, censor_decision, update_scale
-from rtga.config import AlgorithmConfig, ExperimentConfig, TheoryConfig
+from rtga.config import AlgorithmConfig, ConfigError, ExperimentConfig, TheoryConfig
 from rtga.dataio import AecAssets, synth_echo_path
 from rtga.filters import RtgaParams, gradient
 from rtga.metrics import iterations_to_level
@@ -328,9 +328,10 @@ class TestEngineEquivalence:
         ids=["non-finite", "finite"],
     )
     def test_merged_divergence_named_by_group(self, params, censor):
-        # Two groups of 3 runs share one pass and only run 1 of the second
-        # blows up: the merged pass names it by its group's label and its
-        # index in the group, at the iteration its own pass names.
+        # Two groups of 3 runs share one pass, in trial-major rows (row
+        # 2 k + g is run k of group g), and only run 1 of the second blows
+        # up: the merged pass names it by its group's label and its index
+        # in the group, at the iteration its own pass names.
         n, L = 300, 4
         spec = NoiseSpec("gaussian", 0.1)
         synth = [_synth_run(23, r, L, n, spec, spec) for r in range(3)]
@@ -344,11 +345,14 @@ class TestEngineEquivalence:
         with pytest.raises(ArithmeticError, match=r" in run\(s\) \[1\];") as alone:
             run_kept(ArrayProvider(wild_X, wild_D), *args, [(0, n, WO)])
         first = re.search(r"at iteration (\d+) in", str(alone.value)).group(1)
-        merged = ArrayProvider(np.concatenate([X, wild_X]), np.concatenate([D, wild_D]))
+        merged = ArrayProvider(
+            np.stack([X, wild_X], axis=1).reshape(6, n, L),
+            np.stack([D, wild_D], axis=1).reshape(6, n),
+        )
         with pytest.raises(
             ArithmeticError, match=rf"at iteration {first} in wild run\(s\) \[1\];"
         ):
-            run_kept(merged, *args, [(0, n, np.concatenate([WO, WO]))], ("calm", "wild"))
+            run_kept(merged, *args, [(0, n, np.repeat(WO, 2, axis=0))], ("calm", "wild"))
 
     def test_nan_sample_named_by_group(self):
         # A NaN in one run's x~ mid-block makes that run's W NaN in the same
@@ -358,10 +362,11 @@ class TestEngineEquivalence:
         n, L = 600, 4
         spec = NoiseSpec("gaussian", 0.1)
         synth = [_synth_run(23, r, L, n, spec, spec) for r in range(3)]
-        WO = np.stack([s[0] for s in synth] * 2)
-        X = np.stack([s[1] for s in synth] * 2)
-        D = np.stack([s[2] for s in synth] * 2)
-        X[4, 300, 2] = np.nan  # run 1 of the second group
+        # two groups of the same 3 runs, in trial-major rows: row 2 k + g
+        WO = np.repeat(np.stack([s[0] for s in synth]), 2, axis=0)
+        X = np.repeat(np.stack([s[1] for s in synth]), 2, axis=0)
+        D = np.repeat(np.stack([s[2] for s in synth]), 2, axis=0)
+        X[3, 300, 2] = np.nan  # run 1 of the second group
         params = RtgaParams(a=-100.0, b=2.0, c=0.2, mu=0.01, phi=1.0)
         kept = KeepAll()
         groups = ("calm", "wild")
@@ -455,8 +460,9 @@ class TestEngineBlocks:
         # without errors the sink keeps no e^2 sums and the same ratio sums
         assert plain.e2 is None
         assert np.array_equal(plain.ratio, sums.ratio)
-        # group g of the merged input is runs [4 g, 4 g + 4)
-        for g, rows in enumerate(np.split(np.arange(runs), groups)):
+        # in trial-major rows, group g of the merged input is rows g, g + 3, ...
+        for g in range(groups):
+            rows = np.arange(g, runs, groups)
             assert np.array_equal(merged.ratio[g] / merged.runs, kept.ratio[rows].mean(axis=0))
             e = kept.errors[rows]
             assert np.array_equal(merged.e2[g] / merged.runs, (e * e).mean(axis=0))
@@ -724,12 +730,12 @@ class TestStreamProvider:
         runs = cfg.mc_runs
         with grouped, alone[0], alone[1], alone[2]:
             for (_, _, w), (_, _, w_alone) in zip(grouped.segments, alone[0].segments):
-                np.testing.assert_array_equal(w, np.tile(w_alone, (3, 1)))
+                np.testing.assert_array_equal(w, np.repeat(w_alone, 3, axis=0))
             for i in range(cfg.n_samples):
                 oldest = max(0, i - grouped.cap + 1)
                 rows = [grouped.step(i), grouped.past(oldest)]
                 for g, provider in enumerate(alone):
-                    cols = slice(g * runs, (g + 1) * runs)
+                    cols = slice(g, 3 * runs, 3)  # trial-major: run k of group g is 3 k + g
                     for (x, d), (x_g, d_g) in zip(rows, (provider.step(i), provider.past(oldest))):
                         np.testing.assert_array_equal(x[cols], x_g)
                         np.testing.assert_array_equal(d[cols], d_g)
@@ -1598,6 +1604,27 @@ class TestTheoryAndSweep:
         w_min = np.array([cols["w1"][k], cols["w2"][k]])
         assert np.all(np.abs(w_min - SWEEP_TRUTH) <= 0.1 + 1e-12)
         assert any("truth" in note for note in res.notes)
+
+
+@pytest.mark.parametrize(
+    ("driver", "cfg", "named"),
+    [
+        # a sysid config passes validate() without aec's window rule
+        (run_aec, ExperimentConfig(
+            mode="sysid", order=512, n_samples=600, mc_runs=1, reuse=ReuseConfig(l_reused=3),
+        ), "the aec experiment cannot run a config of mode 'sysid'"),
+        (run_theory_compare, ExperimentConfig(mode="sysid", n_samples=300, mc_runs=2),
+         "the theory experiment cannot run a config of mode 'sysid'"),
+        (run_sysid, ExperimentConfig(mode="theory", n_samples=300, mc_runs=2),
+         "the sysid or tracking experiment cannot run a config of mode 'theory'"),
+        (run_sweep, ExperimentConfig(mode="sysid", order=2, n_samples=300, mc_runs=2),
+         "the sweep experiment cannot run a config of mode 'sysid'"),
+    ],
+    ids=["aec-sysid", "theory-sysid", "sysid-theory", "sweep-sysid"],
+)
+def test_driver_refuses_a_config_of_another_mode(driver, cfg, named):
+    with pytest.raises(ConfigError, match=f"^{re.escape(named)}$"):
+        driver(cfg)
 
 
 class TestSummary:
